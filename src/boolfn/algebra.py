@@ -47,20 +47,13 @@ def _index_of_subset(vars_: Iterator[int], n: int) -> int:
     return t
 
 
-def _mobius(values: np.ndarray, n: int) -> np.ndarray:
-    """In-place subset Moebius transform: c_S = sum over T <= S of +-f(T)."""
+def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:
+    """Zeta (``np.add``) or Moebius (``np.subtract``) transform over subsets:
+    c_S = sum over T <= S of f(T), with sign (-1)**|S - T| for Moebius."""
     a = values.astype(np.int64)
     for p in range(n):
         shaped = a.reshape(-1, 2, 1 << p)
-        shaped[:, 1, :] -= shaped[:, 0, :]
-    return a
-
-
-def _zeta(coeffs: np.ndarray, n: int) -> np.ndarray:
-    a = coeffs.astype(np.int64)
-    for p in range(n):
-        shaped = a.reshape(-1, 2, 1 << p)
-        shaped[:, 1, :] += shaped[:, 0, :]
+        op(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
     return a
 
 
@@ -91,7 +84,7 @@ class MultilinearPoly:
 
     def evaluate_all(self) -> np.ndarray:
         """Evaluate at every 0/1 point (zeta transform; reduced mod m)."""
-        vals = _zeta(self.coeffs, self.n)
+        vals = _subset_transform(self.coeffs, self.n, np.add)
         if self.modulus is not None:
             vals %= self.modulus
         return vals
@@ -117,7 +110,7 @@ def multilinear_coefficients(f: TruthTable, modulus: Modulus = "integers") -> Mu
     reduced mod m are the unique total-agreement representation over Z_m.
     """
     m = _check_modulus(modulus)
-    coeffs = _mobius(f.values, f.n)
+    coeffs = _subset_transform(f.values, f.n, np.subtract)
     if m is not None:
         coeffs %= m
     coeffs.setflags(write=False)
@@ -176,6 +169,17 @@ def sparsity(f: TruthTable) -> int:
     return fourier_transform(f).sparsity()
 
 
+# Parseval makes the scaled squares sum to 4**n, so no spectral sum here
+# exceeds n**2 * 4**n, which is below 2**63 up to this arity.
+INT64_EXACT_MAX_ARITY = 26
+
+
+def exact_terms(a: np.ndarray, n: int) -> np.ndarray:
+    """Operands of an arity-n spectral sum: ``a`` itself while int64 sums are
+    exact, Python ints above ``INT64_EXACT_MAX_ARITY``."""
+    return a if n <= INT64_EXACT_MAX_ARITY else a.astype(object)
+
+
 @dataclass(frozen=True)
 class SpectralSums:
     """Exact rationals: sum |fhat|, sum |fhat||S|, and sum |S|^2 fhat^2."""
@@ -186,44 +190,25 @@ class SpectralSums:
 
 
 def spectral_sums(f: TruthTable) -> SpectralSums:
-    spec = fourier_transform(f)
-    return spectral_sums_of(spec)
+    return spectral_sums_of(fourier_transform(f))
 
 
 def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
     n = spec.n
-    pc = popcounts(n).astype(np.int64)
-    scaled = spec.scaled
-    if n <= 16:
-        abssum = int(np.abs(scaled).sum())
-        wsum = int((np.abs(scaled) * pc).sum())
-        w2sum = int(((scaled * scaled) * (pc * pc)).sum())
-    else:
-        abssum = wsum = w2sum = 0
-        for t in np.nonzero(scaled)[0]:
-            c = int(scaled[t])
-            w = int(pc[t])
-            abssum += abs(c)
-            wsum += abs(c) * w
-            w2sum += c * c * w * w
+    scaled = exact_terms(spec.scaled, n)
+    pc = exact_terms(popcounts(n).astype(np.int64), n)
+    magnitude = np.abs(scaled)
     denom = 1 << n
     return SpectralSums(
-        l1=Fraction(abssum, denom),
-        weighted=Fraction(wsum, denom),
-        weighted2=Fraction(w2sum, denom * denom),
+        l1=Fraction(int(magnitude.sum()), denom),
+        weighted=Fraction(int((magnitude * pc).sum()), denom),
+        weighted2=Fraction(int((scaled * scaled * pc * pc).sum()), denom * denom),
     )
 
 
 def influence_from_spectrum(spec: FourierSpectrum) -> Fraction:
     """Influence via the spectral identity sum |S| fhat(S)^2."""
     n = spec.n
-    pc = popcounts(n).astype(np.int64)
-    scaled = spec.scaled
-    if n <= 16:
-        total = int((scaled * scaled * pc).sum())
-    else:
-        total = 0
-        for t in np.nonzero(scaled)[0]:
-            c = int(scaled[t])
-            total += c * c * int(pc[t])
-    return Fraction(total, 1 << (2 * n))
+    scaled = exact_terms(spec.scaled, n)
+    pc = exact_terms(popcounts(n).astype(np.int64), n)
+    return Fraction(int((scaled * scaled * pc).sum()), 1 << (2 * n))

@@ -85,7 +85,7 @@ def alternation_along(f: BooleanFunction, c: Chain) -> int:
     return count
 
 
-def _level_pairs(n: int, w: int, level: np.ndarray):
+def _level_pairs(n: int, level: np.ndarray):
     """(targets, predecessors) per variable bit for one Hamming-weight level."""
     for p in range(n):
         sel = level[(level >> p) & 1 == 1]
@@ -93,14 +93,18 @@ def _level_pairs(n: int, w: int, level: np.ndarray):
             yield sel, sel ^ (1 << p)
 
 
-@lru_cache(maxsize=16)
-def _level_plan(n: int):
-    """Cached gather plan for small arities (levels 1..n)."""
+def _levels(n: int):
+    """The DP's gather plan: the (targets, predecessors) pairs of levels 1..n,
+    built one pair at a time."""
     pc = popcounts(n)
     idx = np.arange(1 << n, dtype=np.int64)
-    return tuple(
-        tuple(_level_pairs(n, w, idx[pc == w])) for w in range(1, n + 1)
-    )
+    return (_level_pairs(n, idx[pc == w]) for w in range(1, n + 1))
+
+
+@lru_cache(maxsize=16)
+def _level_plan(n: int):
+    """Cached gather plan for small arities."""
+    return tuple(tuple(level) for level in _levels(n))
 
 
 def alternation_profile(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
@@ -115,13 +119,7 @@ def alternation_profile(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
     v = f.values
     A = np.zeros(1 << n, dtype=np.int32)
     D = np.zeros(1 << n, dtype=np.int32)
-    if n <= 16:
-        plan = _level_plan(n)
-    else:
-        pc = popcounts(n)
-        idx = np.arange(1 << n, dtype=np.int64)
-        plan = (tuple(_level_pairs(n, w, idx[pc == w])) for w in range(1, n + 1))
-    for level in plan:
+    for level in _level_plan(n) if n <= 16 else _levels(n):
         for sel, pred in level:
             fv = v[sel]
             pv = v[pred]
@@ -201,18 +199,20 @@ def glued_composition_chain(f_chain: Chain, g_chain: Chain, g: BooleanFunction) 
     return Chain(f_chain.arity * n, order)
 
 
-def monotone_decomposition(f: BooleanFunction) -> tuple[list[TruthTable], bool]:
+def monotone_decomposition(
+    f: BooleanFunction, profile: Optional[np.ndarray] = None
+) -> tuple[list[TruthTable], bool]:
     """Split f into alt(f) monotone functions whose XOR reconstructs f.
 
     Part i is the indicator of alternation-profile value >= i; the profile is
     monotone along the order, so each part is monotone, and telescoping the
     parities gives f back (negated when f(0^n) = 1, reported by the flag).
     Each part is verified monotone and the XOR verified exact before
-    returning.
+    returning. ``profile`` is the alternation profile A of f, if known.
     """
     table = materialize(f)
     n = table.n
-    A, _ = alternation_profile(table)
+    A = alternation_profile(table)[0] if profile is None else profile
     k = int(A[-1])
     parts = [TruthTable(n, (A >= i).astype(np.uint8)) for i in range(1, k + 1)]
     negate = bool(table.values[0])

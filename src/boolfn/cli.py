@@ -14,14 +14,10 @@ import re
 import sys
 from typing import Optional
 
-from . import algebra, chains, families, measures, verify
+from . import chains, families, measures, verify
 from .core import (
     BooleanFunction,
-    CapExceededError,
-    FormatError,
     LazyFunction,
-    TruthTable,
-    depends_on_all,
     describe,
     materialize,
     parse,
@@ -38,68 +34,66 @@ class UsageError(Exception):
     pass
 
 
-def _resolve_token(token: str) -> BooleanFunction:
-    """Resolve a compact function source: table text, family token, or path."""
+# Required parameters of each family; every other family needs --n.
+_FAMILY_PARAMS = {"fk": ("k",), "addr": ("t",), "compose": ("base", "power")}
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+def _token_source(token: str) -> dict:
+    """The source flags a compact token names: table text, family token, or path."""
     if ":" in token:
-        return parse(token)
+        return {"fn": token}
     m = _FAMILY_TOKEN.match(token)
     if m:
-        name, num = m.group("name"), int(m.group("num"))
-        if name == "fk":
-            return families.gap_family(num)[0]
-        if name == "addr":
-            return families.address(num)
-        if name in ("maj", "majority"):
-            return families.named_basics("majority", num)
-        return families.named_basics(name, num)
-    try:
-        with open(token) as handle:
-            tables = list(parse_corpus(handle))
-    except OSError as exc:
-        raise UsageError(f"cannot resolve function source {token!r}: {exc}") from None
-    if len(tables) != 1:
-        raise UsageError(f"file {token!r} must contain exactly one table")
-    return tables[0]
+        name = "majority" if m.group("name").startswith("maj") else m.group("name")
+        return {"family": name, _FAMILY_PARAMS.get(name, ("n",))[0]: int(m.group("num"))}
+    return {"file": token}
 
 
-def _family_from_flags(args) -> BooleanFunction:
-    name = args.family
+def _family(name: str, params: dict) -> BooleanFunction:
+    missing = [f"--{p}" for p in _FAMILY_PARAMS.get(name, ("n",)) if params.get(p) is None]
+    if missing:
+        raise UsageError(f"family {name} requires {' and '.join(missing)}")
     if name == "fk":
-        if args.k is None:
-            raise UsageError("--family fk requires --k")
-        return families.gap_family(args.k)[0]
+        return families.gap_family(params["k"])[0]
     if name == "addr":
-        if args.t is None:
-            raise UsageError("--family addr requires --t")
-        return families.address(args.t)
+        return families.address(params["t"])
     if name == "compose":
-        if args.base is None or args.power is None:
-            raise UsageError("--family compose requires --base and --power")
-        return families.compose_power(_resolve_token(args.base), args.power)
-    if name in ("parity", "and", "or", "majority", "threshold"):
-        if args.n is None:
-            raise UsageError(f"--family {name} requires --n")
-        return families.named_basics(name, args.n, threshold=args.threshold)
-    raise UsageError(f"unknown family {name!r}")
+        return families.compose_power(_resolve(_token_source(params["base"])), params["power"])
+    return families.named_basics(name, params["n"], threshold=params.get("threshold"))
 
 
-def _resolve_function(args, parser) -> BooleanFunction:
-    sources = [
-        args.fn is not None,
-        getattr(args, "file", None) is not None,
-        getattr(args, "family", None) is not None,
-    ]
-    if sum(sources) != 1:
+def _resolve_all(source: dict) -> list[BooleanFunction]:
+    """Every function named by exactly one of the fn / file / family flags.
+
+    ``source`` maps flag names to values (parsed arguments or a token's
+    flags); a corpus file may name several tables.
+    """
+    if sum(source.get(flag) is not None for flag in ("fn", "file", "family")) != 1:
         raise UsageError("provide exactly one of --fn, --file, --family")
-    if args.fn is not None:
-        return parse(args.fn)
-    if getattr(args, "file", None) is not None:
-        with open(args.file) as handle:
-            tables = list(parse_corpus(handle))
-        if len(tables) != 1:
-            raise UsageError(f"file {args.file!r} must contain exactly one table")
-        return tables[0]
-    return _family_from_flags(args)
+    if source.get("fn") is not None:
+        return [parse(source["fn"])]
+    if source.get("family") is not None:
+        return [_family(source["family"], source)]
+    tables = list(parse_corpus(_read(source["file"]).split("\n")))
+    if not tables:
+        raise UsageError(f"file {source['file']!r} holds no tables")
+    return tables
+
+
+def _resolve(source: dict) -> BooleanFunction:
+    """The one function a source names; a corpus file must hold exactly one."""
+    functions = _resolve_all(source)
+    if len(functions) != 1:
+        raise UsageError(f"file {source['file']!r} must contain exactly one table")
+    return functions[0]
 
 
 def _function_source_flags(sub) -> None:
@@ -124,55 +118,31 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _analyze_payload(table: TruthTable, args) -> dict:
-    report = measures.measure_report(
-        table,
-        bs_cap=args.bs_cap,
-        cert_cap=args.cert_cap,
-        dt_cap=args.dt_cap,
-        per_point=args.per_point,
-    )
-    out = {"fn": serialize(table)}
-    out.update(report.to_json_dict())
-    out["deg"] = algebra.degree(table)
-    out["deg2"] = algebra.degree(table, 2)
-    out["deg_m"] = {str(m): algebra.degree(table, m) for m in (3, 4, 5, 6)}
-    out["sparsity"] = algebra.sparsity(table)
-    sums = algebra.spectral_sums(table)
-    out["spectral"] = {
-        "l1": str(sums.l1),
-        "weighted": str(sums.weighted),
-        "weighted2": str(sums.weighted2),
-    }
-    out["depends_on_all"] = depends_on_all(table)
+def _analyze_payload(record: measures.MeasureContext, args) -> dict:
+    out = record.to_json_dict()
+    if args.per_point:
+        out["per_point"] = record.per_point()
     return out
 
 
 def _cmd_analyze(args, parser) -> int:
-    sources = [args.fn is not None, args.file is not None, args.family is not None]
-    if sum(sources) != 1:
-        raise UsageError("provide exactly one of --fn, --file, --family")
+    functions = _resolve_all(vars(args))
+    records = (
+        measures.MeasureContext(materialize(f), args.bs_cap, args.cert_cap, args.dt_cap)
+        for f in functions
+    )
     if args.file is not None:
         # corpus file: one function per line, emitted as one JSON object per line
-        with open(args.file) as handle:
-            tables = list(parse_corpus(handle))
-        if not tables:
-            raise UsageError(f"file {args.file!r} holds no tables")
-        payloads = [_analyze_payload(t, args) for t in tables]
-        _emit("\n".join(json.dumps(p, sort_keys=True) for p in payloads))
+        _emit("\n".join(json.dumps(_analyze_payload(r, args), sort_keys=True) for r in records))
         return 0
-    fn = parse(args.fn) if args.fn is not None else _family_from_flags(args)
-    table = materialize(fn)
-    out = _analyze_payload(table, args)
+    record = next(records)
+    out = _analyze_payload(record, args)
     if args.spectrum_out:
         with open(args.spectrum_out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            for row in algebra.fourier_transform(table).csv_rows():
-                writer.writerow(row)
+            csv.writer(handle).writerows(record.spectrum().csv_rows())
     if args.poly_out:
-        poly = algebra.multilinear_coefficients(table)
         with open(args.poly_out, "w") as handle:
-            json.dump(poly.to_json_dict(), handle, sort_keys=True)
+            json.dump(record.poly().to_json_dict(), handle, sort_keys=True)
             handle.write("\n")
     if args.format == "json":
         _emit(json.dumps(out, sort_keys=True, indent=2))
@@ -183,14 +153,7 @@ def _cmd_analyze(args, parser) -> int:
 
 
 def _cmd_family(args, parser) -> int:
-    if args.generator == "fk":
-        fn, _ = families.gap_family(args.k)
-    elif args.generator == "addr":
-        fn = families.address(args.t)
-    elif args.generator == "compose":
-        fn = families.compose_power(_resolve_token(args.base), args.power)
-    else:
-        fn = families.named_basics(args.generator, args.n, threshold=args.threshold)
+    fn = _resolve(dict(vars(args), family=args.generator))
     if isinstance(fn, LazyFunction) or args.lazy:
         desc = describe(fn)
         desc["arity"] = fn.arity
@@ -204,49 +167,39 @@ def _load_chain(args, arity: int) -> chains.Chain:
     raw = args.chain
     if raw is None or raw == "-":
         raw = sys.stdin.read()
-    elif raw.strip().startswith("["):
-        pass
-    else:
-        with open(raw) as handle:
-            raw = handle.read()
+    elif not raw.strip().startswith("["):
+        raw = _read(raw)
     data = json.loads(raw)
     if not isinstance(data, list):
         raise UsageError("chain JSON must be an array of 1-based variable indices")
     return chains.Chain.from_json(data, arity)
 
 
+def _chain_or_witness(raw: Optional[str], fn: BooleanFunction) -> chains.Chain:
+    """The chain given as JSON, or else the DP witness of fn."""
+    if raw:
+        return chains.Chain.from_json(json.loads(raw), fn.arity)
+    return measures.alternation_decrease(fn).witness
+
+
 def _cmd_chain(args, parser) -> int:
-    if args.chain_cmd == "fk":
-        _, tree = families.gap_family(args.k)
-        chain = chains.gap_family_chain(tree)
-        _emit(json.dumps(chain.to_json()))
-        return 0
-    if args.chain_cmd == "witness":
-        fn = _resolve_function(args, parser)
-        result = measures.alternation_decrease(fn)
-        _emit(json.dumps(result.witness.to_json()))
-        return 0
-    if args.chain_cmd == "glue":
-        f_fn = _resolve_token(args.f)
-        g_fn = _resolve_token(args.g)
-        if args.f_chain:
-            f_chain = chains.Chain.from_json(json.loads(args.f_chain), f_fn.arity)
-        else:
-            f_chain = measures.alternation_decrease(f_fn).witness
-        if args.g_chain:
-            g_chain = chains.Chain.from_json(json.loads(args.g_chain), g_fn.arity)
-        else:
-            g_chain = measures.alternation_decrease(g_fn).witness
-        glued = chains.glued_composition_chain(f_chain, g_chain, g_fn)
-        _emit(json.dumps(glued.to_json()))
-        return 0
     if args.chain_cmd == "eval":
-        fn = _resolve_function(args, parser)
-        chain = _load_chain(args, fn.arity)
-        alt = chains.alternation_along(fn, chain)
+        fn = _resolve(vars(args))
+        alt = chains.alternation_along(fn, _load_chain(args, fn.arity))
         _emit(json.dumps({"arity": fn.arity, "alternation": alt}, sort_keys=True))
         return 0
-    raise UsageError(f"unknown chain subcommand {args.chain_cmd!r}")
+    if args.chain_cmd == "fk":
+        chain = chains.gap_family_chain(families.gap_family(args.k)[1])
+    elif args.chain_cmd == "witness":
+        chain = measures.alternation_decrease(_resolve(vars(args))).witness
+    else:  # glue
+        f_fn = _resolve(_token_source(args.f))
+        g_fn = _resolve(_token_source(args.g))
+        chain = chains.glued_composition_chain(
+            _chain_or_witness(args.f_chain, f_fn), _chain_or_witness(args.g_chain, g_fn), g_fn
+        )
+    _emit(json.dumps(chain.to_json()))
+    return 0
 
 
 def _cmd_verify(args, parser) -> int:
@@ -277,12 +230,9 @@ def _cmd_verify(args, parser) -> int:
             exit_code = 1
         outputs.append(report)
         if args.matrix_out:
+            rows = verify.measure_matrix_rows(population, args.bs_cap, args.cert_cap, args.dt_cap)
             with open(args.matrix_out, "a" if population is not populations[0] else "w", newline="") as handle:
-                writer = csv.writer(handle)
-                for row in verify.measure_matrix_rows(
-                    population, bs_cap=args.bs_cap, cert_cap=args.cert_cap, dt_cap=args.dt_cap
-                ):
-                    writer.writerow(row)
+                csv.writer(handle).writerows(rows)
     if args.format == "json":
         payload = [r.to_json_dict() for r in outputs]
         _emit(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
@@ -384,10 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, CapExceededError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # FormatError and CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,37 +1,46 @@
-"""Exact combinatorial complexity measures.
+"""Exact combinatorial complexity measures, and the record that holds them.
 
 Sensitivity, block sensitivity, certificate complexity, influence,
 alternation/decrease (via the hypercube DP), decision-tree depth, and the
 negation counts that follow from the decrease value. Everything is exact;
 the expensive searches carry explicit arity caps and are tuned so the
 exhaustive small-arity sweeps stay cheap.
+
+:class:`MeasureContext` is the lazy per-function record that computes each
+measure at most once, the algebraic ones included. The check registry,
+``boolfn analyze``, the measure matrix and :func:`measure_report` all read
+it, through the one column schema ``COLUMNS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import chains
+from . import algebra, chains
 from .core import (
     BooleanFunction,
     CapExceededError,
     Point,
     TruthTable,
+    depends_on_all,
     materialize,
     point_index,
+    serialize,
 )
 
 __all__ = [
     "BS_CAP_DEFAULT",
     "CERT_CAP_DEFAULT",
     "DT_CAP_DEFAULT",
+    "COLUMNS",
     "AltDecrease",
+    "MeasureContext",
     "MeasureReport",
     "alternation_decrease",
     "block_sensitivity",
@@ -67,9 +76,7 @@ def per_point_sensitivity(f: TruthTable) -> np.ndarray:
 def sensitivity(f: TruthTable, x: Optional[Point] = None) -> int:
     """Number of sensitive bits at x, or the maximum over all inputs."""
     if x is None:
-        if f.n == 0:
-            return 0
-        return int(per_point_sensitivity(f).max())
+        return MeasureContext(f).s()
     i = point_index(x, f.n)
     v = f.values
     return int(sum(v[i ^ (1 << p)] != v[i] for p in range(f.n)))
@@ -204,9 +211,7 @@ def certificate_complexity(
 
 def influence(f: TruthTable) -> Fraction:
     """Average per-input sensitivity, as an exact rational."""
-    if f.n == 0:
-        return Fraction(0)
-    return Fraction(int(per_point_sensitivity(f).sum()), 1 << f.n)
+    return MeasureContext(f).influence()
 
 
 @dataclass(frozen=True)
@@ -220,10 +225,8 @@ class AltDecrease:
 
 def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDecrease:
     """Alternation and decrease via the full-hypercube DP, plus a witness."""
-    table = materialize(f, cap)
-    A, D = chains.alternation_profile(table)
-    witness = chains.max_alternation_witness(table, A)
-    return AltDecrease(int(A[-1]), int(D[-1]), witness)
+    record = MeasureContext(materialize(f, cap))
+    return AltDecrease(record.alt(), record.dc(), record.witness())
 
 
 _DT_MEMO: dict[bytes, int] = {}
@@ -265,12 +268,8 @@ def decision_tree_depth(f: TruthTable, cap: int = DT_CAP_DEFAULT) -> int:
 
 
 def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
-    """(circuit, formula) negation counts derived from the decrease value.
-
-    Circuits need ceil(log2(1 + dc)) negations; formulas need dc.
-    """
-    dc = alternation_decrease(f, cap).dc
-    return dc.bit_length(), dc
+    """(circuit, formula) negation counts derived from the decrease value."""
+    return MeasureContext(materialize(f, cap)).negs()
 
 
 @dataclass
@@ -291,23 +290,193 @@ class MeasureReport:
     per_point: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "s": self.s,
-            "bs": self.bs,
-            "C": self.C,
-            "I": str(self.I),
-            "alt": self.alt,
-            "dc": self.dc,
-            "DT": self.DT,
-            "negs": self.negs,
-            "negs_formula": self.negs_formula,
-        }
+        out = {name: _cell(getattr(self, name)) for name in _REPORT_COLUMNS}
         if self.skips:
             out["skips"] = dict(self.skips)
         if self.per_point is not None:
             out["per_point"] = self.per_point
         return out
+
+
+def _memoized(method):
+    """Cache a record accessor's value per record and per argument."""
+    name = method.__name__
+
+    @wraps(method)
+    def get(self, *args):
+        key = (name, *args)
+        if key not in self._cache:
+            self._cache[key] = method(self, *args)
+        return self._cache[key]
+
+    return get
+
+
+class MeasureContext:
+    """Lazy record of one function's measures, shared by every consumer.
+
+    The checks, ``boolfn analyze``, the measure matrix and
+    :func:`measure_report` all read it, and it is the only caller of the
+    measure kernels, so each kernel runs at most once per function and only
+    when some accessor needs it. A measure above its cap reads ``None``.
+    """
+
+    def __init__(
+        self,
+        table: TruthTable,
+        bs_cap: int = BS_CAP_DEFAULT,
+        cert_cap: int = CERT_CAP_DEFAULT,
+        dt_cap: int = DT_CAP_DEFAULT,
+    ) -> None:
+        self.table = table
+        self.n = table.n
+        self.bs_cap = bs_cap
+        self.cert_cap = cert_cap
+        self.dt_cap = dt_cap
+        self._cache: dict = {}
+
+    @_memoized
+    def fn_id(self) -> str:
+        return serialize(self.table)
+
+    @_memoized
+    def depends_all(self) -> bool:
+        return depends_on_all(self.table)
+
+    # One per-point sensitivity pass: s, I and the mean squared sensitivity.
+    @_memoized
+    def per_point_s(self) -> np.ndarray:
+        return per_point_sensitivity(self.table)
+
+    def per_point(self) -> dict:
+        return {"s": self.per_point_s().tolist()}
+
+    @_memoized
+    def s(self) -> int:
+        return int(self.per_point_s().max())
+
+    @_memoized
+    def influence(self) -> Fraction:
+        return Fraction(int(self.per_point_s().sum()), 1 << self.n)
+
+    @_memoized
+    def avg_s2(self) -> Fraction:
+        pps = self.per_point_s().astype(np.int64)
+        return Fraction(int((pps * pps).sum()), 1 << self.n)
+
+    # The capped searches.
+    @_memoized
+    def bs(self) -> Optional[int]:
+        if self.n > self.bs_cap:
+            return None
+        return block_sensitivity(self.table, cap=self.bs_cap)
+
+    @_memoized
+    def cert(self) -> Optional[int]:
+        if self.n > self.cert_cap:
+            return None
+        return certificate_complexity(self.table, cap=self.cert_cap)
+
+    @_memoized
+    def dt(self) -> Optional[int]:
+        if self.n > self.dt_cap:
+            return None
+        return decision_tree_depth(self.table, cap=self.dt_cap)
+
+    def skips(self) -> dict[str, str]:
+        caps = {"bs": self.bs_cap, "C": self.cert_cap, "DT": self.dt_cap}
+        return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
+
+    # One alternation DP: alt, dc, the negation counts and the witness.
+    @_memoized
+    def profile(self) -> tuple[np.ndarray, np.ndarray]:
+        return chains.alternation_profile(self.table)
+
+    @_memoized
+    def alt(self) -> int:
+        return int(self.profile()[0][-1])
+
+    @_memoized
+    def dc(self) -> int:
+        return int(self.profile()[1][-1])
+
+    def negs(self) -> tuple[int, int]:
+        """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
+        return self.dc().bit_length(), self.dc()
+
+    @_memoized
+    def witness(self) -> chains.Chain:
+        return chains.max_alternation_witness(self.table, self.profile()[0])
+
+    # One Moebius transform: the degree over Z and over every Z_m.
+    @_memoized
+    def poly(self) -> algebra.MultilinearPoly:
+        return algebra.multilinear_coefficients(self.table)
+
+    @_memoized
+    def deg(self) -> int:
+        return self.poly().degree()
+
+    @_memoized
+    def degm(self, m: int) -> int:
+        return algebra.MultilinearPoly(self.n, self.poly().coeffs % m, m).degree()
+
+    def deg2(self) -> int:
+        return self.degm(2)
+
+    # One Walsh transform: sparsity and the spectral sums.
+    @_memoized
+    def spectrum(self) -> algebra.FourierSpectrum:
+        return algebra.fourier_transform(self.table)
+
+    @_memoized
+    def sparsity(self) -> int:
+        return self.spectrum().sparsity()
+
+    @_memoized
+    def sums(self) -> algebra.SpectralSums:
+        return algebra.spectral_sums_of(self.spectrum())
+
+    def row(self) -> list:
+        """The measure-matrix row, in ``COLUMNS`` order; capped cells are empty."""
+        return ["" if v is None else _cell(v) for v in (get(self) for get in COLUMNS.values())]
+
+    def to_json_dict(self) -> dict:
+        """The ``boolfn analyze`` object, without the per-point table."""
+        out = {name: _cell(get(self)) for name, get in COLUMNS.items()}
+        out["deg_m"] = {str(m): self.degm(m) for m in (3, 4, 5, 6)}
+        out["spectral"] = {name: str(value) for name, value in vars(self.sums()).items()}
+        out["depends_on_all"] = self.depends_all()
+        if self.skips():
+            out["skips"] = self.skips()
+        return out
+
+
+# The one column schema: the measure-matrix CSV columns in order, which are
+# also the scalar fields of the analyze JSON and of MeasureReport.
+COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
+    "fn": MeasureContext.fn_id,
+    "n": lambda r: r.n,
+    "s": MeasureContext.s,
+    "bs": MeasureContext.bs,
+    "C": MeasureContext.cert,
+    "I": MeasureContext.influence,
+    "alt": MeasureContext.alt,
+    "dc": MeasureContext.dc,
+    "DT": MeasureContext.dt,
+    "negs": lambda r: r.negs()[0],
+    "negs_formula": lambda r: r.negs()[1],
+    "deg": MeasureContext.deg,
+    "deg2": MeasureContext.deg2,
+    "sparsity": MeasureContext.sparsity,
+}
+
+_REPORT_COLUMNS = tuple(name for name in COLUMNS if name in MeasureReport.__dataclass_fields__)
+
+
+def _cell(value):
+    """A column value as JSON and CSV carry it: exact rationals as text."""
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def measure_report(
@@ -318,35 +487,10 @@ def measure_report(
     per_point: bool = False,
 ) -> MeasureReport:
     """All measures of one function, honoring the per-measure caps."""
-    table = materialize(f)
-    ad = alternation_decrease(table)
-    skips: dict[str, str] = {}
-    bs = c = dt = None
-    if table.n <= bs_cap:
-        bs = block_sensitivity(table, cap=bs_cap)
-    else:
-        skips["bs"] = f"arity {table.n} above cap {bs_cap}"
-    if table.n <= cert_cap:
-        c = certificate_complexity(table, cap=cert_cap)
-    else:
-        skips["C"] = f"arity {table.n} above cap {cert_cap}"
-    if table.n <= dt_cap:
-        dt = decision_tree_depth(table, cap=dt_cap)
-    else:
-        skips["DT"] = f"arity {table.n} above cap {dt_cap}"
+    record = MeasureContext(materialize(f), bs_cap, cert_cap, dt_cap)
     report = MeasureReport(
-        n=table.n,
-        s=sensitivity(table),
-        I=influence(table),
-        alt=ad.alt,
-        dc=ad.dc,
-        negs=ad.dc.bit_length(),
-        negs_formula=ad.dc,
-        bs=bs,
-        C=c,
-        DT=dt,
-        skips=skips,
+        **{name: COLUMNS[name](record) for name in _REPORT_COLUMNS}, skips=record.skips()
     )
     if per_point:
-        report.per_point = {"s": per_point_sensitivity(table).tolist()}
+        report.per_point = record.per_point()
     return report

@@ -2,13 +2,16 @@
 
 Checks are data: a name, a kind (``assert`` for proven statements, ``ratio``
 for observed-constant reports, ``report`` for parametrized implications), and
-a predicate over lazily computed measures. One registry feeds both the test
-suite and the CLI, populations are enumerated or sampled deterministically,
-and sweep aggregation is commutative so parallel runs match serial ones.
+a predicate over one function's :class:`~boolfn.measures.MeasureContext`, the
+lazy per-function record that computes each measure at most once. One
+registry feeds both the test suite and the CLI, populations are enumerated or
+sampled deterministically, and each check's :class:`Aggregate` merges
+commutatively so parallel runs match serial ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -16,14 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import algebra, chains, measures
-from .core import TruthTable, dense_cap, depends_on_all, parse, popcounts, serialize
+from .core import TruthTable, dense_cap, parse, serialize
+from .measures import MeasureContext
 
 __all__ = [
     "CHECKS",
     "REGISTRY_VERSION",
+    "Aggregate",
     "Check",
     "CheckResult",
     "MeasureContext",
@@ -137,108 +140,6 @@ class Population:
         return out
 
 
-class MeasureContext:
-    """Lazy per-function measure cache shared by all checks."""
-
-    def __init__(
-        self,
-        table: TruthTable,
-        bs_cap: int = measures.BS_CAP_DEFAULT,
-        cert_cap: int = measures.CERT_CAP_DEFAULT,
-        dt_cap: int = measures.DT_CAP_DEFAULT,
-    ) -> None:
-        self.table = table
-        self.n = table.n
-        self.bs_cap = bs_cap
-        self.cert_cap = cert_cap
-        self.dt_cap = dt_cap
-        self._cache: dict = {}
-
-    def _memo(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def fn_id(self) -> str:
-        return self._memo("fn_id", lambda: serialize(self.table))
-
-    def s(self) -> int:
-        return self._memo("s", lambda: measures.sensitivity(self.table))
-
-    def per_point_s(self) -> np.ndarray:
-        return self._memo("pps", lambda: measures.per_point_sensitivity(self.table))
-
-    def bs(self) -> Optional[int]:
-        if self.n > self.bs_cap:
-            return None
-        return self._memo("bs", lambda: measures.block_sensitivity(self.table, cap=self.bs_cap))
-
-    def cert(self) -> Optional[int]:
-        if self.n > self.cert_cap:
-            return None
-        return self._memo(
-            "C", lambda: measures.certificate_complexity(self.table, cap=self.cert_cap)
-        )
-
-    def influence(self) -> Fraction:
-        return self._memo("I", lambda: measures.influence(self.table))
-
-    def _alt_dc(self) -> measures.AltDecrease:
-        return self._memo("altdc", lambda: measures.alternation_decrease(self.table))
-
-    def alt(self) -> int:
-        return self._alt_dc().alt
-
-    def dc(self) -> int:
-        return self._alt_dc().dc
-
-    def witness(self) -> chains.Chain:
-        return self._alt_dc().witness
-
-    def dt(self) -> Optional[int]:
-        if self.n > self.dt_cap:
-            return None
-        return self._memo("DT", lambda: measures.decision_tree_depth(self.table, cap=self.dt_cap))
-
-    def poly(self) -> algebra.MultilinearPoly:
-        return self._memo("poly", lambda: algebra.multilinear_coefficients(self.table))
-
-    def deg(self) -> int:
-        return self._memo("deg", lambda: self.poly().degree())
-
-    def degm(self, m: int) -> int:
-        def build():
-            coeffs = self.poly().coeffs % m
-            nz = np.nonzero(coeffs)[0]
-            if nz.size == 0:
-                return 0
-            return int(popcounts(self.n)[nz].max())
-
-        return self._memo(("degm", m), build)
-
-    def deg2(self) -> int:
-        return self.degm(2)
-
-    def spectrum(self) -> algebra.FourierSpectrum:
-        return self._memo("spec", lambda: algebra.fourier_transform(self.table))
-
-    def sparsity(self) -> int:
-        return self._memo("sparsity", lambda: self.spectrum().sparsity())
-
-    def sums(self) -> algebra.SpectralSums:
-        return self._memo("sums", lambda: algebra.spectral_sums_of(self.spectrum()))
-
-    def depends_all(self) -> bool:
-        return self._memo("dep", lambda: depends_on_all(self.table))
-
-    def avg_s2(self) -> Fraction:
-        def build():
-            pps = self.per_point_s().astype(np.int64)
-            return Fraction(int((pps * pps).sum()), 1 << self.n)
-
-        return self._memo("avg_s2", build)
-
-
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values
 
 
@@ -339,7 +240,7 @@ def _check_cert_ge_bs(ctx: MeasureContext) -> Outcome:
 
 def _check_negs_consistency(ctx: MeasureContext) -> Outcome:
     dc = ctx.dc()
-    negs, negs_formula = measures.negation_complexity(ctx.table)
+    negs, negs_formula = ctx.negs()
     expected = math.ceil(math.log2(1 + dc)) if dc else 0
     ok = negs == expected and negs_formula == dc
     return ("pass" if ok else "fail"), {"dc": dc, "negs": negs, "negs_formula": negs_formula}
@@ -422,11 +323,8 @@ def _check_weighted2_identity(ctx: MeasureContext) -> Outcome:
 
 
 def _check_parseval(ctx: MeasureContext) -> Outcome:
-    scaled = ctx.spectrum().scaled
-    if ctx.n <= 16:
-        total = int((scaled * scaled).sum())
-    else:
-        total = sum(int(c) ** 2 for c in scaled[np.nonzero(scaled)[0]])
+    scaled = algebra.exact_terms(ctx.spectrum().scaled, ctx.n)
+    total = int((scaled * scaled).sum())
     ok = total == 1 << (2 * ctx.n)
     return ("pass" if ok else "fail"), {"sum_sq": total, "n": ctx.n}
 
@@ -439,7 +337,7 @@ def _check_witness_valid(ctx: MeasureContext) -> Outcome:
 
 
 def _check_decomposition(ctx: MeasureContext) -> Outcome:
-    parts, negate = chains.monotone_decomposition(ctx.table)
+    parts, negate = chains.monotone_decomposition(ctx.table, profile=ctx.profile()[0])
     ok = len(parts) == ctx.alt()
     return ("pass" if ok else "fail"), {"parts": len(parts), "alt": ctx.alt(), "negated": negate}
 
@@ -523,35 +421,24 @@ def _build_registry(sparsity_exponent: float = 2.0) -> dict[str, Check]:
             "alt-many monotone parts reconstruct the function",
             _check_decomposition,
         ),
+        *(
+            A(f"deg-product-bound-m{m}", f"deg <= alt * deg2 * deg_{m}", _deg_product_check(m))
+            for m in range(2, 7)
+        ),
+        Check("bs-ratio", "ratio", "observed bs / (s * alt^2)", _ratio_bs),
+        Check(
+            "sens-log-ratio",
+            "ratio",
+            "observed s / log2(n) on fully-dependent functions",
+            _ratio_sens_log,
+        ),
+        Check(
+            "deg-sparsity-exponent",
+            "report",
+            "implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c",
+            _report_deg_sparsity_exponent(sparsity_exponent),
+        ),
     ]
-    for m in range(2, 7):
-        checks.append(
-            Check(
-                name=f"deg-product-bound-m{m}",
-                kind="assert",
-                description=f"deg <= alt * deg2 * deg_{m}",
-                run=_deg_product_check(m),
-            )
-        )
-    checks.append(
-        Check(name="bs-ratio", kind="ratio", description="observed bs / (s * alt^2)", run=_ratio_bs)
-    )
-    checks.append(
-        Check(
-            name="sens-log-ratio",
-            kind="ratio",
-            description="observed s / log2(n) on fully-dependent functions",
-            run=_ratio_sens_log,
-        )
-    )
-    checks.append(
-        Check(
-            name="deg-sparsity-exponent",
-            kind="report",
-            description="implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c",
-            run=_report_deg_sparsity_exponent(sparsity_exponent),
-        )
-    )
     return {c.name: c for c in checks}
 
 
@@ -561,12 +448,10 @@ CHECKS: dict[str, Check] = _build_registry()
 def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
     if checks == "all":
         return list(CHECKS.values())
-    resolved = []
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check name {name!r}")
-        resolved.append(CHECKS[name])
-    return resolved
+    return [CHECKS[name] for name in checks]
 
 
 def run_single_check(check: Check | str, table: TruthTable, **caps) -> CheckResult:
@@ -620,91 +505,70 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _new_agg(kind: str) -> dict:
-    return {
-        "kind": kind,
-        "pass": 0,
-        "fail": 0,
-        "skip": 0,
-        "failures": [],
-        "skip_reasons": {},
-        "max_ratio": None,
-        "max_ratio_fn": None,
-    }
+@dataclass
+class Aggregate:
+    """Running outcome of one check over part of a population.
 
+    ``merge`` is commutative: counts add, the retained failures are the
+    first ``fail_limit`` by function id, and the maximum ratio breaks ties
+    by the smaller function id. Workers return these, pickled.
+    """
 
-def _prune_failures(agg: dict, limit: int) -> None:
-    if len(agg["failures"]) > 4 * limit:
-        agg["failures"].sort(key=lambda item: item["fn"])
-        del agg["failures"][limit:]
+    kind: str
+    fail_limit: int = DEFAULT_FAIL_LIMIT
+    counts: dict = field(default_factory=lambda: {"pass": 0, "fail": 0, "skip": 0})
+    failures: list = field(default_factory=list)
+    skip_reasons: dict = field(default_factory=dict)
+    max_ratio: Optional[Fraction] = None
+    max_ratio_fn: Optional[str] = None
 
+    def add(self, fn_id: str, status: str, observed: dict) -> None:
+        self.counts[status] += 1
+        if status == "fail":
+            self._keep_failures([{"fn": fn_id, "observed": {k: str(v) for k, v in observed.items()}}])
+        elif status == "skip":
+            self._count_skips({str(observed.get("reason", "unspecified")): 1})
+        elif self.kind == "ratio":
+            self._offer_ratio(observed["ratio"], fn_id)
 
-def _apply_outcome(
-    agg: dict, check: Check, fn_id: str, status: str, observed: dict, fail_limit: int
-) -> None:
-    agg[status] += 1
-    if status == "fail":
-        agg["failures"].append(
-            {"fn": fn_id, "observed": {k: str(v) for k, v in observed.items()}}
-        )
-        _prune_failures(agg, fail_limit)
-    elif status == "skip":
-        reason = str(observed.get("reason", "unspecified"))
-        agg["skip_reasons"][reason] = agg["skip_reasons"].get(reason, 0) + 1
-    if check.kind == "ratio" and status == "pass":
-        ratio = observed["ratio"]
-        current = agg["max_ratio"]
-        if (
-            current is None
-            or ratio > current
-            or (ratio == current and fn_id < agg["max_ratio_fn"])
-        ):
-            agg["max_ratio"] = ratio
-            agg["max_ratio_fn"] = fn_id
+    def merge(self, other: "Aggregate") -> "Aggregate":
+        for status, count in other.counts.items():
+            self.counts[status] += count
+        self._keep_failures(other.failures)
+        self._count_skips(other.skip_reasons)
+        if other.max_ratio is not None:
+            self._offer_ratio(other.max_ratio, other.max_ratio_fn)
+        return self
 
+    def _keep_failures(self, failures: list) -> None:
+        self.failures.extend(failures)
+        if len(self.failures) > 4 * self.fail_limit:
+            self.failures.sort(key=lambda item: item["fn"])
+            del self.failures[self.fail_limit :]
 
-def _merge_aggregates(lhs: dict, rhs: dict, fail_limit: int) -> dict:
-    for name, agg in rhs.items():
-        into = lhs.setdefault(name, _new_agg(agg["kind"]))
-        into["pass"] += agg["pass"]
-        into["fail"] += agg["fail"]
-        into["skip"] += agg["skip"]
-        into["failures"].extend(agg["failures"])
-        _prune_failures(into, fail_limit)
-        for reason, count in agg["skip_reasons"].items():
-            into["skip_reasons"][reason] = into["skip_reasons"].get(reason, 0) + count
-        if agg["max_ratio"] is not None:
-            current = into["max_ratio"]
-            if (
-                current is None
-                or agg["max_ratio"] > current
-                or (agg["max_ratio"] == current and agg["max_ratio_fn"] < into["max_ratio_fn"])
-            ):
-                into["max_ratio"] = agg["max_ratio"]
-                into["max_ratio_fn"] = agg["max_ratio_fn"]
-    return lhs
+    def _count_skips(self, reasons: dict) -> None:
+        for reason, count in reasons.items():
+            self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + count
 
+    def _offer_ratio(self, ratio: Fraction, fn_id: str) -> None:
+        # The larger ratio wins; a tie goes to the smaller function id.
+        if self.max_ratio is None or (ratio, self.max_ratio_fn) > (self.max_ratio, fn_id):
+            self.max_ratio, self.max_ratio_fn = ratio, fn_id
 
-def _finalize_aggregates(aggregates: dict, fail_limit: int) -> dict:
-    out = {}
-    for name in sorted(aggregates):
-        agg = aggregates[name]
-        failures = sorted(agg["failures"], key=lambda item: item["fn"])[:fail_limit]
+    def finalize(self) -> dict:
+        """The report entry: JSON-ready, independent of the merge order."""
         entry = {
-            "kind": agg["kind"],
-            "pass": agg["pass"],
-            "fail": agg["fail"],
-            "skip": agg["skip"],
-            "failures": failures,
-            "skip_reasons": dict(sorted(agg["skip_reasons"].items())),
+            "kind": self.kind,
+            **self.counts,
+            "failures": sorted(self.failures, key=lambda item: item["fn"])[: self.fail_limit],
+            "skip_reasons": dict(sorted(self.skip_reasons.items())),
             "max_ratio": None,
         }
-        if agg["max_ratio"] is not None:
-            entry["max_ratio"] = str(agg["max_ratio"])
-            entry["max_ratio_float"] = float(agg["max_ratio"])
-            entry["max_ratio_fn"] = agg["max_ratio_fn"]
-        out[name] = entry
-    return out
+        if self.max_ratio is not None:
+            entry["max_ratio"] = str(self.max_ratio)
+            entry["max_ratio_float"] = float(self.max_ratio)
+            entry["max_ratio_fn"] = self.max_ratio_fn
+        return entry
 
 
 def _run_chunk(
@@ -714,22 +578,14 @@ def _run_chunk(
     stop: Optional[int],
     caps: dict,
     fail_limit: int,
-) -> dict:
+) -> dict[str, Aggregate]:
     selected = resolve_checks(check_names)
-    aggregates = {c.name: _new_agg(c.kind) for c in selected}
-    stream = population.tables()
-    for _ in range(start):
-        next(stream)
-    index = start
-    for table in stream:
-        if stop is not None and index >= stop:
-            break
+    aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
+    for table in itertools.islice(population.tables(), start, stop):
         ctx = MeasureContext(table, **caps)
         fn_id = ctx.fn_id()
         for check in selected:
-            status, observed = check.run(ctx)
-            _apply_outcome(aggregates[check.name], check, fn_id, status, observed, fail_limit)
-        index += 1
+            aggregates[check.name].add(fn_id, *check.run(ctx))
     return aggregates
 
 
@@ -766,32 +622,15 @@ def run_check_suite(
         ctx = mp.get_context("fork")
         with ctx.Pool(processes=len(args)) as pool:
             partials = pool.starmap(_run_chunk, args)
-        aggregates = {}
-        for part in partials:
-            _merge_aggregates(aggregates, part, fail_limit)
+        aggregates = partials[0]
+        for part in partials[1:]:
+            for name, agg in part.items():
+                aggregates[name].merge(agg)
     return SweepReport(
         registry_version=REGISTRY_VERSION,
         population=population.descriptor(),
-        checks=_finalize_aggregates(aggregates, fail_limit),
+        checks={name: aggregates[name].finalize() for name in sorted(aggregates)},
     )
-
-
-_MATRIX_COLUMNS = (
-    "fn",
-    "n",
-    "s",
-    "bs",
-    "C",
-    "I",
-    "alt",
-    "dc",
-    "DT",
-    "negs",
-    "negs_formula",
-    "deg",
-    "deg2",
-    "sparsity",
-)
 
 
 def measure_matrix_rows(
@@ -801,25 +640,6 @@ def measure_matrix_rows(
     dt_cap: int = measures.DT_CAP_DEFAULT,
 ) -> Iterator[list]:
     """Per-function measure matrix (header row first), for CSV export."""
-    yield list(_MATRIX_COLUMNS)
+    yield list(measures.COLUMNS)
     for table in population.tables():
-        ctx = MeasureContext(table, bs_cap=bs_cap, cert_cap=cert_cap, dt_cap=dt_cap)
-        bs = ctx.bs()
-        cert = ctx.cert()
-        dt = ctx.dt()
-        yield [
-            ctx.fn_id(),
-            ctx.n,
-            ctx.s(),
-            "" if bs is None else bs,
-            "" if cert is None else cert,
-            str(ctx.influence()),
-            ctx.alt(),
-            ctx.dc(),
-            "" if dt is None else dt,
-            ctx.dc().bit_length(),
-            ctx.dc(),
-            ctx.deg(),
-            ctx.deg2(),
-            ctx.sparsity(),
-        ]
+        yield MeasureContext(table, bs_cap, cert_cap, dt_cap).row()

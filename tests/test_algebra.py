@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from boolfn import algebra, families, measures
+from boolfn import algebra, families, measures, verify
 from boolfn.algebra import (
     degree,
     fourier_transform,
@@ -156,3 +157,54 @@ def test_weighted2_identity_random():
 def test_poly_export():
     and2 = families.named_basics("and", 2)
     assert multilinear_coefficients(and2).to_json_dict() == {"3": 1}
+
+
+def python_int_sums(spec):
+    """(l1, weighted, weighted2, influence, sum of squares) numerators, as
+    Python ints over the spectrum's support."""
+    l1 = weighted = weighted2 = infl = squares = 0
+    for subset, c in spec.support():
+        k = len(subset)
+        l1 += abs(c)
+        weighted += abs(c) * k
+        weighted2 += c * c * k * k
+        infl += c * c * k
+        squares += c * c
+    return l1, weighted, weighted2, infl, squares
+
+
+LARGE_TABLES = [
+    *[(f"random{n}", n) for n in range(17, 21)],
+    ("parity18", 18),
+    ("and18", 18),
+]
+
+
+@pytest.mark.parametrize("name,n", LARGE_TABLES, ids=[name for name, _ in LARGE_TABLES])
+def test_spectral_sums_above_16_match_python_ints(name, n):
+    if name.startswith("random"):
+        table = random_table(random.Random(n), n)
+    else:
+        table = families.named_basics(name[:-2], n)
+    spec = fourier_transform(table)
+    l1, weighted, weighted2, infl, squares = python_int_sums(spec)
+    denom = 1 << n
+    sums = spectral_sums(table)
+    assert (sums.l1, sums.weighted, sums.weighted2) == (
+        Fraction(l1, denom),
+        Fraction(weighted, denom),
+        Fraction(weighted2, denom * denom),
+    )
+    assert influence_from_spectrum(spec) == Fraction(infl, denom * denom)
+    status, observed = verify.CHECKS["parseval"].run(verify.MeasureContext(table))
+    assert (status, observed["sum_sq"]) == ("pass", squares) and squares == 4**n
+
+
+def test_exact_terms_guard_above_int64_arity():
+    limit = algebra.INT64_EXACT_MAX_ARITY
+    assert limit**2 * 4**limit < 2**63 <= (limit + 1) ** 2 * 4 ** (limit + 1)
+    a = np.array([3**39, -(3**39), 5], dtype=np.int64)  # squares overflow int64
+    assert algebra.exact_terms(a, limit) is a
+    exact = algebra.exact_terms(a, limit + 1)
+    assert exact.dtype == object
+    assert int((exact * exact).sum()) == 2 * 3**78 + 25

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from boolfn import cli
 
 
@@ -300,3 +302,23 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["s"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--file", "/nonexistent"],
+        ["chain", "witness", "--file", "/nonexistent"],
+        ["chain", "eval", "--file", "/nonexistent"],
+        ["family", "fk"],
+        ["family", "parity"],
+        ["family", "compose", "--power", "2"],
+        ["chain", "eval", "--family", "fk", "--k", "3", "--chain", "/nonexistent"],
+    ],
+    ids=" ".join,
+)
+def test_bad_source_is_a_usage_error(argv):
+    code, out, err = run_cli(argv, stdin_text="[1]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,112 @@
+"""The lazy measure record: every column against the first-principles
+oracles, and each measure kernel run at most once per function."""
+
+import argparse
+import math
+import random
+
+import oracles
+import pytest
+
+from boolfn import algebra, chains, cli, families, measures, verify
+from boolfn.core import TruthTable
+from boolfn.measures import MeasureContext
+
+
+def tables_of_arity(n: int) -> list[TruthTable]:
+    """Every table for n <= 3, a few seeded random ones above."""
+    if n <= 3:
+        return [TruthTable.from_packed_int(n, i) for i in range(1 << (1 << n))]
+    rng = random.Random(1000 + n)
+    return [TruthTable.from_packed_int(n, rng.getrandbits(1 << n)) for _ in range(4 if n < 6 else 3)]
+
+
+def oracle_columns(t: TruthTable) -> dict:
+    dc = oracles.brute_decrease(t)
+    return {
+        "s": oracles.brute_sensitivity(t),
+        "bs": oracles.brute_block_sensitivity(t),
+        "C": oracles.brute_certificate(t),
+        "I": oracles.brute_influence(t),
+        "alt": oracles.brute_alternation(t),
+        "dc": dc,
+        "DT": oracles.brute_decision_tree_depth(t),
+        "negs": math.ceil(math.log2(1 + dc)),
+        "negs_formula": dc,
+        "deg": oracles.brute_degree(t),
+        **{f"deg_{m}": oracles.brute_degree(t, m) for m in range(2, 7)},
+        "sparsity": sum(c != 0 for c in oracles.brute_fourier_scaled(t).values()),
+    }
+
+
+def record_columns(record: MeasureContext) -> dict:
+    out = {name: get(record) for name, get in measures.COLUMNS.items()}
+    assert out.pop("fn") == record.fn_id() and out.pop("n") == record.n
+    assert out.pop("deg2") == record.degm(2)
+    out.update({f"deg_{m}": record.degm(m) for m in range(2, 7)})
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_record_columns_match_oracles(n):
+    for table in tables_of_arity(n):
+        record = MeasureContext(table)
+        assert record_columns(record) == oracle_columns(table), record.fn_id()
+        assert chains.alternation_along(table, record.witness()) == record.alt()
+
+
+def test_record_capped_columns_read_none():
+    record = MeasureContext(families.named_basics("parity", 5), bs_cap=4, cert_cap=4, dt_cap=4)
+    assert (record.bs(), record.cert(), record.dt()) == (None, None, None)
+    assert set(record.skips()) == {"bs", "C", "DT"}
+    assert record.row()[list(measures.COLUMNS).index("bs")] == ""
+    assert record.to_json_dict()["skips"] == record.skips()
+
+
+KERNELS = (
+    (chains, "alternation_profile"),
+    (algebra, "multilinear_coefficients"),
+    (algebra, "fourier_transform"),
+    (measures, "per_point_sensitivity"),
+)
+
+
+def count_calls(monkeypatch, kernels) -> dict:
+    calls = {name: 0 for _, name in kernels}
+    for module, name in kernels:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_kernel_runs_once_per_record(monkeypatch):
+    calls = count_calls(monkeypatch, KERNELS)
+    record = MeasureContext(families.address(2))
+    assert len(verify.CHECKS) == 30
+    for check in verify.CHECKS.values():
+        assert check.run(record)[0] in ("pass", "skip"), check.name
+    cli._analyze_payload(record, argparse.Namespace(per_point=True))
+    record.row()
+    list(record.spectrum().csv_rows())
+    record.poly().to_json_dict()
+    assert calls == {name: 1 for _, name in KERNELS}
+
+
+def test_sweep_computes_only_what_its_checks_read(monkeypatch):
+    unused = (
+        (measures, "block_sensitivity"),
+        (measures, "decision_tree_depth"),
+        (algebra, "fourier_transform"),
+        (measures, "per_point_sensitivity"),
+    )
+    calls = count_calls(monkeypatch, unused)
+    report = verify.run_check_suite(
+        verify.Population.sample(6, 20, 4), checks=["deg-product-bound-m2", "deg-product-bound-m3"]
+    )
+    assert not report.failed
+    assert calls == {name: 0 for _, name in unused}
