@@ -75,14 +75,8 @@ def alternation_along(f: BooleanFunction, c: Chain) -> int:
         raise ArityMismatchError(
             f"function arity {f.arity} != chain arity {c.arity}"
         )
-    count = 0
-    prev = None
-    for x in c.points():
-        v = evaluate(f, x)
-        if prev is not None and v != prev:
-            count += 1
-        prev = v
-    return count
+    values = [evaluate(f, x) for x in c.points()]
+    return sum(a != b for a, b in zip(values, values[1:]))
 
 
 def _level_pairs(n: int, level: np.ndarray):

@@ -12,6 +12,7 @@ import csv
 import json
 import re
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from . import chains, families, measures, verify
@@ -44,6 +45,15 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc.strerror}") from None
+
+
+@contextmanager
+def _write(path: str, mode: str = "w"):
+    try:
+        with open(path, mode, newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _token_source(token: str) -> dict:
@@ -138,10 +148,10 @@ def _cmd_analyze(args, parser) -> int:
     record = next(records)
     out = _analyze_payload(record, args)
     if args.spectrum_out:
-        with open(args.spectrum_out, "w", newline="") as handle:
+        with _write(args.spectrum_out) as handle:
             csv.writer(handle).writerows(record.spectrum().csv_rows())
     if args.poly_out:
-        with open(args.poly_out, "w") as handle:
+        with _write(args.poly_out) as handle:
             json.dump(record.poly().to_json_dict(), handle, sort_keys=True)
             handle.write("\n")
     if args.format == "json":
@@ -155,9 +165,7 @@ def _cmd_analyze(args, parser) -> int:
 def _cmd_family(args, parser) -> int:
     fn = _resolve(dict(vars(args), family=args.generator))
     if isinstance(fn, LazyFunction) or args.lazy:
-        desc = describe(fn)
-        desc["arity"] = fn.arity
-        _emit(json.dumps(desc, sort_keys=True))
+        _emit(json.dumps({**describe(fn), "arity": fn.arity}, sort_keys=True))
     else:
         _emit(serialize(fn))
     return 0
@@ -203,9 +211,7 @@ def _cmd_chain(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    populations = []
-    for n in args.exhaustive or []:
-        populations.append(verify.Population.exhaustive(n))
+    populations = [verify.Population.exhaustive(n) for n in args.exhaustive or []]
     for spec in args.sample or []:
         n, count, seed = (int(p) for p in spec.split(","))
         populations.append(verify.Population.sample(n, count, seed))
@@ -231,7 +237,7 @@ def _cmd_verify(args, parser) -> int:
         outputs.append(report)
         if args.matrix_out:
             rows = verify.measure_matrix_rows(population, args.bs_cap, args.cert_cap, args.dt_cap)
-            with open(args.matrix_out, "a" if population is not populations[0] else "w", newline="") as handle:
+            with _write(args.matrix_out, "a" if population is not populations[0] else "w") as handle:
                 csv.writer(handle).writerows(rows)
     if args.format == "json":
         payload = [r.to_json_dict() for r in outputs]

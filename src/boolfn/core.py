@@ -161,10 +161,6 @@ class TruthTable:
         raw = np.packbits(self.values, bitorder="little").tobytes()
         return int.from_bytes(raw, "little")
 
-    def key(self) -> bytes:
-        """Canonical memoization key (arity is implied by the length)."""
-        return self.values.tobytes()
-
     def negate(self) -> "TruthTable":
         return TruthTable(self.n, 1 - self.values)
 

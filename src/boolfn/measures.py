@@ -2,9 +2,13 @@
 
 Sensitivity, block sensitivity, certificate complexity, influence,
 alternation/decrease (via the hypercube DP), decision-tree depth, and the
-negation counts that follow from the decrease value. Everything is exact;
-the expensive searches carry explicit arity caps and are tuned so the
-exhaustive small-arity sweeps stay cheap.
+negation counts that follow from the decrease value. Everything is exact.
+
+Decision-tree depth and certificate complexity are both read from one
+subcube table (:func:`subcube_table`): f's constant value on each of the
+3**n subcubes, or ``FREE`` where f is not constant. Its 3**n bytes bound
+their arity by ``SUBCUBE_MAX_ARITY``; block sensitivity keeps its own cap
+because its block lattice costs O(n * 4**n).
 
 :class:`MeasureContext` is the lazy per-function record that computes each
 measure at most once, the algebraic ones included. The check registry,
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
     "BS_CAP_DEFAULT",
     "CERT_CAP_DEFAULT",
     "DT_CAP_DEFAULT",
+    "FREE",
+    "SUBCUBE_MAX_ARITY",
     "COLUMNS",
     "AltDecrease",
     "MeasureContext",
@@ -51,11 +56,16 @@ __all__ = [
     "negation_complexity",
     "per_point_sensitivity",
     "sensitivity",
+    "subcube_table",
 ]
 
 BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
+# The subcube table takes 3**n bytes and the DT rounds about 1.5 times that
+# again (36 MB at n = 15, 110 MB at n = 16); no C or DT cap may exceed this.
+SUBCUBE_MAX_ARITY = 16
+FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 
 # Above this arity the all-points-at-once block matrices get large, so the
 # block-sensitivity search falls back to a per-point pass.
@@ -164,49 +174,50 @@ def block_sensitivity(
     return max(block_sensitivity(f, i, cap) for i in range(1 << n))
 
 
-def _certificate_at(packed: int, n: int, i: int) -> int:
-    fx = (packed >> i) & 1
-    core = 0
-    for p in range(n):
-        if ((packed >> (i ^ (1 << p))) & 1) != fx:
-            core |= 1 << p
-    free = [p for p in range(n) if not core & (1 << p)]
-    full = (1 << n) - 1
-    # Every sensitive coordinate belongs to every certificate, so grow the
-    # sensitive core by increasing numbers of extra coordinates.
-    for extra in range(len(free) + 1):
-        for combo in combinations(free, extra):
-            s_mask = core
-            for p in combo:
-                s_mask |= 1 << p
-            comp = full ^ s_mask
-            base = i & s_mask
-            t = comp
-            forced = True
-            while True:
-                if ((packed >> (base | t)) & 1) != fx:
-                    forced = False
-                    break
-                if t == 0:
-                    break
-                t = (t - 1) & comp
-            if forced:
-                return s_mask.bit_count()
-    return n  # pragma: no cover - fixing everything always certifies
+def subcube_table(f: TruthTable) -> np.ndarray:
+    """f's constant value on every subcube, or ``FREE`` where f varies.
+
+    Cell c of the flat 3**n array has base-3 digits c_1 ... c_n, with c_1
+    the most significant, as x_1 is the top bit of a point. Digit 0 or 1
+    fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
+    cube. One pass per variable splits each cell on x_j into its two halves
+    and the cell where x_j is free.
+    """
+    n = f.n
+    if n > SUBCUBE_MAX_ARITY:
+        raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
+    cube = f.values
+    for j in range(n):
+        halves = cube.reshape(3**j, 2, -1)
+        lo, hi = halves[:, :1], halves[:, 1:]
+        cube = np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=1)
+    cube = cube.reshape(-1)
+    cube.setflags(write=False)
+    return cube
 
 
 def certificate_complexity(
-    f: TruthTable, x: Optional[Point] = None, cap: int = CERT_CAP_DEFAULT
+    f: TruthTable,
+    x: Optional[Point] = None,
+    cap: int = CERT_CAP_DEFAULT,
+    cubes: Optional[np.ndarray] = None,
 ) -> int:
-    """Size of the smallest forcing set at x, or the maximum over inputs."""
-    if f.n > cap:
-        raise CapExceededError(f"arity {f.n} exceeds certificate cap {cap}")
-    packed = f.packed_int()
-    if x is not None:
-        return _certificate_at(packed, f.n, point_index(x, f.n))
-    return max(
-        (_certificate_at(packed, f.n, i) for i in range(1 << f.n)), default=0
-    )
+    """Size of the smallest forcing set at x, or the maximum over inputs.
+
+    C(f, x) is the fewest fixed variables of a constant subcube that holds
+    x. The sweep over x_j gives each cell fixing x_j the better of its own
+    count plus one and the count of its cell with x_j free, then drops the
+    free cells; after n sweeps the 2**n cells left hold C(f, x) for every x.
+    """
+    n = f.n
+    if n > cap:
+        raise CapExceededError(f"arity {n} exceeds certificate cap {cap}")
+    cubes = subcube_table(f) if cubes is None else cubes
+    size = np.where(cubes == FREE, np.uint8(n + 1), np.uint8(0))
+    for j in range(n):
+        cells = size.reshape(2**j, 3, -1)
+        size = np.minimum(cells[:, :FREE] + 1, cells[:, FREE:])
+    return int(size.reshape(-1)[point_index(x, n)] if x is not None else size.max())
 
 
 def influence(f: TruthTable) -> Fraction:
@@ -229,42 +240,29 @@ def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDe
     return AltDecrease(record.alt(), record.dc(), record.witness())
 
 
-_DT_MEMO: dict[bytes, int] = {}
-
-
-def _dt(values: np.ndarray, n: int) -> int:
-    first = values[0]
-    if not np.any(values != first):
-        return 0
-    key = values.tobytes()
-    hit = _DT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    best = n
-    for j in range(1, n + 1):
-        shaped = values.reshape(1 << (j - 1), 2, 1 << (n - j))
-        lo = shaped[:, 0, :].ravel()
-        hi = shaped[:, 1, :].ravel()
-        if not np.any(lo != hi):
-            continue  # irrelevant variable, querying it cannot help
-        d = 1 + max(_dt(lo, n - 1), _dt(hi, n - 1))
-        if d < best:
-            best = d
-            if best == 1:
-                break
-    _DT_MEMO[key] = best
-    return best
-
-
-def decision_tree_depth(f: TruthTable, cap: int = DT_CAP_DEFAULT) -> int:
+def decision_tree_depth(
+    f: TruthTable, cap: int = DT_CAP_DEFAULT, cubes: Optional[np.ndarray] = None
+) -> int:
     """Depth of the shallowest decision tree, exact.
 
-    Memoized on the canonical serialized subfunction, so identical
-    subfunctions reached through different restriction orders share work.
+    Round d marks the subcubes that a depth-d tree decides: the constant
+    ones, and those with a free x_j whose two halves on x_j were marked in
+    round d - 1. The depth is the first round that marks the whole cube.
     """
-    if f.n > cap:
-        raise CapExceededError(f"arity {f.n} exceeds decision-tree cap {cap}")
-    return _dt(f.values, f.n)
+    n = f.n
+    if n > cap:
+        raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
+    decided = (subcube_table(f) if cubes is None else cubes) != FREE
+    before = np.empty_like(decided)
+    splits = [(decided.reshape(3**j, 3, -1), before.reshape(3**j, 3, -1)) for j in range(n)]
+    splits = [(cells[:, FREE], prev[:, 0], prev[:, 1]) for cells, prev in splits]
+    depth = 0
+    while not decided[-1]:
+        before[:] = decided
+        for free, lo, hi in splits:
+            free |= lo & hi
+        depth += 1
+    return depth
 
 
 def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
@@ -319,6 +317,7 @@ class MeasureContext:
     :func:`measure_report` all read it, and it is the only caller of the
     measure kernels, so each kernel runs at most once per function and only
     when some accessor needs it. A measure above its cap reads ``None``.
+    A C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
     """
 
     def __init__(
@@ -328,12 +327,19 @@ class MeasureContext:
         cert_cap: int = CERT_CAP_DEFAULT,
         dt_cap: int = DT_CAP_DEFAULT,
     ) -> None:
+        self.check_caps(cert_cap, dt_cap)
         self.table = table
         self.n = table.n
         self.bs_cap = bs_cap
         self.cert_cap = cert_cap
         self.dt_cap = dt_cap
         self._cache: dict = {}
+
+    @staticmethod
+    def check_caps(cert_cap: int, dt_cap: int) -> None:
+        """Reject a C or DT cap whose subcube table would be too large."""
+        if max(cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
+            raise CapExceededError(f"C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
 
     @_memoized
     def fn_id(self) -> str:
@@ -364,7 +370,7 @@ class MeasureContext:
         pps = self.per_point_s().astype(np.int64)
         return Fraction(int((pps * pps).sum()), 1 << self.n)
 
-    # The capped searches.
+    # The capped measures; C and DT read one subcube table.
     @_memoized
     def bs(self) -> Optional[int]:
         if self.n > self.bs_cap:
@@ -372,16 +378,20 @@ class MeasureContext:
         return block_sensitivity(self.table, cap=self.bs_cap)
 
     @_memoized
+    def cubes(self) -> np.ndarray:
+        return subcube_table(self.table)
+
+    @_memoized
     def cert(self) -> Optional[int]:
         if self.n > self.cert_cap:
             return None
-        return certificate_complexity(self.table, cap=self.cert_cap)
+        return certificate_complexity(self.table, cap=self.cert_cap, cubes=self.cubes())
 
     @_memoized
     def dt(self) -> Optional[int]:
         if self.n > self.dt_cap:
             return None
-        return decision_tree_depth(self.table, cap=self.dt_cap)
+        return decision_tree_depth(self.table, cap=self.dt_cap, cubes=self.cubes())
 
     def skips(self) -> dict[str, str]:
         caps = {"bs": self.bs_cap, "C": self.cert_cap, "DT": self.dt_cap}

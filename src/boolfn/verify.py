@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -198,34 +199,22 @@ def _check_influence_le_deg(ctx: MeasureContext) -> Outcome:
     return ("pass" if ok else "fail"), {"I": ctx.influence(), "deg": ctx.deg()}
 
 
-def _check_deg_le_dt(ctx: MeasureContext) -> Outcome:
-    dt = ctx.dt()
-    if dt is None:
-        return "skip", {"reason": f"DT above cap {ctx.dt_cap}"}
-    ok = ctx.deg() <= dt
-    return ("pass" if ok else "fail"), {"deg": ctx.deg(), "DT": dt}
+def _dt_check(name: str, bound: Callable[[int], int]) -> Callable[[MeasureContext], Outcome]:
+    """The measure ``name`` at most ``bound(DT)``; skipped above the DT cap."""
+    def run(ctx: MeasureContext) -> Outcome:
+        dt = ctx.dt()
+        if dt is None:
+            return "skip", {"reason": f"DT above cap {ctx.dt_cap}"}
+        value = getattr(ctx, name)()
+        return ("pass" if value <= bound(dt) else "fail"), {name: value, "DT": dt}
+
+    return run
 
 
 def _check_alt_dc(ctx: MeasureContext) -> Outcome:
     alt, dc = ctx.alt(), ctx.dc()
     ok = alt in (2 * dc - 1, 2 * dc, 2 * dc + 1)
     return ("pass" if ok else "fail"), {"alt": alt, "dc": dc}
-
-
-def _check_alt_le_exp_dt(ctx: MeasureContext) -> Outcome:
-    dt = ctx.dt()
-    if dt is None:
-        return "skip", {"reason": f"DT above cap {ctx.dt_cap}"}
-    ok = ctx.alt() <= (1 << (dt + 1)) - 1
-    return ("pass" if ok else "fail"), {"alt": ctx.alt(), "DT": dt}
-
-
-def _check_dc_le_exp_dt(ctx: MeasureContext) -> Outcome:
-    dt = ctx.dt()
-    if dt is None:
-        return "skip", {"reason": f"DT above cap {ctx.dt_cap}"}
-    ok = ctx.dc() <= (1 << dt) - 1
-    return ("pass" if ok else "fail"), {"dc": ctx.dc(), "DT": dt}
 
 
 def _check_cert_ge_bs(ctx: MeasureContext) -> Outcome:
@@ -387,11 +376,11 @@ def _build_registry(sparsity_exponent: float = 2.0) -> dict[str, Check]:
         A("deg-bs-sandwich", "sqrt(bs) <= deg <= bs^3", _check_deg_bs_sandwich),
         A("influence-le-s", "influence at most sensitivity", _check_influence_le_s),
         A("influence-le-deg", "influence at most degree", _check_influence_le_deg),
-        A("deg-le-dt", "degree at most decision-tree depth", _check_deg_le_dt),
+        A("deg-le-dt", "degree at most decision-tree depth", _dt_check("deg", lambda dt: dt)),
         A("cert-ge-bs", "certificate complexity dominates block sensitivity", _check_cert_ge_bs),
         A("alt-dc-relation", "alt in {2dc-1, 2dc, 2dc+1}", _check_alt_dc),
-        A("alt-le-exp-dt", "alt <= 2^(DT+1) - 1", _check_alt_le_exp_dt),
-        A("dc-le-exp-dt", "dc <= 2^DT - 1", _check_dc_le_exp_dt),
+        A("alt-le-exp-dt", "alt <= 2^(DT+1) - 1", _dt_check("alt", lambda dt: (1 << (dt + 1)) - 1)),
+        A("dc-le-exp-dt", "dc <= 2^DT - 1", _dt_check("dc", lambda dt: (1 << dt) - 1)),
         A("negs-from-decrease", "negation counts consistent with decrease", _check_negs_consistency),
         A("log-sparsity-le-2deg", "log2 sparsity at most twice degree", _check_log_sparsity_le_2deg),
         A(
@@ -602,8 +591,10 @@ def run_check_suite(
 
     Aggregation is commutative (counts add, extrema and retained witnesses
     are order-independent), so fanning out over workers produces the same
-    report as a serial run.
+    report as a serial run, and the worker count is clamped to the CPU count.
     """
+    MeasureContext.check_caps(cert_cap, dt_cap)
+    jobs = min(jobs, os.cpu_count() or 1)
     selected = resolve_checks(checks)
     names = "all" if checks == "all" else tuple(c.name for c in selected)
     caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
@@ -613,12 +604,9 @@ def run_check_suite(
     else:
         import multiprocessing as mp
 
+        # total >= 2 * jobs, so no chunk is empty
         bounds = [(total * i) // jobs for i in range(jobs + 1)]
-        args = [
-            (population, names, bounds[i], bounds[i + 1], caps, fail_limit)
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
+        args = [(population, names, lo, hi, caps, fail_limit) for lo, hi in zip(bounds, bounds[1:])]
         ctx = mp.get_context("fork")
         with ctx.Pool(processes=len(args)) as pool:
             partials = pool.starmap(_run_chunk, args)

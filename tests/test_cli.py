@@ -314,6 +314,13 @@ def test_console_script_entry_point():
         ["family", "parity"],
         ["family", "compose", "--power", "2"],
         ["chain", "eval", "--family", "fk", "--k", "3", "--chain", "/nonexistent"],
+        ["analyze", "--fn", "2:8", "--spectrum-out", "/nonexistent/dir/x.csv"],
+        ["analyze", "--fn", "2:8", "--poly-out", "/nonexistent/dir/x.json"],
+        ["verify", "--exhaustive", "1", "--matrix-out", "/nonexistent/dir/x.csv"],
+        ["family", "fk", "--k", "26"],
+        ["chain", "fk", "--k", "1000"],
+        ["analyze", "--fn", "2:8", "--dt-cap", "99"],
+        ["verify", "--exhaustive", "1", "--cert-cap", "99"],
     ],
     ids=" ".join,
 )

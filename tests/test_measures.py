@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfn import chains, families, measures
 from boolfn.core import CapExceededError, TruthTable, is_monotone, materialize
@@ -68,6 +70,11 @@ def test_certificate_examples():
     assert certificate_complexity(and2, "11") == 2
     f3, _ = families.gap_family(3)
     assert certificate_complexity(materialize(f3)) == 3
+    assert certificate_complexity(families.named_basics("parity", 12)) == 12
+    assert certificate_complexity(families.named_basics("and", 12), "0" * 12) == 1
+    assert certificate_complexity(families.address(3)) == 4
+    f4, _ = families.gap_family(4)  # n = 15
+    assert certificate_complexity(materialize(f4), cap=15) == 4
 
 
 def test_certificate_matches_oracle():
@@ -133,6 +140,33 @@ def test_decision_tree_examples():
     for k in (1, 2, 3):
         fk, _ = families.gap_family(k)
         assert decision_tree_depth(materialize(fk)) == k
+    assert decision_tree_depth(families.named_basics("parity", 12)) == 12
+    assert decision_tree_depth(families.named_basics("or", 13)) == 13
+    assert decision_tree_depth(families.address(3)) == 4
+    f4, _ = families.gap_family(4)  # n = 15
+    assert decision_tree_depth(materialize(f4)) == 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_subcube_measures_match_oracles(data):
+    n = data.draw(st.integers(0, 6))
+    f = TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    x = data.draw(st.integers(0, (1 << n) - 1))
+    cubes = measures.subcube_table(f)
+    assert decision_tree_depth(f, cubes=cubes) == oracles.brute_decision_tree_depth(f)
+    assert certificate_complexity(f, cubes=cubes) == oracles.brute_certificate(f)
+    assert certificate_complexity(f, x, cubes=cubes) == oracles.brute_certificate_at(f, x)
+
+
+def test_subcube_ceiling():
+    ceiling = measures.SUBCUBE_MAX_ARITY
+    assert ceiling >= max(measures.CERT_CAP_DEFAULT, measures.DT_CAP_DEFAULT)
+    with pytest.raises(CapExceededError):
+        measures.subcube_table(TruthTable.constant(ceiling + 1, 0))
+    for caps in ({"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
+        with pytest.raises(CapExceededError):
+            measures.MeasureContext(TruthTable.constant(2, 0), **caps)
 
 
 def test_decision_tree_matches_oracle():

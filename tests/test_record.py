@@ -68,6 +68,7 @@ KERNELS = (
     (algebra, "multilinear_coefficients"),
     (algebra, "fourier_transform"),
     (measures, "per_point_sensitivity"),
+    (measures, "subcube_table"),
 )
 
 
@@ -103,6 +104,7 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
         (measures, "decision_tree_depth"),
         (algebra, "fourier_transform"),
         (measures, "per_point_sensitivity"),
+        (measures, "subcube_table"),
     )
     calls = count_calls(monkeypatch, unused)
     report = verify.run_check_suite(

@@ -1,6 +1,9 @@
 """Population streams, check registry behavior, report determinism."""
 
+import itertools
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -79,6 +82,33 @@ def test_parallel_matches_serial():
     serial = run_check_suite(pop, checks="all", jobs=1)
     parallel = run_check_suite(pop, checks="all", jobs=3)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return list(itertools.starmap(fn, args))
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext())
+    pop = Population.sample(4, 40, 3)
+    clamped = run_check_suite(pop, checks="all", jobs=64)
+    assert requested == [2]
+    assert clamped.to_json() == run_check_suite(pop, checks="all", jobs=1).to_json()
 
 
 def test_counterexample_round_trip():
