@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -220,6 +221,9 @@ def _cmd_verify(args, parser) -> int:
     if not populations:
         raise UsageError("provide at least one population (--exhaustive, --sample, --families)")
     checks = "all" if args.checks == "all" else tuple(args.checks.split(","))
+    if args.matrix_out:
+        with _write(args.matrix_out, "a"):  # fail before the sweep, not after it
+            pass
     exit_code = 0
     outputs = []
     for population in populations:
@@ -248,12 +252,10 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
-    count = 0
-    for table in verify.enumerate_functions(args.n):
+    if args.limit is not None and args.limit < 0:
+        raise UsageError("--limit must be >= 0")
+    for table in itertools.islice(verify.enumerate_functions(args.n), args.limit):
         _emit(serialize(table))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
     return 0
 
 

@@ -170,11 +170,13 @@ def named_basics(name: str, n: int, threshold: Optional[int] = None) -> TruthTab
 
 
 def compose_power(h: BooleanFunction, k: int) -> LazyFunction:
-    """k-fold block self-composition of ``h`` (arity n**k), kept lazy."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """k-fold block self-composition of ``h`` (arity n**k <= 2**16), kept lazy."""
+    if not 1 <= k <= FK_MAX_DEPTH:
+        raise ValueError(f"k must be between 1 and {FK_MAX_DEPTH}")
     if h.arity < 1:
         raise ValueError("base arity must be >= 1")
+    if h.arity**k > 1 << FK_MAX_DEPTH:
+        raise ValueError(f"arity {h.arity}**{k} exceeds 2**{FK_MAX_DEPTH}")
     if k == 1:
         fn = LazyFunction(h.arity, h.evaluate, {"kind": "power", "power": 1, "base": describe(h)})
         return fn

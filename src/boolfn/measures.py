@@ -6,9 +6,10 @@ negation counts that follow from the decrease value. Everything is exact.
 
 Decision-tree depth and certificate complexity are both read from one
 subcube table (:func:`subcube_table`): f's constant value on each of the
-3**n subcubes, or ``FREE`` where f is not constant. Its 3**n bytes bound
-their arity by ``SUBCUBE_MAX_ARITY``; block sensitivity keeps its own cap
-because its block lattice costs O(n * 4**n).
+3**n subcubes, or ``FREE`` where f is not constant. Block sensitivity reads
+it too: C(f, x) for every x, with s(f), bounds its search, so only points
+with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
+3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``.
 
 :class:`MeasureContext` is the lazy per-function record that computes each
 measure at most once, the algebraic ones included. The check registry,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "influence",
     "measure_report",
     "negation_complexity",
+    "per_point_certificate",
     "per_point_sensitivity",
     "sensitivity",
     "subcube_table",
@@ -63,13 +65,9 @@ BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
 # The subcube table takes 3**n bytes and the DT rounds about 1.5 times that
-# again (36 MB at n = 15, 110 MB at n = 16); no C or DT cap may exceed this.
+# again (36 MB at n = 15, 110 MB at n = 16); no bs, C or DT cap may exceed this.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
-
-# Above this arity the all-points-at-once block matrices get large, so the
-# block-sensitivity search falls back to a per-point pass.
-_BS_MATRIX_MAX = 8
 
 
 def per_point_sensitivity(f: TruthTable) -> np.ndarray:
@@ -92,18 +90,22 @@ def sensitivity(f: TruthTable, x: Optional[Point] = None) -> int:
     return int(sum(v[i ^ (1 << p)] != v[i] for p in range(f.n)))
 
 
-def _max_disjoint(blocks: list[int]) -> int:
-    """Exact maximum number of pairwise-disjoint masks, branch and bound."""
-    blocks = sorted(blocks, key=lambda b: b.bit_count())
-    best = 0
+def _max_disjoint(blocks: list[int], floor: int = 0, ceiling: Optional[int] = None) -> int:
+    """Exact maximum number of pairwise-disjoint masks, branch and bound.
+
+    Reports at least ``floor``, and stops once a packing reaches
+    ``ceiling``, a known upper bound.
+    """
+    blocks = sorted(blocks, key=int.bit_count)
     total = len(blocks)
+    top = total if ceiling is None else ceiling
+    best = floor
 
     def rec(i: int, used: int, count: int) -> None:
         nonlocal best
-        if count > best:
-            best = count
+        best = max(best, count)
         for j in range(i, total):
-            if count + (total - j) <= best:
+            if best >= top or count + (total - j) <= best:
                 return
             b = blocks[j]
             if not b & used:
@@ -113,65 +115,51 @@ def _max_disjoint(blocks: list[int]) -> int:
     return best
 
 
-@lru_cache(maxsize=8)
-def _xor_table(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int32)
-    t = idx[:, None] ^ idx[None, :]
-    t.setflags(write=False)
-    return t
-
-
-@lru_cache(maxsize=16)
-def _upper_halves(n: int) -> tuple[np.ndarray, ...]:
-    """Per bit p, the masks that contain p (for submask sweeps)."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    return tuple(idx[(idx & (1 << p)) != 0] for p in range(n))
-
-
-def _minimal_from_sens(sens: np.ndarray, n: int) -> np.ndarray:
-    """Rows = points, columns = blocks: keep inclusion-minimal sensitive ones.
+def _minimal_from_sens(f: TruthTable, i: int) -> list[int]:
+    """The inclusion-minimal blocks whose flip changes f at point i.
 
     ``reach[B]`` marks blocks with a sensitive submask; a sensitive block is
     minimal iff no single-element deletion still reaches one.
     """
-    reach = sens.copy()
-    halves = _upper_halves(n)
-    for p in range(n):
-        hi = halves[p]
-        reach[..., hi] |= reach[..., hi ^ (1 << p)]
-    minimal = sens.copy()
-    for p in range(n):
-        hi = halves[p]
-        minimal[..., hi] &= ~reach[..., hi ^ (1 << p)]
-    return minimal
+    v = f.values
+    sens = v[np.arange(1 << f.n) ^ i] != v[i]
+    reach, minimal = sens.copy(), sens
+    for p in range(f.n):
+        halves = reach.reshape(-1, 2, 1 << p)
+        halves[:, 1] |= halves[:, 0]
+    for p in range(f.n):
+        minimal.reshape(-1, 2, 1 << p)[:, 1] &= ~reach.reshape(-1, 2, 1 << p)[:, 0]
+    return np.flatnonzero(minimal).tolist()
 
 
 def block_sensitivity(
-    f: TruthTable, x: Optional[Point] = None, cap: int = BS_CAP_DEFAULT
+    f: TruthTable,
+    x: Optional[Point] = None,
+    cap: int = BS_CAP_DEFAULT,
+    cubes: Optional[np.ndarray] = None,
+    bounds: Optional[tuple[int, np.ndarray]] = None,
 ) -> int:
     """Maximum number of disjoint blocks whose joint flip changes f.
 
-    Exact: enumerates the inclusion-minimal sensitive blocks, then solves the
-    packing by branch and bound. Capped because the block lattice costs
-    O(n * 4**n) to scan; near the cap the global maximum is slow but exact.
+    bs(f, x) packs the inclusion-minimal sensitive blocks at x by branch and
+    bound. The maximum over x starts at s(f) and uses bs(f, x) <= C(f, x),
+    as every certificate for x fixes a variable in each disjoint sensitive
+    block: it visits points in decreasing C(f, x), stops at the first with
+    C(f, x) <= best, and stops each packing once it reaches C(f, x).
+    ``bounds`` is (s(f), C(f, x) for every x) when the caller holds them;
+    otherwise C is read from ``cubes``, built if absent.
     """
     n = f.n
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds block-sensitivity cap {cap}")
-    v = f.values
     if x is not None:
-        i = point_index(x, n)
-        sens = v[np.arange(1 << n) ^ i] != v[i]
-        blocks = np.nonzero(_minimal_from_sens(sens, n))[0].tolist()
-        return _max_disjoint(blocks)
-    if n <= _BS_MATRIX_MAX:
-        sens = v[_xor_table(n)] != v[:, None]
-        minimal = _minimal_from_sens(sens, n)
-        return max(
-            (_max_disjoint(np.nonzero(minimal[i])[0].tolist()) for i in range(1 << n)),
-            default=0,
-        )
-    return max(block_sensitivity(f, i, cap) for i in range(1 << n))
+        return _max_disjoint(_minimal_from_sens(f, point_index(x, n)))
+    best, certs = bounds or (int(per_point_sensitivity(f).max()), per_point_certificate(f, cubes))
+    for i in np.argsort(certs, kind="stable")[::-1].tolist():
+        if certs[i] <= best:
+            break
+        best = _max_disjoint(_minimal_from_sens(f, i), best, int(certs[i]))
+    return best
 
 
 def subcube_table(f: TruthTable) -> np.ndarray:
@@ -196,13 +184,8 @@ def subcube_table(f: TruthTable) -> np.ndarray:
     return cube
 
 
-def certificate_complexity(
-    f: TruthTable,
-    x: Optional[Point] = None,
-    cap: int = CERT_CAP_DEFAULT,
-    cubes: Optional[np.ndarray] = None,
-) -> int:
-    """Size of the smallest forcing set at x, or the maximum over inputs.
+def per_point_certificate(f: TruthTable, cubes: Optional[np.ndarray] = None) -> np.ndarray:
+    """C(f, x) for every point x, read from the subcube table ``cubes``.
 
     C(f, x) is the fewest fixed variables of a constant subcube that holds
     x. The sweep over x_j gives each cell fixing x_j the better of its own
@@ -210,14 +193,25 @@ def certificate_complexity(
     free cells; after n sweeps the 2**n cells left hold C(f, x) for every x.
     """
     n = f.n
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds certificate cap {cap}")
     cubes = subcube_table(f) if cubes is None else cubes
     size = np.where(cubes == FREE, np.uint8(n + 1), np.uint8(0))
     for j in range(n):
         cells = size.reshape(2**j, 3, -1)
         size = np.minimum(cells[:, :FREE] + 1, cells[:, FREE:])
-    return int(size.reshape(-1)[point_index(x, n)] if x is not None else size.max())
+    return size.reshape(-1)
+
+
+def certificate_complexity(
+    f: TruthTable,
+    x: Optional[Point] = None,
+    cap: int = CERT_CAP_DEFAULT,
+    cubes: Optional[np.ndarray] = None,
+) -> int:
+    """Size of the smallest forcing set at x, or the maximum over inputs."""
+    if f.n > cap:
+        raise CapExceededError(f"arity {f.n} exceeds certificate cap {cap}")
+    size = per_point_certificate(f, cubes)
+    return int(size[point_index(x, f.n)] if x is not None else size.max())
 
 
 def influence(f: TruthTable) -> Fraction:
@@ -317,7 +311,7 @@ class MeasureContext:
     :func:`measure_report` all read it, and it is the only caller of the
     measure kernels, so each kernel runs at most once per function and only
     when some accessor needs it. A measure above its cap reads ``None``.
-    A C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
+    A bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
     """
 
     def __init__(
@@ -327,7 +321,7 @@ class MeasureContext:
         cert_cap: int = CERT_CAP_DEFAULT,
         dt_cap: int = DT_CAP_DEFAULT,
     ) -> None:
-        self.check_caps(cert_cap, dt_cap)
+        self.check_caps(bs_cap, cert_cap, dt_cap)
         self.table = table
         self.n = table.n
         self.bs_cap = bs_cap
@@ -336,10 +330,10 @@ class MeasureContext:
         self._cache: dict = {}
 
     @staticmethod
-    def check_caps(cert_cap: int, dt_cap: int) -> None:
-        """Reject a C or DT cap whose subcube table would be too large."""
-        if max(cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
-            raise CapExceededError(f"C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
+    def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
+        """Reject a bs, C or DT cap whose subcube table would be too large."""
+        if max(bs_cap, cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
+            raise CapExceededError(f"bs, C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
 
     @_memoized
     def fn_id(self) -> str:
@@ -370,22 +364,28 @@ class MeasureContext:
         pps = self.per_point_s().astype(np.int64)
         return Fraction(int((pps * pps).sum()), 1 << self.n)
 
-    # The capped measures; C and DT read one subcube table.
-    @_memoized
-    def bs(self) -> Optional[int]:
-        if self.n > self.bs_cap:
-            return None
-        return block_sensitivity(self.table, cap=self.bs_cap)
-
+    # The capped measures read one subcube table: DT, and C(f, x) for every
+    # x, which with s(f) bounds the bs search.
     @_memoized
     def cubes(self) -> np.ndarray:
         return subcube_table(self.table)
 
     @_memoized
+    def per_point_cert(self) -> np.ndarray:
+        return per_point_certificate(self.table, self.cubes())
+
+    @_memoized
+    def bs(self) -> Optional[int]:
+        if self.n > self.bs_cap:
+            return None
+        bounds = self.s(), self.per_point_cert()
+        return block_sensitivity(self.table, cap=self.bs_cap, bounds=bounds)
+
+    @_memoized
     def cert(self) -> Optional[int]:
         if self.n > self.cert_cap:
             return None
-        return certificate_complexity(self.table, cap=self.cert_cap, cubes=self.cubes())
+        return int(self.per_point_cert().max())
 
     @_memoized
     def dt(self) -> Optional[int]:

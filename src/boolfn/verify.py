@@ -48,10 +48,9 @@ DEFAULT_FAIL_LIMIT = 5
 
 def enumerate_functions(n: int) -> Iterator[TruthTable]:
     """All 2**(2**n) truth tables on n variables, in packed-index order."""
-    if n > 4:
-        raise ValueError("exhaustive enumeration is limited to n <= 4")
-    for i in range(1 << (1 << n)):
-        yield TruthTable.from_packed_int(n, i)
+    if not 0 <= n <= 4:
+        raise ValueError("exhaustive enumeration is limited to 0 <= n <= 4")
+    return (TruthTable.from_packed_int(n, i) for i in range(1 << (1 << n)))
 
 
 def sample_functions(n: int, count: int, seed: int) -> Iterator[TruthTable]:
@@ -593,7 +592,7 @@ def run_check_suite(
     are order-independent), so fanning out over workers produces the same
     report as a serial run, and the worker count is clamped to the CPU count.
     """
-    MeasureContext.check_caps(cert_cap, dt_cap)
+    MeasureContext.check_caps(bs_cap, cert_cap, dt_cap)
     jobs = min(jobs, os.cpu_count() or 1)
     selected = resolve_checks(checks)
     names = "all" if checks == "all" else tuple(c.name for c in selected)

@@ -267,6 +267,18 @@ def test_verify_sample_and_matrix(tmp_path):
     assert len(lines) == 26
 
 
+def test_unwritable_matrix_out_fails_before_the_sweep(monkeypatch):
+    from boolfn import verify as verify_mod
+
+    sweeps = []
+    monkeypatch.setattr(verify_mod, "run_check_suite", lambda *a, **k: sweeps.append(a))
+    code, out, err = run_cli(
+        ["verify", "--sample", "6,300,1", "--matrix-out", "/nonexistent/dir/x.csv"]
+    )
+    assert (code, out, sweeps) == (2, "", [])
+    assert err.startswith("error: cannot write")
+
+
 def test_verify_deterministic_output():
     a = run_cli(["verify", "--sample", "5,30,3"])
     b = run_cli(["verify", "--sample", "5,30,3"])
@@ -285,6 +297,8 @@ def test_enumerate_limit_and_cap():
     assert out.splitlines() == ["2:0", "2:1", "2:2"]
     code, out, err = run_cli(["enumerate", "--n", "5"])
     assert code == 2
+    assert run_cli(["enumerate", "--n", "2", "--limit", "0"]) == (0, "", "")
+    assert "--limit" in run_cli(["enumerate", "--n", "2", "--limit", "-3"])[2]
 
 
 def test_usage_error_keeps_data_stream_clean():
@@ -321,6 +335,12 @@ def test_console_script_entry_point():
         ["chain", "fk", "--k", "1000"],
         ["analyze", "--fn", "2:8", "--dt-cap", "99"],
         ["verify", "--exhaustive", "1", "--cert-cap", "99"],
+        ["analyze", "--fn", "2:8", "--bs-cap", "99"],
+        ["verify", "--exhaustive", "1", "--bs-cap", "99"],
+        ["family", "compose", "--base", "and2", "--power", "1000000"],
+        ["family", "compose", "--base", "addr2", "--power", "7"],
+        ["enumerate", "--n", "2", "--limit", "-3"],
+        ["enumerate", "--n", "5", "--limit", "0"],
     ],
     ids=" ".join,
 )

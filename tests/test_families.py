@@ -6,7 +6,7 @@ import pytest
 
 from boolfn import algebra, families, measures
 from boolfn.core import CapExceededError, LazyFunction, materialize, parse
-from boolfn.families import address, compose_power, gap_family, named_basics
+from boolfn.families import FK_MAX_DEPTH, address, compose_power, gap_family, named_basics
 
 
 def test_gap_family_k1_is_identity():
@@ -145,6 +145,15 @@ def test_compose_power_examples():
     tower = compose_power(ident, 5)
     assert tower.arity == 1
     assert materialize(tower) == ident
+
+
+def test_compose_power_bounds():
+    and2 = named_basics("and", 2)
+    assert compose_power(and2, FK_MAX_DEPTH).arity == 1 << FK_MAX_DEPTH
+    parity3 = named_basics("parity", 3)
+    for base, k in ((and2, 0), (and2, FK_MAX_DEPTH + 1), (parity3, 11)):  # 3**11 > 2**16
+        with pytest.raises(ValueError):
+            compose_power(base, k)
 
 
 def test_compose_power_sensitivity_base_case():

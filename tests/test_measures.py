@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,86 @@ def test_block_sensitivity_matches_oracle():
 def test_block_sensitivity_cap():
     with pytest.raises(CapExceededError):
         block_sensitivity(families.address(2), cap=5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_block_sensitivity_matches_oracles(data):
+    n = data.draw(st.integers(0, 6))
+    f = TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    x = data.draw(st.integers(0, (1 << n) - 1))
+    bs = oracles.brute_block_sensitivity(f)
+    assert block_sensitivity(f) == bs
+    assert block_sensitivity(f, cubes=measures.subcube_table(f)) == bs
+    assert measures.MeasureContext(f).bs() == bs
+    assert block_sensitivity(f, x) == oracles.brute_block_sensitivity_at(f, x)
+
+
+def n4_sensitivity_and_max_certificate() -> tuple[np.ndarray, np.ndarray]:
+    """s(f) and max_x C(f, x) of every n = 4 table, straight from the
+    definitions: C(f, x) is the fewest fixed positions S such that f is
+    constant on every y that agrees with x on S."""
+    points = np.arange(16)
+    vals = (np.arange(1 << 16)[:, None] >> points) & 1
+    s = sum(vals[:, points ^ (1 << p)] != vals for p in range(4)).max(axis=1)
+    cert = np.full((1 << 16, 16), 4)
+    for fixed in range(16):
+        for x in points:
+            agree = points[(points & fixed) == (x & fixed)]
+            forced = (vals[:, agree] == vals[:, [x]]).all(axis=1)
+            cert[forced, x] = np.minimum(cert[forced, x], fixed.bit_count())
+    return s, cert.max(axis=1)
+
+
+def test_block_sensitivity_search_cases_match_oracle():
+    # Only tables with s(f) < max C(f, x) reach the per-point search.
+    s, cert = n4_sensitivity_and_max_certificate()
+    searched = np.flatnonzero(s < cert).tolist()
+    assert len(searched) == 24
+    for packed in searched:
+        f = TruthTable.from_packed_int(4, packed)
+        bs = oracles.brute_block_sensitivity(f)
+        assert block_sensitivity(f) == measures.MeasureContext(f).bs() == bs, packed
+
+
+def test_packing_floor_and_ceiling():
+    blocks = [0b001, 0b010, 0b100, 0b011]
+    assert measures._max_disjoint(blocks) == 3
+    assert measures._max_disjoint(blocks, ceiling=2) == 2
+    assert measures._max_disjoint(blocks, floor=4) == 4
+
+
+def count_scans(monkeypatch) -> list:
+    scans = []
+    scan = measures._minimal_from_sens
+    monkeypatch.setattr(measures, "_minimal_from_sens", lambda *a: scans.append(1) or scan(*a))
+    return scans
+
+
+def rubinstein(blocks: int, width: int) -> TruthTable:
+    """OR over blocks of g, where g(y) = 1 iff y's ones are exactly the
+    positions 2j - 1 and 2j for some j (Rubinstein, Combinatorica 1995)."""
+    pairs = {0b11 << (width - 2 * j) for j in range(1, width // 2 + 1)}
+    mask = (1 << width) - 1
+    return TruthTable.from_evaluator(
+        blocks * width, lambda x: any((x >> (width * b)) & mask in pairs for b in range(blocks))
+    )
+
+
+def test_block_sensitivity_rubinstein(monkeypatch):
+    f = rubinstein(3, 4)
+    scans = count_scans(monkeypatch)
+    record = measures.MeasureContext(f)
+    assert (record.s(), record.bs(), record.cert()) == (4, 6, 6)
+    assert len(scans) == 1  # the first point with C(f, x) = 6 reaches it
+    assert block_sensitivity(f, "0" * 12) == 6
+
+
+def test_block_sensitivity_random_n9_needs_no_scan(monkeypatch):
+    f = random_table(random.Random(9), 9)
+    scans = count_scans(monkeypatch)
+    assert measures.MeasureContext(f).bs() == block_sensitivity(f) == sensitivity(f)
+    assert scans == []
 
 
 def test_certificate_examples():
@@ -161,10 +242,11 @@ def test_subcube_measures_match_oracles(data):
 
 def test_subcube_ceiling():
     ceiling = measures.SUBCUBE_MAX_ARITY
-    assert ceiling >= max(measures.CERT_CAP_DEFAULT, measures.DT_CAP_DEFAULT)
+    defaults = (measures.BS_CAP_DEFAULT, measures.CERT_CAP_DEFAULT, measures.DT_CAP_DEFAULT)
+    assert ceiling >= max(defaults)
     with pytest.raises(CapExceededError):
         measures.subcube_table(TruthTable.constant(ceiling + 1, 0))
-    for caps in ({"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
+    for caps in ({"bs_cap": ceiling + 1}, {"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
         with pytest.raises(CapExceededError):
             measures.MeasureContext(TruthTable.constant(2, 0), **caps)
 

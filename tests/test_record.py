@@ -69,6 +69,7 @@ KERNELS = (
     (algebra, "fourier_transform"),
     (measures, "per_point_sensitivity"),
     (measures, "subcube_table"),
+    (measures, "per_point_certificate"),
 )
 
 
@@ -105,6 +106,7 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
         (algebra, "fourier_transform"),
         (measures, "per_point_sensitivity"),
         (measures, "subcube_table"),
+        (measures, "per_point_certificate"),
     )
     calls = count_calls(monkeypatch, unused)
     report = verify.run_check_suite(
