@@ -5,6 +5,10 @@ they induce, the integer-scaled Walsh spectrum of the +/-1-valued version of
 a function, sparsity, and the weighted spectral sums. All arithmetic is
 exact: the spectrum carries numerators at denominator 2**n and rationals
 appear only at reporting time.
+
+The Moebius and Walsh transforms are butterflies along the last axis, so
+each takes one table or an ``(N, 2**n)`` stack of same-arity tables and
+transforms every row in the same passes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .core import TruthTable, popcounts
+from .core import Tables, TruthTable, popcounts, table_values
 
 __all__ = [
     "FourierSpectrum",
@@ -62,7 +66,9 @@ class MultilinearPoly:
     """Exact coefficients of the unique multilinear representation.
 
     ``coeffs[t]`` is the coefficient of the monomial over the variables in
-    ``subset_of_index(t, n)``; over Z_m the residues live in [0, m).
+    ``subset_of_index(t, n)``; over Z_m the residues live in [0, m). From a
+    stack of tables, ``coeffs`` is the stack of coefficient rows and
+    ``MultilinearPoly(n, coeffs[i], modulus)`` is member i's polynomial.
     """
 
     n: int
@@ -103,18 +109,20 @@ def _check_modulus(modulus: Modulus) -> Optional[int]:
     return m
 
 
-def multilinear_coefficients(f: TruthTable, modulus: Modulus = "integers") -> MultilinearPoly:
-    """Moebius transform of the table; one pass serves Z and every Z_m.
+def multilinear_coefficients(f: Tables, modulus: Modulus = "integers") -> MultilinearPoly:
+    """Moebius transform of the table (or stack); one pass serves Z and
+    every Z_m.
 
     The zeta matrix is unipotent, so the canonical multilinear coefficients
     reduced mod m are the unique total-agreement representation over Z_m.
     """
     m = _check_modulus(modulus)
-    coeffs = _subset_transform(f.values, f.n, np.subtract)
+    n, values = table_values(f)
+    coeffs = _subset_transform(values, n, np.subtract)
     if m is not None:
         coeffs %= m
     coeffs.setflags(write=False)
-    return MultilinearPoly(f.n, coeffs, m)
+    return MultilinearPoly(n, coeffs, m)
 
 
 def degree(f: TruthTable, modulus: Modulus = "integers") -> int:
@@ -127,7 +135,9 @@ class FourierSpectrum:
     """Integer-scaled spectrum of 1 - 2f: ``scaled[t]`` equals 2**n * fhat(S).
 
     Index convention matches :class:`MultilinearPoly`; the true coefficient
-    of the character on subset S is ``scaled[t] / 2**n``.
+    of the character on subset S is ``scaled[t] / 2**n``. From a stack of
+    tables, ``scaled`` is the stack of spectra and ``FourierSpectrum(n,
+    scaled[i])`` is member i's spectrum.
     """
 
     n: int
@@ -151,10 +161,11 @@ class FourierSpectrum:
             yield [int(t), int(self.scaled[t])]
 
 
-def fourier_transform(f: TruthTable) -> FourierSpectrum:
-    """Exact integer Walsh transform of the +/-1 value vector 1 - 2f."""
-    n = f.n
-    a = (1 - 2 * f.values.astype(np.int64))
+def fourier_transform(f: Tables) -> FourierSpectrum:
+    """Exact integer Walsh transform of the +/-1 value vector 1 - 2f (of
+    every row, for a stack)."""
+    n, values = table_values(f)
+    a = 1 - 2 * values.astype(np.int64)
     for p in range(n):
         shaped = a.reshape(-1, 2, 1 << p)
         lo = shaped[:, 0, :].copy()

@@ -5,6 +5,12 @@ per step, so it is exactly a permutation of the variables. This module holds
 the chain object, the level-by-level longest-alternation DP with witness
 extraction, the recursive full-tree witness chain, the glued chain for block
 compositions, and the XOR-of-monotone decomposition built on the same DP.
+
+The DP computes only the alternation profile A, for one table or for a
+stack of same-arity tables at once. The decrease profile D needs no second
+DP: along every increasing path from 0^n to x, rises - drops = f(x) - f(0^n),
+so the path with the most changes also has the most drops, and
+D = (A - f + f(0^n)) / 2 (:func:`decrease`).
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ import numpy as np
 from .core import (
     ArityMismatchError,
     BooleanFunction,
+    Tables,
     TruthTable,
     evaluate,
     is_monotone,
     materialize,
     popcounts,
+    table_values,
 )
 from .families import DecisionTreeShape
 
@@ -30,6 +38,7 @@ __all__ = [
     "Chain",
     "alternation_along",
     "alternation_profile",
+    "decrease",
     "gap_family_chain",
     "glued_composition_chain",
     "max_alternation_witness",
@@ -101,31 +110,36 @@ def _level_plan(n: int):
     return tuple(tuple(level) for level in _levels(n))
 
 
-def alternation_profile(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
+def alternation_profile(f: Tables) -> np.ndarray:
     """Longest-alternation DP over the hypercube, level by Hamming weight.
 
-    Returns ``(A, D)``: for every point x, ``A[x]`` is the maximum number of
-    value changes of f along any increasing path from 0^n to x, and ``D[x]``
-    the maximum counting only 1 -> 0 drops. One integer per point, so the
-    whole profile is O(2**n) memory and O(n * 2**n) time.
+    For every point x, ``A[x]`` is the maximum number of value changes of f
+    along any increasing path from 0^n to x. One integer per point, so the
+    profile is O(2**n) memory and O(n * 2**n) time. Given an ``(N, 2**n)``
+    stack of tables it returns the ``(N, 2**n)`` stack of their profiles.
     """
-    n = f.n
-    v = f.values
-    A = np.zeros(1 << n, dtype=np.int32)
-    D = np.zeros(1 << n, dtype=np.int32)
+    n, v = table_values(f)
+    # Points on the leading axis, so each gather moves whole rows of the stack.
+    v = np.ascontiguousarray(v.T)
+    A = np.zeros(v.shape, dtype=np.int32)
     for level in _level_plan(n) if n <= 16 else _levels(n):
         for sel, pred in level:
-            fv = v[sel]
-            pv = v[pred]
-            A[sel] = np.maximum(A[sel], A[pred] + (pv != fv))
-            D[sel] = np.maximum(D[sel], D[pred] + ((pv == 1) & (fv == 0)))
-    return A, D
+            A[sel] = np.maximum(A[sel], A[pred] + (v[pred] != v[sel]))
+    A = np.ascontiguousarray(A.T)
+    A.setflags(write=False)
+    return A
+
+
+def decrease(alt, value, value0):
+    """D at x from A at x (``alt``), f(x) and f(0^n); scalars or whole
+    profiles. See the module docstring for why this holds."""
+    return (alt - value + value0) // 2
 
 
 def max_alternation_witness(f: TruthTable, profile: Optional[np.ndarray] = None) -> Chain:
     """A chain achieving the maximum alternation, recovered by backtracking."""
     n = f.n
-    A = alternation_profile(f)[0] if profile is None else profile
+    A = alternation_profile(f) if profile is None else profile
     v = f.values
     order_rev: list[int] = []
     x = (1 << n) - 1
@@ -206,7 +220,7 @@ def monotone_decomposition(
     """
     table = materialize(f)
     n = table.n
-    A = alternation_profile(table)[0] if profile is None else profile
+    A = alternation_profile(table) if profile is None else profile
     k = int(A[-1])
     parts = [TruthTable(n, (A >= i).astype(np.uint8)) for i in range(1, k + 1)]
     negate = bool(table.values[0])

@@ -211,11 +211,30 @@ def _cmd_chain(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    populations = [verify.Population.exhaustive(n) for n in args.exhaustive or []]
-    for spec in args.sample or []:
+def _sample(spec: str) -> verify.Population:
+    try:
         n, count, seed = (int(p) for p in spec.split(","))
-        populations.append(verify.Population.sample(n, count, seed))
+    except ValueError:
+        raise ValueError("expected N,COUNT,SEED, three integers") from None
+    return verify.Population.sample(n, count, seed)
+
+
+def _populations(args) -> list[verify.Population]:
+    """The --exhaustive and --sample populations, each checked before any
+    sweep; a bad one is a usage error that names its flag."""
+    specs = [("--exhaustive", n, verify.Population.exhaustive) for n in args.exhaustive or []]
+    specs += [("--sample", spec, _sample) for spec in args.sample or []]
+    populations = []
+    for flag, spec, build in specs:
+        try:
+            populations.append(build(spec))
+        except ValueError as exc:
+            raise UsageError(f"{flag} {spec}: {exc}") from None
+    return populations
+
+
+def _cmd_verify(args, parser) -> int:
+    populations = _populations(args)
     if args.families:
         populations.append(verify.Population.explicit(verify.standard_family_instances()))
     if not populations:

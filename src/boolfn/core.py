@@ -46,6 +46,7 @@ __all__ = [
     "point_index",
     "popcounts",
     "serialize",
+    "table_values",
 ]
 
 DEFAULT_DENSE_CAP = 24
@@ -179,6 +180,20 @@ class TruthTable:
         if self.n <= 6:
             return f"TruthTable({serialize(self)!r})"
         return f"TruthTable(n={self.n})"
+
+
+Tables = Union[TruthTable, np.ndarray]
+
+
+def table_values(f: Tables) -> tuple[int, np.ndarray]:
+    """Arity and values of a table, or of an ``(N, 2**n)`` stack of tables.
+
+    The kernels that run once per function work along the last axis, so
+    they take either; a table is the stack of one without its leading axis.
+    """
+    if isinstance(f, TruthTable):
+        return f.n, f.values
+    return f.shape[-1].bit_length() - 1, f
 
 
 @dataclass(frozen=True)

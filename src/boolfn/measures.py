@@ -15,14 +15,22 @@ with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
 measure at most once, the algebraic ones included. The check registry,
 ``boolfn analyze``, the measure matrix and :func:`measure_report` all read
 it, through the one column schema ``COLUMNS``.
+
+The four kernels that every function needs (the alternation DP, Moebius,
+Walsh and per-point sensitivity) run per :class:`Chunk`: consecutive
+same-arity tables, at most ``CHUNK_CELLS`` cells in all, whose records
+share one run of each kernel on the stacked ``(N, 2**n)`` matrix. Sweeps
+build their records with :func:`records`; a lone record is a chunk of one.
+The subcube table, C, DT, bs and the degree columns stay per record.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,21 +39,25 @@ from .core import (
     BooleanFunction,
     CapExceededError,
     Point,
+    Tables,
     TruthTable,
     depends_on_all,
     materialize,
     point_index,
     serialize,
+    table_values,
 )
 
 __all__ = [
     "BS_CAP_DEFAULT",
     "CERT_CAP_DEFAULT",
+    "CHUNK_CELLS",
     "DT_CAP_DEFAULT",
     "FREE",
     "SUBCUBE_MAX_ARITY",
     "COLUMNS",
     "AltDecrease",
+    "Chunk",
     "MeasureContext",
     "MeasureReport",
     "alternation_decrease",
@@ -57,6 +69,7 @@ __all__ = [
     "negation_complexity",
     "per_point_certificate",
     "per_point_sensitivity",
+    "records",
     "sensitivity",
     "subcube_table",
 ]
@@ -68,16 +81,22 @@ DT_CAP_DEFAULT = 15
 # again (36 MB at n = 15, 110 MB at n = 16); no bs, C or DT cap may exceed this.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
+# A chunk stacks at most this many table cells (256 tables at n = 8), which
+# bounds each stacked kernel array; a table above it is a chunk of one.
+CHUNK_CELLS = 1 << 16
 
 
-def per_point_sensitivity(f: TruthTable) -> np.ndarray:
-    """s(f, x) for every point x, one vectorized pass per variable."""
-    n = f.n
-    v = f.values
-    idx = np.arange(1 << n)
-    s = np.zeros(1 << n, dtype=np.int32)
+def per_point_sensitivity(f: Tables) -> np.ndarray:
+    """s(f, x) for every point x (of every row, for a stack), one butterfly
+    pass per variable: the two points of a pair differing in that variable
+    are both sensitive to it or both not."""
+    n, v = table_values(f)
+    s = np.zeros(v.shape, dtype=np.int32)
     for p in range(n):
-        s += v[idx ^ (1 << p)] != v
+        pairs = v.reshape(-1, 2, 1 << p)
+        halves = s.reshape(-1, 2, 1 << p)
+        halves += pairs[:, :1] != pairs[:, 1:]
+    s.setflags(write=False)
     return s
 
 
@@ -304,14 +323,49 @@ def _memoized(method):
     return get
 
 
+class Chunk:
+    """Same-arity tables whose records share the once-per-function kernels.
+
+    The alternation DP, Moebius, Walsh and per-point sensitivity each run at
+    most once per chunk, on the ``(N, 2**n)`` stack of its tables, at the
+    first read by any of its records; each record reads its own row.
+    """
+
+    def __init__(self, tables: Sequence[TruthTable]) -> None:
+        self.tables = tables
+        self._cache: dict = {}
+
+    @_memoized
+    def stack(self) -> np.ndarray:
+        return np.stack([t.values for t in self.tables])
+
+    @_memoized
+    def per_point_s(self) -> np.ndarray:
+        return per_point_sensitivity(self.stack())
+
+    @_memoized
+    def profile(self) -> np.ndarray:
+        return chains.alternation_profile(self.stack())
+
+    @_memoized
+    def coeffs(self) -> np.ndarray:
+        return algebra.multilinear_coefficients(self.stack()).coeffs
+
+    @_memoized
+    def spectrum(self) -> np.ndarray:
+        return algebra.fourier_transform(self.stack()).scaled
+
+
 class MeasureContext:
     """Lazy record of one function's measures, shared by every consumer.
 
     The checks, ``boolfn analyze``, the measure matrix and
     :func:`measure_report` all read it, and it is the only caller of the
-    measure kernels, so each kernel runs at most once per function and only
-    when some accessor needs it. A measure above its cap reads ``None``.
-    A bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
+    measure kernels, so each kernel runs at most once per function (per
+    ``chunk``, for the four stacked ones; the record is row ``row`` of it)
+    and only when some accessor needs it. A measure above its cap reads
+    ``None``. A bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up
+    front.
     """
 
     def __init__(
@@ -320,6 +374,8 @@ class MeasureContext:
         bs_cap: int = BS_CAP_DEFAULT,
         cert_cap: int = CERT_CAP_DEFAULT,
         dt_cap: int = DT_CAP_DEFAULT,
+        chunk: Optional[Chunk] = None,
+        row: int = 0,
     ) -> None:
         self.check_caps(bs_cap, cert_cap, dt_cap)
         self.table = table
@@ -327,6 +383,8 @@ class MeasureContext:
         self.bs_cap = bs_cap
         self.cert_cap = cert_cap
         self.dt_cap = dt_cap
+        self._chunk = Chunk([table]) if chunk is None else chunk
+        self._row = row
         self._cache: dict = {}
 
     @staticmethod
@@ -344,9 +402,8 @@ class MeasureContext:
         return depends_on_all(self.table)
 
     # One per-point sensitivity pass: s, I and the mean squared sensitivity.
-    @_memoized
     def per_point_s(self) -> np.ndarray:
-        return per_point_sensitivity(self.table)
+        return self._chunk.per_point_s()[self._row]
 
     def per_point(self) -> dict:
         return {"s": self.per_point_s().tolist()}
@@ -398,17 +455,17 @@ class MeasureContext:
         return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
 
     # One alternation DP: alt, dc, the negation counts and the witness.
-    @_memoized
-    def profile(self) -> tuple[np.ndarray, np.ndarray]:
-        return chains.alternation_profile(self.table)
+    def profile(self) -> np.ndarray:
+        return self._chunk.profile()[self._row]
 
     @_memoized
     def alt(self) -> int:
-        return int(self.profile()[0][-1])
+        return int(self.profile()[-1])
 
     @_memoized
     def dc(self) -> int:
-        return int(self.profile()[1][-1])
+        v = self.table.values
+        return chains.decrease(self.alt(), int(v[-1]), int(v[0]))
 
     def negs(self) -> tuple[int, int]:
         """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
@@ -416,12 +473,12 @@ class MeasureContext:
 
     @_memoized
     def witness(self) -> chains.Chain:
-        return chains.max_alternation_witness(self.table, self.profile()[0])
+        return chains.max_alternation_witness(self.table, self.profile())
 
     # One Moebius transform: the degree over Z and over every Z_m.
     @_memoized
     def poly(self) -> algebra.MultilinearPoly:
-        return algebra.multilinear_coefficients(self.table)
+        return algebra.MultilinearPoly(self.n, self._chunk.coeffs()[self._row])
 
     @_memoized
     def deg(self) -> int:
@@ -437,7 +494,7 @@ class MeasureContext:
     # One Walsh transform: sparsity and the spectral sums.
     @_memoized
     def spectrum(self) -> algebra.FourierSpectrum:
-        return algebra.fourier_transform(self.table)
+        return algebra.FourierSpectrum(self.n, self._chunk.spectrum()[self._row])
 
     @_memoized
     def sparsity(self) -> int:
@@ -482,6 +539,19 @@ COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
 }
 
 _REPORT_COLUMNS = tuple(name for name in COLUMNS if name in MeasureReport.__dataclass_fields__)
+
+
+def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
+    """One record per table, in order, with the measure caps ``caps``.
+
+    Consecutive tables of one arity n share a :class:`Chunk` of at most
+    ``max(1, CHUNK_CELLS >> n)`` tables, so the stacked kernels run once
+    per chunk rather than once per table.
+    """
+    for n, same in itertools.groupby(tables, key=lambda t: t.n):
+        while batch := list(itertools.islice(same, max(1, CHUNK_CELLS >> n))):
+            chunk = Chunk(batch)
+            yield from (MeasureContext(t, **caps, chunk=chunk, row=i) for i, t in enumerate(batch))
 
 
 def _cell(value):

@@ -7,11 +7,16 @@ lazy per-function record that computes each measure at most once. One
 registry feeds both the test suite and the CLI, populations are enumerated or
 sampled deterministically, and each check's :class:`Aggregate` merges
 commutatively so parallel runs match serial ones.
+
+A worker builds only the members of its own index range, and reads them
+through :func:`boolfn.measures.records`, so the four stacked kernels run
+once per chunk of up to ``measures.CHUNK_CELLS`` cells, not once per
+function. Population parameters are checked when the population is made,
+before any sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -48,19 +53,12 @@ DEFAULT_FAIL_LIMIT = 5
 
 def enumerate_functions(n: int) -> Iterator[TruthTable]:
     """All 2**(2**n) truth tables on n variables, in packed-index order."""
-    if not 0 <= n <= 4:
-        raise ValueError("exhaustive enumeration is limited to 0 <= n <= 4")
-    return (TruthTable.from_packed_int(n, i) for i in range(1 << (1 << n)))
+    return Population.exhaustive(n).tables()
 
 
 def sample_functions(n: int, count: int, seed: int) -> Iterator[TruthTable]:
     """Deterministic pseudorandom tables: same seed, same stream."""
-    if n > dense_cap():
-        raise ValueError(f"arity {n} exceeds dense cap {dense_cap()}")
-    rng = random.Random(seed)
-    size = 1 << n
-    for _ in range(count):
-        yield TruthTable.from_packed_int(n, rng.getrandbits(size))
+    return Population.sample(n, count, seed).tables()
 
 
 def standard_family_instances() -> list[TruthTable]:
@@ -91,13 +89,26 @@ def standard_family_instances() -> list[TruthTable]:
 
 @dataclass(frozen=True)
 class Population:
-    """Deterministic stream of functions: exhaustive, sampled, or explicit."""
+    """Deterministic stream of functions: exhaustive, sampled, or explicit.
+
+    A bad arity or count is a ``ValueError`` when the population is made.
+    """
 
     kind: str  # "exhaustive" | "sample" | "explicit"
     n: Optional[int] = None
     count: Optional[int] = None
     seed: Optional[int] = None
     members: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("exhaustive", "sample", "explicit"):
+            raise ValueError(f"unknown population kind {self.kind!r}")
+        if self.kind == "exhaustive" and not 0 <= self.n <= 4:
+            raise ValueError("exhaustive enumeration is limited to 0 <= n <= 4")
+        if self.kind == "sample" and not 0 <= self.n <= dense_cap():
+            raise ValueError(f"arity {self.n} is outside 0..{dense_cap()}, the dense cap")
+        if self.kind == "sample" and self.count < 0:
+            raise ValueError(f"count {self.count} is negative")
 
     @classmethod
     def exhaustive(cls, n: int) -> "Population":
@@ -111,16 +122,19 @@ class Population:
     def explicit(cls, tables: Iterable[TruthTable]) -> "Population":
         return cls(kind="explicit", members=tuple(serialize(t) for t in tables))
 
-    def tables(self) -> Iterator[TruthTable]:
-        if self.kind == "exhaustive":
-            yield from enumerate_functions(self.n)
-        elif self.kind == "sample":
-            yield from sample_functions(self.n, self.count, self.seed)
-        elif self.kind == "explicit":
-            for text in self.members:
-                yield parse(text)
-        else:
-            raise ValueError(f"unknown population kind {self.kind!r}")
+    def tables(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TruthTable]:
+        """Members ``start`` to ``stop`` (default: the end). None before
+        ``start`` is built: a sampled stream draws their bits only."""
+        stop = self.size() if stop is None else min(stop, self.size())
+        if self.kind == "explicit":
+            return map(parse, self.members[start:stop])
+        packed = range(start, stop)
+        if self.kind == "sample":
+            rng = random.Random(self.seed)
+            for _ in range(start):
+                rng.getrandbits(1 << self.n)
+            packed = (rng.getrandbits(1 << self.n) for _ in packed)
+        return (TruthTable.from_packed_int(self.n, p) for p in packed)
 
     def size(self) -> int:
         if self.kind == "exhaustive":
@@ -325,7 +339,7 @@ def _check_witness_valid(ctx: MeasureContext) -> Outcome:
 
 
 def _check_decomposition(ctx: MeasureContext) -> Outcome:
-    parts, negate = chains.monotone_decomposition(ctx.table, profile=ctx.profile()[0])
+    parts, negate = chains.monotone_decomposition(ctx.table, profile=ctx.profile())
     ok = len(parts) == ctx.alt()
     return ("pass" if ok else "fail"), {"parts": len(parts), "alt": ctx.alt(), "negated": negate}
 
@@ -569,12 +583,24 @@ def _run_chunk(
 ) -> dict[str, Aggregate]:
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
-    for table in itertools.islice(population.tables(), start, stop):
-        ctx = MeasureContext(table, **caps)
+    for ctx in measures.records(population.tables(start, stop), **caps):
         fn_id = ctx.fn_id()
         for check in selected:
             aggregates[check.name].add(fn_id, *check.run(ctx))
     return aggregates
+
+
+def _sweep_report(population: Population, partials: list[dict[str, Aggregate]]) -> SweepReport:
+    """The report of the chunk runs ``partials``, which cover the population."""
+    aggregates = partials[0]
+    for part in partials[1:]:
+        for name, agg in part.items():
+            aggregates[name].merge(agg)
+    return SweepReport(
+        registry_version=REGISTRY_VERSION,
+        population=population.descriptor(),
+        checks={name: aggregates[name].finalize() for name in sorted(aggregates)},
+    )
 
 
 def run_check_suite(
@@ -599,25 +625,17 @@ def run_check_suite(
     caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
     total = population.size()
     if jobs <= 1 or total < 2 * jobs:
-        aggregates = _run_chunk(population, names, 0, None, caps, fail_limit)
-    else:
-        import multiprocessing as mp
+        return _sweep_report(population, [_run_chunk(population, names, 0, None, caps, fail_limit)])
+    import multiprocessing as mp
 
-        # total >= 2 * jobs, so no chunk is empty
-        bounds = [(total * i) // jobs for i in range(jobs + 1)]
-        args = [(population, names, lo, hi, caps, fail_limit) for lo, hi in zip(bounds, bounds[1:])]
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=len(args)) as pool:
-            partials = pool.starmap(_run_chunk, args)
-        aggregates = partials[0]
-        for part in partials[1:]:
-            for name, agg in part.items():
-                aggregates[name].merge(agg)
-    return SweepReport(
-        registry_version=REGISTRY_VERSION,
-        population=population.descriptor(),
-        checks={name: aggregates[name].finalize() for name in sorted(aggregates)},
-    )
+    # total >= 2 * jobs, so no chunk is empty
+    bounds = [(total * i) // jobs for i in range(jobs + 1)]
+    args = [(population, names, lo, hi, caps, fail_limit) for lo, hi in zip(bounds, bounds[1:])]
+    # fork where the platform has it; elsewhere the default start method,
+    # which works too, as _run_chunk and its arguments pickle
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+    with ctx.Pool(processes=len(args)) as pool:
+        return _sweep_report(population, pool.starmap(_run_chunk, args))
 
 
 def measure_matrix_rows(
@@ -628,5 +646,6 @@ def measure_matrix_rows(
 ) -> Iterator[list]:
     """Per-function measure matrix (header row first), for CSV export."""
     yield list(measures.COLUMNS)
-    for table in population.tables():
-        yield MeasureContext(table, bs_cap, cert_cap, dt_cap).row()
+    caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
+    for record in measures.records(population.tables(), **caps):
+        yield record.row()

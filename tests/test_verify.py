@@ -7,8 +7,8 @@ import os
 
 import pytest
 
-from boolfn import families, verify
-from boolfn.core import parse, serialize
+from boolfn import families, measures, verify
+from boolfn.core import TruthTable, parse, serialize
 from boolfn.verify import (
     CHECKS,
     Check,
@@ -215,3 +215,55 @@ def test_measure_matrix_rows():
     identity = by_fn["1:2"]
     cols = dict(zip(rows[0], identity))
     assert cols["s"] == 1 and cols["alt"] == 1 and cols["deg"] == 1
+
+
+CAPS = {
+    "bs_cap": measures.BS_CAP_DEFAULT,
+    "cert_cap": measures.CERT_CAP_DEFAULT,
+    "dt_cap": measures.DT_CAP_DEFAULT,
+}
+
+
+def test_worker_parses_only_its_own_range(monkeypatch):
+    texts = tuple(serialize(t) for t in sample_functions(8, 4000, 5))
+    parsed = []
+    monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
+    part = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
+    assert part["alt-dc-relation"].counts["pass"] == 2000
+    assert parsed == list(texts[2000:])
+
+
+@pytest.mark.parametrize("population", [Population.exhaustive(3), Population.sample(4, 100, 3)], ids=["exhaustive", "sample"])
+def test_ranges_build_only_their_members(monkeypatch, population):
+    whole = [serialize(t) for t in population.tables()]
+    built = []
+    original = TruthTable.from_packed_int.__func__
+    monkeypatch.setattr(
+        TruthTable, "from_packed_int", classmethod(lambda cls, n, p: built.append(p) or original(cls, n, p))
+    )
+    assert [serialize(t) for t in population.tables(60, 90)] == whole[60:90]
+    assert len(built) == 30
+    assert [serialize(t) for t in population.tables(90, 10**6)] == whole[90:]
+
+
+def test_spawn_pool_matches_serial():
+    pop = Population.sample(5, 80, 11)
+    args = [(pop, "all", lo, hi, CAPS, verify.DEFAULT_FAIL_LIMIT) for lo, hi in ((0, 40), (40, 80))]
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        partials = pool.starmap(verify._run_chunk, args)
+    assert verify._sweep_report(pop, partials).to_json() == run_check_suite(pop).to_json()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Population.exhaustive(-1),
+        lambda: Population.exhaustive(5),
+        lambda: Population.sample(3, -2, 1),
+        lambda: Population.sample(-1, 2, 1),
+        lambda: Population(kind="nothing"),
+    ],
+)
+def test_bad_population_parameters_rejected_when_made(make):
+    with pytest.raises(ValueError):
+        make()
