@@ -51,6 +51,15 @@ def _index_of_subset(vars_: Iterator[int], n: int) -> int:
     return t
 
 
+def _one_table(a: np.ndarray) -> np.ndarray:
+    """``a`` if it holds one table's entries. A result built from a stack
+    serves only its rows (``coeffs[i]``, ``scaled[i]``); reading it whole
+    would mix the members, so it is an error."""
+    if a.ndim != 1:
+        raise ValueError(f"expected one table's entries, got a stack of shape {a.shape}")
+    return a
+
+
 def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:
     """Zeta (``np.add``) or Moebius (``np.subtract``) transform over subsets:
     c_S = sum over T <= S of f(T), with sign (-1)**|S - T| for Moebius."""
@@ -68,7 +77,8 @@ class MultilinearPoly:
     ``coeffs[t]`` is the coefficient of the monomial over the variables in
     ``subset_of_index(t, n)``; over Z_m the residues live in [0, m). From a
     stack of tables, ``coeffs`` is the stack of coefficient rows and
-    ``MultilinearPoly(n, coeffs[i], modulus)`` is member i's polynomial.
+    ``MultilinearPoly(n, coeffs[i], modulus)`` is member i's polynomial; the
+    other methods raise on a stack.
     """
 
     n: int
@@ -76,16 +86,16 @@ class MultilinearPoly:
     modulus: Optional[int] = None
 
     def coefficient(self, vars_) -> int:
-        return int(self.coeffs[_index_of_subset(iter(vars_), self.n)])
+        return int(_one_table(self.coeffs)[_index_of_subset(iter(vars_), self.n)])
 
     def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
+        nz = np.nonzero(_one_table(self.coeffs))[0]
         if nz.size == 0:
             return 0
         return int(popcounts(self.n)[nz].max())
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(self.coeffs)[0]:
+        for t in np.nonzero(_one_table(self.coeffs))[0]:
             yield subset_of_index(int(t), self.n), int(self.coeffs[t])
 
     def evaluate_all(self) -> np.ndarray:
@@ -96,7 +106,7 @@ class MultilinearPoly:
         return vals
 
     def to_json_dict(self) -> dict:
-        nz = np.nonzero(self.coeffs)[0]
+        nz = np.nonzero(_one_table(self.coeffs))[0]
         return {str(int(t)): int(self.coeffs[t]) for t in nz}
 
 
@@ -137,27 +147,27 @@ class FourierSpectrum:
     Index convention matches :class:`MultilinearPoly`; the true coefficient
     of the character on subset S is ``scaled[t] / 2**n``. From a stack of
     tables, ``scaled`` is the stack of spectra and ``FourierSpectrum(n,
-    scaled[i])`` is member i's spectrum.
+    scaled[i])`` is member i's spectrum; the methods raise on a stack.
     """
 
     n: int
     scaled: np.ndarray
 
     def coefficient(self, vars_) -> Fraction:
-        return Fraction(int(self.scaled[_index_of_subset(iter(vars_), self.n)]), 1 << self.n)
+        return Fraction(int(_one_table(self.scaled)[_index_of_subset(iter(vars_), self.n)]), 1 << self.n)
 
     def support(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(self.scaled)[0]:
+        for t in np.nonzero(_one_table(self.scaled))[0]:
             yield subset_of_index(int(t), self.n), int(self.scaled[t])
 
     def sparsity(self) -> int:
-        return int(np.count_nonzero(self.scaled))
+        return int(np.count_nonzero(_one_table(self.scaled)))
 
     def csv_rows(self) -> Iterator[list]:
         """CSV export: header then one (subset-mask, scaled-coefficient) row
         per nonzero entry; the true coefficient is scaled / 2**n."""
         yield ["subset-mask", "scaled-coefficient"]
-        for t in np.nonzero(self.scaled)[0]:
+        for t in np.nonzero(_one_table(self.scaled))[0]:
             yield [int(t), int(self.scaled[t])]
 
 
@@ -206,7 +216,7 @@ def spectral_sums(f: TruthTable) -> SpectralSums:
 
 def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
     n = spec.n
-    scaled = exact_terms(spec.scaled, n)
+    scaled = exact_terms(_one_table(spec.scaled), n)
     pc = exact_terms(popcounts(n).astype(np.int64), n)
     magnitude = np.abs(scaled)
     denom = 1 << n
@@ -220,6 +230,6 @@ def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
 def influence_from_spectrum(spec: FourierSpectrum) -> Fraction:
     """Influence via the spectral identity sum |S| fhat(S)^2."""
     n = spec.n
-    scaled = exact_terms(spec.scaled, n)
+    scaled = exact_terms(_one_table(spec.scaled), n)
     pc = exact_terms(popcounts(n).astype(np.int64), n)
     return Fraction(int((scaled * scaled * pc).sum()), 1 << (2 * n))

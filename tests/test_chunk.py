@@ -57,6 +57,25 @@ def test_stacked_kernels_match_single_table_and_oracles(data):
                 assert (A[i, x], D[i, x]) == (oracles.brute_alternation(g), oracles.brute_decrease(g))
 
 
+def test_stacked_results_serve_only_their_rows():
+    tables = [TruthTable.from_packed_int(3, p) for p in (0x80, 0x96)]
+    stack = np.stack([t.values for t in tables])
+    poly = algebra.multilinear_coefficients(stack)
+    spec = algebra.fourier_transform(stack)
+    whole = [
+        poly.degree, poly.to_json_dict, lambda: list(poly.items()), lambda: poly.coefficient([1]),
+        spec.sparsity, lambda: list(spec.support()), lambda: list(spec.csv_rows()),
+        lambda: spec.coefficient([1]), lambda: algebra.spectral_sums_of(spec),
+        lambda: algebra.influence_from_spectrum(spec),
+    ]
+    for read in whole:
+        with pytest.raises(ValueError, match="stack"):
+            read()
+    for i, t in enumerate(tables):
+        assert algebra.MultilinearPoly(3, poly.coeffs[i]).degree() == algebra.degree(t)
+        assert algebra.FourierSpectrum(3, spec.scaled[i]).sparsity() == algebra.sparsity(t)
+
+
 POPULATIONS = {
     "exhaustive3": Population.exhaustive(3),
     "sample5": Population.sample(5, 300, 7),
