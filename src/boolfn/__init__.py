@@ -38,7 +38,7 @@ from .core import (
 from .families import DecisionTreeShape, address, compose_power, gap_family, named_basics
 from .measures import (
     AltDecrease,
-    MeasureReport,
+    MeasureContext,
     alternation_decrease,
     block_sensitivity,
     certificate_complexity,
@@ -54,9 +54,7 @@ from .verify import (
     CheckResult,
     Population,
     SweepReport,
-    enumerate_functions,
     run_check_suite,
-    sample_functions,
 )
 
 __version__ = "0.1.0"

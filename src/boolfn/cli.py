@@ -234,6 +234,8 @@ def _populations(args) -> list[verify.Population]:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.fail_limit < 0:
+        raise UsageError(f"--fail-limit {args.fail_limit}: must be >= 0")
     populations = _populations(args)
     if args.families:
         populations.append(verify.Population.explicit(verify.standard_family_instances()))
@@ -273,7 +275,7 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
-    for table in itertools.islice(verify.enumerate_functions(args.n), args.limit):
+    for table in itertools.islice(verify.Population.exhaustive(args.n).tables(), args.limit):
         _emit(serialize(table))
     return 0
 

@@ -13,8 +13,8 @@ with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
 
 :class:`MeasureContext` is the lazy per-function record that computes each
 measure at most once, the algebraic ones included. The check registry,
-``boolfn analyze``, the measure matrix and :func:`measure_report` all read
-it, through the one column schema ``COLUMNS``.
+``boolfn analyze`` and the measure matrix all read it, through the one
+column schema ``COLUMNS``; :func:`measure_report` returns it.
 
 The four kernels that every function needs (the alternation DP, Moebius,
 Walsh and per-point sensitivity) run per :class:`Chunk`: consecutive
@@ -27,7 +27,7 @@ The subcube table, C, DT, bs and the degree columns stay per record.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -59,7 +59,6 @@ __all__ = [
     "AltDecrease",
     "Chunk",
     "MeasureContext",
-    "MeasureReport",
     "alternation_decrease",
     "block_sensitivity",
     "certificate_complexity",
@@ -283,32 +282,6 @@ def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[
     return MeasureContext(materialize(f, cap)).negs()
 
 
-@dataclass
-class MeasureReport:
-    """Exact values of every measure, with reasons for any skipped ones."""
-
-    n: int
-    s: int
-    I: Fraction
-    alt: int
-    dc: int
-    negs: int
-    negs_formula: int
-    bs: Optional[int] = None
-    C: Optional[int] = None
-    DT: Optional[int] = None
-    skips: dict = field(default_factory=dict)
-    per_point: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        out = {name: _cell(getattr(self, name)) for name in _REPORT_COLUMNS}
-        if self.skips:
-            out["skips"] = dict(self.skips)
-        if self.per_point is not None:
-            out["per_point"] = self.per_point
-        return out
-
-
 def _memoized(method):
     """Cache a record accessor's value per record and per argument."""
     name = method.__name__
@@ -359,13 +332,12 @@ class Chunk:
 class MeasureContext:
     """Lazy record of one function's measures, shared by every consumer.
 
-    The checks, ``boolfn analyze``, the measure matrix and
-    :func:`measure_report` all read it, and it is the only caller of the
-    measure kernels, so each kernel runs at most once per function (per
-    ``chunk``, for the four stacked ones; the record is row ``row`` of it)
-    and only when some accessor needs it. A measure above its cap reads
-    ``None``. A bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up
-    front.
+    The checks, ``boolfn analyze`` and the measure matrix all read it, and
+    it is the only caller of the measure kernels, so each kernel runs at
+    most once per function (per ``chunk``, for the four stacked ones; the
+    record is row ``row`` of it) and only when some accessor needs it. A
+    measure above its cap reads ``None``. A bs, C or DT cap above
+    ``SUBCUBE_MAX_ARITY`` is rejected up front.
     """
 
     def __init__(
@@ -520,7 +492,7 @@ class MeasureContext:
 
 
 # The one column schema: the measure-matrix CSV columns in order, which are
-# also the scalar fields of the analyze JSON and of MeasureReport.
+# also the scalar fields of the analyze JSON.
 COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
     "fn": MeasureContext.fn_id,
     "n": lambda r: r.n,
@@ -537,8 +509,6 @@ COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
     "deg2": MeasureContext.deg2,
     "sparsity": MeasureContext.sparsity,
 }
-
-_REPORT_COLUMNS = tuple(name for name in COLUMNS if name in MeasureReport.__dataclass_fields__)
 
 
 def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
@@ -564,13 +534,6 @@ def measure_report(
     bs_cap: int = BS_CAP_DEFAULT,
     cert_cap: int = CERT_CAP_DEFAULT,
     dt_cap: int = DT_CAP_DEFAULT,
-    per_point: bool = False,
-) -> MeasureReport:
-    """All measures of one function, honoring the per-measure caps."""
-    record = MeasureContext(materialize(f), bs_cap, cert_cap, dt_cap)
-    report = MeasureReport(
-        **{name: COLUMNS[name](record) for name in _REPORT_COLUMNS}, skips=record.skips()
-    )
-    if per_point:
-        report.per_point = record.per_point()
-    return report
+) -> MeasureContext:
+    """The record of every measure of one function, honoring the caps."""
+    return MeasureContext(materialize(f), bs_cap, cert_cap, dt_cap)

@@ -2,11 +2,14 @@
 
 Checks are data: a name, a kind (``assert`` for proven statements, ``ratio``
 for observed-constant reports, ``report`` for parametrized implications), and
-a predicate over one function's :class:`~boolfn.measures.MeasureContext`, the
-lazy per-function record that computes each measure at most once. One
-registry feeds both the test suite and the CLI, populations are enumerated or
-sampled deterministically, and each check's :class:`Aggregate` merges
-commutatively so parallel runs match serial ones.
+a ``run`` over one function's :class:`~boolfn.measures.MeasureContext`, the
+lazy per-function record that computes each measure at most once. Each check
+is one row of the ``CHECKS`` table: its skip conditions, each written once
+with its reason, the observed values it keeps, by name, and a formula over
+them. The two checks that do not fit a row are plain functions. One registry
+feeds both the test suite and the CLI, populations are enumerated or sampled
+deterministically, and each check's :class:`Aggregate` merges commutatively
+so parallel runs match serial ones.
 
 A worker builds only the members of its own index range, and reads them
 through :func:`boolfn.measures.records`, so the four stacked kernels run
@@ -25,6 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import algebra, chains, measures
 from .core import TruthTable, dense_cap, parse, serialize
 from .measures import MeasureContext
@@ -38,27 +43,15 @@ __all__ = [
     "MeasureContext",
     "Population",
     "SweepReport",
-    "enumerate_functions",
     "measure_matrix_rows",
     "resolve_checks",
     "run_check_suite",
     "run_single_check",
-    "sample_functions",
 ]
 
 REGISTRY_VERSION = "1"
 
 DEFAULT_FAIL_LIMIT = 5
-
-
-def enumerate_functions(n: int) -> Iterator[TruthTable]:
-    """All 2**(2**n) truth tables on n variables, in packed-index order."""
-    return Population.exhaustive(n).tables()
-
-
-def sample_functions(n: int, count: int, seed: int) -> Iterator[TruthTable]:
-    """Deterministic pseudorandom tables: same seed, same stream."""
-    return Population.sample(n, count, seed).tables()
 
 
 def standard_family_instances() -> list[TruthTable]:
@@ -185,266 +178,162 @@ class CheckResult:
         }
 
 
-def _check_s_le_bs(ctx: MeasureContext) -> Outcome:
-    bs = ctx.bs()
-    if bs is None:
-        return "skip", {"reason": f"bs above cap {ctx.bs_cap}"}
-    s = ctx.s()
-    return ("pass" if s <= bs else "fail"), {"s": s, "bs": bs}
+# A skip condition: its reason, formatted with the record, and when it holds.
+Skip = tuple[str, Callable[[MeasureContext], bool]]
+BS_CAPPED: Skip = ("bs above cap {0.bs_cap}", lambda r: r.bs() is None)
+DT_CAPPED: Skip = ("DT above cap {0.dt_cap}", lambda r: r.dt() is None)
+BS_C_CAPPED: Skip = (
+    "bs/C above caps {0.bs_cap}/{0.cert_cap}", lambda r: r.cert() is None or r.bs() is None
+)
+PARTIAL: Skip = ("does not depend on all inputs", lambda r: not r.depends_all())
+LOG_N_ZERO: Skip = ("log2(n) = 0", lambda r: r.n < 2)
+DEG2_LE_1: Skip = ("deg2 <= 1", lambda r: r.deg2() <= 1)
+NO_BS_DENOMINATOR: Skip = ("s * alt^2 = 0", lambda r: r.s() * r.alt() == 0)
 
 
-def _check_deg_bs_sandwich(ctx: MeasureContext) -> Outcome:
-    bs = ctx.bs()
-    if bs is None:
-        return "skip", {"reason": f"bs above cap {ctx.bs_cap}"}
-    deg = ctx.deg()
-    ok = bs <= deg * deg and deg <= bs**3
-    return ("pass" if ok else "fail"), {"bs": bs, "deg": deg}
+def _skipped(record: MeasureContext, skips: Sequence[Skip]) -> Optional[Outcome]:
+    """The skip outcome of the first of ``skips`` that holds, if any."""
+    for reason, holds in skips:
+        if holds(record):
+            return "skip", {"reason": reason.format(record)}
+    return None
 
 
-def _check_influence_le_s(ctx: MeasureContext) -> Outcome:
-    ok = ctx.influence() <= ctx.s()
-    return ("pass" if ok else "fail"), {"I": ctx.influence(), "s": ctx.s()}
+# The observed values a check may keep, by name: the measure columns and the
+# values the identities compare with them.
+_VALUES: dict[str, Callable[[MeasureContext], object]] = {
+    **measures.COLUMNS,
+    **{f"deg_{m}": (lambda r, m=m: r.degm(m)) for m in range(2, 7)},
+    "weighted": lambda r: r.sums().weighted,
+    "weighted2": lambda r: r.sums().weighted2,
+    "avg_s2": MeasureContext.avg_s2,
+    "spectral": lambda r: algebra.influence_from_spectrum(r.spectrum()),
+    "sum_sq": lambda r: int((algebra.exact_terms(r.spectrum().scaled, r.n) ** 2).sum()),
+    "witness_alt": lambda r: chains.alternation_along(r.table, r.witness()),
+}
 
 
-def _check_influence_le_deg(ctx: MeasureContext) -> Outcome:
-    ok = ctx.influence() <= ctx.deg()
-    return ("pass" if ok else "fail"), {"I": ctx.influence(), "deg": ctx.deg()}
+def _declare(
+    name: str, kind: str, description: str, observed: str, formula: Callable, *skips: Skip
+) -> Check:
+    """A check from one table row.
+
+    Unless one of ``skips`` holds, the check reads the values named in
+    ``observed`` and applies ``formula`` to them, in that order: an assert
+    passes iff the formula holds, and a ratio check always passes and keeps
+    the formula's value as ``ratio``, ahead of the values.
+    """
+    getters = [(key, _VALUES[key]) for key in observed.split()]
+
+    def run(record: MeasureContext) -> Outcome:
+        skipped = _skipped(record, skips)
+        if skipped:
+            return skipped
+        values = {key: get(record) for key, get in getters}
+        if kind == "ratio":
+            return "pass", {"ratio": formula(*values.values()), **values}
+        return ("pass" if formula(*values.values()) else "fail"), values
+
+    return Check(name, kind, description, run)
 
 
-def _dt_check(name: str, bound: Callable[[int], int]) -> Callable[[MeasureContext], Outcome]:
-    """The measure ``name`` at most ``bound(DT)``; skipped above the DT cap."""
-    def run(ctx: MeasureContext) -> Outcome:
-        dt = ctx.dt()
-        if dt is None:
-            return "skip", {"reason": f"DT above cap {ctx.dt_cap}"}
-        value = getattr(ctx, name)()
-        return ("pass" if value <= bound(dt) else "fail"), {name: value, "DT": dt}
-
-    return run
-
-
-def _check_alt_dc(ctx: MeasureContext) -> Outcome:
-    alt, dc = ctx.alt(), ctx.dc()
-    ok = alt in (2 * dc - 1, 2 * dc, 2 * dc + 1)
-    return ("pass" if ok else "fail"), {"alt": alt, "dc": dc}
+def _decomposition(record: MeasureContext) -> Outcome:
+    """Part i of f's monotone decomposition is [A >= i], A the alternation
+    profile, so the parts are monotone iff A is non-decreasing along every
+    axis, and their XOR is A mod 2, which must be f xor f(0^n)."""
+    A, v = record.profile(), record.table.values
+    rising = all(
+        (halves[:, 0] <= halves[:, 1]).all()
+        for halves in (A.reshape(-1, 2, 1 << p) for p in range(record.n))
+    )
+    ok = rising and np.array_equal(A % 2, v ^ v[0])
+    alt = record.alt()
+    return ("pass" if ok else "fail"), {"parts": alt, "alt": alt, "negated": bool(v[0])}
 
 
-def _check_cert_ge_bs(ctx: MeasureContext) -> Outcome:
-    cert = ctx.cert()
-    bs = ctx.bs()
-    if cert is None or bs is None:
-        return "skip", {"reason": f"bs/C above caps {ctx.bs_cap}/{ctx.cert_cap}"}
-    # every certificate hits each disjoint sensitive block, so C >= bs >= s
-    ok = ctx.s() <= bs <= cert
-    return ("pass" if ok else "fail"), {"s": ctx.s(), "bs": bs, "C": cert}
+SPARSITY_EXPONENT = 2.0  # the c of deg-sparsity-exponent
 
 
-def _check_negs_consistency(ctx: MeasureContext) -> Outcome:
-    dc = ctx.dc()
-    negs, negs_formula = ctx.negs()
-    expected = math.ceil(math.log2(1 + dc)) if dc else 0
-    ok = negs == expected and negs_formula == dc
-    return ("pass" if ok else "fail"), {"dc": dc, "negs": negs, "negs_formula": negs_formula}
-
-
-def _deg_product_check(m: int) -> Callable[[MeasureContext], Outcome]:
-    def run(ctx: MeasureContext) -> Outcome:
-        deg = ctx.deg()
-        bound = ctx.alt() * ctx.deg2() * ctx.degm(m)
-        ok = deg <= bound
-        return ("pass" if ok else "fail"), {
-            "deg": deg,
-            "alt": ctx.alt(),
-            "deg2": ctx.deg2(),
-            f"deg_{m}": ctx.degm(m),
-        }
-
-    return run
-
-
-def _check_log_sparsity_le_2deg(ctx: MeasureContext) -> Outcome:
-    ok = ctx.sparsity() <= 1 << (2 * ctx.deg())
-    return ("pass" if ok else "fail"), {"sparsity": ctx.sparsity(), "deg": ctx.deg()}
-
-
-def _check_deg2_le_log_sparsity(ctx: MeasureContext) -> Outcome:
-    d2 = ctx.deg2()
-    if d2 <= 1:
-        return "skip", {"reason": "deg2 <= 1"}
-    ok = (1 << d2) <= ctx.sparsity()
-    return ("pass" if ok else "fail"), {"deg2": d2, "sparsity": ctx.sparsity()}
-
-
-def _check_weighted_ge_n(ctx: MeasureContext) -> Outcome:
-    if not ctx.depends_all():
-        return "skip", {"reason": "does not depend on all inputs"}
-    w = ctx.sums().weighted
-    ok = w >= ctx.n
-    return ("pass" if ok else "fail"), {"weighted": w, "n": ctx.n}
-
-
-def _check_s_sqrt_sparsity(ctx: MeasureContext) -> Outcome:
-    if not ctx.depends_all():
-        return "skip", {"reason": "does not depend on all inputs"}
-    s, sp = ctx.s(), ctx.sparsity()
-    ok = s * s * sp >= ctx.n * ctx.n
-    return ("pass" if ok else "fail"), {"s": s, "sparsity": sp, "n": ctx.n}
-
-
-def _check_deg_exp_deg2(ctx: MeasureContext) -> Outcome:
-    if not ctx.depends_all():
-        return "skip", {"reason": "does not depend on all inputs"}
-    ok = ctx.deg() * (1 << ctx.deg2()) >= ctx.n
-    return ("pass" if ok else "fail"), {"deg": ctx.deg(), "deg2": ctx.deg2(), "n": ctx.n}
-
-
-def _check_influence_le_alt_sqrt_n(ctx: MeasureContext) -> Outcome:
-    i = ctx.influence()
-    alt = ctx.alt()
-    ok = i * i <= alt * alt * ctx.n
-    return ("pass" if ok else "fail"), {"I": i, "alt": alt, "n": ctx.n}
-
-
-def _check_influence_le_alt_deg2sq(ctx: MeasureContext) -> Outcome:
-    i = ctx.influence()
-    ok = i <= ctx.alt() * ctx.deg2() ** 2
-    return ("pass" if ok else "fail"), {"I": i, "alt": ctx.alt(), "deg2": ctx.deg2()}
-
-
-def _check_influence_fourier(ctx: MeasureContext) -> Outcome:
-    lhs = ctx.influence()
-    rhs = algebra.influence_from_spectrum(ctx.spectrum())
-    return ("pass" if lhs == rhs else "fail"), {"I": lhs, "spectral": rhs}
-
-
-def _check_weighted2_identity(ctx: MeasureContext) -> Outcome:
-    lhs = ctx.sums().weighted2
-    rhs = ctx.avg_s2()
-    return ("pass" if lhs == rhs else "fail"), {"weighted2": lhs, "avg_s2": rhs}
-
-
-def _check_parseval(ctx: MeasureContext) -> Outcome:
-    scaled = algebra.exact_terms(ctx.spectrum().scaled, ctx.n)
-    total = int((scaled * scaled).sum())
-    ok = total == 1 << (2 * ctx.n)
-    return ("pass" if ok else "fail"), {"sum_sq": total, "n": ctx.n}
-
-
-def _check_witness_valid(ctx: MeasureContext) -> Outcome:
-    w = ctx.witness()
-    got = chains.alternation_along(ctx.table, w)
-    ok = got == ctx.alt()
-    return ("pass" if ok else "fail"), {"witness_alt": got, "alt": ctx.alt()}
-
-
-def _check_decomposition(ctx: MeasureContext) -> Outcome:
-    parts, negate = chains.monotone_decomposition(ctx.table, profile=ctx.profile())
-    ok = len(parts) == ctx.alt()
-    return ("pass" if ok else "fail"), {"parts": len(parts), "alt": ctx.alt(), "negated": negate}
-
-
-def _ratio_bs(ctx: MeasureContext) -> Outcome:
-    bs = ctx.bs()
-    if bs is None:
-        return "skip", {"reason": f"bs above cap {ctx.bs_cap}"}
-    s, alt = ctx.s(), ctx.alt()
-    denom = s * alt * alt
-    if denom == 0:
-        return "skip", {"reason": "s * alt^2 = 0"}
-    return "pass", {"ratio": Fraction(bs, denom), "bs": bs, "s": s, "alt": alt}
-
-
-def _ratio_sens_log(ctx: MeasureContext) -> Outcome:
-    if not ctx.depends_all():
-        return "skip", {"reason": "does not depend on all inputs"}
-    if ctx.n < 2:
-        return "skip", {"reason": "log2(n) = 0"}
-    ratio = ctx.s() / math.log2(ctx.n)
-    return "pass", {"ratio": ratio, "s": ctx.s(), "n": ctx.n}
-
-
-def _report_deg_sparsity_exponent(c: float) -> Callable[[MeasureContext], Outcome]:
+def _deg_sparsity_exponent(record: MeasureContext) -> Outcome:
     # Tiny-n counterexamples exist (the implication needs large n), so this
     # stays a report rather than an assertion.
-    def run(ctx: MeasureContext) -> Outcome:
-        if ctx.n < 2:
-            return "skip", {"reason": "log2(n) = 0"}
-        deg = ctx.deg()
-        if deg > math.log2(ctx.n) ** c:
-            return "skip", {"reason": "hypothesis deg <= (log2 n)^c fails", "deg": deg}
-        sp = ctx.sparsity()
-        concl = deg <= (math.log2(sp) ** c if sp > 1 else 0.0)
-        return ("pass" if concl else "fail"), {"deg": deg, "sparsity": sp, "c": c}
+    c = SPARSITY_EXPONENT
+    skipped = _skipped(record, [LOG_N_ZERO])
+    if skipped:
+        return skipped
+    deg = record.deg()
+    if deg > math.log2(record.n) ** c:
+        return "skip", {"reason": "hypothesis deg <= (log2 n)^c fails", "deg": deg}
+    sp = record.sparsity()
+    concl = deg <= (math.log2(sp) ** c if sp > 1 else 0.0)
+    return ("pass" if concl else "fail"), {"deg": deg, "sparsity": sp, "c": c}
 
-    return run
 
-
-def _build_registry(sparsity_exponent: float = 2.0) -> dict[str, Check]:
-    def A(name: str, description: str, run) -> Check:
-        return Check(name=name, kind="assert", description=description, run=run)
-
-    checks = [
-        A("s-le-bs", "sensitivity at most block sensitivity", _check_s_le_bs),
-        A("deg-bs-sandwich", "sqrt(bs) <= deg <= bs^3", _check_deg_bs_sandwich),
-        A("influence-le-s", "influence at most sensitivity", _check_influence_le_s),
-        A("influence-le-deg", "influence at most degree", _check_influence_le_deg),
-        A("deg-le-dt", "degree at most decision-tree depth", _dt_check("deg", lambda dt: dt)),
-        A("cert-ge-bs", "certificate complexity dominates block sensitivity", _check_cert_ge_bs),
-        A("alt-dc-relation", "alt in {2dc-1, 2dc, 2dc+1}", _check_alt_dc),
-        A("alt-le-exp-dt", "alt <= 2^(DT+1) - 1", _dt_check("alt", lambda dt: (1 << (dt + 1)) - 1)),
-        A("dc-le-exp-dt", "dc <= 2^DT - 1", _dt_check("dc", lambda dt: (1 << dt) - 1)),
-        A("negs-from-decrease", "negation counts consistent with decrease", _check_negs_consistency),
-        A("log-sparsity-le-2deg", "log2 sparsity at most twice degree", _check_log_sparsity_le_2deg),
-        A(
-            "deg2-le-log-sparsity",
-            "deg2 at most log2 sparsity when deg2 > 1",
-            _check_deg2_le_log_sparsity,
-        ),
-        A("spectral-weight-ge-n", "weighted spectral sum at least n", _check_weighted_ge_n),
-        A("sens-sqrt-sparsity", "s * sqrt(sparsity) at least n", _check_s_sqrt_sparsity),
-        A("deg-exp-deg2-lower", "deg at least n / 2^deg2", _check_deg_exp_deg2),
-        A("influence-le-alt-sqrt-n", "influence at most alt * sqrt(n)", _check_influence_le_alt_sqrt_n),
-        A("influence-le-alt-deg2sq", "influence at most alt * deg2^2", _check_influence_le_alt_deg2sq),
-        A(
-            "influence-fourier-identity",
-            "influence equals the weighted spectral square sum",
-            _check_influence_fourier,
-        ),
-        A(
-            "sens-square-identity",
-            "weighted2 spectral sum equals the mean squared sensitivity",
-            _check_weighted2_identity,
-        ),
-        A("parseval", "scaled spectrum squares sum to 4^n", _check_parseval),
-        A("witness-valid", "DP witness chain achieves alt", _check_witness_valid),
-        A(
-            "monotone-decomposition",
-            "alt-many monotone parts reconstruct the function",
-            _check_decomposition,
-        ),
+# The registry: one row per check.
+CHECKS: dict[str, Check] = {
+    check.name: check
+    for check in [
+        _declare("s-le-bs", "assert", "sensitivity at most block sensitivity", "s bs",
+                 lambda s, bs: s <= bs, BS_CAPPED),
+        _declare("deg-bs-sandwich", "assert", "sqrt(bs) <= deg <= bs^3", "bs deg",
+                 lambda bs, deg: bs <= deg * deg and deg <= bs**3, BS_CAPPED),
+        _declare("influence-le-s", "assert", "influence at most sensitivity", "I s",
+                 lambda i, s: i <= s),
+        _declare("influence-le-deg", "assert", "influence at most degree", "I deg",
+                 lambda i, deg: i <= deg),
+        _declare("deg-le-dt", "assert", "degree at most decision-tree depth", "deg DT",
+                 lambda deg, dt: deg <= dt, DT_CAPPED),
+        # every certificate hits each disjoint sensitive block, so C >= bs >= s
+        _declare("cert-ge-bs", "assert", "certificate complexity dominates block sensitivity",
+                 "s bs C", lambda s, bs, c: s <= bs <= c, BS_C_CAPPED),
+        _declare("alt-dc-relation", "assert", "alt in {2dc-1, 2dc, 2dc+1}", "alt dc",
+                 lambda alt, dc: alt in (2 * dc - 1, 2 * dc, 2 * dc + 1)),
+        _declare("alt-le-exp-dt", "assert", "alt <= 2^(DT+1) - 1", "alt DT",
+                 lambda alt, dt: alt <= (1 << (dt + 1)) - 1, DT_CAPPED),
+        _declare("dc-le-exp-dt", "assert", "dc <= 2^DT - 1", "dc DT",
+                 lambda dc, dt: dc <= (1 << dt) - 1, DT_CAPPED),
+        _declare("negs-from-decrease", "assert", "negation counts consistent with decrease",
+                 "dc negs negs_formula",
+                 lambda dc, negs, nf: negs == (math.ceil(math.log2(1 + dc)) if dc else 0) and nf == dc),
+        _declare("log-sparsity-le-2deg", "assert", "log2 sparsity at most twice degree", "sparsity deg",
+                 lambda sp, deg: sp <= 1 << (2 * deg)),
+        _declare("deg2-le-log-sparsity", "assert", "deg2 at most log2 sparsity when deg2 > 1",
+                 "deg2 sparsity", lambda d2, sp: (1 << d2) <= sp, DEG2_LE_1),
+        _declare("spectral-weight-ge-n", "assert", "weighted spectral sum at least n", "weighted n",
+                 lambda w, n: w >= n, PARTIAL),
+        _declare("sens-sqrt-sparsity", "assert", "s * sqrt(sparsity) at least n", "s sparsity n",
+                 lambda s, sp, n: s * s * sp >= n * n, PARTIAL),
+        _declare("deg-exp-deg2-lower", "assert", "deg at least n / 2^deg2", "deg deg2 n",
+                 lambda deg, d2, n: deg * (1 << d2) >= n, PARTIAL),
+        _declare("influence-le-alt-sqrt-n", "assert", "influence at most alt * sqrt(n)", "I alt n",
+                 lambda i, alt, n: i * i <= alt * alt * n),
+        _declare("influence-le-alt-deg2sq", "assert", "influence at most alt * deg2^2", "I alt deg2",
+                 lambda i, alt, d2: i <= alt * d2**2),
+        _declare("influence-fourier-identity", "assert",
+                 "influence equals the weighted spectral square sum",
+                 "I spectral", lambda i, spectral: i == spectral),
+        _declare("sens-square-identity", "assert",
+                 "weighted2 spectral sum equals the mean squared sensitivity",
+                 "weighted2 avg_s2", lambda w2, s2: w2 == s2),
+        _declare("parseval", "assert", "scaled spectrum squares sum to 4^n", "sum_sq n",
+                 lambda total, n: total == 1 << (2 * n)),
+        _declare("witness-valid", "assert", "DP witness chain achieves alt", "witness_alt alt",
+                 lambda got, alt: got == alt),
+        Check("monotone-decomposition", "assert", "alt-many monotone parts reconstruct the function",
+              _decomposition),
         *(
-            A(f"deg-product-bound-m{m}", f"deg <= alt * deg2 * deg_{m}", _deg_product_check(m))
+            _declare(f"deg-product-bound-m{m}", "assert", f"deg <= alt * deg2 * deg_{m}",
+                     f"deg alt deg2 deg_{m}", lambda deg, alt, d2, dm: deg <= alt * d2 * dm)
             for m in range(2, 7)
         ),
-        Check("bs-ratio", "ratio", "observed bs / (s * alt^2)", _ratio_bs),
-        Check(
-            "sens-log-ratio",
-            "ratio",
-            "observed s / log2(n) on fully-dependent functions",
-            _ratio_sens_log,
-        ),
-        Check(
-            "deg-sparsity-exponent",
-            "report",
-            "implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c",
-            _report_deg_sparsity_exponent(sparsity_exponent),
-        ),
+        _declare("bs-ratio", "ratio", "observed bs / (s * alt^2)", "bs s alt",
+                 lambda bs, s, alt: Fraction(bs, s * alt * alt), BS_CAPPED, NO_BS_DENOMINATOR),
+        _declare("sens-log-ratio", "ratio", "observed s / log2(n) on fully-dependent functions", "s n",
+                 lambda s, n: s / math.log2(n), PARTIAL, LOG_N_ZERO),
+        Check("deg-sparsity-exponent", "report",
+              "implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c", _deg_sparsity_exponent),
     ]
-    return {c.name: c for c in checks}
-
-
-CHECKS: dict[str, Check] = _build_registry()
+}
 
 
 def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:

@@ -347,6 +347,7 @@ def test_console_script_entry_point():
         ["verify", "--exhaustive", "2", "--sample", "3,-2,1"],
         ["verify", "--sample", "3,5"],
         ["verify", "--sample", "3,x,1"],
+        ["verify", "--exhaustive", "2", "--checks", "deg-sparsity-exponent", "--fail-limit", "-1"],
     ],
     ids=" ".join,
 )
@@ -360,6 +361,7 @@ def test_bad_source_is_a_usage_error(argv, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    # A bad population names its flag and value, and fails before any sweep.
-    if argv[-2] in ("--exhaustive", "--sample"):
+    # A bad population or fail limit names its flag and value, and fails
+    # before any sweep.
+    if argv[-2] in ("--exhaustive", "--sample", "--fail-limit"):
         assert sweeps == [] and err.startswith(f"error: {argv[-2]} {argv[-1]}"), err

@@ -277,18 +277,18 @@ def test_measure_report_fields_and_invariants():
     data = report.to_json_dict()
     assert data["s"] == 3 and data["alt"] == 5 and data["dc"] == 2
     assert data["negs"] == 2 and data["negs_formula"] == 2
-    assert report.I <= report.s <= report.bs
-    assert report.alt in (2 * report.dc - 1, 2 * report.dc, 2 * report.dc + 1)
+    assert report.influence() <= report.s() <= report.bs()
+    assert report.alt() in (2 * report.dc() - 1, 2 * report.dc(), 2 * report.dc() + 1)
 
 
 def test_measure_report_honors_caps():
     f = families.named_basics("parity", 6)
     report = measure_report(f, bs_cap=4, cert_cap=4, dt_cap=4)
-    assert report.bs is None and report.C is None and report.DT is None
-    assert set(report.skips) == {"bs", "C", "DT"}
+    assert report.bs() is None and report.cert() is None and report.dt() is None
+    assert set(report.skips()) == {"bs", "C", "DT"}
 
 
 def test_per_point_table():
     maj3 = families.named_basics("majority", 3)
-    report = measure_report(maj3, per_point=True)
-    assert report.per_point["s"] == [0, 2, 2, 2, 2, 2, 2, 0]
+    report = measure_report(maj3)
+    assert report.per_point()["s"] == [0, 2, 2, 2, 2, 2, 2, 0]

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from boolfn import families, measures, verify
@@ -14,33 +15,31 @@ from boolfn.verify import (
     Check,
     MeasureContext,
     Population,
-    enumerate_functions,
     run_check_suite,
     run_single_check,
-    sample_functions,
 )
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_functions(1))) == 4
-    tables = list(enumerate_functions(2))
+    assert len(list(Population.exhaustive(1).tables())) == 4
+    tables = list(Population.exhaustive(2).tables())
     assert len(tables) == 16
     assert serialize(tables[0]) == "2:0"
     assert serialize(tables[-1]) == "2:F"
     with pytest.raises(ValueError):
-        next(enumerate_functions(5))
+        Population.exhaustive(5).tables()
 
 
 def test_sample_determinism():
-    a = [serialize(t) for t in sample_functions(5, 1000, 42)]
-    b = [serialize(t) for t in sample_functions(5, 1000, 42)]
+    a = [serialize(t) for t in Population.sample(5, 1000, 42).tables()]
+    b = [serialize(t) for t in Population.sample(5, 1000, 42).tables()]
     assert a == b
-    c = [serialize(t) for t in sample_functions(5, 1000, 43)]
+    c = [serialize(t) for t in Population.sample(5, 1000, 43).tables()]
     assert a != c
-    tables = list(sample_functions(8, 10, 7))
+    tables = list(Population.sample(8, 10, 7).tables())
     assert len(tables) == 10 and all(t.n == 8 for t in tables)
     with pytest.raises(ValueError):
-        next(sample_functions(25, 1, 0))
+        Population.sample(25, 1, 0).tables()
 
 
 def test_unknown_check_rejected():
@@ -225,7 +224,7 @@ CAPS = {
 
 
 def test_worker_parses_only_its_own_range(monkeypatch):
-    texts = tuple(serialize(t) for t in sample_functions(8, 4000, 5))
+    texts = tuple(serialize(t) for t in Population.sample(8, 4000, 5).tables())
     parsed = []
     monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
     part = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
@@ -267,3 +266,18 @@ def test_spawn_pool_matches_serial():
 def test_bad_population_parameters_rejected_when_made(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [[0, 2, 0, 1], [0, 1, 1, 1]],
+    ids=["not-monotone", "wrong-parity"],
+)
+def test_decomposition_check_fails_on_a_corrupted_profile(profile):
+    # AND_2 has A = [0, 0, 0, 1]; the first profile drops from 2 to 1 along
+    # x_2, the second has A mod 2 != f xor f(0^n) at two points
+    record = MeasureContext(families.named_basics("and", 2))
+    record.profile = lambda: np.array(profile, dtype=np.int32)
+    status, observed = CHECKS["monotone-decomposition"].run(record)
+    assert status == "fail"
+    assert observed == {"parts": 1, "alt": 1, "negated": False}
