@@ -26,10 +26,12 @@ __all__ = [
     "MultilinearPoly",
     "SpectralSums",
     "degree",
+    "degrees",
     "fourier_transform",
     "influence_from_spectrum",
     "multilinear_coefficients",
     "sparsity",
+    "spectral_sum",
     "spectral_sums",
     "subset_of_index",
 ]
@@ -89,10 +91,7 @@ class MultilinearPoly:
         return int(_one_table(self.coeffs)[_index_of_subset(iter(vars_), self.n)])
 
     def degree(self) -> int:
-        nz = np.nonzero(_one_table(self.coeffs))[0]
-        if nz.size == 0:
-            return 0
-        return int(popcounts(self.n)[nz].max())
+        return int(degrees(_one_table(self.coeffs), self.n))
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         for t in np.nonzero(_one_table(self.coeffs))[0]:
@@ -138,6 +137,12 @@ def multilinear_coefficients(f: Tables, modulus: Modulus = "integers") -> Multil
 def degree(f: TruthTable, modulus: Modulus = "integers") -> int:
     """Degree of the multilinear representation over Z (or over Z_m)."""
     return multilinear_coefficients(f, modulus).degree()
+
+
+def degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The degree of every coefficient row (along the last axis): the largest
+    monomial with a nonzero coefficient, 0 where there is none."""
+    return np.where(coeffs != 0, popcounts(n), 0).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -214,22 +219,22 @@ def spectral_sums(f: TruthTable) -> SpectralSums:
     return spectral_sums_of(fourier_transform(f))
 
 
+def spectral_sum(scaled: np.ndarray, n: int, power: int, weight: int) -> np.ndarray:
+    """The exact sum over S of |scaled[S]|**power * |S|**weight, along the
+    last axis: one value for a spectrum, one per row for a stack. It is the
+    numerator of a spectral sum at denominator 2**(n * power)."""
+    terms = exact_terms(scaled, n)
+    terms = np.abs(terms) if power == 1 else terms * terms
+    return (terms * exact_terms(popcounts(n).astype(np.int64), n) ** weight).sum(axis=-1)
+
+
 def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
-    n = spec.n
-    scaled = exact_terms(_one_table(spec.scaled), n)
-    pc = exact_terms(popcounts(n).astype(np.int64), n)
-    magnitude = np.abs(scaled)
+    n, scaled = spec.n, _one_table(spec.scaled)
+    l1, weighted, weighted2 = (int(spectral_sum(scaled, n, *pw)) for pw in ((1, 0), (1, 1), (2, 2)))
     denom = 1 << n
-    return SpectralSums(
-        l1=Fraction(int(magnitude.sum()), denom),
-        weighted=Fraction(int((magnitude * pc).sum()), denom),
-        weighted2=Fraction(int((scaled * scaled * pc * pc).sum()), denom * denom),
-    )
+    return SpectralSums(Fraction(l1, denom), Fraction(weighted, denom), Fraction(weighted2, denom**2))
 
 
 def influence_from_spectrum(spec: FourierSpectrum) -> Fraction:
     """Influence via the spectral identity sum |S| fhat(S)^2."""
-    n = spec.n
-    scaled = exact_terms(_one_table(spec.scaled), n)
-    pc = exact_terms(popcounts(n).astype(np.int64), n)
-    return Fraction(int((scaled * scaled * pc).sum()), 1 << (2 * n))
+    return Fraction(int(spectral_sum(_one_table(spec.scaled), spec.n, 2, 1)), 1 << (2 * spec.n))

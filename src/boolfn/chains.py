@@ -36,12 +36,14 @@ from .families import DecisionTreeShape
 __all__ = [
     "Chain",
     "alternation_along",
+    "alternations_along",
     "alternation_profile",
     "decrease",
     "gap_family_chain",
     "glued_composition_chain",
     "max_alternation_witness",
     "monotone_decomposition",
+    "witness_orders",
 ]
 
 
@@ -135,25 +137,43 @@ def decrease(alt, value, value0):
     return (alt - value + value0) // 2
 
 
+def witness_orders(f: Tables, profile: Optional[np.ndarray] = None) -> np.ndarray:
+    """The order of a chain achieving the maximum alternation, for one table
+    or for every row of a stack, recovered by backtracking from 1^n.
+
+    Each step back from x clears the lowest-numbered set variable x_j whose
+    predecessor y is consistent with the profile, A(y) + [f(y) != f(x)] =
+    A(x), which the DP guarantees for some j; x_j is the chain's step into x.
+    The n steps run on all rows at once, n candidates each.
+    """
+    n, v = table_values(f)
+    A = alternation_profile(f) if profile is None else profile
+    shape, v, A = v.shape, v.reshape(-1), A.reshape(-1)
+    rows = np.arange(len(v) >> n)
+    bits = 1 << np.arange(n - 1, -1, -1)  # x_1 first
+    x = (rows << n) + (1 << n) - 1  # flat: point x of row r is r * 2**n + x
+    order = np.zeros((len(rows), n), dtype=np.int64)
+    for step in range(n - 1, -1, -1):
+        here, y = x[:, None], x[:, None] ^ bits
+        fits = (y < here) & (A[y] + (v[y] != v[here]) == A[here])
+        j = fits.argmax(axis=1)
+        order[:, step] = j + 1
+        x = y[rows, j]
+    return order.reshape(*shape[:-1], n)
+
+
 def max_alternation_witness(f: TruthTable, profile: Optional[np.ndarray] = None) -> Chain:
     """A chain achieving the maximum alternation, recovered by backtracking."""
-    n = f.n
-    A = alternation_profile(f) if profile is None else profile
-    v = f.values
-    order_rev: list[int] = []
-    x = (1 << n) - 1
-    while x:
-        for p in range(n - 1, -1, -1):
-            bit = 1 << p
-            if x & bit:
-                y = x ^ bit
-                if A[y] + (v[y] != v[x]) == A[x]:
-                    order_rev.append(n - p)
-                    x = y
-                    break
-        else:  # pragma: no cover - DP invariant guarantees a predecessor
-            raise AssertionError("no consistent predecessor during backtracking")
-    return Chain(n, tuple(reversed(order_rev)))
+    return Chain(f.n, tuple(witness_orders(f, profile).tolist()))
+
+
+def alternations_along(f: Tables, orders: np.ndarray) -> np.ndarray:
+    """Number of value changes of every row of a stack along its own chain,
+    row i of ``orders`` (as from :func:`witness_orders`)."""
+    n, v = table_values(f)
+    points = np.cumsum(1 << (n - orders), axis=-1)
+    values = np.concatenate([v[:, :1], v[np.arange(len(v))[:, None], points]], axis=-1)
+    return (values[:, 1:] != values[:, :-1]).sum(axis=-1)
 
 
 def gap_family_chain(tree: DecisionTreeShape) -> Chain:

@@ -313,14 +313,15 @@ def _slices(f: TruthTable, j: int) -> tuple[np.ndarray, np.ndarray]:
     return shaped[:, 0, :], shaped[:, 1, :]
 
 
-def depends_on(f: TruthTable, j: int) -> bool:
-    lo, hi = _slices(f, j)
-    return bool(np.any(lo != hi))
-
-
-def depends_on_all(f: TruthTable) -> bool:
-    """True iff every variable has some input where flipping it flips f."""
-    return all(depends_on(f, j) for j in range(1, f.n + 1))
+def depends_on_all(f: Tables):
+    """True iff every variable has some input where flipping it flips f; for
+    an ``(N, 2**n)`` stack of tables, that flag of every row."""
+    n, v = table_values(f)
+    out = np.ones(v.shape[:-1], dtype=bool)
+    for j in range(1, n + 1):
+        halves = v.reshape(*v.shape[:-1], 1 << (j - 1), 2, 1 << (n - j))
+        out &= (halves[..., 0, :] != halves[..., 1, :]).any(axis=(-2, -1))
+    return bool(out) if out.ndim == 0 else out
 
 
 def is_monotone(f: TruthTable) -> bool:

@@ -1,4 +1,4 @@
-"""Exact combinatorial complexity measures, and the record that holds them.
+"""Exact combinatorial complexity measures, as columns of a chunk of functions.
 
 Sensitivity, block sensitivity, certificate complexity, influence,
 alternation/decrease (via the hypercube DP), decision-tree depth, and the
@@ -11,17 +11,18 @@ it too: C(f, x) for every x, with s(f), bounds its search, so only points
 with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
 3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``.
 
-:class:`MeasureContext` is the lazy per-function record that computes each
-measure at most once, the algebraic ones included. The check registry,
-``boolfn analyze`` and the measure matrix all read it, through the one
-column schema ``COLUMNS``; :func:`measure_report` returns it.
-
-The four kernels that every function needs (the alternation DP, Moebius,
-Walsh and per-point sensitivity) run per :class:`Chunk`: consecutive
-same-arity tables, at most ``CHUNK_CELLS`` cells in all, whose records
-share one run of each kernel on the stacked ``(N, 2**n)`` matrix. Sweeps
-build their records with :func:`records`; a lone record is a chunk of one.
-The subcube table, C, DT, bs and the degree columns stay per record.
+Every measure is a column of a :class:`Chunk`: consecutive same-arity
+tables, at most ``CHUNK_CELLS`` cells in all. A column is computed at its
+first read, once for all rows. The kernels behind the columns (the
+alternation DP, Moebius, Walsh and per-point sensitivity) each run once on
+the stacked ``(N, 2**n)`` matrix; the subcube tables, with their C sweep
+and DT rounds, run on parts of it of at most ``CHUNK_CELLS`` subcube
+cells. Only block sensitivity still searches row by row, and only on rows
+with s(f) < max C(f, x). The check registry reads whole
+columns. :class:`MeasureContext`, the record of one function, reads its
+row of them, for ``boolfn analyze``, the measure matrix and the
+per-record check path, through the one column schema ``COLUMNS``. Sweeps
+build their chunks with :func:`chunks`; a lone record is a chunk of one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,20 +55,25 @@ __all__ = [
     "CHUNK_CELLS",
     "DT_CAP_DEFAULT",
     "FREE",
+    "ROW_INT64_MAX_ARITY",
     "SUBCUBE_MAX_ARITY",
     "COLUMNS",
     "AltDecrease",
     "Chunk",
     "MeasureContext",
+    "Row",
     "alternation_decrease",
     "block_sensitivity",
     "certificate_complexity",
+    "check_caps",
+    "chunks",
     "decision_tree_depth",
     "influence",
     "measure_report",
     "negation_complexity",
     "per_point_certificate",
     "per_point_sensitivity",
+    "per_value",
     "records",
     "sensitivity",
     "subcube_table",
@@ -76,13 +82,20 @@ __all__ = [
 BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
-# The subcube table takes 3**n bytes and the DT rounds about 1.5 times that
-# again (36 MB at n = 15, 110 MB at n = 16); no bs, C or DT cap may exceed this.
+# A chunk keeps the subcube tables of its N = CHUNK_CELLS >> n tables, N * 3**n
+# bytes, which grows with n to 43 MB for one table at n = 16. The C sweep and
+# the DT rounds take parts of at most CHUNK_CELLS cells (or one table), and
+# the rounds need about 1.5 times a part again: 110 MB in all at n = 16. No
+# bs, C or DT cap may exceed this.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 # A chunk stacks at most this many table cells (256 tables at n = 8), which
 # bounds each stacked kernel array; a table above it is a chunk of one.
 CHUNK_CELLS = 1 << 16
+# Per-row columns are int64 up to this arity and Python ints above it. The
+# check formulas multiply them up to (n + 1)**2 * n * 4**n (alt**2 * n
+# against I**2, both scaled by 4**n), which is below 2**63 up to n = 24.
+ROW_INT64_MAX_ARITY = 24
 
 
 def per_point_sensitivity(f: Tables) -> np.ndarray:
@@ -180,8 +193,9 @@ def block_sensitivity(
     return best
 
 
-def subcube_table(f: TruthTable) -> np.ndarray:
-    """f's constant value on every subcube, or ``FREE`` where f varies.
+def subcube_table(f: Tables) -> np.ndarray:
+    """f's constant value on every subcube, or ``FREE`` where f varies (for
+    every row, for a stack: ``(N, 3**n)``).
 
     Cell c of the flat 3**n array has base-3 digits c_1 ... c_n, with c_1
     the most significant, as x_1 is the top bit of a point. Digit 0 or 1
@@ -189,34 +203,36 @@ def subcube_table(f: TruthTable) -> np.ndarray:
     cube. One pass per variable splits each cell on x_j into its two halves
     and the cell where x_j is free.
     """
-    n = f.n
+    n, cube = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
-    cube = f.values
+    lead = cube.shape[:-1]
     for j in range(n):
-        halves = cube.reshape(3**j, 2, -1)
-        lo, hi = halves[:, :1], halves[:, 1:]
-        cube = np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=1)
-    cube = cube.reshape(-1)
+        halves = cube.reshape(*lead, 3**j, 2, -1)
+        lo, hi = halves[..., :1, :], halves[..., 1:, :]
+        cube = np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=-2)
+    cube = cube.reshape(*lead, -1)
     cube.setflags(write=False)
     return cube
 
 
-def per_point_certificate(f: TruthTable, cubes: Optional[np.ndarray] = None) -> np.ndarray:
-    """C(f, x) for every point x, read from the subcube table ``cubes``.
+def per_point_certificate(f: Tables, cubes: Optional[np.ndarray] = None) -> np.ndarray:
+    """C(f, x) for every point x (of every row, for a stack), read from the
+    subcube table ``cubes``.
 
     C(f, x) is the fewest fixed variables of a constant subcube that holds
     x. The sweep over x_j gives each cell fixing x_j the better of its own
     count plus one and the count of its cell with x_j free, then drops the
     free cells; after n sweeps the 2**n cells left hold C(f, x) for every x.
     """
-    n = f.n
+    n, _ = table_values(f)
     cubes = subcube_table(f) if cubes is None else cubes
+    lead = cubes.shape[:-1]
     size = np.where(cubes == FREE, np.uint8(n + 1), np.uint8(0))
     for j in range(n):
-        cells = size.reshape(2**j, 3, -1)
-        size = np.minimum(cells[:, :FREE] + 1, cells[:, FREE:])
-    return size.reshape(-1)
+        cells = size.reshape(*lead, 2**j, 3, -1)
+        size = np.minimum(cells[..., :FREE, :] + 1, cells[..., FREE:, :])
+    return size.reshape(*lead, -1)
 
 
 def certificate_complexity(
@@ -252,29 +268,30 @@ def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDe
     return AltDecrease(record.alt(), record.dc(), record.witness())
 
 
-def decision_tree_depth(
-    f: TruthTable, cap: int = DT_CAP_DEFAULT, cubes: Optional[np.ndarray] = None
-) -> int:
-    """Depth of the shallowest decision tree, exact.
+def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np.ndarray] = None):
+    """Depth of the shallowest decision tree, exact; for a stack, the
+    depth of every row.
 
     Round d marks the subcubes that a depth-d tree decides: the constant
     ones, and those with a free x_j whose two halves on x_j were marked in
     round d - 1. The depth is the first round that marks the whole cube.
     """
-    n = f.n
+    n, _ = table_values(f)
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
     decided = (subcube_table(f) if cubes is None else cubes) != FREE
+    lead = decided.shape[:-1]
     before = np.empty_like(decided)
-    splits = [(decided.reshape(3**j, 3, -1), before.reshape(3**j, 3, -1)) for j in range(n)]
-    splits = [(cells[:, FREE], prev[:, 0], prev[:, 1]) for cells, prev in splits]
-    depth = 0
-    while not decided[-1]:
+    cells = [decided.reshape(*lead, 3**j, 3, -1) for j in range(n)]
+    prevs = [before.reshape(*lead, 3**j, 3, -1) for j in range(n)]
+    splits = [(cell[..., FREE, :], prev[..., 0, :], prev[..., 1, :]) for cell, prev in zip(cells, prevs)]
+    depth = np.zeros(lead, dtype=np.int64)
+    while not decided[..., -1].all():
+        depth += ~decided[..., -1]
         before[:] = decided
         for free, lo, hi in splits:
             free |= lo & hi
-        depth += 1
-    return depth
+    return depth if lead else int(depth)
 
 
 def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
@@ -282,61 +299,190 @@ def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[
     return MeasureContext(materialize(f, cap)).negs()
 
 
-def _memoized(method):
-    """Cache a record accessor's value per record and per argument."""
-    name = method.__name__
+def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
+    """Reject a bs, C or DT cap whose subcube table would be too large."""
+    if max(bs_cap, cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
+        raise CapExceededError(f"bs, C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
 
-    @wraps(method)
-    def get(self, *args):
-        key = (name, *args)
-        if key not in self._cache:
-            self._cache[key] = method(self, *args)
-        return self._cache[key]
 
-    return get
+def per_value(fn: Callable, column):
+    """``fn`` of every entry of an integer column, run in Python once per
+    distinct value, so a float formula gives the bits it gives on one
+    record; ``fn`` of a scalar."""
+    if not isinstance(column, np.ndarray):
+        return fn(column)
+    entries = column.tolist()
+    results = {v: fn(v) for v in set(entries)}
+    return np.array([results[v] for v in entries])
+
+
+def _exact_column(compute: Callable[["Chunk"], np.ndarray]) -> cached_property:
+    """A per-row chunk column, computed once, as exact integers."""
+    return cached_property(lambda c: c._exact(compute(c)))
 
 
 class Chunk:
-    """Same-arity tables whose records share the once-per-function kernels.
+    """Same-arity tables whose measures are columns, each computed once.
 
-    The alternation DP, Moebius, Walsh and per-point sensitivity each run at
-    most once per chunk, on the ``(N, 2**n)`` stack of its tables, at the
-    first read by any of its records; each record reads its own row.
+    A column is computed at its first read, for all rows at once, and kept.
+    The per-point columns (``stack``, ``per_point_s``, ``profile``,
+    ``coeffs``, ``spectrum``, and each row's witness chain order
+    ``witness``) come from one kernel run on the ``(N, 2**n)`` stack, and
+    ``per_point_cert`` from one run per part of the subcube tables
+    ``cubes``; the per-row measures are built
+    from them as exact integers, int64 up to ``ROW_INT64_MAX_ARITY`` and
+    Python ints above. A rational measure is kept as its numerator:
+    ``I_num``, ``avg_s2_num``, ``l1_num`` and ``weighted_num`` over 2**n,
+    ``weighted2_num`` and ``spectral_num`` over 4**n. No reader asks for a
+    measure above its cap.
     """
 
-    def __init__(self, tables: Sequence[TruthTable]) -> None:
+    def __init__(
+        self,
+        tables: Sequence[TruthTable],
+        bs_cap: int = BS_CAP_DEFAULT,
+        cert_cap: int = CERT_CAP_DEFAULT,
+        dt_cap: int = DT_CAP_DEFAULT,
+    ) -> None:
+        check_caps(bs_cap, cert_cap, dt_cap)
         self.tables = tables
-        self._cache: dict = {}
+        self.n = tables[0].n
+        self.bs_cap, self.cert_cap, self.dt_cap = bs_cap, cert_cap, dt_cap
+        self._degm: dict[int, np.ndarray] = {}
 
-    @_memoized
-    def stack(self) -> np.ndarray:
-        return np.stack([t.values for t in self.tables])
+    def __len__(self) -> int:
+        return len(self.tables)
 
-    @_memoized
-    def per_point_s(self) -> np.ndarray:
-        return per_point_sensitivity(self.stack())
+    def record(self, row: int) -> "MeasureContext":
+        return MeasureContext(self.tables[row], chunk=self, row=row)
 
-    @_memoized
-    def profile(self) -> np.ndarray:
-        return chains.alternation_profile(self.stack())
+    def records(self) -> Iterator["MeasureContext"]:
+        return map(self.record, range(len(self.tables)))
 
-    @_memoized
-    def coeffs(self) -> np.ndarray:
-        return algebra.multilinear_coefficients(self.stack()).coeffs
+    def first_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The (at most) ``k`` of ``rows`` with the smallest function ids.
 
-    @_memoized
-    def spectrum(self) -> np.ndarray:
-        return algebra.fourier_transform(self.stack()).scaled
+        Within one arity, ``serialize`` order is the order of the packed
+        tables, so the rows sort on those integers and no id is built.
+        """
+        if len(rows) > k:
+            packed = np.packbits(self.stack[rows], axis=-1, bitorder="little")
+            keys = [int.from_bytes(row, "little") for row in packed]
+            rows = rows[sorted(range(len(rows)), key=keys.__getitem__)[:k]]
+        return rows
+
+    def _exact(self, a: np.ndarray) -> np.ndarray:
+        return a.astype(np.int64 if self.n <= ROW_INT64_MAX_ARITY else object)
+
+    # The per-point columns: one kernel run each on the stack.
+    stack = cached_property(lambda c: np.stack([t.values for t in c.tables]))
+    per_point_s = cached_property(lambda c: per_point_sensitivity(c.stack))
+    profile = cached_property(lambda c: chains.alternation_profile(c.stack))
+    coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack).coeffs)
+    spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack).scaled)
+    witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
+    per_point_cert = cached_property(lambda c: c._by_cube_parts(per_point_certificate))
+
+    @cached_property
+    def cubes(self) -> list[np.ndarray]:
+        """The subcube tables, in parts of at most ``CHUNK_CELLS`` cells (one
+        table, above that), so the C sweep and the DT rounds, which read
+        each table many times, run on arrays of a bounded size."""
+        step = max(1, CHUNK_CELLS // 3**self.n)
+        return [subcube_table(self.stack[i : i + step]) for i in range(0, len(self), step)]
+
+    def _by_cube_parts(self, measure: Callable[..., np.ndarray]) -> np.ndarray:
+        """``measure(rows, cubes=part)`` of each part of ``cubes``, joined."""
+        step = len(self.cubes[0])
+        parts = zip(range(0, len(self), step), self.cubes)
+        return np.concatenate([measure(self.stack[i : i + step], cubes=cubes) for i, cubes in parts])
+
+    # From the per-point sensitivity: s, I and the mean squared sensitivity.
+    s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
+    I_num = _exact_column(lambda c: c.per_point_s.sum(axis=-1, dtype=np.int64))
+    avg_s2_num = _exact_column(lambda c: (c.per_point_s.astype(np.int64) ** 2).sum(axis=-1))
+
+    # From the subcube table: C and DT, and bs, which starts at s and is
+    # searched only on the rows where s < max C(f, x), as s <= bs <= C.
+    cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
+    dt = _exact_column(lambda c: c._by_cube_parts(partial(decision_tree_depth, cap=c.dt_cap)))
+
+    @cached_property
+    def bs(self) -> np.ndarray:
+        bs = self.s.copy()
+        for i in np.flatnonzero(self.s < self.cert).tolist():
+            bounds = int(self.s[i]), self.per_point_cert[i]
+            bs[i] = block_sensitivity(self.tables[i], cap=self.bs_cap, bounds=bounds)
+        return bs
+
+    # From the profile: alt, dc, the circuit negation count, and the
+    # alternation along each row's witness chain.
+    alt = _exact_column(lambda c: c.profile[:, -1])
+    dc = _exact_column(lambda c: chains.decrease(c.profile[:, -1], c.stack[:, -1], c.stack[:, 0]))
+    negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
+    witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
+
+    # From the Moebius coefficients: the degree over Z and over every Z_m.
+    deg = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n))
+
+    def degm(self, m: int) -> np.ndarray:
+        if m not in self._degm:
+            self._degm[m] = self._exact(algebra.degrees(self.coeffs % m, self.n))
+        return self._degm[m]
+
+    # From the Walsh spectrum: sparsity and the spectral sums' numerators.
+    sparsity = _exact_column(lambda c: np.count_nonzero(c.spectrum, axis=-1))
+    l1_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 1, 0))
+    weighted_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 1, 1))
+    weighted2_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 2))
+    spectral_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 1))  # I, by Fourier
+    sum_sq = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 0))  # 4**n, by Parseval
+
+    depends_all = cached_property(lambda c: depends_on_all(c.stack))
+
+
+class Row:
+    """Row ``row`` of a chunk's columns, as a check formula reads them on one
+    record: each per-row column as a Python scalar, each per-point column
+    as a stack of one row, and the chunk's own attributes as they are."""
+
+    __slots__ = ("_chunk", "_row")
+
+    def __init__(self, chunk: Chunk, row: int) -> None:
+        self._chunk, self._row = chunk, row
+
+    def __getattr__(self, name: str):
+        value = getattr(self._chunk, name)
+        if callable(value):
+            return lambda *args: self._pick(value(*args))
+        return self._pick(value)
+
+    def _pick(self, value):
+        if not isinstance(value, np.ndarray):
+            return value
+        return value.item(self._row) if value.ndim == 1 else value[self._row : self._row + 1]
+
+
+def _reader(column: str, cap: Optional[str] = None) -> Callable[["MeasureContext"], Optional[int]]:
+    """A record accessor: the record's row of an integer chunk column, or
+    ``None`` when the arity is above the record's ``cap``."""
+
+    def read(self: "MeasureContext") -> Optional[int]:
+        if cap is not None and self.n > getattr(self, cap):
+            return None
+        return int(getattr(self._chunk, column)[self._row])
+
+    return read
 
 
 class MeasureContext:
-    """Lazy record of one function's measures, shared by every consumer.
+    """The record of one function: row ``row`` of its chunk's columns.
 
-    The checks, ``boolfn analyze`` and the measure matrix all read it, and
-    it is the only caller of the measure kernels, so each kernel runs at
-    most once per function (per ``chunk``, for the four stacked ones; the
-    record is row ``row`` of it) and only when some accessor needs it. A
-    measure above its cap reads ``None``. A bs, C or DT cap above
+    ``boolfn analyze``, the measure matrix and the per-record check path
+    read it. Every accessor reads its row of a chunk column, so each
+    measure is computed once per chunk, and only when some reader needs it.
+    A measure above its cap reads ``None``. Without a ``chunk`` the record
+    is a chunk of one, with the given caps; a bs, C or DT cap above
     ``SUBCUBE_MAX_ARITY`` is rejected up front.
     """
 
@@ -349,132 +495,74 @@ class MeasureContext:
         chunk: Optional[Chunk] = None,
         row: int = 0,
     ) -> None:
-        self.check_caps(bs_cap, cert_cap, dt_cap)
-        self.table = table
-        self.n = table.n
-        self.bs_cap = bs_cap
-        self.cert_cap = cert_cap
-        self.dt_cap = dt_cap
-        self._chunk = Chunk([table]) if chunk is None else chunk
-        self._row = row
-        self._cache: dict = {}
+        if chunk is None:
+            chunk = Chunk([table], bs_cap, cert_cap, dt_cap)
+        self.table, self.n, self._chunk, self._row = table, table.n, chunk, row
+        self.bs_cap, self.cert_cap, self.dt_cap = chunk.bs_cap, chunk.cert_cap, chunk.dt_cap
 
-    @staticmethod
-    def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
-        """Reject a bs, C or DT cap whose subcube table would be too large."""
-        if max(bs_cap, cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
-            raise CapExceededError(f"bs, C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
+    def columns(self) -> Row:
+        return Row(self._chunk, self._row)
 
-    @_memoized
     def fn_id(self) -> str:
         return serialize(self.table)
 
-    @_memoized
     def depends_all(self) -> bool:
-        return depends_on_all(self.table)
+        return bool(self._chunk.depends_all[self._row])
 
-    # One per-point sensitivity pass: s, I and the mean squared sensitivity.
     def per_point_s(self) -> np.ndarray:
-        return self._chunk.per_point_s()[self._row]
+        return self._chunk.per_point_s[self._row]
 
     def per_point(self) -> dict:
         return {"s": self.per_point_s().tolist()}
 
-    @_memoized
-    def s(self) -> int:
-        return int(self.per_point_s().max())
+    s = _reader("s")
+    bs = _reader("bs", "bs_cap")
+    cert = _reader("cert", "cert_cap")
+    dt = _reader("dt", "dt_cap")
+    alt = _reader("alt")
+    dc = _reader("dc")
+    deg = _reader("deg")
+    sparsity = _reader("sparsity")
 
-    @_memoized
     def influence(self) -> Fraction:
-        return Fraction(int(self.per_point_s().sum()), 1 << self.n)
+        return self.rational("I_num", 1)
 
-    @_memoized
     def avg_s2(self) -> Fraction:
-        pps = self.per_point_s().astype(np.int64)
-        return Fraction(int((pps * pps).sum()), 1 << self.n)
+        return self.rational("avg_s2_num", 1)
 
-    # The capped measures read one subcube table: DT, and C(f, x) for every
-    # x, which with s(f) bounds the bs search.
-    @_memoized
-    def cubes(self) -> np.ndarray:
-        return subcube_table(self.table)
-
-    @_memoized
-    def per_point_cert(self) -> np.ndarray:
-        return per_point_certificate(self.table, self.cubes())
-
-    @_memoized
-    def bs(self) -> Optional[int]:
-        if self.n > self.bs_cap:
-            return None
-        bounds = self.s(), self.per_point_cert()
-        return block_sensitivity(self.table, cap=self.bs_cap, bounds=bounds)
-
-    @_memoized
-    def cert(self) -> Optional[int]:
-        if self.n > self.cert_cap:
-            return None
-        return int(self.per_point_cert().max())
-
-    @_memoized
-    def dt(self) -> Optional[int]:
-        if self.n > self.dt_cap:
-            return None
-        return decision_tree_depth(self.table, cap=self.dt_cap, cubes=self.cubes())
+    def rational(self, column: str, power: int) -> Fraction:
+        """A rational measure: its numerator column over 2**(n * power)."""
+        return Fraction(_reader(column)(self), 1 << (self.n * power))
 
     def skips(self) -> dict[str, str]:
         caps = {"bs": self.bs_cap, "C": self.cert_cap, "DT": self.dt_cap}
         return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
 
-    # One alternation DP: alt, dc, the negation counts and the witness.
     def profile(self) -> np.ndarray:
-        return self._chunk.profile()[self._row]
-
-    @_memoized
-    def alt(self) -> int:
-        return int(self.profile()[-1])
-
-    @_memoized
-    def dc(self) -> int:
-        v = self.table.values
-        return chains.decrease(self.alt(), int(v[-1]), int(v[0]))
+        return self._chunk.profile[self._row]
 
     def negs(self) -> tuple[int, int]:
         """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
-        return self.dc().bit_length(), self.dc()
+        return _reader("negs")(self), self.dc()
 
-    @_memoized
     def witness(self) -> chains.Chain:
-        return chains.max_alternation_witness(self.table, self.profile())
+        return chains.Chain(self.n, tuple(self._chunk.witness[self._row].tolist()))
 
-    # One Moebius transform: the degree over Z and over every Z_m.
-    @_memoized
     def poly(self) -> algebra.MultilinearPoly:
-        return algebra.MultilinearPoly(self.n, self._chunk.coeffs()[self._row])
+        return algebra.MultilinearPoly(self.n, self._chunk.coeffs[self._row])
 
-    @_memoized
-    def deg(self) -> int:
-        return self.poly().degree()
-
-    @_memoized
     def degm(self, m: int) -> int:
-        return algebra.MultilinearPoly(self.n, self.poly().coeffs % m, m).degree()
+        return int(self._chunk.degm(m)[self._row])
 
     def deg2(self) -> int:
         return self.degm(2)
 
-    # One Walsh transform: sparsity and the spectral sums.
-    @_memoized
     def spectrum(self) -> algebra.FourierSpectrum:
-        return algebra.FourierSpectrum(self.n, self._chunk.spectrum()[self._row])
+        return algebra.FourierSpectrum(self.n, self._chunk.spectrum[self._row])
 
-    @_memoized
-    def sparsity(self) -> int:
-        return self.spectrum().sparsity()
-
-    @_memoized
     def sums(self) -> algebra.SpectralSums:
-        return algebra.spectral_sums_of(self.spectrum())
+        l1, weighted = self.rational("l1_num", 1), self.rational("weighted_num", 1)
+        return algebra.SpectralSums(l1, weighted, self.rational("weighted2_num", 2))
 
     def row(self) -> list:
         """The measure-matrix row, in ``COLUMNS`` order; capped cells are empty."""
@@ -511,17 +599,22 @@ COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
 }
 
 
-def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
-    """One record per table, in order, with the measure caps ``caps``.
+def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
+    """The tables, in order, as chunks with the measure caps ``caps``.
 
     Consecutive tables of one arity n share a :class:`Chunk` of at most
-    ``max(1, CHUNK_CELLS >> n)`` tables, so the stacked kernels run once
+    ``max(1, CHUNK_CELLS >> n)`` tables, so every column is computed once
     per chunk rather than once per table.
     """
     for n, same in itertools.groupby(tables, key=lambda t: t.n):
         while batch := list(itertools.islice(same, max(1, CHUNK_CELLS >> n))):
-            chunk = Chunk(batch)
-            yield from (MeasureContext(t, **caps, chunk=chunk, row=i) for i, t in enumerate(batch))
+            yield Chunk(batch, **caps)
+
+
+def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
+    """One record per table, in order, each a row of its :func:`chunks` chunk."""
+    for chunk in chunks(tables, **caps):
+        yield from chunk.records()
 
 
 def _cell(value):

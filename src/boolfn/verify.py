@@ -1,21 +1,23 @@
 """Inequality and identity harness over function populations.
 
 Checks are data: a name, a kind (``assert`` for proven statements, ``ratio``
-for observed-constant reports, ``report`` for parametrized implications), and
-a ``run`` over one function's :class:`~boolfn.measures.MeasureContext`, the
-lazy per-function record that computes each measure at most once. Each check
-is one row of the ``CHECKS`` table: its skip conditions, each written once
-with its reason, the observed values it keeps, by name, and a formula over
-them. The two checks that do not fit a row are plain functions. One registry
-feeds both the test suite and the CLI, populations are enumerated or sampled
-deterministically, and each check's :class:`Aggregate` merges commutatively
-so parallel runs match serial ones.
+for observed-constant reports, ``report`` for parametrized implications),
+and one :class:`Formula` over the measure columns of a
+:class:`~boolfn.measures.Chunk`. Each check is one row of the ``CHECKS``
+table: its skip conditions, each written once with its reason, the observed
+values it keeps, by name, and the formula. A sweep evaluates the formula on
+whole columns of each chunk, and each check's :class:`Aggregate` takes the
+chunk's outcome as masks: counts are mask sums, and only the failures it
+keeps and the ratio's best row are read as records. ``Check.run`` gives the
+same formula's outcome on one function's record. One registry feeds both
+the test suite and the CLI, populations are enumerated or sampled
+deterministically, and aggregates merge commutatively so parallel runs
+match serial ones.
 
-A worker builds only the members of its own index range, and reads them
-through :func:`boolfn.measures.records`, so the four stacked kernels run
-once per chunk of up to ``measures.CHUNK_CELLS`` cells, not once per
-function. Population parameters are checked when the population is made,
-before any sweep.
+A worker builds only the members of its own index range, as chunks of up to
+``measures.CHUNK_CELLS`` cells from :func:`boolfn.measures.chunks`, so every
+measure is computed once per chunk, not once per function. Population
+parameters are checked when the population is made, before any sweep.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import algebra, chains, measures
+from . import measures
 from .core import TruthTable, dense_cap, parse, serialize
 from .measures import MeasureContext
 
@@ -40,8 +42,10 @@ __all__ = [
     "Aggregate",
     "Check",
     "CheckResult",
+    "Formula",
     "MeasureContext",
     "Population",
+    "Skip",
     "SweepReport",
     "measure_matrix_rows",
     "resolve_checks",
@@ -150,14 +154,90 @@ class Population:
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values
 
 
+class Skip(NamedTuple):
+    """A skip condition over columns: its reason, formatted with the caps,
+    where it holds, and the observed values a skip keeps besides the reason."""
+
+    reason: str
+    holds: Callable
+    observed: tuple[str, ...] = ()
+
+
+BS_CAPPED = Skip("bs above cap {0.bs_cap}", lambda c: c.n > c.bs_cap)
+DT_CAPPED = Skip("DT above cap {0.dt_cap}", lambda c: c.n > c.dt_cap)
+BS_C_CAPPED = Skip("bs/C above caps {0.bs_cap}/{0.cert_cap}", lambda c: c.n > min(c.bs_cap, c.cert_cap))
+PARTIAL = Skip("does not depend on all inputs", lambda c: np.logical_not(c.depends_all))
+LOG_N_ZERO = Skip("log2(n) = 0", lambda c: c.n < 2)
+DEG2_LE_1 = Skip("deg2 <= 1", lambda c: c.degm(2) <= 1)
+NO_BS_DENOMINATOR = Skip("s * alt^2 = 0", lambda c: c.s * c.alt == 0)
+
+SPARSITY_EXPONENT = 2.0  # the c of deg-sparsity-exponent
+
+# The observed values a check may keep, by name: the measure columns and the
+# values the identities compare with them.
+_VALUES: dict[str, Callable[[MeasureContext], object]] = {
+    **measures.COLUMNS,
+    **{f"deg_{m}": (lambda r, m=m: r.degm(m)) for m in range(2, 7)},
+    "weighted": lambda r: r.sums().weighted,
+    "weighted2": lambda r: r.sums().weighted2,
+    "avg_s2": MeasureContext.avg_s2,
+    "spectral": lambda r: r.rational("spectral_num", 2),
+    "sum_sq": lambda r: r.columns().sum_sq,
+    "witness_alt": lambda r: r.columns().witness_alt,
+    "parts": MeasureContext.alt,
+    "negated": lambda r: bool(r.table.values[0]),
+    "c": lambda r: SPARSITY_EXPONENT,
+}
+
+
+def _values(record: MeasureContext, keys: Sequence[str]) -> dict:
+    return {key: _VALUES[key](record) for key in keys}
+
+
+def _ratio(num, den):
+    """The ratio value a report carries: exact for integers, else a float."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+@dataclass(frozen=True)
+class Formula:
+    """A check's one formula, over the columns of a :class:`measures.Chunk`.
+
+    ``holds`` reads columns by name and gives where an assert or report
+    holds, or a ratio's (numerator, denominator). Skips come first, in
+    order, and the first that holds decides a row's reason; ``observed``
+    names the values a row keeps. On a whole chunk the columns are arrays;
+    on one record (:meth:`run`) they are that row's :class:`measures.Row`,
+    and the same formula gives the same outcome.
+    """
+
+    kind: str
+    holds: Callable
+    observed: tuple[str, ...]
+    skips: tuple[Skip, ...]
+
+    def run(self, record: MeasureContext) -> Outcome:
+        c = record.columns()
+        for skip in self.skips:
+            if skip.holds(c):
+                return "skip", {"reason": skip.reason.format(c), **_values(record, skip.observed)}
+        values = _values(record, self.observed)
+        if self.kind == "ratio":
+            return "pass", {"ratio": _ratio(*self.holds(c)), **values}
+        return ("pass" if self.holds(c) else "fail"), values
+
+
 @dataclass(frozen=True)
 class Check:
-    """A named registered check over one function's measures."""
+    """A named registered check: ``run`` gives its outcome on one function's
+    record, and a registry row's ``formula`` gives it on a whole chunk. A
+    check without a formula is swept record by record."""
 
     name: str
     kind: str  # "assert" | "ratio" | "report"
     description: str
     run: Callable[[MeasureContext], Outcome]
+    formula: Optional[Formula] = None
 
 
 @dataclass
@@ -178,160 +258,111 @@ class CheckResult:
         }
 
 
-# A skip condition: its reason, formatted with the record, and when it holds.
-Skip = tuple[str, Callable[[MeasureContext], bool]]
-BS_CAPPED: Skip = ("bs above cap {0.bs_cap}", lambda r: r.bs() is None)
-DT_CAPPED: Skip = ("DT above cap {0.dt_cap}", lambda r: r.dt() is None)
-BS_C_CAPPED: Skip = (
-    "bs/C above caps {0.bs_cap}/{0.cert_cap}", lambda r: r.cert() is None or r.bs() is None
-)
-PARTIAL: Skip = ("does not depend on all inputs", lambda r: not r.depends_all())
-LOG_N_ZERO: Skip = ("log2(n) = 0", lambda r: r.n < 2)
-DEG2_LE_1: Skip = ("deg2 <= 1", lambda r: r.deg2() <= 1)
-NO_BS_DENOMINATOR: Skip = ("s * alt^2 = 0", lambda r: r.s() * r.alt() == 0)
-
-
-def _skipped(record: MeasureContext, skips: Sequence[Skip]) -> Optional[Outcome]:
-    """The skip outcome of the first of ``skips`` that holds, if any."""
-    for reason, holds in skips:
-        if holds(record):
-            return "skip", {"reason": reason.format(record)}
-    return None
-
-
-# The observed values a check may keep, by name: the measure columns and the
-# values the identities compare with them.
-_VALUES: dict[str, Callable[[MeasureContext], object]] = {
-    **measures.COLUMNS,
-    **{f"deg_{m}": (lambda r, m=m: r.degm(m)) for m in range(2, 7)},
-    "weighted": lambda r: r.sums().weighted,
-    "weighted2": lambda r: r.sums().weighted2,
-    "avg_s2": MeasureContext.avg_s2,
-    "spectral": lambda r: algebra.influence_from_spectrum(r.spectrum()),
-    "sum_sq": lambda r: int((algebra.exact_terms(r.spectrum().scaled, r.n) ** 2).sum()),
-    "witness_alt": lambda r: chains.alternation_along(r.table, r.witness()),
-}
-
-
 def _declare(
-    name: str, kind: str, description: str, observed: str, formula: Callable, *skips: Skip
+    name: str, kind: str, description: str, observed: str, holds: Callable, *skips: Skip
 ) -> Check:
-    """A check from one table row.
-
-    Unless one of ``skips`` holds, the check reads the values named in
-    ``observed`` and applies ``formula`` to them, in that order: an assert
-    passes iff the formula holds, and a ratio check always passes and keeps
-    the formula's value as ``ratio``, ahead of the values.
-    """
-    getters = [(key, _VALUES[key]) for key in observed.split()]
-
-    def run(record: MeasureContext) -> Outcome:
-        skipped = _skipped(record, skips)
-        if skipped:
-            return skipped
-        values = {key: get(record) for key, get in getters}
-        if kind == "ratio":
-            return "pass", {"ratio": formula(*values.values()), **values}
-        return ("pass" if formula(*values.values()) else "fail"), values
-
-    return Check(name, kind, description, run)
+    """A check from one table row: unless one of ``skips`` holds, an assert
+    passes iff ``holds``, and a ratio check always passes and keeps its
+    ratio ahead of the values named in ``observed``."""
+    formula = Formula(kind, holds, tuple(observed.split()), skips)
+    return Check(name, kind, description, formula.run, formula)
 
 
-def _decomposition(record: MeasureContext) -> Outcome:
+def _decomposes(c):
     """Part i of f's monotone decomposition is [A >= i], A the alternation
     profile, so the parts are monotone iff A is non-decreasing along every
     axis, and their XOR is A mod 2, which must be f xor f(0^n)."""
-    A, v = record.profile(), record.table.values
-    rising = all(
-        (halves[:, 0] <= halves[:, 1]).all()
-        for halves in (A.reshape(-1, 2, 1 << p) for p in range(record.n))
-    )
-    ok = rising and np.array_equal(A % 2, v ^ v[0])
-    alt = record.alt()
-    return ("pass" if ok else "fail"), {"parts": alt, "alt": alt, "negated": bool(v[0])}
+    A, v = c.profile, c.stack
+    ok = (A % 2 == v ^ v[:, :1]).all(axis=-1)
+    for p in range(c.n):
+        halves = A.reshape(len(A), -1, 2, 1 << p)
+        ok &= (halves[:, :, 0] <= halves[:, :, 1]).all(axis=(1, 2))
+    return ok
 
 
-SPARSITY_EXPONENT = 2.0  # the c of deg-sparsity-exponent
+def _ceil_log2_1p(dc: int) -> int:
+    """ceil(log2(1 + dc)), the circuit negation count the decrease gives."""
+    return math.ceil(math.log2(1 + dc)) if dc else 0
 
 
-def _deg_sparsity_exponent(record: MeasureContext) -> Outcome:
-    # Tiny-n counterexamples exist (the implication needs large n), so this
-    # stays a report rather than an assertion.
-    c = SPARSITY_EXPONENT
-    skipped = _skipped(record, [LOG_N_ZERO])
-    if skipped:
-        return skipped
-    deg = record.deg()
-    if deg > math.log2(record.n) ** c:
-        return "skip", {"reason": "hypothesis deg <= (log2 n)^c fails", "deg": deg}
-    sp = record.sparsity()
-    concl = deg <= (math.log2(sp) ** c if sp > 1 else 0.0)
-    return ("pass" if concl else "fail"), {"deg": deg, "sparsity": sp, "c": c}
+def _log2_power(x: int) -> float:
+    """(log2 x)^c, the sparsity exponent's bound at x, 0 for x <= 1."""
+    return math.log2(x) ** SPARSITY_EXPONENT if x > 1 else 0.0
 
 
-# The registry: one row per check.
+DEG_ABOVE_LOG_N = Skip(
+    "hypothesis deg <= (log2 n)^c fails", lambda c: c.deg > _log2_power(c.n), ("deg",)
+)
+
+
+# The registry: one row per check. Rationals are compared through their
+# numerators: I_num is I * 2**n, and so on (see measures.Chunk).
 CHECKS: dict[str, Check] = {
     check.name: check
     for check in [
         _declare("s-le-bs", "assert", "sensitivity at most block sensitivity", "s bs",
-                 lambda s, bs: s <= bs, BS_CAPPED),
+                 lambda c: c.s <= c.bs, BS_CAPPED),
         _declare("deg-bs-sandwich", "assert", "sqrt(bs) <= deg <= bs^3", "bs deg",
-                 lambda bs, deg: bs <= deg * deg and deg <= bs**3, BS_CAPPED),
+                 lambda c: (c.bs <= c.deg * c.deg) & (c.deg <= c.bs**3), BS_CAPPED),
         _declare("influence-le-s", "assert", "influence at most sensitivity", "I s",
-                 lambda i, s: i <= s),
+                 lambda c: c.I_num <= c.s << c.n),
         _declare("influence-le-deg", "assert", "influence at most degree", "I deg",
-                 lambda i, deg: i <= deg),
+                 lambda c: c.I_num <= c.deg << c.n),
         _declare("deg-le-dt", "assert", "degree at most decision-tree depth", "deg DT",
-                 lambda deg, dt: deg <= dt, DT_CAPPED),
+                 lambda c: c.deg <= c.dt, DT_CAPPED),
         # every certificate hits each disjoint sensitive block, so C >= bs >= s
         _declare("cert-ge-bs", "assert", "certificate complexity dominates block sensitivity",
-                 "s bs C", lambda s, bs, c: s <= bs <= c, BS_C_CAPPED),
+                 "s bs C", lambda c: (c.s <= c.bs) & (c.bs <= c.cert), BS_C_CAPPED),
         _declare("alt-dc-relation", "assert", "alt in {2dc-1, 2dc, 2dc+1}", "alt dc",
-                 lambda alt, dc: alt in (2 * dc - 1, 2 * dc, 2 * dc + 1)),
+                 lambda c: abs(c.alt - 2 * c.dc) <= 1),
         _declare("alt-le-exp-dt", "assert", "alt <= 2^(DT+1) - 1", "alt DT",
-                 lambda alt, dt: alt <= (1 << (dt + 1)) - 1, DT_CAPPED),
+                 lambda c: c.alt <= (1 << (c.dt + 1)) - 1, DT_CAPPED),
         _declare("dc-le-exp-dt", "assert", "dc <= 2^DT - 1", "dc DT",
-                 lambda dc, dt: dc <= (1 << dt) - 1, DT_CAPPED),
+                 lambda c: c.dc <= (1 << c.dt) - 1, DT_CAPPED),
         _declare("negs-from-decrease", "assert", "negation counts consistent with decrease",
                  "dc negs negs_formula",
-                 lambda dc, negs, nf: negs == (math.ceil(math.log2(1 + dc)) if dc else 0) and nf == dc),
+                 lambda c: c.negs == measures.per_value(_ceil_log2_1p, c.dc)),
         _declare("log-sparsity-le-2deg", "assert", "log2 sparsity at most twice degree", "sparsity deg",
-                 lambda sp, deg: sp <= 1 << (2 * deg)),
+                 lambda c: c.sparsity <= 1 << (2 * c.deg)),
         _declare("deg2-le-log-sparsity", "assert", "deg2 at most log2 sparsity when deg2 > 1",
-                 "deg2 sparsity", lambda d2, sp: (1 << d2) <= sp, DEG2_LE_1),
+                 "deg2 sparsity", lambda c: (1 << c.degm(2)) <= c.sparsity, DEG2_LE_1),
         _declare("spectral-weight-ge-n", "assert", "weighted spectral sum at least n", "weighted n",
-                 lambda w, n: w >= n, PARTIAL),
+                 lambda c: c.weighted_num >= c.n << c.n, PARTIAL),
         _declare("sens-sqrt-sparsity", "assert", "s * sqrt(sparsity) at least n", "s sparsity n",
-                 lambda s, sp, n: s * s * sp >= n * n, PARTIAL),
+                 lambda c: c.s * c.s * c.sparsity >= c.n * c.n, PARTIAL),
         _declare("deg-exp-deg2-lower", "assert", "deg at least n / 2^deg2", "deg deg2 n",
-                 lambda deg, d2, n: deg * (1 << d2) >= n, PARTIAL),
+                 lambda c: c.deg * (1 << c.degm(2)) >= c.n, PARTIAL),
         _declare("influence-le-alt-sqrt-n", "assert", "influence at most alt * sqrt(n)", "I alt n",
-                 lambda i, alt, n: i * i <= alt * alt * n),
+                 lambda c: c.I_num**2 <= (c.alt * c.alt * c.n) << (2 * c.n)),
         _declare("influence-le-alt-deg2sq", "assert", "influence at most alt * deg2^2", "I alt deg2",
-                 lambda i, alt, d2: i <= alt * d2**2),
+                 lambda c: c.I_num <= (c.alt * c.degm(2) ** 2) << c.n),
         _declare("influence-fourier-identity", "assert",
                  "influence equals the weighted spectral square sum",
-                 "I spectral", lambda i, spectral: i == spectral),
+                 "I spectral", lambda c: c.I_num << c.n == c.spectral_num),
         _declare("sens-square-identity", "assert",
                  "weighted2 spectral sum equals the mean squared sensitivity",
-                 "weighted2 avg_s2", lambda w2, s2: w2 == s2),
+                 "weighted2 avg_s2", lambda c: c.weighted2_num == c.avg_s2_num << c.n),
         _declare("parseval", "assert", "scaled spectrum squares sum to 4^n", "sum_sq n",
-                 lambda total, n: total == 1 << (2 * n)),
+                 lambda c: c.sum_sq == 1 << (2 * c.n)),
         _declare("witness-valid", "assert", "DP witness chain achieves alt", "witness_alt alt",
-                 lambda got, alt: got == alt),
-        Check("monotone-decomposition", "assert", "alt-many monotone parts reconstruct the function",
-              _decomposition),
+                 lambda c: c.witness_alt == c.alt),
+        _declare("monotone-decomposition", "assert", "alt-many monotone parts reconstruct the function",
+                 "parts alt negated", _decomposes),
         *(
             _declare(f"deg-product-bound-m{m}", "assert", f"deg <= alt * deg2 * deg_{m}",
-                     f"deg alt deg2 deg_{m}", lambda deg, alt, d2, dm: deg <= alt * d2 * dm)
+                     f"deg alt deg2 deg_{m}", lambda c, m=m: c.deg <= c.alt * c.degm(2) * c.degm(m))
             for m in range(2, 7)
         ),
         _declare("bs-ratio", "ratio", "observed bs / (s * alt^2)", "bs s alt",
-                 lambda bs, s, alt: Fraction(bs, s * alt * alt), BS_CAPPED, NO_BS_DENOMINATOR),
+                 lambda c: (c.bs, c.s * c.alt * c.alt), BS_CAPPED, NO_BS_DENOMINATOR),
         _declare("sens-log-ratio", "ratio", "observed s / log2(n) on fully-dependent functions", "s n",
-                 lambda s, n: s / math.log2(n), PARTIAL, LOG_N_ZERO),
-        Check("deg-sparsity-exponent", "report",
-              "implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c", _deg_sparsity_exponent),
+                 lambda c: (c.s, math.log2(c.n)), PARTIAL, LOG_N_ZERO),
+        # Tiny-n counterexamples exist (the implication needs large n), so this
+        # stays a report rather than an assertion.
+        _declare("deg-sparsity-exponent", "report",
+                 "implication: deg <= (log2 n)^c gives deg <= (log2 sparsity)^c", "deg sparsity c",
+                 lambda c: c.deg <= measures.per_value(_log2_power, c.sparsity),
+                 LOG_N_ZERO, DEG_ABOVE_LOG_N),
     ]
 }
 
@@ -416,11 +447,44 @@ class Aggregate:
     def add(self, fn_id: str, status: str, observed: dict) -> None:
         self.counts[status] += 1
         if status == "fail":
-            self._keep_failures([{"fn": fn_id, "observed": {k: str(v) for k, v in observed.items()}}])
+            self._keep_failures([_failure(fn_id, observed)])
         elif status == "skip":
             self._count_skips({str(observed.get("reason", "unspecified")): 1})
         elif self.kind == "ratio":
             self._offer_ratio(observed["ratio"], fn_id)
+
+    def add_chunk(self, chunk: measures.Chunk, check: Check) -> None:
+        """Add every row of ``chunk``. A registry check is evaluated on whole
+        columns: each skip's mask takes the rows still open, the formula
+        decides the rest, and only the kept failures and the ratio's best
+        row are read as records. A check without a formula runs per record."""
+        if check.formula is None:
+            for record in chunk.records():
+                self.add(record.fn_id(), *check.run(record))
+            return
+        formula, size = check.formula, len(chunk)
+        open_ = np.ones(size, dtype=bool)
+        for skip in formula.skips:
+            hit = open_ & skip.holds(chunk)
+            if hit.any():
+                count = int(hit.sum())
+                self.counts["skip"] += count
+                self._count_skips({skip.reason.format(chunk): count})
+                open_ &= ~hit
+                if not open_.any():
+                    return
+        rows = np.flatnonzero(open_)
+        if formula.kind == "ratio":
+            self.counts["pass"] += len(rows)
+            num, den = (np.broadcast_to(a, size) for a in formula.holds(chunk))
+            (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1)
+            self._offer_ratio(_ratio(num.item(best), den.item(best)), serialize(chunk.tables[best]))
+            return
+        failed = rows[~np.broadcast_to(np.asarray(formula.holds(chunk), dtype=bool), size)[rows]]
+        self.counts["pass"] += len(rows) - len(failed)
+        self.counts["fail"] += len(failed)
+        kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
+        self._keep_failures([_failure(r.fn_id(), _values(r, formula.observed)) for r in kept])
 
     def merge(self, other: "Aggregate") -> "Aggregate":
         for status, count in other.counts.items():
@@ -462,6 +526,24 @@ class Aggregate:
         return entry
 
 
+def _failure(fn_id: str, observed: dict) -> dict:
+    return {"fn": fn_id, "observed": {k: str(v) for k, v in observed.items()}}
+
+
+def _largest(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The indices of the largest num / den (all den > 0), by
+    cross-multiplication from the float estimate's best. It is exact on
+    integer columns; a float denominator depends on n alone, so within a
+    chunk it is one value and the numerators decide."""
+    best = int(np.argmax(num / den))
+    while True:
+        diff = num * den[best] - num[best] * den
+        above = np.flatnonzero(diff > 0)
+        if not len(above):
+            return np.flatnonzero(diff == 0)
+        best = above[0]
+
+
 def _run_chunk(
     population: Population,
     check_names,
@@ -472,10 +554,9 @@ def _run_chunk(
 ) -> dict[str, Aggregate]:
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
-    for ctx in measures.records(population.tables(start, stop), **caps):
-        fn_id = ctx.fn_id()
+    for chunk in measures.chunks(population.tables(start, stop), **caps):
         for check in selected:
-            aggregates[check.name].add(fn_id, *check.run(ctx))
+            aggregates[check.name].add_chunk(chunk, check)
     return aggregates
 
 
@@ -507,7 +588,9 @@ def run_check_suite(
     are order-independent), so fanning out over workers produces the same
     report as a serial run, and the worker count is clamped to the CPU count.
     """
-    MeasureContext.check_caps(bs_cap, cert_cap, dt_cap)
+    measures.check_caps(bs_cap, cert_cap, dt_cap)
+    if fail_limit < 0:
+        raise ValueError(f"fail_limit {fail_limit} is negative")
     jobs = min(jobs, os.cpu_count() or 1)
     selected = resolve_checks(checks)
     names = "all" if checks == "all" else tuple(c.name for c in selected)

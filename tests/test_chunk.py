@@ -1,6 +1,10 @@
 """The stacked kernels and the chunked sweep: every row of a stack equals the
-single-table kernel and the oracles, a chunk of one is the per-function
-reference path, and each kernel runs once per chunk."""
+single-table kernel and the oracles, and so does every chunk column; each
+kernel runs once per chunk; each check gives the same entry on whole columns
+as row by row; and reports, failures and ratio ties included, do not depend
+on the chunk size."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from boolfn import algebra, chains, measures, verify
-from boolfn.core import TruthTable, restrict
+from boolfn.core import TruthTable, parse, restrict, serialize
 from boolfn.verify import Population, run_check_suite
 from test_record import count_calls
 
@@ -118,3 +122,119 @@ def test_record_rows_are_read_only():
     record = next(measures.records([TruthTable.from_packed_int(3, 0x96)] * 2))
     for row in (record.per_point_s(), record.profile(), record.poly().coeffs, record.spectrum().scaled):
         assert not row.flags.writeable
+
+
+# n = 4 tables with s(f) < max C(f, x), so their bs column runs the search:
+# two of the 24 such tables at n = 4, each with s = 2 and bs = C = 3.
+BS_SEARCHED = ("4:1BD8", "4:E427")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_chunk_columns_match_oracles(data):
+    arities = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    tables = [TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1))) for n in arities]
+    tables += [parse(text) for text in BS_SEARCHED]
+    searched = []
+    original = measures.block_sensitivity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "block_sensitivity", lambda t, **kw: searched.append(t) or original(t, **kw))
+        chunks = list(measures.chunks(tables))
+        for chunk in chunks:
+            chunk.bs
+    for chunk in chunks:
+        for i, t in enumerate(chunk.tables):
+            got = {
+                "s": chunk.s[i], "bs": chunk.bs[i], "C": chunk.cert[i], "DT": chunk.dt[i],
+                "alt": chunk.alt[i], "deg": chunk.deg[i], **{f"deg_{m}": chunk.degm(m)[i] for m in range(2, 7)},
+            }
+            want = {
+                "s": oracles.brute_sensitivity(t), "bs": oracles.brute_block_sensitivity(t),
+                "C": oracles.brute_certificate(t), "DT": oracles.brute_decision_tree_depth(t),
+                "alt": oracles.brute_alternation(t), "deg": oracles.brute_degree(t),
+                **{f"deg_{m}": oracles.brute_degree(t, m) for m in range(2, 7)},
+            }
+            assert got == want, serialize(t)
+    # the search runs on both known rows, and only on rows with s < C
+    assert set(map(serialize, searched)) >= set(BS_SEARCHED)
+    assert all(oracles.brute_sensitivity(t) < oracles.brute_certificate(t) for t in searched)
+
+
+def test_degree_four_tables_pass_the_sparsity_checks():
+    # 1 << (2 * deg) is 256 at deg = 4, which a uint8 popcount column would wrap to 0
+    tables = [t for t in Population.sample(4, 600, 21).tables() if algebra.degree(t) == 4]
+    names = ["log-sparsity-le-2deg", "deg2-le-log-sparsity", "deg-exp-deg2-lower"]
+    report = run_check_suite(Population.explicit(tables), checks=names)
+    assert len(tables) > 200
+    for name in names:
+        agg = report.checks[name]
+        assert agg["fail"] == 0 and agg["pass"] > 0, (name, agg)
+    chunk = next(measures.chunks(tables))
+    assert chunk.deg.dtype == np.int64 and chunk.sparsity.dtype == np.int64
+
+
+def test_columns_above_the_int64_arity_are_python_ints(monkeypatch):
+    population = Population.explicit([*Population.sample(4, 60, 3).tables(), *verify.standard_family_instances()])
+    as_int64 = run_check_suite(population).to_json()
+    monkeypatch.setattr(measures, "ROW_INT64_MAX_ARITY", 2)
+    chunk = next(measures.chunks(Population.sample(4, 5, 3).tables()))
+    assert chunk.s.dtype == object and type(chunk.I_num[0]) is int and type(chunk.weighted2_num[0]) is int
+    assert run_check_suite(population).to_json() == as_int64
+
+
+# The statement s >= n, false in general, once as a column formula and once
+# as a check with only a per-record run, which is swept row by row.
+S_GE_N = verify.Formula("assert", lambda c: c.s >= c.n, ("s", "n"), ())
+BOGUS_COLUMNS = verify.Check("bogus-columns", "assert", "s >= n", S_GE_N.run, S_GE_N)
+BOGUS_ROWS = verify.Check(
+    "bogus-rows", "assert", "s >= n",
+    lambda r: ("pass" if r.s() >= r.n else "fail", {"s": r.s(), "n": r.n}),
+)
+SPANNED = ["bogus-columns", "bogus-rows", "bs-ratio", "sens-log-ratio"]
+
+
+def chunks_holding(population, monkeypatch) -> dict:
+    """Per check of ``SPANNED``, the indices of the chunks, at 64 cells, that
+    hold a failure or a row tying for the maximum ratio."""
+    monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
+    seen = {name: [] for name in SPANNED}
+    for index, chunk in enumerate(measures.chunks(population.tables())):
+        for record in chunk.records():
+            for name in SPANNED:
+                status, observed = verify.CHECKS[name].run(record)
+                seen[name].append((index, status, observed.get("ratio")))
+    held = {}
+    for name, outcomes in seen.items():
+        top = max((ratio for _, _, ratio in outcomes if ratio is not None), default=None)
+        held[name] = {i for i, status, ratio in outcomes if status == "fail" or (top is not None and ratio == top)}
+    return held
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
+    assert all(check.formula is not None for check in verify.CHECKS.values())
+    monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
+    monkeypatch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
+    population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
+    default = measures.CHUNK_CELLS
+    assert all(len(held) >= 2 for held in chunks_holding(population, monkeypatch).values())
+    reports = set()
+    for cells in (1, 8, 64, default):
+        monkeypatch.setattr(measures, "CHUNK_CELLS", cells)
+        report = run_check_suite(population, checks=SPANNED, jobs=jobs, fail_limit=2)
+        reports.add(report.to_json())
+    assert len(reports) == 1
+    checks = report.checks
+    assert checks["bogus-columns"] == checks["bogus-rows"]
+    assert checks["bogus-columns"]["fail"] > 2 and len(checks["bogus-columns"]["failures"]) == 2
+
+
+def test_every_check_gives_the_same_entry_on_columns_and_row_by_row(monkeypatch):
+    population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
+    for check in list(verify.CHECKS.values()):
+        row_only = dataclasses.replace(check, name=f"{check.name}-rows", formula=None)
+        monkeypatch.setitem(verify.CHECKS, row_only.name, row_only)
+    checks = run_check_suite(population, fail_limit=2).checks
+    for name, entry in checks.items():
+        if not name.endswith("-rows"):
+            assert entry == checks[f"{name}-rows"], name

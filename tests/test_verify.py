@@ -181,6 +181,12 @@ def test_report_check_does_not_fail_suite():
     assert not report.failed
 
 
+def test_negative_fail_limit_rejected_before_the_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "_run_chunk", lambda *args: pytest.fail("the sweep ran"))
+    with pytest.raises(ValueError, match="fail_limit -1"):
+        run_check_suite(Population.exhaustive(2), checks=["deg-sparsity-exponent"], fail_limit=-1)
+
+
 def test_ratio_check_reports_max():
     pop = Population.explicit(
         [families.named_basics("parity", 4), families.named_basics("and", 3)]
@@ -275,9 +281,13 @@ def test_bad_population_parameters_rejected_when_made(make):
 )
 def test_decomposition_check_fails_on_a_corrupted_profile(profile):
     # AND_2 has A = [0, 0, 0, 1]; the first profile drops from 2 to 1 along
-    # x_2, the second has A mod 2 != f xor f(0^n) at two points
-    record = MeasureContext(families.named_basics("and", 2))
-    record.profile = lambda: np.array(profile, dtype=np.int32)
-    status, observed = CHECKS["monotone-decomposition"].run(record)
+    # x_2, the second has A mod 2 != f xor f(0^n) at two points. The profile
+    # is a column of the chunk, read by the record and by the column path.
+    chunk = measures.Chunk([families.named_basics("and", 2)])
+    chunk.profile = np.array([profile], dtype=np.int32)
+    status, observed = CHECKS["monotone-decomposition"].run(chunk.record(0))
     assert status == "fail"
     assert observed == {"parts": 1, "alt": 1, "negated": False}
+    aggregate = verify.Aggregate("assert")
+    aggregate.add_chunk(chunk, CHECKS["monotone-decomposition"])
+    assert aggregate.counts == {"pass": 0, "fail": 1, "skip": 0}
