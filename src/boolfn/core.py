@@ -3,7 +3,10 @@
 Dense truth tables (the value at every one of the 2**n inputs) and lazy
 point-evaluation rules, plus the operations everything else builds on:
 evaluation, restriction, composition, materialization, and text
-serialization.
+serialization. A lazy function is evaluated point by point; one built by
+:func:`compose` also carries a table rule, so materializing it costs one
+table of each part and a few numpy gathers rather than one interpreted call
+per point.
 
 Conventions used throughout the package:
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -73,13 +76,23 @@ def dense_cap() -> int:
     return int(raw) if raw else DEFAULT_DENSE_CAP
 
 
+def _check_arity(n: int) -> None:
+    """Reject an arity no dense table may have, before anything is allocated."""
+    if n < 0:
+        raise ValueError("arity must be nonnegative")
+    cap = dense_cap()
+    if n > cap:
+        raise CapExceededError(f"arity {n} exceeds dense cap {cap}")
+
+
 @lru_cache(maxsize=32)
 def popcounts(n: int) -> np.ndarray:
     """Read-only array of Hamming weights for all indices in [0, 2**n)."""
-    idx = np.arange(1 << n, dtype=np.uint32)
+    _check_arity(n)
     pc = np.zeros(1 << n, dtype=np.uint8)
+    # The indices in [2**p, 2**(p+1)) are those below 2**p with bit p set.
     for p in range(n):
-        pc += ((idx >> p) & 1).astype(np.uint8)
+        np.add(pc[: 1 << p], 1, out=pc[1 << p : 2 << p])
     pc.setflags(write=False)
     return pc
 
@@ -117,11 +130,7 @@ class TruthTable:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values) -> None:
-        cap = dense_cap()
-        if n < 0:
-            raise ValueError("arity must be nonnegative")
-        if n > cap:
-            raise CapExceededError(f"arity {n} exceeds dense cap {cap}")
+        _check_arity(n)
         arr = np.array(values, dtype=np.uint8, copy=True).ravel()
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} values for arity {n}, got {arr.size}")
@@ -138,13 +147,22 @@ class TruthTable:
     @classmethod
     def from_packed_int(cls, n: int, packed: int) -> "TruthTable":
         """Build from an integer whose bit ``i`` is the value at index ``i``."""
-        size = 1 << n
-        if packed < 0 or packed >> size:
+        _check_arity(n)
+        if packed < 0 or packed >> (1 << n):
             raise ValueError(f"packed value out of range for arity {n}")
-        nbytes = (size + 7) // 8
-        raw = np.frombuffer(packed.to_bytes(nbytes, "little"), dtype=np.uint8)
+        return cls._unpacked(n, packed)
+
+    @classmethod
+    def _unpacked(cls, n: int, packed: int) -> "TruthTable":
+        """``from_packed_int`` for an arity and a value already checked: the
+        unpacked bits are the table's own array, with no second copy."""
+        size = 1 << n
+        raw = np.frombuffer(packed.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, bitorder="little")[:size]
-        return cls(n, bits)
+        bits.setflags(write=False)
+        table = cls.__new__(cls)
+        table.n, table.values = n, bits
+        return table
 
     @classmethod
     def from_evaluator(cls, n: int, fn: Callable[[int], int]) -> "TruthTable":
@@ -201,12 +219,16 @@ class LazyFunction:
     """Arity plus a pure point-evaluation rule.
 
     Holds compositions too large to tabulate; ``descriptor`` is an optional
-    JSON-able summary of how the function was built.
+    JSON-able summary of how the function was built. ``evaluator`` takes one
+    point index, a plain int. ``tabulate``, when set, returns all ``2**arity``
+    values at once; :func:`materialize` uses it in place of one ``evaluator``
+    call per point. It takes no part in equality or the repr.
     """
 
     arity: int
     evaluator: Callable[[int], int]
     descriptor: dict | None = None
+    tabulate: Callable[[], np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -272,6 +294,10 @@ def compose(f: BooleanFunction, g: BooleanFunction) -> LazyFunction:
 
     Block i of the mn-bit input feeds the i-th argument of ``f``; blocks are
     ordered most-significant first, matching the variable numbering.
+
+    Points are evaluated lazily, one evaluation of ``f`` and m of ``g`` each.
+    The table rule materializes ``f`` and ``g`` once (2**m + 2**n part
+    evaluations at most) and then needs m numpy gathers, no Python per point.
     """
     m, n = f.arity, g.arity
     if m < 1 or n < 1:
@@ -287,7 +313,18 @@ def compose(f: BooleanFunction, g: BooleanFunction) -> LazyFunction:
             y = (y << 1) | g_eval(block)
         return f_eval(y)
 
-    return LazyFunction(m * n, ev, {"kind": "compose", "outer": describe(f), "inner": describe(g)})
+    def table() -> np.ndarray:
+        inner = materialize(g).values
+        # t[r] tabulates f, its leading arguments fixed to the bits of r, over
+        # the trailing blocks expanded so far. Each step expands the last
+        # argument left: the value of g on its block picks the row for 0 or 1.
+        t = materialize(f).values.reshape(1 << m, 1)
+        for _ in range(m):
+            t = t.reshape(-1, 2, t.shape[1])[:, inner, :].reshape(t.shape[0] // 2, -1)
+        return t.ravel()
+
+    desc = {"kind": "compose", "outer": describe(f), "inner": describe(g)}
+    return LazyFunction(m * n, ev, desc, table)
 
 
 def describe(f: BooleanFunction) -> dict:
@@ -298,12 +335,19 @@ def describe(f: BooleanFunction) -> dict:
 
 
 def materialize(f: BooleanFunction, cap: int | None = None) -> TruthTable:
-    """Tabulate a lazy function (identity on dense tables)."""
+    """Tabulate a lazy function (identity on dense tables).
+
+    The arity is checked first, against ``cap`` and the dense cap. A
+    function with a table rule (every composition) is tabulated by it; any
+    other is evaluated at every point in turn.
+    """
     if isinstance(f, TruthTable):
         return f
-    cap = dense_cap() if cap is None else cap
+    cap = dense_cap() if cap is None else min(cap, dense_cap())
     if f.arity > cap:
         raise CapExceededError(f"arity {f.arity} exceeds dense cap {cap}")
+    if f.tabulate is not None:
+        return TruthTable(f.arity, f.tabulate())
     return TruthTable(f.arity, [f.evaluator(i) & 1 for i in range(1 << f.arity)])
 
 
@@ -345,9 +389,7 @@ def parse(text: str) -> TruthTable:
     if not m:
         raise FormatError(f"malformed table text: {text!r}")
     n = int(m.group(1))
-    cap = dense_cap()
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds dense cap {cap}")
+    _check_arity(n)
     hexpart = m.group(2)
     digits = ((1 << n) + 3) // 4
     if len(hexpart) != digits:
@@ -357,7 +399,7 @@ def parse(text: str) -> TruthTable:
     packed = int(hexpart, 16)
     if packed >> (1 << n):
         raise FormatError(f"padding bits set in {text!r}")
-    return TruthTable.from_packed_int(n, packed)
+    return TruthTable._unpacked(n, packed)
 
 
 def parse_corpus(lines: Iterable[str]) -> Iterator[TruthTable]:

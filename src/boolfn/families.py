@@ -22,6 +22,7 @@ from .core import (
     compose,
     dense_cap,
     describe,
+    materialize,
     popcounts,
 )
 
@@ -170,7 +171,11 @@ def named_basics(name: str, n: int, threshold: Optional[int] = None) -> TruthTab
 
 
 def compose_power(h: BooleanFunction, k: int) -> LazyFunction:
-    """k-fold block self-composition of ``h`` (arity n**k <= 2**16), kept lazy."""
+    """k-fold block self-composition of ``h`` (arity n**k <= 2**16).
+
+    Points are evaluated lazily; when materialized, the power is tabulated
+    from the table of its base, one composition step at a time.
+    """
     if not 1 <= k <= FK_MAX_DEPTH:
         raise ValueError(f"k must be between 1 and {FK_MAX_DEPTH}")
     if h.arity < 1:
@@ -178,11 +183,10 @@ def compose_power(h: BooleanFunction, k: int) -> LazyFunction:
     if h.arity**k > 1 << FK_MAX_DEPTH:
         raise ValueError(f"arity {h.arity}**{k} exceeds 2**{FK_MAX_DEPTH}")
     if k == 1:
-        fn = LazyFunction(h.arity, h.evaluate, {"kind": "power", "power": 1, "base": describe(h)})
-        return fn
+        desc = {"kind": "power", "power": 1, "base": describe(h)}
+        return LazyFunction(h.arity, h.evaluate, desc, lambda: materialize(h).values)
     acc: BooleanFunction = h
     for _ in range(k - 1):
         acc = compose(acc, h)
-    return LazyFunction(
-        acc.arity, acc.evaluator, {"kind": "power", "power": k, "base": describe(h), "arity": acc.arity}
-    )
+    desc = {"kind": "power", "power": k, "base": describe(h), "arity": acc.arity}
+    return LazyFunction(acc.arity, acc.evaluator, desc, acc.tabulate)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfn import cli
 
@@ -339,6 +341,7 @@ def test_console_script_entry_point():
         ["verify", "--exhaustive", "1", "--bs-cap", "99"],
         ["family", "compose", "--base", "and2", "--power", "1000000"],
         ["family", "compose", "--base", "addr2", "--power", "7"],
+        ["analyze", "--family", "parity", "--n", "40"],
         ["enumerate", "--n", "2", "--limit", "-3"],
         ["enumerate", "--n", "5", "--limit", "0"],
         ["verify", "--exhaustive", "-1"],
@@ -365,3 +368,104 @@ def test_bad_source_is_a_usage_error(argv, monkeypatch):
     # before any sweep.
     if argv[-2] in ("--exhaustive", "--sample", "--fail-limit"):
         assert sweeps == [] and err.startswith(f"error: {argv[-2]} {argv[-1]}"), err
+
+
+# Every subcommand with the flags it must have (one source flag for the
+# first three) and the flags it may have; "" stands for the positional
+# generator of `family`. --families is left out: it sweeps fixed instances
+# up to n = 15 (about 0.8 s), and the goldens cover its output.
+_SOURCE = ["--k", "--t", "--n", "--threshold", "--base", "--power"]
+_CAPS = ["--bs-cap", "--cert-cap", "--dt-cap"]
+_FUZZ_COMMANDS = {
+    ("analyze",): (
+        ["--fn|--file|--family"],
+        _SOURCE + _CAPS + ["--format", "--per-point", "--spectrum-out", "--poly-out"],
+    ),
+    ("chain", "witness"): (["--fn|--file|--family"], _SOURCE),
+    ("chain", "eval"): (["--fn|--file|--family"], _SOURCE + ["--chain"]),
+    ("family",): ([""], ["--k", "--t", "--n", "--threshold", "--base", "--power", "--lazy"]),
+    ("chain", "fk"): (["--k"], []),
+    ("chain", "glue"): (["--f", "--g"], ["--f-chain", "--g-chain"]),
+    ("verify",): (
+        ["--exhaustive|--sample"],
+        _CAPS + ["--exhaustive", "--sample", "--checks", "--jobs", "--fail-limit", "--format",
+                 "--matrix-out"],
+    ),
+    ("enumerate",): (["--n"], ["--limit"]),
+}
+_SWITCHES = {"--per-point", "--lazy"}
+_CHAINS = ["[1]", "[1,2]", "[2,1,3]", "[]", "[0]", "[1,1]", "[1,", "{}", "-"]
+
+
+def _fuzz_values(files):
+    """Cheap values for each flag: arities up to 9 (address t = 2 has 6
+    variables, gap family k = 3 has 7, compositions 9), one value past each
+    limit, and some malformed ones."""
+    ints = st.integers
+    out = files / "out"
+    tokens = ["and2", "or3", "parity2", "maj3", "addr1", "fk2", "2:8", "1:2", "3:96", "3:G1", "x9"]
+    tokens.append(str(files / "one.txt"))
+    chains = _CHAINS + [str(files / "chain.json")]
+    return {
+        "": st.sampled_from(["fk", "addr", "compose", "parity", "and", "or", "majority", "threshold"]),
+        "--fn": st.sampled_from(["2:8", "3:96", "0:1", "1:3", "2:G", "nonsense", "30:0", ""]),
+        "--file": st.sampled_from(["one", "two", "empty", "bad", "missing"]).map(
+            lambda name: str(files / f"{name}.txt")
+        ),
+        "--family": st.sampled_from(["fk", "addr", "compose", "parity", "majority", "threshold", "x"]),
+        "--k": ints(-1, 3) | st.just(17),
+        "--t": ints(-1, 2) | st.just(5),
+        "--n": ints(-1, 6) | st.just(40),
+        "--threshold": ints(-1, 7),
+        "--base": st.sampled_from(tokens),
+        "--power": ints(-1, 3) | st.just(17),
+        "--f": st.sampled_from(tokens),
+        "--g": st.sampled_from(tokens),
+        "--f-chain": st.sampled_from(chains),
+        "--g-chain": st.sampled_from(chains),
+        "--chain": st.sampled_from(chains),
+        "--format": st.sampled_from(["json", "text", "xml"]),
+        "--spectrum-out": st.sampled_from([str(out / "s.csv"), "/nonexistent/dir/s.csv"]),
+        "--poly-out": st.sampled_from([str(out / "p.json"), "/nonexistent/dir/p.json"]),
+        "--matrix-out": st.sampled_from([str(out / "m.csv"), "/nonexistent/dir/m.csv"]),
+        "--bs-cap": ints(-1, 6) | st.just(99),
+        "--cert-cap": ints(-1, 6) | st.just(99),
+        "--dt-cap": ints(-1, 6) | st.just(99),
+        "--exhaustive": ints(-1, 3),
+        "--sample": st.sampled_from(["3,4,1", "6,3,2", "2,0,1", "3,-2,1", "3,5", "x", "25,1,1"]),
+        "--checks": st.sampled_from(["all", "s-le-bs", "bs-ratio,deg-sparsity-exponent", "bogus", ""]),
+        "--jobs": ints(-1, 2),
+        "--fail-limit": ints(-1, 3),
+        "--limit": ints(-1, 5),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("fuzz")
+    (files / "out").mkdir()
+    for name, text in {
+        "one.txt": "3:96\n", "two.txt": "2:8\n2:F\n", "empty.txt": "# none\n",
+        "bad.txt": "3:G1\n", "chain.json": "[1, 2]",
+    }.items():
+        (files / name).write_text(text)
+    return files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(data, fuzz_files):
+    values = _fuzz_values(fuzz_files)
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = [data.draw(st.sampled_from(choice.split("|"))) for choice in required]
+    flags += data.draw(st.lists(st.sampled_from(optional), max_size=4) if optional else st.just([]))
+    argv = list(command)
+    for flag in flags:
+        if flag:
+            argv.append(flag)
+        if flag not in _SWITCHES and data.draw(st.sampled_from(range(20))) < 19:  # 1 in 20 has none
+            argv.append(str(data.draw(values[flag])))
+    code, _, err = run_cli(argv, stdin_text=data.draw(st.sampled_from(_CHAINS)))
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfn import core, families
 from boolfn.core import (
@@ -128,6 +131,73 @@ def test_materialize_examples():
         materialize(big)
 
 
+def scalar_only(table, calls=None):
+    """A lazy copy of ``table`` whose evaluator takes one plain int; it
+    counts its calls in ``calls`` when given."""
+    packed = table.packed_int()
+
+    def ev(x):
+        assert type(x) is int
+        if calls is not None:
+            calls.append(x)
+        return (packed >> x) & 1
+
+    return core.LazyFunction(table.n, ev)
+
+
+def draw_part(data, max_arity):
+    n = data.draw(st.integers(1, max_arity))
+    table = TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    return scalar_only(table) if data.draw(st.booleans()) else table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_composition_table_rule_matches_point_loop(data):
+    f, g = draw_part(data, 4), draw_part(data, 4)
+    fg = compose(f, g)
+    functions = [fg]
+    if fg.arity * g.arity <= 12:
+        functions.append(compose(fg, g))
+    for base in (f, fg):
+        functions += [families.compose_power(base, k) for k in (1, 2, 3) if base.arity**k <= 12]
+    for fn in functions:
+        assert fn.tabulate is not None
+        assert materialize(fn) == TruthTable.from_evaluator(fn.arity, fn.evaluator)
+
+
+def test_composition_materializes_each_part_once():
+    rng = random.Random(8)
+    f_calls, g_calls = [], []
+    f = scalar_only(random_table(rng, 3), f_calls)
+    g = scalar_only(random_table(rng, 4), g_calls)
+    table = materialize(compose(f, g))
+    assert len(f_calls) <= 1 << 3 and len(g_calls) <= 1 << 4
+    assert table == TruthTable.from_evaluator(12, compose(f, g).evaluator)
+    # h is tabulated k times: as the inner part of each of the k - 1
+    # compositions, and as the outer part of the innermost one
+    h_calls = []
+    materialize(families.compose_power(scalar_only(random_table(rng, 2), h_calls), 3))
+    assert len(h_calls) <= 3 * (1 << 2)
+
+
+def test_composition_above_the_cap_fails_before_its_rule(monkeypatch):
+    calls = []
+    f = scalar_only(TruthTable.constant(5, 1), calls)
+    with pytest.raises(CapExceededError, match="25"):
+        materialize(compose(f, f))
+    monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
+    with pytest.raises(CapExceededError, match="4"):
+        materialize(compose(scalar_only(parse("2:8"), calls), parse("3:80")))
+    assert calls == []
+    rule = core.LazyFunction(5, lambda x: calls.append(x), tabulate=lambda: calls.append("rule"))
+    with pytest.raises(CapExceededError):
+        materialize(rule)
+    with pytest.raises(CapExceededError, match="4"):  # a larger cap argument does not lift it
+        materialize(core.LazyFunction(5, rule.evaluator), cap=20)
+    assert calls == []
+
+
 def test_materialize_respects_env_cap(monkeypatch):
     monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
     lazy = core.LazyFunction(5, lambda x: 0)
@@ -186,3 +256,29 @@ def test_truth_table_validation():
         TruthTable(1, [0, 2])
     with pytest.raises(CapExceededError):
         TruthTable(30, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruthTable(-1, [])
+    for n, packed in ((2, 16), (2, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            TruthTable.from_packed_int(n, packed)
+    with pytest.raises(CapExceededError):
+        TruthTable.from_packed_int(30, 0)
+
+
+def test_parse_checks_the_cap_once_before_reading_the_digits(monkeypatch):
+    reads = []
+    cap = core.dense_cap
+    monkeypatch.setattr(core, "dense_cap", lambda: reads.append(1) or cap())
+    table = parse("3:96")
+    assert reads == [1]
+    assert not table.values.flags.writeable
+    assert table == families.named_basics("parity", 3)
+    with pytest.raises(CapExceededError):
+        parse("40:" + "F" * 10)  # the digit count is wrong too: the cap comes first
+
+
+def test_popcounts_match_bit_count():
+    for n in range(13):
+        pc = core.popcounts(n)
+        assert pc.dtype == np.uint8 and not pc.flags.writeable
+        assert pc.tolist() == [i.bit_count() for i in range(1 << n)]

@@ -1,6 +1,7 @@
 """Family generators: full-tree gap family, address, basics, compositions."""
 
 import random
+import time
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_compose_power_examples():
     tower = compose_power(ident, 5)
     assert tower.arity == 1
     assert materialize(tower) == ident
+
+
+def test_compose_power_materializes_from_its_base():
+    and4 = named_basics("and", 4)
+    power = compose_power(and4, 2)
+    start = time.perf_counter()
+    table = materialize(power)
+    assert time.perf_counter() - start < 0.02  # the point loop took about 0.3 s
+    assert table == named_basics("and", 16)
+    assert compose_power(and4, 1).tabulate is not None
 
 
 def test_compose_power_bounds():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import chains, families, measures
-from boolfn.core import CapExceededError, TruthTable, is_monotone, materialize
+from boolfn import algebra, chains, families, measures
+from boolfn.core import CapExceededError, TruthTable, compose, is_monotone, materialize
 from boolfn.measures import (
     alternation_decrease,
     block_sensitivity,
@@ -238,6 +238,22 @@ def test_subcube_measures_match_oracles(data):
     assert decision_tree_depth(f, cubes=cubes) == oracles.brute_decision_tree_depth(f)
     assert certificate_complexity(f, cubes=cubes) == oracles.brute_certificate(f)
     assert certificate_complexity(f, x, cubes=cubes) == oracles.brute_certificate_at(f, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_degree_at_most_sensitivity_squared(data):
+    # Huang, Annals of Math. 2019: deg(f) <= s(f)^2 for every Boolean f.
+    # Random tables have s close to n; block compositions reach lower s.
+    def table(n):
+        return TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+    if data.draw(st.booleans()):
+        f = table(data.draw(st.integers(0, 8)))
+    else:
+        m = data.draw(st.integers(1, 4))
+        f = materialize(compose(table(m), table(data.draw(st.integers(1, 8 // m)))))
+    assert algebra.degree(f) <= sensitivity(f) ** 2
 
 
 def test_subcube_ceiling():
