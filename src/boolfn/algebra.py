@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -139,10 +140,41 @@ def degree(f: TruthTable, modulus: Modulus = "integers") -> int:
     return multilinear_coefficients(f, modulus).degree()
 
 
-def degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
+def _levels_from_top(n: int) -> Iterator[np.ndarray]:
+    """The indices of popcount n, n - 1, ..., 1, as the complements of those
+    of popcount 0, 1, ...: x with lowest set bit t (t = n for x = 0) makes
+    x + 2**b of the next popcount for every b < t, so each index once."""
+    level, low = np.zeros(1, dtype=np.int64), np.full(1, n)
+    for _ in range(n):
+        yield level ^ ((1 << n) - 1)
+        ends = np.cumsum(low)
+        b = np.arange(ends[-1]) - np.repeat(ends - low, low)
+        level, low = np.repeat(level, low) | (1 << b), b
+
+
+def degrees(coeffs: np.ndarray, n: int, modulus: Optional[int] = None) -> np.ndarray:
     """The degree of every coefficient row (along the last axis): the largest
-    monomial with a nonzero coefficient, 0 where there is none."""
-    return np.where(coeffs != 0, popcounts(n), 0).max(axis=-1)
+    monomial whose coefficient is nonzero (mod ``modulus``), 0 if none.
+
+    The popcount levels are scanned from n down, reducing only the rows
+    still open, so a random table is done after a level or two. Before the
+    scan would read 1/32 of all the coefficients, the open rows take the
+    full pass instead, so low-degree rows cost about what that pass does.
+    """
+    rows = coeffs.reshape(-1, 1 << n)
+    deg, todo, budget = np.zeros(len(rows), dtype=np.int64), np.arange(len(rows)), rows.size >> 5
+    nonzero = (lambda c: c % modulus != 0) if modulus else (lambda c: c != 0)
+    levels = _levels_from_top(n)
+    for w in range(n, 0, -1):
+        budget -= todo.size * comb(n, w)
+        if budget < 0:
+            deg[todo] = np.where(nonzero(coeffs), popcounts(n), 0).max(axis=-1).reshape(-1)[todo]
+            break
+        hit = nonzero(rows[todo[:, None], next(levels)]).any(axis=-1)
+        deg[todo[hit]] = w
+        if not (todo := todo[~hit]).size:
+            break
+    return deg.reshape(coeffs.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -180,12 +212,16 @@ def fourier_transform(f: Tables) -> FourierSpectrum:
     """Exact integer Walsh transform of the +/-1 value vector 1 - 2f (of
     every row, for a stack)."""
     n, values = table_values(f)
-    a = 1 - 2 * values.astype(np.int64)
-    for p in range(n):
-        shaped = a.reshape(-1, 2, 1 << p)
-        lo = shaped[:, 0, :].copy()
-        shaped[:, 0, :] += shaped[:, 1, :]
-        shaped[:, 1, :] = lo - shaped[:, 1, :]
+    a = np.subtract(1, 2 * values, dtype=np.int64)
+    b = np.empty_like(a)
+    # Each step writes the sum and the difference of the halves on the top
+    # index bit interleaved, moving that bit to the bottom: after n steps
+    # every bit is transformed and back in place.
+    for _ in range(n):
+        top, out = a.reshape(-1, 2, 1 << (n - 1)), b.reshape(-1, 1 << (n - 1), 2)
+        np.add(top[:, 0], top[:, 1], out=out[..., 0])
+        np.subtract(top[:, 0], top[:, 1], out=out[..., 1])
+        a, b = b, a
     a.setflags(write=False)
     return FourierSpectrum(n, a)
 

@@ -7,9 +7,12 @@ extraction, the recursive full-tree witness chain, the glued chain for block
 compositions, and the XOR-of-monotone decomposition built on the same DP.
 
 The DP computes only the alternation profile A, for one table or for a
-stack of same-arity tables at once. The decrease profile D needs no second
-DP: along every increasing path from 0^n to x, rises - drops = f(x) - f(0^n),
-so the path with the most changes also has the most drops, and
+stack of same-arity tables at once. It runs on blocks of the low
+``BLOCK_BITS`` bits, visited in order of the Hamming weight of their high
+bits, so it needs O(2**n) memory and a gather plan of at most
+``BLOCK_BITS`` bits. The decrease profile D needs no second DP: along
+every increasing path from 0^n to x, rises - drops = f(x) - f(0^n), so
+the path with the most changes also has the most drops, and
 D = (A - f + f(0^n)) / 2 (:func:`decrease`).
 """
 
@@ -89,44 +92,59 @@ def alternation_along(f: BooleanFunction, c: Chain) -> int:
     return sum(a != b for a, b in zip(values, values[1:]))
 
 
-def _level_pairs(n: int, level: np.ndarray):
-    """(targets, predecessors) per variable bit for one Hamming-weight level."""
-    for p in range(n):
-        sel = level[(level >> p) & 1 == 1]
-        if sel.size:
-            yield sel, sel ^ (1 << p)
+# The DP runs on blocks of the low BLOCK_BITS bits of a point (read at call
+# time); only the gather plans of at most BLOCK_BITS bits are kept.
+BLOCK_BITS = 10
 
 
-def _levels(n: int):
-    """The DP's gather plan: the (targets, predecessors) pairs of levels 1..n,
-    built one pair at a time."""
-    pc = popcounts(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    return (_level_pairs(n, idx[pc == w]) for w in range(1, n + 1))
+def _plan(n: int):
+    """The DP's gather plan over n bits. Per Hamming weight w it holds the
+    points T of that weight (point 0 as a slice) and a ``(w, len(T))`` array
+    of their predecessors: row j clears each point's j-th set bit."""
+    pc, idx, bits = popcounts(n), np.arange(1 << n), 1 << np.arange(n)
+    plan = [(slice(0, 1), ())]
+    for T in (idx[pc == w][:, None] for w in range(1, n + 1)):
+        preds = (T ^ bits)[T & bits != 0].reshape(len(T), -1)
+        plan.append((T.ravel(), np.ascontiguousarray(preds.T)))
+    return tuple(plan)
 
 
-@lru_cache(maxsize=16)
-def _level_plan(n: int):
-    """Cached gather plan for small arities."""
-    return tuple(tuple(level) for level in _levels(n))
+_level_plan = lru_cache(maxsize=None)(_plan)
+
+
+def _low_first(blocks: np.ndarray) -> np.ndarray:
+    """``(rows, tables, 2**k)`` blocks as ``(2**k, columns)``; one column as a vector."""
+    a = np.ascontiguousarray(blocks.transpose(2, 0, 1))
+    return a.reshape(len(a), -1) if a.size > len(a) else a.ravel()
 
 
 def alternation_profile(f: Tables) -> np.ndarray:
     """Longest-alternation DP over the hypercube, level by Hamming weight.
 
     For every point x, ``A[x]`` is the maximum number of value changes of f
-    along any increasing path from 0^n to x. One integer per point, so the
-    profile is O(2**n) memory and O(n * 2**n) time. Given an ``(N, 2**n)``
-    stack of tables it returns the ``(N, 2**n)`` stack of their profiles.
+    along any increasing path from 0^n to x; an ``(N, 2**n)`` stack of
+    tables gives the ``(N, 2**n)`` stack of their profiles. The points that
+    share their high n - k bits, k = min(n, ``BLOCK_BITS``), form a block,
+    and blocks go by the Hamming weight of their high part h. A level's
+    blocks first take the maximum of ``A[h ^ e_p] + (v[h ^ e_p] != v[h])``
+    over their high predecessors, one gather of whole blocks each, then run
+    the DP over the low bits from it, all at once. For n <= k this is the
+    DP on the whole table. O(n * 2**n) time, O(2**n) memory.
     """
     n, v = table_values(f)
-    # Points on the leading axis, so each gather moves whole rows of the stack.
-    v = np.ascontiguousarray(v.T)
+    k, shape = min(n, BLOCK_BITS), v.shape
+    # (high parts, tables, low parts): a leading-axis gather moves blocks.
+    v = v.reshape(-1, 1 << (n - k), 1 << k).transpose(1, 0, 2)
     A = np.zeros(v.shape, dtype=np.int32)
-    for level in _level_plan(n) if n <= 16 else _levels(n):
-        for sel, pred in level:
-            A[sel] = np.maximum(A[sel], A[pred] + (v[pred] != v[sel]))
-    A = np.ascontiguousarray(A.T)
+    for T, P in (_level_plan if n - k <= BLOCK_BITS else _plan)(n - k):
+        vt, at = v[T], A[T]
+        for pred in P:
+            np.maximum(at, A[pred] + (v[pred] != vt), out=at)
+        a, vl = _low_first(at), _low_first(vt)
+        for t, p in _level_plan(k)[1:]:
+            a[t] = np.maximum(a[t], (a[p] + (vl[p] != vl[t])).max(axis=0))
+        A[T] = a.reshape(1 << k, -1, v.shape[1]).transpose(1, 2, 0)
+    A = np.ascontiguousarray(A.transpose(1, 0, 2)).reshape(shape)
     A.setflags(write=False)
     return A
 
@@ -181,13 +199,10 @@ def gap_family_chain(tree: DecisionTreeShape) -> Chain:
 
     Recursively: left-subtree chain, then the root variable, then the
     right-subtree chain. For a depth-k tree the result alternates 2**k - 1
-    times, the maximum possible.
+    times, the maximum; :class:`Chain` rejects a repeated or missing variable.
     """
     order = _collect_order(tree)
-    n = len(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("tree variables must be exactly 1..n, each once")
-    return Chain(n, tuple(order))
+    return Chain(len(order), tuple(order))
 
 
 def _collect_order(node: DecisionTreeShape) -> list[int]:

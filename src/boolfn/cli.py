@@ -245,23 +245,15 @@ def _cmd_verify(args, parser) -> int:
     if args.matrix_out:
         with _write(args.matrix_out, "a"):  # fail before the sweep, not after it
             pass
-    exit_code = 0
-    outputs = []
+    exit_code, outputs = 0, []
+    caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
     for population in populations:
-        report = verify.run_check_suite(
-            population,
-            checks=checks,
-            jobs=args.jobs,
-            fail_limit=args.fail_limit,
-            bs_cap=args.bs_cap,
-            cert_cap=args.cert_cap,
-            dt_cap=args.dt_cap,
-        )
+        report = verify.run_check_suite(population, checks, args.jobs, args.fail_limit, **caps)
         if report.failed:
             exit_code = 1
         outputs.append(report)
         if args.matrix_out:
-            rows = verify.measure_matrix_rows(population, args.bs_cap, args.cert_cap, args.dt_cap)
+            rows = verify.measure_matrix_rows(population, **caps)
             with _write(args.matrix_out, "a" if population is not populations[0] else "w") as handle:
                 csv.writer(handle).writerows(rows)
     if args.format == "json":

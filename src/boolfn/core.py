@@ -114,10 +114,7 @@ def point_index(x: Point, n: int) -> int:
     bits = [int(b) for b in x]
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ArityMismatchError(f"point {x!r} is not an {n}-bit sequence")
-    i = 0
-    for b in bits:
-        i = (i << 1) | b
-    return i
+    return sum(b << (n - 1 - j) for j, b in enumerate(bits))
 
 
 class TruthTable:
@@ -195,9 +192,7 @@ class TruthTable:
         return hash((self.n, self.values.tobytes()))
 
     def __repr__(self) -> str:
-        if self.n <= 6:
-            return f"TruthTable({serialize(self)!r})"
-        return f"TruthTable(n={self.n})"
+        return f"TruthTable({serialize(self)!r})" if self.n <= 6 else f"TruthTable(n={self.n})"
 
 
 Tables = Union[TruthTable, np.ndarray]
@@ -351,12 +346,6 @@ def materialize(f: BooleanFunction, cap: int | None = None) -> TruthTable:
     return TruthTable(f.arity, [f.evaluator(i) & 1 for i in range(1 << f.arity)])
 
 
-def _slices(f: TruthTable, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two half-tables of f along variable j (j in [1, n])."""
-    shaped = f.values.reshape(1 << (j - 1), 2, 1 << (f.n - j))
-    return shaped[:, 0, :], shaped[:, 1, :]
-
-
 def depends_on_all(f: Tables):
     """True iff every variable has some input where flipping it flips f; for
     an ``(N, 2**n)`` stack of tables, that flag of every row."""
@@ -370,11 +359,8 @@ def depends_on_all(f: Tables):
 
 def is_monotone(f: TruthTable) -> bool:
     """Direct pairwise check: no single-bit increase ever decreases f."""
-    for j in range(1, f.n + 1):
-        lo, hi = _slices(f, j)
-        if np.any(lo > hi):
-            return False
-    return True
+    halves = (f.values.reshape(1 << (j - 1), 2, -1) for j in range(1, f.n + 1))
+    return not any(np.any(h[:, 0] > h[:, 1]) for h in halves)
 
 
 def serialize(f: TruthTable) -> str:

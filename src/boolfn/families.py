@@ -112,8 +112,7 @@ def gap_family(
     tree = build(1, 0)
 
     def ev(x: int) -> int:
-        rank = 1
-        b = 0
+        rank, b = 1, 0
         for _ in range(k):
             b = (x >> (n - order[rank - 1])) & 1
             rank = 2 * rank + b
@@ -150,24 +149,16 @@ def named_basics(name: str, n: int, threshold: Optional[int] = None) -> TruthTab
     """Standard baseline functions: parity | and | or | majority | threshold."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if name == "majority" and n % 2 == 0:
+        raise ValueError("majority requires odd n")
+    if name == "threshold" and (threshold is None or not 0 <= threshold <= n + 1):
+        raise ValueError("threshold requires 0 <= k <= n+1")
     pc = popcounts(n)
-    if name == "parity":
-        vals = pc & 1
-    elif name == "and":
-        vals = (pc == n).astype(np.uint8)
-    elif name == "or":
-        vals = (pc > 0).astype(np.uint8)
-    elif name == "majority":
-        if n % 2 == 0:
-            raise ValueError("majority requires odd n")
-        vals = (pc > n // 2).astype(np.uint8)
-    elif name == "threshold":
-        if threshold is None or not 0 <= threshold <= n + 1:
-            raise ValueError("threshold requires 0 <= k <= n+1")
-        vals = (pc >= threshold).astype(np.uint8)
-    else:
+    rules = {"parity": lambda: pc & 1, "and": lambda: pc == n, "or": lambda: pc > 0,
+             "majority": lambda: pc > n // 2, "threshold": lambda: pc >= threshold}
+    if name not in rules:
         raise ValueError(f"unknown basic function {name!r}")
-    return TruthTable(n, vals)
+    return TruthTable(n, rules[name]())
 
 
 def compose_power(h: BooleanFunction, k: int) -> LazyFunction:

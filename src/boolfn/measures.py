@@ -427,7 +427,7 @@ class Chunk:
 
     def degm(self, m: int) -> np.ndarray:
         if m not in self._degm:
-            self._degm[m] = self._exact(algebra.degrees(self.coeffs % m, self.n))
+            self._degm[m] = self._exact(algebra.degrees(self.coeffs, self.n, m))
         return self._degm[m]
 
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.

@@ -66,22 +66,11 @@ def standard_family_instances() -> list[TruthTable]:
     """
     from . import families
 
-    out: list[TruthTable] = []
-    for k in (1, 2, 3, 4):
-        fn, _ = families.gap_family(k)
-        if isinstance(fn, TruthTable):
-            out.append(fn)
-    for t in (1, 2):
-        out.append(families.address(t))
-    for n in range(1, 9):
-        out.append(families.named_basics("parity", n))
-        out.append(families.named_basics("or", n))
-        out.append(families.named_basics("and", n))
-    for n in (1, 3, 5, 7):
-        out.append(families.named_basics("majority", n))
-    for n in (4, 6):
-        out.append(families.named_basics("threshold", n, threshold=n // 2))
-    return out
+    out = [fn for fn, _ in map(families.gap_family, (1, 2, 3, 4)) if isinstance(fn, TruthTable)]
+    out += [families.address(t) for t in (1, 2)]
+    out += [families.named_basics(name, n) for n in range(1, 9) for name in ("parity", "or", "and")]
+    out += [families.named_basics("majority", n) for n in (1, 3, 5, 7)]
+    return out + [families.named_basics("threshold", n, threshold=n // 2) for n in (4, 6)]
 
 
 @dataclass(frozen=True)
@@ -141,14 +130,10 @@ class Population:
         return len(self.members)
 
     def descriptor(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "exhaustive":
-            out["n"] = self.n
-        elif self.kind == "sample":
-            out.update(n=self.n, count=self.count, seed=self.seed)
-        else:
-            out["members"] = list(self.members)
-        return out
+        if self.kind == "explicit":
+            return {"kind": self.kind, "members": list(self.members)}
+        keys = ("n",) if self.kind == "exhaustive" else ("n", "count", "seed")
+        return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
 
 
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values
@@ -400,12 +385,7 @@ class SweepReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "registry_version": self.registry_version,
-            "population": self.population,
-            "checks": self.checks,
-            "failed": self.failed,
-        }
+        return {**vars(self), "failed": self.failed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

@@ -1,6 +1,7 @@
 """Polynomial and spectral algebra: transforms, degrees, exact identities."""
 
 import random
+import timeit
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from boolfn.algebra import (
     sparsity,
     spectral_sums,
 )
-from boolfn.core import TruthTable, materialize
+from boolfn.core import TruthTable, materialize, popcounts
 
 import oracles
 
@@ -78,6 +79,57 @@ def test_degree_examples():
     assert degree(maj3, 2) == 2
 
 
+def full_pass_degrees(coeffs, n, m=None):
+    """Every row's degree from one pass over all its coefficients."""
+    return np.where((coeffs if m is None else coeffs % m) != 0, popcounts(n), 0).max(-1)
+
+
+def vanishing_top_row(rng, n, m):
+    """A random table whose top coefficient is nonzero but 0 mod m."""
+    while True:
+        values = random_table(rng, n).values
+        top = int(multilinear_coefficients(values).coeffs[-1])
+        if top and top % m == 0:
+            return values
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 4, 5, 6])
+def test_top_down_degrees_match_the_full_pass(m):
+    stack = np.stack([TruthTable.from_packed_int(3, p).values for p in range(256)])
+    coeffs = multilinear_coefficients(stack).coeffs
+    assert np.array_equal(algebra.degrees(coeffs, 3, m), full_pass_degrees(coeffs, 3, m))
+    rng = random.Random(8 if m is None else m)
+    special = [
+        TruthTable.constant(8, 0).values,
+        TruthTable.constant(8, 1).values,
+        families.named_basics("parity", 8).values,
+        # AND of the first j variables: degree j, reached only by the full pass
+        *((np.arange(256) >> (8 - j) == (1 << j) - 1).astype(np.uint8) for j in (1, 2, 3)),
+        vanishing_top_row(rng, 8, m or 2),
+    ]
+    for rows in (special, special[:6]):
+        for _ in range(3):
+            mixed = [random_table(rng, 8).values for _ in range(rng.randrange(0, 40))] + rows
+            rng.shuffle(mixed)
+            coeffs = multilinear_coefficients(np.stack(mixed)).coeffs
+            got = algebra.degrees(coeffs, 8, m)
+            assert got.tolist() == full_pass_degrees(coeffs, 8, m).tolist()
+            for row, deg in zip(coeffs, got):
+                assert algebra.degrees(row, 8, m) == deg
+
+
+def test_top_down_degrees_cost_about_a_full_pass_on_low_degree_rows():
+    """A constant is the scan's worst case: no level above 0 has a nonzero
+    coefficient, so it falls back to the full pass after a few levels."""
+    n = 18
+    coeffs = np.zeros(1 << n, dtype=np.int64)
+    coeffs[0] = 1
+    full = min(timeit.repeat(lambda: full_pass_degrees(coeffs, n, 3), number=1, repeat=7))
+    top_down = min(timeit.repeat(lambda: algebra.degrees(coeffs, n, 3), number=1, repeat=7))
+    assert algebra.degrees(coeffs, n, 3) == 0
+    assert top_down <= 3 * full, f"top-down {top_down * 1e3:.2f} ms, full pass {full * 1e3:.2f} ms"
+
+
 def test_fourier_examples():
     for n in (1, 2, 4):
         p = families.named_basics("parity", n)
@@ -98,6 +150,20 @@ def test_fourier_examples():
     spec = fourier_transform(const0)
     assert spec.coefficient(()) == 1
     assert spec.sparsity() == 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fourier_at_arity_0_and_1(n):
+    tables = [TruthTable.from_packed_int(n, p) for p in range(1 << (1 << n))]
+    stack = fourier_transform(np.stack([t.values for t in tables])).scaled
+    assert not stack.flags.writeable
+    for row, t in zip(stack, tables):
+        spec = fourier_transform(t)
+        assert not spec.scaled.flags.writeable
+        assert np.array_equal(spec.scaled, row)
+        want = oracles.brute_fourier_scaled(t)
+        assert {subset: int(c) for subset, c in zip(want, row)} == want
+        assert dict(spec.support()) == {s: c for s, c in want.items() if c}
 
 
 def test_fourier_matches_oracle():

@@ -1,10 +1,15 @@
 """Chain objects, the three constructions, and the monotone decomposition."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boolfn import families, measures
+import oracles
+from boolfn import chains, families, measures
 from boolfn.chains import (
     Chain,
     alternation_along,
@@ -22,9 +27,84 @@ from boolfn.core import (
 )
 
 
-
 def random_table(rng, n):
     return TruthTable.from_packed_int(n, rng.getrandbits(1 << n))
+
+
+def point_order_profile(values, n: int) -> list[int]:
+    """The alternation DP in plain index order, one point at a time: every
+    predecessor x ^ e_p of x is a smaller index, so it is already done."""
+    A = [0] * (1 << n)
+    for x in range(1, 1 << n):
+        preds = (x ^ (1 << p) for p in range(n) if x >> p & 1)
+        A[x] = max(A[y] + int(values[y] != values[x]) for y in preds)
+    return A
+
+
+def check_profiles(tables):
+    """The profile of each table alone and of their stack: equal, read-only,
+    and equal to the point-order DP."""
+    stack = chains.alternation_profile(np.stack([t.values for t in tables]))
+    assert not stack.flags.writeable
+    for row, t in zip(stack, tables):
+        single = chains.alternation_profile(t)
+        assert not single.flags.writeable
+        assert np.array_equal(row, single)
+        assert single.tolist() == point_order_profile(t.values, t.n)
+    return stack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_blocked_dp_matches_oracles_at_every_block_size(data):
+    """Blocks of 0 to 3 low bits put the cross-block step, and plans above
+    BLOCK_BITS bits, on tables small enough for the brute-force oracle."""
+    n = data.draw(st.integers(0, 6))
+    packed = data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=1, max_size=4))
+    tables = [TruthTable.from_packed_int(n, p) for p in packed]
+    alts = [oracles.brute_alternation(t) for t in tables]
+    with pytest.MonkeyPatch.context() as mp:
+        for bits in (0, 1, 2, 3):
+            mp.setattr(chains, "BLOCK_BITS", bits)
+            assert check_profiles(tables)[:, -1].tolist() == alts
+
+
+@pytest.mark.parametrize("block_bits", [4, chains.BLOCK_BITS])
+def test_blocked_dp_matches_point_order_at_n12(block_bits, monkeypatch):
+    monkeypatch.setattr(chains, "BLOCK_BITS", block_bits)
+    rng = random.Random(12)
+    tables = [random_table(rng, 12) for _ in range(3)]
+    tables += [families.named_basics(name, 12) for name in ("parity", "and", "or")]
+    tables.append(TruthTable.constant(12, 1))
+    check_profiles(tables)
+
+
+def traced_bytes(f, *args):
+    """(held, peak): the bytes that ``f(*args)`` leaves allocated, and the
+    most it had allocated at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - before, peak - before
+
+
+def test_alternation_profile_memory_is_linear_in_the_table(monkeypatch):
+    """Peak memory is the profile and one level of blocks; what stays after
+    a call is only the kept plans of at most BLOCK_BITS bits, also when the
+    high part has more bits than that."""
+    rng = random.Random(18)
+    t16, t18 = random_table(rng, 16), random_table(rng, 18)
+    _, peak = traced_bytes(chains.alternation_profile, t18)
+    assert peak <= 12 << 18, f"{peak / (1 << 18):.2f} bytes per point at the peak for n = 18"
+    for block_bits in (chains.BLOCK_BITS, 4):
+        monkeypatch.setattr(chains, "BLOCK_BITS", block_bits)
+        chains._level_plan.cache_clear()
+        held, _ = traced_bytes(chains.alternation_profile, t16)
+        assert held < 1 << 16, f"{held / (1 << 16):.2f} bytes per point held after n = 16"
 
 
 def test_chain_validation_and_points():

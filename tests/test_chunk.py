@@ -46,6 +46,7 @@ def test_stacked_kernels_match_single_table_and_oracles(data):
     coeffs = algebra.multilinear_coefficients(stack).coeffs
     scaled = algebra.fourier_transform(stack).scaled
     s = measures.per_point_sensitivity(stack)
+    assert not any(result.flags.writeable for result in (A, coeffs, scaled, s))
     for i, t in enumerate(tables):
         assert np.array_equal(A[i], chains.alternation_profile(t))
         assert np.array_equal(coeffs[i], algebra.multilinear_coefficients(t).coeffs)
