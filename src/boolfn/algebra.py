@@ -32,7 +32,7 @@ __all__ = [
     "influence_from_spectrum",
     "multilinear_coefficients",
     "sparsity",
-    "spectral_sum",
+    "spectral_numerators",
     "spectral_sums",
     "subset_of_index",
 ]
@@ -231,15 +231,18 @@ def sparsity(f: TruthTable) -> int:
     return fourier_transform(f).sparsity()
 
 
-# Parseval makes the scaled squares sum to 4**n, so no spectral sum here
-# exceeds n**2 * 4**n, which is below 2**63 up to this arity.
-INT64_EXACT_MAX_ARITY = 26
+# Exact integer columns and sums are int64 up to this arity and Python ints
+# above it. Parseval bounds every spectral sum by n**2 * 4**n, below 2**63 up
+# to n = 26, but the check formulas multiply measures up to (n + 1)**2 * n *
+# 4**n (alt**2 * n against I**2, both scaled by 4**n), which passes 2**63 at
+# n = 25, so the tighter bound decides for both.
+INT64_EXACT_MAX_ARITY = 24
 
 
 def exact_terms(a: np.ndarray, n: int) -> np.ndarray:
-    """Operands of an arity-n spectral sum: ``a`` itself while int64 sums are
-    exact, Python ints above ``INT64_EXACT_MAX_ARITY``."""
-    return a if n <= INT64_EXACT_MAX_ARITY else a.astype(object)
+    """``a`` as exact integers for arity n: int64 (``a`` itself, if it is
+    int64) up to ``INT64_EXACT_MAX_ARITY``, Python ints above."""
+    return a.astype(np.int64 if n <= INT64_EXACT_MAX_ARITY else object, copy=False)
 
 
 @dataclass(frozen=True)
@@ -251,26 +254,31 @@ class SpectralSums:
     weighted2: Fraction
 
 
+def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The exact numerators of the spectral sums over S, along the last axis
+    of a spectrum or a stack, from one ``abs``, one square and one weight
+    vector. Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum
+    |scaled[S]| |S|. Over 4**n: sum scaled[S]**2 times |S|**2
+    (``weighted2``), |S| (``spectral``, the influence) or 1 (``sum_sq``, 4**n
+    by Parseval)."""
+    a, weights = np.abs(exact_terms(scaled, n)), exact_terms(popcounts(n), n)
+    sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
+    a *= a
+    sums["sum_sq"] = a.sum(axis=-1)
+    a *= weights
+    return {**sums, "weighted2": a @ weights, "spectral": a.sum(axis=-1)}
+
+
 def spectral_sums(f: TruthTable) -> SpectralSums:
     return spectral_sums_of(fourier_transform(f))
 
 
-def spectral_sum(scaled: np.ndarray, n: int, power: int, weight: int) -> np.ndarray:
-    """The exact sum over S of |scaled[S]|**power * |S|**weight, along the
-    last axis: one value for a spectrum, one per row for a stack. It is the
-    numerator of a spectral sum at denominator 2**(n * power)."""
-    terms = exact_terms(scaled, n)
-    terms = np.abs(terms) if power == 1 else terms * terms
-    return (terms * exact_terms(popcounts(n).astype(np.int64), n) ** weight).sum(axis=-1)
-
-
 def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
-    n, scaled = spec.n, _one_table(spec.scaled)
-    l1, weighted, weighted2 = (int(spectral_sum(scaled, n, *pw)) for pw in ((1, 0), (1, 1), (2, 2)))
-    denom = 1 << n
+    nums, denom = spectral_numerators(_one_table(spec.scaled), spec.n), 1 << spec.n
+    l1, weighted, weighted2 = (int(nums[k]) for k in ("l1", "weighted", "weighted2"))
     return SpectralSums(Fraction(l1, denom), Fraction(weighted, denom), Fraction(weighted2, denom**2))
 
 
 def influence_from_spectrum(spec: FourierSpectrum) -> Fraction:
     """Influence via the spectral identity sum |S| fhat(S)^2."""
-    return Fraction(int(spectral_sum(_one_table(spec.scaled), spec.n, 2, 1)), 1 << (2 * spec.n))
+    return Fraction(int(spectral_numerators(_one_table(spec.scaled), spec.n)["spectral"]), 1 << (2 * spec.n))

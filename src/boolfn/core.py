@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -85,7 +84,6 @@ def _check_arity(n: int) -> None:
         raise CapExceededError(f"arity {n} exceeds dense cap {cap}")
 
 
-@lru_cache(maxsize=32)
 def popcounts(n: int) -> np.ndarray:
     """Read-only array of Hamming weights for all indices in [0, 2**n)."""
     _check_arity(n)

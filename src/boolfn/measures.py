@@ -19,10 +19,12 @@ the stacked ``(N, 2**n)`` matrix; the subcube tables, with their C sweep
 and DT rounds, run on parts of it of at most ``CHUNK_CELLS`` subcube
 cells. Only block sensitivity still searches row by row, and only on rows
 with s(f) < max C(f, x). The check registry reads whole
-columns. :class:`MeasureContext`, the record of one function, reads its
-row of them, for ``boolfn analyze``, the measure matrix and the
-per-record check path, through the one column schema ``COLUMNS``. Sweeps
-build their chunks with :func:`chunks`; a lone record is a chunk of one.
+columns. Every value a report carries is named once, in ``VALUES``, with
+its whole-chunk column of Python values: the measure matrix zips a chunk's
+columns, and :class:`MeasureContext`, the record of one function, is a row
+index into its chunk that picks its entry of them, for ``boolfn analyze``
+and ``Check.run``. Sweeps build their chunks with :func:`chunks`; a lone
+record is a chunk of one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, partialmethod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,13 +57,13 @@ __all__ = [
     "CHUNK_CELLS",
     "DT_CAP_DEFAULT",
     "FREE",
-    "ROW_INT64_MAX_ARITY",
+    "SPARSITY_EXPONENT",
     "SUBCUBE_MAX_ARITY",
     "COLUMNS",
+    "VALUES",
     "AltDecrease",
     "Chunk",
     "MeasureContext",
-    "Row",
     "alternation_decrease",
     "block_sensitivity",
     "certificate_complexity",
@@ -92,10 +94,7 @@ FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 # A chunk stacks at most this many table cells (256 tables at n = 8), which
 # bounds each stacked kernel array; a table above it is a chunk of one.
 CHUNK_CELLS = 1 << 16
-# Per-row columns are int64 up to this arity and Python ints above it. The
-# check formulas multiply them up to (n + 1)**2 * n * 4**n (alt**2 * n
-# against I**2, both scaled by 4**n), which is below 2**63 up to n = 24.
-ROW_INT64_MAX_ARITY = 24
+SPARSITY_EXPONENT = 2.0  # the c of the deg-sparsity-exponent check
 
 
 def per_point_sensitivity(f: Tables) -> np.ndarray:
@@ -305,12 +304,10 @@ def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
         raise CapExceededError(f"bs, C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
 
 
-def per_value(fn: Callable, column):
+def per_value(fn: Callable, column: np.ndarray) -> np.ndarray:
     """``fn`` of every entry of an integer column, run in Python once per
-    distinct value, so a float formula gives the bits it gives on one
-    record; ``fn`` of a scalar."""
-    if not isinstance(column, np.ndarray):
-        return fn(column)
+    distinct value, so a float formula gives the bits it gives on that
+    value as a Python int."""
     entries = column.tolist()
     results = {v: fn(v) for v in set(entries)}
     return np.array([results[v] for v in entries])
@@ -318,7 +315,7 @@ def per_value(fn: Callable, column):
 
 def _exact_column(compute: Callable[["Chunk"], np.ndarray]) -> cached_property:
     """A per-row chunk column, computed once, as exact integers."""
-    return cached_property(lambda c: c._exact(compute(c)))
+    return cached_property(lambda c: algebra.exact_terms(compute(c), c.n))
 
 
 class Chunk:
@@ -329,12 +326,11 @@ class Chunk:
     ``coeffs``, ``spectrum``, and each row's witness chain order
     ``witness``) come from one kernel run on the ``(N, 2**n)`` stack, and
     ``per_point_cert`` from one run per part of the subcube tables
-    ``cubes``; the per-row measures are built
-    from them as exact integers, int64 up to ``ROW_INT64_MAX_ARITY`` and
-    Python ints above. A rational measure is kept as its numerator:
-    ``I_num``, ``avg_s2_num``, ``l1_num`` and ``weighted_num`` over 2**n,
-    ``weighted2_num`` and ``spectral_num`` over 4**n. No reader asks for a
-    measure above its cap.
+    ``cubes``; the per-row measures are built from them as exact integers
+    (``algebra.exact_terms``). A rational measure is kept as its numerator:
+    ``I_num`` and ``avg_s2_num`` over 2**n, and the spectral ``sums`` (see
+    ``algebra.spectral_numerators``). :meth:`values` gives a column of
+    ``VALUES``, as Python values. No reader asks for a measure above its cap.
     """
 
     def __init__(
@@ -348,10 +344,20 @@ class Chunk:
         self.tables = tables
         self.n = tables[0].n
         self.bs_cap, self.cert_cap, self.dt_cap = bs_cap, cert_cap, dt_cap
-        self._degm: dict[int, np.ndarray] = {}
+        self._kept: dict = {}
 
     def __len__(self) -> int:
         return len(self.tables)
+
+    def keep(self, key, compute: Callable[["Chunk"], object]):
+        """``compute(self)``, computed at the first call with ``key`` and kept."""
+        if key not in self._kept:
+            self._kept[key] = compute(self)
+        return self._kept[key]
+
+    def values(self, name: str) -> list:
+        """The ``VALUES`` column ``name``: one Python value per row."""
+        return self.keep(name, VALUES[name])
 
     def record(self, row: int) -> "MeasureContext":
         return MeasureContext(self.tables[row], chunk=self, row=row)
@@ -370,9 +376,6 @@ class Chunk:
             keys = [int.from_bytes(row, "little") for row in packed]
             rows = rows[sorted(range(len(rows)), key=keys.__getitem__)[:k]]
         return rows
-
-    def _exact(self, a: np.ndarray) -> np.ndarray:
-        return a.astype(np.int64 if self.n <= ROW_INT64_MAX_ARITY else object)
 
     # The per-point columns: one kernel run each on the stack.
     stack = cached_property(lambda c: np.stack([t.values for t in c.tables]))
@@ -426,64 +429,24 @@ class Chunk:
     deg = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n))
 
     def degm(self, m: int) -> np.ndarray:
-        if m not in self._degm:
-            self._degm[m] = self._exact(algebra.degrees(self.coeffs, self.n, m))
-        return self._degm[m]
+        return self.keep(m, lambda c: algebra.exact_terms(algebra.degrees(c.coeffs, c.n, m), c.n))
 
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.
     sparsity = _exact_column(lambda c: np.count_nonzero(c.spectrum, axis=-1))
-    l1_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 1, 0))
-    weighted_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 1, 1))
-    weighted2_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 2))
-    spectral_num = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 1))  # I, by Fourier
-    sum_sq = _exact_column(lambda c: algebra.spectral_sum(c.spectrum, c.n, 2, 0))  # 4**n, by Parseval
+    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n))
 
     depends_all = cached_property(lambda c: depends_on_all(c.stack))
 
 
-class Row:
-    """Row ``row`` of a chunk's columns, as a check formula reads them on one
-    record: each per-row column as a Python scalar, each per-point column
-    as a stack of one row, and the chunk's own attributes as they are."""
-
-    __slots__ = ("_chunk", "_row")
-
-    def __init__(self, chunk: Chunk, row: int) -> None:
-        self._chunk, self._row = chunk, row
-
-    def __getattr__(self, name: str):
-        value = getattr(self._chunk, name)
-        if callable(value):
-            return lambda *args: self._pick(value(*args))
-        return self._pick(value)
-
-    def _pick(self, value):
-        if not isinstance(value, np.ndarray):
-            return value
-        return value.item(self._row) if value.ndim == 1 else value[self._row : self._row + 1]
-
-
-def _reader(column: str, cap: Optional[str] = None) -> Callable[["MeasureContext"], Optional[int]]:
-    """A record accessor: the record's row of an integer chunk column, or
-    ``None`` when the arity is above the record's ``cap``."""
-
-    def read(self: "MeasureContext") -> Optional[int]:
-        if cap is not None and self.n > getattr(self, cap):
-            return None
-        return int(getattr(self._chunk, column)[self._row])
-
-    return read
-
-
 class MeasureContext:
-    """The record of one function: row ``row`` of its chunk's columns.
+    """The record of one function: row ``row`` of its chunk.
 
-    ``boolfn analyze``, the measure matrix and the per-record check path
-    read it. Every accessor reads its row of a chunk column, so each
-    measure is computed once per chunk, and only when some reader needs it.
-    A measure above its cap reads ``None``. Without a ``chunk`` the record
-    is a chunk of one, with the given caps; a bs, C or DT cap above
-    ``SUBCUBE_MAX_ARITY`` is rejected up front.
+    ``boolfn analyze``, ``Check.run`` and the library functions read it.
+    Every value is the record's entry of a whole-chunk column, of ``VALUES``
+    or a per-point one, so each measure is computed once per chunk, and only
+    when some reader needs it. A measure above its cap reads ``None``.
+    Without a ``chunk`` the record is a chunk of one, with the given caps; a
+    bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
     """
 
     def __init__(
@@ -495,82 +458,65 @@ class MeasureContext:
         chunk: Optional[Chunk] = None,
         row: int = 0,
     ) -> None:
-        if chunk is None:
-            chunk = Chunk([table], bs_cap, cert_cap, dt_cap)
-        self.table, self.n, self._chunk, self._row = table, table.n, chunk, row
-        self.bs_cap, self.cert_cap, self.dt_cap = chunk.bs_cap, chunk.cert_cap, chunk.dt_cap
+        self.table, self.n, self.row = table, table.n, row
+        self.chunk = Chunk([table], bs_cap, cert_cap, dt_cap) if chunk is None else chunk
 
-    def columns(self) -> Row:
-        return Row(self._chunk, self._row)
+    def value(self, name: str):
+        """The record's entry of the ``VALUES`` column ``name``."""
+        return self.chunk.values(name)[self.row]
 
     def fn_id(self) -> str:
         return serialize(self.table)
 
-    def depends_all(self) -> bool:
-        return bool(self._chunk.depends_all[self._row])
+    s = partialmethod(value, "s")
+    bs = partialmethod(value, "bs")
+    cert = partialmethod(value, "C")
+    dt = partialmethod(value, "DT")
+    alt = partialmethod(value, "alt")
+    dc = partialmethod(value, "dc")
+    deg = partialmethod(value, "deg")
+    deg2 = partialmethod(value, "deg2")
+    sparsity = partialmethod(value, "sparsity")
+    influence = partialmethod(value, "I")
+    avg_s2 = partialmethod(value, "avg_s2")
+    depends_all = partialmethod(value, "depends_on_all")
+
+    def degm(self, m: int) -> int:
+        """The degree over Z_m, for m in 2..6."""
+        return self.value(f"deg_{m}")
+
+    def negs(self) -> tuple[int, int]:
+        """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
+        return self.value("negs"), self.value("negs_formula")
+
+    def sums(self) -> algebra.SpectralSums:
+        return algebra.SpectralSums(*map(self.value, ("l1", "weighted", "weighted2")))
+
+    def skips(self) -> dict[str, str]:
+        caps = {"bs": self.chunk.bs_cap, "C": self.chunk.cert_cap, "DT": self.chunk.dt_cap}
+        return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
 
     def per_point_s(self) -> np.ndarray:
-        return self._chunk.per_point_s[self._row]
+        return self.chunk.per_point_s[self.row]
 
     def per_point(self) -> dict:
         return {"s": self.per_point_s().tolist()}
 
-    s = _reader("s")
-    bs = _reader("bs", "bs_cap")
-    cert = _reader("cert", "cert_cap")
-    dt = _reader("dt", "dt_cap")
-    alt = _reader("alt")
-    dc = _reader("dc")
-    deg = _reader("deg")
-    sparsity = _reader("sparsity")
-
-    def influence(self) -> Fraction:
-        return self.rational("I_num", 1)
-
-    def avg_s2(self) -> Fraction:
-        return self.rational("avg_s2_num", 1)
-
-    def rational(self, column: str, power: int) -> Fraction:
-        """A rational measure: its numerator column over 2**(n * power)."""
-        return Fraction(_reader(column)(self), 1 << (self.n * power))
-
-    def skips(self) -> dict[str, str]:
-        caps = {"bs": self.bs_cap, "C": self.cert_cap, "DT": self.dt_cap}
-        return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
-
     def profile(self) -> np.ndarray:
-        return self._chunk.profile[self._row]
-
-    def negs(self) -> tuple[int, int]:
-        """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
-        return _reader("negs")(self), self.dc()
+        return self.chunk.profile[self.row]
 
     def witness(self) -> chains.Chain:
-        return chains.Chain(self.n, tuple(self._chunk.witness[self._row].tolist()))
+        return chains.Chain(self.n, tuple(self.chunk.witness[self.row].tolist()))
 
     def poly(self) -> algebra.MultilinearPoly:
-        return algebra.MultilinearPoly(self.n, self._chunk.coeffs[self._row])
-
-    def degm(self, m: int) -> int:
-        return int(self._chunk.degm(m)[self._row])
-
-    def deg2(self) -> int:
-        return self.degm(2)
+        return algebra.MultilinearPoly(self.n, self.chunk.coeffs[self.row])
 
     def spectrum(self) -> algebra.FourierSpectrum:
-        return algebra.FourierSpectrum(self.n, self._chunk.spectrum[self._row])
-
-    def sums(self) -> algebra.SpectralSums:
-        l1, weighted = self.rational("l1_num", 1), self.rational("weighted_num", 1)
-        return algebra.SpectralSums(l1, weighted, self.rational("weighted2_num", 2))
-
-    def row(self) -> list:
-        """The measure-matrix row, in ``COLUMNS`` order; capped cells are empty."""
-        return ["" if v is None else _cell(v) for v in (get(self) for get in COLUMNS.values())]
+        return algebra.FourierSpectrum(self.n, self.chunk.spectrum[self.row])
 
     def to_json_dict(self) -> dict:
         """The ``boolfn analyze`` object, without the per-point table."""
-        out = {name: _cell(get(self)) for name, get in COLUMNS.items()}
+        out = {name: _cell(self.value(name)) for name in COLUMNS}
         out["deg_m"] = {str(m): self.degm(m) for m in (3, 4, 5, 6)}
         out["spectral"] = {name: str(value) for name, value in vars(self.sums()).items()}
         out["depends_on_all"] = self.depends_all()
@@ -579,24 +525,51 @@ class MeasureContext:
         return out
 
 
-# The one column schema: the measure-matrix CSV columns in order, which are
-# also the scalar fields of the analyze JSON.
-COLUMNS: dict[str, Callable[[MeasureContext], object]] = {
-    "fn": MeasureContext.fn_id,
-    "n": lambda r: r.n,
-    "s": MeasureContext.s,
-    "bs": MeasureContext.bs,
-    "C": MeasureContext.cert,
-    "I": MeasureContext.influence,
-    "alt": MeasureContext.alt,
-    "dc": MeasureContext.dc,
-    "DT": MeasureContext.dt,
-    "negs": lambda r: r.negs()[0],
-    "negs_formula": lambda r: r.negs()[1],
-    "deg": MeasureContext.deg,
-    "deg2": MeasureContext.deg2,
-    "sparsity": MeasureContext.sparsity,
+def _capped(cap: str, column: Callable[[Chunk], np.ndarray]) -> Callable[[Chunk], list]:
+    """An integer column as Python ints, or ``None`` on every row when the
+    arity is above the chunk's ``cap``."""
+    return lambda c: [None] * len(c) if c.n > getattr(c, cap) else column(c).tolist()
+
+
+def _over(numerators: Callable[[Chunk], np.ndarray], power: int) -> Callable[[Chunk], list]:
+    """A rational column: its numerators over 2**(n * power), as Fractions."""
+    return lambda c: [Fraction(v, 1 << (c.n * power)) for v in numerators(c).tolist()]
+
+
+# The one value schema: each report name and its whole-chunk column of Python
+# values (int, Fraction, bool, or None above a cap). The first 14 names are
+# the measure-matrix CSV columns, in order, and the scalar fields of the
+# analyze JSON; the rest are the deg_m and spectral fields of that JSON and
+# the values checks keep.
+VALUES: dict[str, Callable[[Chunk], list]] = {
+    "fn": lambda c: [serialize(t) for t in c.tables],
+    "n": lambda c: [c.n] * len(c),
+    "s": lambda c: c.s.tolist(),
+    "bs": _capped("bs_cap", lambda c: c.bs),
+    "C": _capped("cert_cap", lambda c: c.cert),
+    "I": _over(lambda c: c.I_num, 1),
+    "alt": lambda c: c.alt.tolist(),
+    "dc": lambda c: c.dc.tolist(),
+    "DT": _capped("dt_cap", lambda c: c.dt),
+    "negs": lambda c: c.negs.tolist(),
+    "negs_formula": lambda c: c.dc.tolist(),
+    "deg": lambda c: c.deg.tolist(),
+    "deg2": lambda c: c.degm(2).tolist(),
+    "sparsity": lambda c: c.sparsity.tolist(),
+    **{f"deg_{m}": (lambda c, m=m: c.degm(m).tolist()) for m in range(2, 7)},
+    "l1": _over(lambda c: c.sums["l1"], 1),
+    "weighted": _over(lambda c: c.sums["weighted"], 1),
+    "weighted2": _over(lambda c: c.sums["weighted2"], 2),
+    "spectral": _over(lambda c: c.sums["spectral"], 2),
+    "sum_sq": lambda c: c.sums["sum_sq"].tolist(),
+    "avg_s2": _over(lambda c: c.avg_s2_num, 1),
+    "depends_on_all": lambda c: c.depends_all.tolist(),
+    "witness_alt": lambda c: c.witness_alt.tolist(),
+    "parts": lambda c: c.alt.tolist(),
+    "negated": lambda c: c.stack[:, 0].astype(bool).tolist(),
+    "c": lambda c: [SPARSITY_EXPONENT] * len(c),
 }
+COLUMNS = tuple(VALUES)[:14]
 
 
 def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
@@ -618,7 +591,7 @@ def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
 
 
 def _cell(value):
-    """A column value as JSON and CSV carry it: exact rationals as text."""
+    """A value as the analyze JSON carries it: exact rationals as text."""
     return str(value) if isinstance(value, Fraction) else value
 
 

@@ -2,17 +2,18 @@
 
 Checks are data: a name, a kind (``assert`` for proven statements, ``ratio``
 for observed-constant reports, ``report`` for parametrized implications),
-and one :class:`Formula` over the measure columns of a
+and one formula over the measure columns of a
 :class:`~boolfn.measures.Chunk`. Each check is one row of the ``CHECKS``
 table: its skip conditions, each written once with its reason, the observed
-values it keeps, by name, and the formula. A sweep evaluates the formula on
-whole columns of each chunk, and each check's :class:`Aggregate` takes the
-chunk's outcome as masks: counts are mask sums, and only the failures it
-keeps and the ratio's best row are read as records. ``Check.run`` gives the
-same formula's outcome on one function's record. One registry feeds both
-the test suite and the CLI, populations are enumerated or sampled
-deterministically, and aggregates merge commutatively so parallel runs
-match serial ones.
+values it keeps, by their ``measures.VALUES`` names, and the formula.
+``Check.outcomes`` is the one evaluation: per row of a chunk, the first
+skip that holds, and where the formula holds or the ratio's terms, all on
+whole columns. A sweep's :class:`Aggregate` takes those outcomes as masks:
+counts are mask sums, and only the failures it keeps and the ratio's best
+row are read as records. ``Check.run`` reads one function's row of them.
+One registry feeds both the test suite and the CLI, populations are
+enumerated or sampled deterministically, and aggregates merge commutatively
+so parallel runs match serial ones.
 
 A worker builds only the members of its own index range, as chunks of up to
 ``measures.CHUNK_CELLS`` cells from :func:`boolfn.measures.chunks`, so every
@@ -42,7 +43,6 @@ __all__ = [
     "Aggregate",
     "Check",
     "CheckResult",
-    "Formula",
     "MeasureContext",
     "Population",
     "Skip",
@@ -156,73 +156,63 @@ LOG_N_ZERO = Skip("log2(n) = 0", lambda c: c.n < 2)
 DEG2_LE_1 = Skip("deg2 <= 1", lambda c: c.degm(2) <= 1)
 NO_BS_DENOMINATOR = Skip("s * alt^2 = 0", lambda c: c.s * c.alt == 0)
 
-SPARSITY_EXPONENT = 2.0  # the c of deg-sparsity-exponent
-
-# The observed values a check may keep, by name: the measure columns and the
-# values the identities compare with them.
-_VALUES: dict[str, Callable[[MeasureContext], object]] = {
-    **measures.COLUMNS,
-    **{f"deg_{m}": (lambda r, m=m: r.degm(m)) for m in range(2, 7)},
-    "weighted": lambda r: r.sums().weighted,
-    "weighted2": lambda r: r.sums().weighted2,
-    "avg_s2": MeasureContext.avg_s2,
-    "spectral": lambda r: r.rational("spectral_num", 2),
-    "sum_sq": lambda r: r.columns().sum_sq,
-    "witness_alt": lambda r: r.columns().witness_alt,
-    "parts": MeasureContext.alt,
-    "negated": lambda r: bool(r.table.values[0]),
-    "c": lambda r: SPARSITY_EXPONENT,
-}
-
-
-def _values(record: MeasureContext, keys: Sequence[str]) -> dict:
-    return {key: _VALUES[key](record) for key in keys}
-
-
 def _ratio(num, den):
     """The ratio value a report carries: exact for integers, else a float."""
     return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 @dataclass(frozen=True)
-class Formula:
-    """A check's one formula, over the columns of a :class:`measures.Chunk`.
+class Check:
+    """A named check: one formula over the columns of a :class:`measures.Chunk`.
 
     ``holds`` reads columns by name and gives where an assert or report
     holds, or a ratio's (numerator, denominator). Skips come first, in
     order, and the first that holds decides a row's reason; ``observed``
-    names the values a row keeps. On a whole chunk the columns are arrays;
-    on one record (:meth:`run`) they are that row's :class:`measures.Row`,
-    and the same formula gives the same outcome.
+    names the ``measures.VALUES`` a row keeps. :meth:`outcomes` evaluates
+    it on a whole chunk, and :meth:`run` reads one record's row of that.
     """
-
-    kind: str
-    holds: Callable
-    observed: tuple[str, ...]
-    skips: tuple[Skip, ...]
-
-    def run(self, record: MeasureContext) -> Outcome:
-        c = record.columns()
-        for skip in self.skips:
-            if skip.holds(c):
-                return "skip", {"reason": skip.reason.format(c), **_values(record, skip.observed)}
-        values = _values(record, self.observed)
-        if self.kind == "ratio":
-            return "pass", {"ratio": _ratio(*self.holds(c)), **values}
-        return ("pass" if self.holds(c) else "fail"), values
-
-
-@dataclass(frozen=True)
-class Check:
-    """A named registered check: ``run`` gives its outcome on one function's
-    record, and a registry row's ``formula`` gives it on a whole chunk. A
-    check without a formula is swept record by record."""
 
     name: str
     kind: str  # "assert" | "ratio" | "report"
     description: str
-    run: Callable[[MeasureContext], Outcome]
-    formula: Optional[Formula] = None
+    holds: Callable
+    observed: tuple[str, ...] = ()
+    skips: tuple[Skip, ...] = ()
+
+    def outcomes(self, chunk: measures.Chunk) -> tuple[np.ndarray, object]:
+        """Per row, the index of the first skip that holds (``len(skips)``
+        if none); and where the formula holds, or the ratio's (num, den),
+        as whole columns. Each skip is read only while rows are open, and
+        the formula only when some row is not skipped (``None`` if none), so
+        a capped column is never computed."""
+        first = np.full(len(chunk), len(self.skips))
+        for i, skip in enumerate(self.skips):
+            if (open_ := first == len(self.skips)).any():
+                first[open_ & skip.holds(chunk)] = i
+        if (first < len(self.skips)).all():
+            return first, None
+        holds = self.holds(chunk)
+        if self.kind == "ratio":
+            return first, tuple(np.full(len(first), a) for a in holds)
+        return first, np.full(len(first), holds, dtype=bool)
+
+    def run(self, record: MeasureContext) -> Outcome:
+        """The outcome on one record: its row of the chunk's outcomes,
+        which the chunk keeps for its other records."""
+        first, result = record.chunk.keep(self, self.outcomes)
+        row, skip = record.row, int(first[record.row])
+        if skip < len(self.skips):
+            reason = self.skips[skip].reason.format(record.chunk)
+            return "skip", {"reason": reason, **_values(record, self.skips[skip].observed)}
+        values = _values(record, self.observed)
+        if self.kind == "ratio":
+            num, den = result
+            return "pass", {"ratio": _ratio(num.item(row), den.item(row)), **values}
+        return ("pass" if result[row] else "fail"), values
+
+
+def _values(record: MeasureContext, names: Sequence[str]) -> dict:
+    return {name: record.value(name) for name in names}
 
 
 @dataclass
@@ -249,8 +239,7 @@ def _declare(
     """A check from one table row: unless one of ``skips`` holds, an assert
     passes iff ``holds``, and a ratio check always passes and keeps its
     ratio ahead of the values named in ``observed``."""
-    formula = Formula(kind, holds, tuple(observed.split()), skips)
-    return Check(name, kind, description, formula.run, formula)
+    return Check(name, kind, description, holds, tuple(observed.split()), skips)
 
 
 def _decomposes(c):
@@ -272,7 +261,7 @@ def _ceil_log2_1p(dc: int) -> int:
 
 def _log2_power(x: int) -> float:
     """(log2 x)^c, the sparsity exponent's bound at x, 0 for x <= 1."""
-    return math.log2(x) ** SPARSITY_EXPONENT if x > 1 else 0.0
+    return math.log2(x) ** measures.SPARSITY_EXPONENT if x > 1 else 0.0
 
 
 DEG_ABOVE_LOG_N = Skip(
@@ -312,7 +301,7 @@ CHECKS: dict[str, Check] = {
         _declare("deg2-le-log-sparsity", "assert", "deg2 at most log2 sparsity when deg2 > 1",
                  "deg2 sparsity", lambda c: (1 << c.degm(2)) <= c.sparsity, DEG2_LE_1),
         _declare("spectral-weight-ge-n", "assert", "weighted spectral sum at least n", "weighted n",
-                 lambda c: c.weighted_num >= c.n << c.n, PARTIAL),
+                 lambda c: c.sums["weighted"] >= c.n << c.n, PARTIAL),
         _declare("sens-sqrt-sparsity", "assert", "s * sqrt(sparsity) at least n", "s sparsity n",
                  lambda c: c.s * c.s * c.sparsity >= c.n * c.n, PARTIAL),
         _declare("deg-exp-deg2-lower", "assert", "deg at least n / 2^deg2", "deg deg2 n",
@@ -323,12 +312,12 @@ CHECKS: dict[str, Check] = {
                  lambda c: c.I_num <= (c.alt * c.degm(2) ** 2) << c.n),
         _declare("influence-fourier-identity", "assert",
                  "influence equals the weighted spectral square sum",
-                 "I spectral", lambda c: c.I_num << c.n == c.spectral_num),
+                 "I spectral", lambda c: c.I_num << c.n == c.sums["spectral"]),
         _declare("sens-square-identity", "assert",
                  "weighted2 spectral sum equals the mean squared sensitivity",
-                 "weighted2 avg_s2", lambda c: c.weighted2_num == c.avg_s2_num << c.n),
+                 "weighted2 avg_s2", lambda c: c.sums["weighted2"] == c.avg_s2_num << c.n),
         _declare("parseval", "assert", "scaled spectrum squares sum to 4^n", "sum_sq n",
-                 lambda c: c.sum_sq == 1 << (2 * c.n)),
+                 lambda c: c.sums["sum_sq"] == 1 << (2 * c.n)),
         _declare("witness-valid", "assert", "DP witness chain achieves alt", "witness_alt alt",
                  lambda c: c.witness_alt == c.alt),
         _declare("monotone-decomposition", "assert", "alt-many monotone parts reconstruct the function",
@@ -424,47 +413,28 @@ class Aggregate:
     max_ratio: Optional[Fraction] = None
     max_ratio_fn: Optional[str] = None
 
-    def add(self, fn_id: str, status: str, observed: dict) -> None:
-        self.counts[status] += 1
-        if status == "fail":
-            self._keep_failures([_failure(fn_id, observed)])
-        elif status == "skip":
-            self._count_skips({str(observed.get("reason", "unspecified")): 1})
-        elif self.kind == "ratio":
-            self._offer_ratio(observed["ratio"], fn_id)
-
     def add_chunk(self, chunk: measures.Chunk, check: Check) -> None:
-        """Add every row of ``chunk``. A registry check is evaluated on whole
-        columns: each skip's mask takes the rows still open, the formula
-        decides the rest, and only the kept failures and the ratio's best
-        row are read as records. A check without a formula runs per record."""
-        if check.formula is None:
-            for record in chunk.records():
-                self.add(record.fn_id(), *check.run(record))
+        """Add every row of ``chunk`` from the check's column outcomes:
+        counts are mask sums, and only the kept failures and the ratio's
+        best row are read as records."""
+        first, result = check.outcomes(chunk)
+        *skipped, opened = np.bincount(first, minlength=len(check.skips) + 1).tolist()
+        self.counts["skip"] += len(chunk) - opened
+        self._count_skips({skip.reason.format(chunk): k for skip, k in zip(check.skips, skipped) if k})
+        if result is None:
             return
-        formula, size = check.formula, len(chunk)
-        open_ = np.ones(size, dtype=bool)
-        for skip in formula.skips:
-            hit = open_ & skip.holds(chunk)
-            if hit.any():
-                count = int(hit.sum())
-                self.counts["skip"] += count
-                self._count_skips({skip.reason.format(chunk): count})
-                open_ &= ~hit
-                if not open_.any():
-                    return
-        rows = np.flatnonzero(open_)
-        if formula.kind == "ratio":
-            self.counts["pass"] += len(rows)
-            num, den = (np.broadcast_to(a, size) for a in formula.holds(chunk))
+        open_ = first == len(check.skips)
+        if check.kind == "ratio":
+            self.counts["pass"] += opened
+            (num, den), rows = result, np.flatnonzero(open_)
             (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1)
             self._offer_ratio(_ratio(num.item(best), den.item(best)), serialize(chunk.tables[best]))
             return
-        failed = rows[~np.broadcast_to(np.asarray(formula.holds(chunk), dtype=bool), size)[rows]]
-        self.counts["pass"] += len(rows) - len(failed)
+        failed = np.flatnonzero(open_ & ~result)
+        self.counts["pass"] += opened - len(failed)
         self.counts["fail"] += len(failed)
         kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
-        self._keep_failures([_failure(r.fn_id(), _values(r, formula.observed)) for r in kept])
+        self._keep_failures([_failure(r.fn_id(), _values(r, check.observed)) for r in kept])
 
     def merge(self, other: "Aggregate") -> "Aggregate":
         for status, count in other.counts.items():
@@ -596,8 +566,10 @@ def measure_matrix_rows(
     cert_cap: int = measures.CERT_CAP_DEFAULT,
     dt_cap: int = measures.DT_CAP_DEFAULT,
 ) -> Iterator[list]:
-    """Per-function measure matrix (header row first), for CSV export."""
+    """Per-function measure matrix (header row first), for CSV export: each
+    chunk's ``measures.COLUMNS`` zipped; a capped cell is ``None``, which
+    the CSV writer leaves empty."""
     yield list(measures.COLUMNS)
     caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
-    for record in measures.records(population.tables(), **caps):
-        yield record.row()
+    for chunk in measures.chunks(population.tables(), **caps):
+        yield from map(list, zip(*map(chunk.values, measures.COLUMNS)))

@@ -268,7 +268,8 @@ def test_spectral_sums_above_16_match_python_ints(name, n):
 
 def test_exact_terms_guard_above_int64_arity():
     limit = algebra.INT64_EXACT_MAX_ARITY
-    assert limit**2 * 4**limit < 2**63 <= (limit + 1) ** 2 * 4 ** (limit + 1)
+    # the largest product a check formula forms, (n + 1)**2 * n * 4**n, fits up to the limit
+    assert (limit + 1) ** 2 * limit * 4**limit < 2**63 <= (limit + 2) ** 2 * (limit + 1) * 4 ** (limit + 1)
     a = np.array([3**39, -(3**39), 5], dtype=np.int64)  # squares overflow int64
     assert algebra.exact_terms(a, limit) is a
     exact = algebra.exact_terms(a, limit + 1)

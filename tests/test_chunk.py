@@ -4,8 +4,6 @@ kernel runs once per chunk; each check gives the same entry on whole columns
 as row by row; and reports, failures and ratio ties included, do not depend
 on the chunk size."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,7 +113,7 @@ def test_chunks_split_at_arity_changes_and_the_cell_budget(monkeypatch):
     tables = [TruthTable.from_packed_int(n, i) for i, n in enumerate((2, 2, 2, 3, 3, 2))]
     records = list(measures.records(tables))
     assert [r.table for r in records] == tables
-    chunks = dict.fromkeys(r._chunk for r in records)
+    chunks = dict.fromkeys(r.chunk for r in records)
     assert [len(c.tables) for c in chunks] == [2, 1, 1, 1, 1]
 
 
@@ -177,19 +175,17 @@ def test_degree_four_tables_pass_the_sparsity_checks():
 def test_columns_above_the_int64_arity_are_python_ints(monkeypatch):
     population = Population.explicit([*Population.sample(4, 60, 3).tables(), *verify.standard_family_instances()])
     as_int64 = run_check_suite(population).to_json()
-    monkeypatch.setattr(measures, "ROW_INT64_MAX_ARITY", 2)
+    monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)
     chunk = next(measures.chunks(Population.sample(4, 5, 3).tables()))
-    assert chunk.s.dtype == object and type(chunk.I_num[0]) is int and type(chunk.weighted2_num[0]) is int
+    assert chunk.s.dtype == object and type(chunk.I_num[0]) is int and type(chunk.sums["weighted2"][0]) is int
     assert run_check_suite(population).to_json() == as_int64
 
 
 # The statement s >= n, false in general, once as a column formula and once
-# as a check with only a per-record run, which is swept row by row.
-S_GE_N = verify.Formula("assert", lambda c: c.s >= c.n, ("s", "n"), ())
-BOGUS_COLUMNS = verify.Check("bogus-columns", "assert", "s >= n", S_GE_N.run, S_GE_N)
+# decided in Python, one distinct value of s at a time.
+BOGUS_COLUMNS = verify.Check("bogus-columns", "assert", "s >= n", lambda c: c.s >= c.n, ("s", "n"))
 BOGUS_ROWS = verify.Check(
-    "bogus-rows", "assert", "s >= n",
-    lambda r: ("pass" if r.s() >= r.n else "fail", {"s": r.s(), "n": r.n}),
+    "bogus-rows", "assert", "s >= n", lambda c: measures.per_value(lambda s: s >= c.n, c.s), ("s", "n")
 )
 SPANNED = ["bogus-columns", "bogus-rows", "bs-ratio", "sens-log-ratio"]
 
@@ -213,7 +209,6 @@ def chunks_holding(population, monkeypatch) -> dict:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
-    assert all(check.formula is not None for check in verify.CHECKS.values())
     monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
     monkeypatch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
     population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
@@ -230,12 +225,38 @@ def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
     assert checks["bogus-columns"]["fail"] > 2 and len(checks["bogus-columns"]["failures"]) == 2
 
 
+def entry_by_records(check: verify.Check, population: Population, fail_limit: int) -> dict:
+    """A sweep entry built from each record's ``Check.run`` outcome: the
+    counts, the first ``fail_limit`` failures by id, the skip reasons, and
+    the largest ratio, a tie going to the smallest id."""
+    counts, failures, reasons, ratios = {"pass": 0, "fail": 0, "skip": 0}, [], {}, []
+    for record in measures.records(population.tables()):
+        status, observed = check.run(record)
+        counts[status] += 1
+        if status == "fail":
+            failures.append({"fn": record.fn_id(), "observed": {k: str(v) for k, v in observed.items()}})
+        elif status == "skip":
+            reasons[observed["reason"]] = reasons.get(observed["reason"], 0) + 1
+        elif check.kind == "ratio":
+            ratios.append((observed["ratio"], record.fn_id()))
+    entry = {
+        "kind": check.kind,
+        **counts,
+        "failures": sorted(failures, key=lambda item: item["fn"])[:fail_limit],
+        "skip_reasons": dict(sorted(reasons.items())),
+        "max_ratio": None,
+    }
+    if ratios:
+        top = max(ratio for ratio, _ in ratios)
+        fn = min(fn for ratio, fn in ratios if ratio == top)
+        entry.update(max_ratio=str(top), max_ratio_float=float(top), max_ratio_fn=fn)
+    return entry
+
+
 def test_every_check_gives_the_same_entry_on_columns_and_row_by_row(monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
     population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
-    for check in list(verify.CHECKS.values()):
-        row_only = dataclasses.replace(check, name=f"{check.name}-rows", formula=None)
-        monkeypatch.setitem(verify.CHECKS, row_only.name, row_only)
     checks = run_check_suite(population, fail_limit=2).checks
+    assert checks[BOGUS_COLUMNS.name]["fail"] > 2
     for name, entry in checks.items():
-        if not name.endswith("-rows"):
-            assert entry == checks[f"{name}-rows"], name
+        assert entry == entry_by_records(verify.CHECKS[name], population, 2), name

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, piping."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import cli
+from boolfn import cli, measures, verify
+from boolfn.core import parse
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -208,7 +210,7 @@ def test_verify_exit_one_on_assertion_failure(monkeypatch):
         name="always-fails",
         kind="assert",
         description="deliberately false",
-        run=lambda ctx: ("fail", {"marker": 1}),
+        holds=lambda c: False,
     )
     monkeypatch.setitem(verify_mod.CHECKS, "always-fails", bogus)
     code, out, _ = run_cli(["verify", "--exhaustive", "1", "--checks", "always-fails"])
@@ -267,6 +269,21 @@ def test_verify_sample_and_matrix(tmp_path):
     lines = matrix.read_text().strip().splitlines()
     assert lines[0].startswith("fn,")
     assert len(lines) == 26
+
+
+def test_matrix_rows_match_analyze(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    caps = ["--bs-cap", "2", "--cert-cap", "2", "--dt-cap", "2"]
+    code, _, _ = run_cli(["verify", "--exhaustive", "2", "--families", *caps, "--matrix-out", str(matrix)])
+    assert code == 0
+    with matrix.open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(measures.COLUMNS)
+    rows.remove(header)  # each population writes its own header
+    assert len(rows) == 16 + len(verify.standard_family_instances())
+    for row in rows:
+        fields = measures.MeasureContext(parse(row[0]), bs_cap=2, cert_cap=2, dt_cap=2).to_json_dict()
+        assert row == ["" if fields[name] is None else str(fields[name]) for name in measures.COLUMNS], row[0]
 
 
 def test_unwritable_matrix_out_fails_before_the_sweep(monkeypatch):

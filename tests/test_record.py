@@ -40,7 +40,7 @@ def oracle_columns(t: TruthTable) -> dict:
 
 
 def record_columns(record: MeasureContext) -> dict:
-    out = {name: get(record) for name, get in measures.COLUMNS.items()}
+    out = {name: record.value(name) for name in measures.COLUMNS}
     assert out.pop("fn") == record.fn_id() and out.pop("n") == record.n
     assert out.pop("deg2") == record.degm(2)
     out.update({f"deg_{m}": record.degm(m) for m in range(2, 7)})
@@ -59,7 +59,9 @@ def test_record_capped_columns_read_none():
     record = MeasureContext(families.named_basics("parity", 5), bs_cap=4, cert_cap=4, dt_cap=4)
     assert (record.bs(), record.cert(), record.dt()) == (None, None, None)
     assert set(record.skips()) == {"bs", "C", "DT"}
-    assert record.row()[list(measures.COLUMNS).index("bs")] == ""
+    population = verify.Population.explicit([record.table])
+    matrix_row = list(verify.measure_matrix_rows(population, bs_cap=4, cert_cap=4, dt_cap=4))[1]
+    assert [matrix_row[measures.COLUMNS.index(name)] for name in ("bs", "C", "DT")] == [None] * 3
     assert record.to_json_dict()["skips"] == record.skips()
 
 
@@ -93,7 +95,7 @@ def test_each_kernel_runs_once_per_record(monkeypatch):
     for check in verify.CHECKS.values():
         assert check.run(record)[0] in ("pass", "skip"), check.name
     cli._analyze_payload(record, argparse.Namespace(per_point=True))
-    record.row()
+    [record.value(name) for name in measures.VALUES]
     list(record.spectrum().csv_rows())
     record.poly().to_json_dict()
     assert calls == {name: 1 for _, name in KERNELS}

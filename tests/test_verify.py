@@ -116,7 +116,8 @@ def test_counterexample_round_trip():
         name="bogus-s-ge-n",
         kind="assert",
         description="sensitivity is the arity (false in general)",
-        run=lambda ctx: (("pass" if ctx.s() >= ctx.n else "fail"), {"s": ctx.s(), "n": ctx.n}),
+        holds=lambda c: c.s >= c.n,
+        observed=("s", "n"),
     )
     pop = Population.exhaustive(2)
     aggregates = {}
@@ -140,7 +141,7 @@ def test_failure_payload_reproduces():
         name="bogus",
         kind="assert",
         description="always fails",
-        run=lambda ctx: ("fail", {"marker": 1}),
+        holds=lambda c: False,
     )
     result = run_single_check(bogus, families.named_basics("and", 2))
     payload = result.to_json_dict()
