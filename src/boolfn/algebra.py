@@ -152,7 +152,9 @@ def _levels_from_top(n: int) -> Iterator[np.ndarray]:
         level, low = np.repeat(level, low) | (1 << b), b
 
 
-def degrees(coeffs: np.ndarray, n: int, modulus: Optional[int] = None) -> np.ndarray:
+def degrees(
+    coeffs: np.ndarray, n: int, modulus: Optional[int] = None, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The degree of every coefficient row (along the last axis): the largest
     monomial whose coefficient is nonzero (mod ``modulus``), 0 if none.
 
@@ -160,6 +162,8 @@ def degrees(coeffs: np.ndarray, n: int, modulus: Optional[int] = None) -> np.nda
     still open, so a random table is done after a level or two. Before the
     scan would read 1/32 of all the coefficients, the open rows take the
     full pass instead, so low-degree rows cost about what that pass does.
+    That pass reads ``weights``, ``popcounts(n)``, built here unless the
+    caller holds it.
     """
     rows = coeffs.reshape(-1, 1 << n)
     deg, todo, budget = np.zeros(len(rows), dtype=np.int64), np.arange(len(rows)), rows.size >> 5
@@ -168,7 +172,8 @@ def degrees(coeffs: np.ndarray, n: int, modulus: Optional[int] = None) -> np.nda
     for w in range(n, 0, -1):
         budget -= todo.size * comb(n, w)
         if budget < 0:
-            deg[todo] = np.where(nonzero(coeffs), popcounts(n), 0).max(axis=-1).reshape(-1)[todo]
+            weights = popcounts(n) if weights is None else weights
+            deg[todo] = np.where(nonzero(coeffs), weights, 0).max(axis=-1).reshape(-1)[todo]
             break
         hit = nonzero(rows[todo[:, None], next(levels)]).any(axis=-1)
         deg[todo[hit]] = w
@@ -254,14 +259,18 @@ class SpectralSums:
     weighted2: Fraction
 
 
-def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
+def spectral_numerators(
+    scaled: np.ndarray, n: int, weights: Optional[np.ndarray] = None
+) -> dict[str, np.ndarray]:
     """The exact numerators of the spectral sums over S, along the last axis
-    of a spectrum or a stack, from one ``abs``, one square and one weight
-    vector. Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum
+    of a spectrum or a stack, from one ``abs``, one square and the weight
+    vector |S|, ``weights`` (``popcounts(n)``, built here unless the caller
+    holds it). Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum
     |scaled[S]| |S|. Over 4**n: sum scaled[S]**2 times |S|**2
     (``weighted2``), |S| (``spectral``, the influence) or 1 (``sum_sq``, 4**n
     by Parseval)."""
-    a, weights = np.abs(exact_terms(scaled, n)), exact_terms(popcounts(n), n)
+    weights = exact_terms(popcounts(n) if weights is None else weights, n)
+    a = np.abs(exact_terms(scaled, n))
     sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)

@@ -9,7 +9,12 @@ subcube table (:func:`subcube_table`): f's constant value on each of the
 3**n subcubes, or ``FREE`` where f is not constant. Block sensitivity reads
 it too: C(f, x) for every x, with s(f), bounds its search, so only points
 with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
-3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``.
+3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``. The table
+and each DT round make one pass per variable (:func:`_digit_sweep`): the
+passes on the first variables run on the natural cell order, and those on
+the last few, which there would read runs of 1 to 9 cells, on block copies
+with the cells transposed. The DT rounds stop after round n - 1, as a cube
+open then has DT = n.
 
 Every measure is a column of a :class:`Chunk`: consecutive same-arity
 tables, at most ``CHUNK_CELLS`` cells in all. A column is computed at its
@@ -30,6 +35,7 @@ record is a chunk of one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, partialmethod
@@ -47,6 +53,7 @@ from .core import (
     depends_on_all,
     materialize,
     point_index,
+    popcounts,
     serialize,
     table_values,
 )
@@ -86,9 +93,12 @@ CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
 # A chunk keeps the subcube tables of its N = CHUNK_CELLS >> n tables, N * 3**n
 # bytes, which grows with n to 43 MB for one table at n = 16. The C sweep and
-# the DT rounds take parts of at most CHUNK_CELLS cells (or one table), and
-# the rounds need about 1.5 times a part again: 110 MB in all at n = 16. No
-# bs, C or DT cap may exceed this.
+# the DT rounds take parts of at most CHUNK_CELLS cells (or one table); the
+# rounds keep two more arrays of a part's size, the marks and a snapshot of
+# them, and their transposed copies are blocks of at most CHUNK_CELLS cells.
+# C and DT of one random table peak at 47 MB of RSS at n = 14 (about 0.25 s)
+# and 181 MB at n = 16 (3.7 s), 30 MB of each the interpreter and numpy
+# (2-core Xeon). No bs, C or DT cap may exceed this.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 # A chunk stacks at most this many table cells (256 tables at n = 8), which
@@ -192,6 +202,54 @@ def block_sensitivity(
     return best
 
 
+def _digit_sweep(step: Callable, n: int, radix: int, a: np.ndarray, jacobi: bool = False) -> np.ndarray:
+    """``a`` after ``step`` has run once on each digit of its cell index.
+
+    ``a`` is a table or a stack of them, whose cells have n digits in base
+    ``radix``. ``step(cells)`` gets ``a`` viewed along one digit as
+    ``(outer, radix, inner)`` and returns the cells with that digit in base
+    3. With ``jacobi``, ``step(cells, before)`` also gets the same view of
+    ``a`` as it was before the sweep, and updates ``cells`` in place.
+
+    The low digits, whose passes on ``a`` would have inner extents of a few
+    cells, run first, on transposed copies with cells ``(low, rows, high)``;
+    then the cells move back, and the high digits run on ``a`` itself. A low
+    step relates only cells of one high index, so the copies are made in
+    blocks of high cells, at most ``CHUNK_CELLS`` cells (or one high cell)
+    each, and a block's own copy is its ``before``. There are as many low digits as the largest
+    l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer: then the shortest pass
+    on ``a``, 3**l cells, and the width of a block, about ``CHUNK_CELLS`` //
+    3**l cells, are both about the square root of the budget. Below 3**8
+    cells the copies cost more than the short passes do, and none are made.
+    """
+
+    def passes(cells, before, digits, tail):
+        for j in range(digits):
+            shape = (-1, radix, radix ** (digits - j - 1) * tail)
+            cells = step(*(x.reshape(shape) for x in (cells, before) if x is not None))
+        return cells
+
+    lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
+    low = 0 if rows * 3**n < 3**8 else min(n, int(math.log(CHUNK_CELLS, 9)))
+    before = a.copy() if jacobi and low < n else None
+    if low:
+        cells = a.reshape(rows, -1, radix**low)
+        a = cells if radix == 3 else np.empty((rows, cells.shape[1], 3**low), a.dtype)
+        width = max(1, CHUNK_CELLS // (rows * 3**low))
+        for start in range(0, cells.shape[1], width):
+            block = np.ascontiguousarray(cells[:, start : start + width].transpose(2, 0, 1))
+            block = passes(block, block.copy() if jacobi else None, low, block[0].size)
+            a[:, start : start + width] = block.reshape(3**low, rows, -1).transpose(1, 2, 0)
+    return passes(a, before, n - low, 3**low).reshape(*lead, -1)
+
+
+def _split_on_digit(halves: np.ndarray) -> np.ndarray:
+    """The cells fixing x_j to 0 and to 1, and after them the cell leaving
+    it free: their common value, or ``FREE``."""
+    lo, hi = halves[:, :1], halves[:, 1:]
+    return np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=1)
+
+
 def subcube_table(f: Tables) -> np.ndarray:
     """f's constant value on every subcube, or ``FREE`` where f varies (for
     every row, for a stack: ``(N, 3**n)``).
@@ -200,17 +258,13 @@ def subcube_table(f: Tables) -> np.ndarray:
     the most significant, as x_1 is the top bit of a point. Digit 0 or 1
     fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
     cube. One pass per variable splits each cell on x_j into its two halves
-    and the cell where x_j is free.
+    and the cell where x_j is free; the passes on the last variables run on
+    transposed blocks (:func:`_digit_sweep`).
     """
-    n, cube = table_values(f)
+    n, values = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
-    lead = cube.shape[:-1]
-    for j in range(n):
-        halves = cube.reshape(*lead, 3**j, 2, -1)
-        lo, hi = halves[..., :1, :], halves[..., 1:, :]
-        cube = np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=-2)
-    cube = cube.reshape(*lead, -1)
+    cube = _digit_sweep(_split_on_digit, n, 2, values)
     cube.setflags(write=False)
     return cube
 
@@ -267,29 +321,36 @@ def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDe
     return AltDecrease(record.alt(), record.dc(), record.witness())
 
 
+def _decide_on_digit(decided: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Mark each cell leaving x_j free whose two halves on x_j were marked
+    ``before``."""
+    decided[:, FREE] |= before[:, 0] & before[:, 1]
+    return decided
+
+
 def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np.ndarray] = None):
     """Depth of the shallowest decision tree, exact; for a stack, the
     depth of every row.
 
     Round d marks the subcubes that a depth-d tree decides: the constant
     ones, and those with a free x_j whose two halves on x_j were marked in
-    round d - 1. The depth is the first round that marks the whole cube.
+    round d - 1. Each round reads the marks of the round before and is one
+    :func:`_digit_sweep`. The depth is the first round that marks the whole
+    cube; a cube still open after round n - 1 has depth n, as every f has
+    DT <= n, so round n is never run.
     """
     n, _ = table_values(f)
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
     decided = (subcube_table(f) if cubes is None else cubes) != FREE
     lead = decided.shape[:-1]
-    before = np.empty_like(decided)
-    cells = [decided.reshape(*lead, 3**j, 3, -1) for j in range(n)]
-    prevs = [before.reshape(*lead, 3**j, 3, -1) for j in range(n)]
-    splits = [(cell[..., FREE, :], prev[..., 0, :], prev[..., 1, :]) for cell, prev in zip(cells, prevs)]
     depth = np.zeros(lead, dtype=np.int64)
-    while not decided[..., -1].all():
+    for _ in range(n - 1):
+        if decided[..., -1].all():
+            break
         depth += ~decided[..., -1]
-        before[:] = decided
-        for free, lo, hi in splits:
-            free |= lo & hi
+        _digit_sweep(_decide_on_digit, n, 3, decided, jacobi=True)
+    depth += ~decided[..., -1]
     return depth if lead else int(depth)
 
 
@@ -425,15 +486,19 @@ class Chunk:
     negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
     witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
 
+    # The Hamming weight of every index, built once for the degrees and the
+    # spectral sums.
+    weights = cached_property(lambda c: popcounts(c.n))
+
     # From the Moebius coefficients: the degree over Z and over every Z_m.
-    deg = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n))
+    deg = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n, weights=c.weights))
 
     def degm(self, m: int) -> np.ndarray:
-        return self.keep(m, lambda c: algebra.exact_terms(algebra.degrees(c.coeffs, c.n, m), c.n))
+        return self.keep(m, lambda c: algebra.exact_terms(algebra.degrees(c.coeffs, c.n, m, c.weights), c.n))
 
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.
     sparsity = _exact_column(lambda c: np.count_nonzero(c.spectrum, axis=-1))
-    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n))
+    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n, c.weights))
 
     depends_all = cached_property(lambda c: depends_on_all(c.stack))
 

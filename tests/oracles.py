@@ -5,7 +5,7 @@ library's shortcuts (no DP, no minimal-block reduction, no memoization), so
 the tests can check the fast paths against first principles.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from boolfn.core import TruthTable
 
@@ -71,6 +71,24 @@ def brute_certificate_at(table: TruthTable, x: int) -> int:
 
 def brute_certificate(table: TruthTable) -> int:
     return max(brute_certificate_at(table, x) for x in range(1 << table.n))
+
+
+def brute_subcube_table(table: TruthTable) -> list:
+    """f's value on every subcube, or 2 where f varies, one cell at a time.
+
+    Cell c's base-3 digits, most significant first, fix x_1 ... x_n to 0 or
+    1 or leave them free (2); f is read on every point of the subcube.
+    """
+    n = table.n
+    cells = []
+    for digits in product((0, 1, 2), repeat=n):
+        seen = {
+            bit(table, x)
+            for x in range(1 << n)
+            if all(d == 2 or (x >> (n - 1 - j)) & 1 == d for j, d in enumerate(digits))
+        }
+        cells.append(seen.pop() if len(seen) == 1 else 2)
+    return cells
 
 
 def chain_points(order, n):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import algebra, chains, families, measures
+from boolfn import algebra, chains, core, families, measures
 from boolfn.core import CapExceededError, TruthTable, compose, is_monotone, materialize
 from boolfn.measures import (
     alternation_decrease,
@@ -308,3 +308,132 @@ def test_per_point_table():
     maj3 = families.named_basics("majority", 3)
     report = measure_report(maj3)
     assert report.per_point()["s"] == [0, 2, 2, 2, 2, 2, 2, 0]
+
+
+# The subcube kernels as one-layout loops, every digit pass on the natural
+# cell order and every DT round up to the one that decides the whole cube:
+# references for the differential tests below.
+FREE = measures.FREE
+
+
+def reference_subcube_table(values: np.ndarray, n: int) -> np.ndarray:
+    cube, lead = values, values.shape[:-1]
+    for j in range(n):
+        halves = cube.reshape(*lead, 3**j, 2, -1)
+        lo, hi = halves[..., :1, :], halves[..., 1:, :]
+        cube = np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=-2)
+    return cube.reshape(*lead, -1)
+
+
+def reference_decision_tree_depth(cubes: np.ndarray, n: int):
+    decided = cubes != FREE
+    lead = decided.shape[:-1]
+    before = np.empty_like(decided)
+    cells = [decided.reshape(*lead, 3**j, 3, -1) for j in range(n)]
+    prevs = [before.reshape(*lead, 3**j, 3, -1) for j in range(n)]
+    splits = [(cell[..., FREE, :], prev[..., 0, :], prev[..., 1, :]) for cell, prev in zip(cells, prevs)]
+    depth = np.zeros(lead, dtype=np.int64)
+    while not decided[..., -1].all():
+        depth += ~decided[..., -1]
+        before[:] = decided
+        for free, lo, hi in splits:
+            free |= lo & hi
+    return depth if lead else int(depth)
+
+
+def reference_per_point_certificate(cubes: np.ndarray, n: int) -> np.ndarray:
+    lead = cubes.shape[:-1]
+    size = np.where(cubes == FREE, np.uint8(n + 1), np.uint8(0))
+    for j in range(n):
+        cells = size.reshape(*lead, 2**j, 3, -1)
+        size = np.minimum(cells[..., :FREE, :] + 1, cells[..., FREE:, :])
+    return size.reshape(*lead, -1)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def subcube_kernels(f) -> tuple:
+    """The subcube table, the DT and every C(f, x) of a table or a stack."""
+    cubes = measures.subcube_table(f)
+    return cubes, decision_tree_depth(f, cubes=cubes), measures.per_point_certificate(f, cubes)
+
+
+def assert_subcube_kernels(tables: list, cubes: np.ndarray, dt: np.ndarray, certs: np.ndarray) -> None:
+    """The kernels on the stack of ``tables`` and on each table alone give
+    these arrays: the stack's bytes and dtypes, and each table's rows of
+    them, its DT as an int."""
+    stack = np.stack([t.values for t in tables])
+    for got, want in zip(subcube_kernels(stack), (cubes, dt, certs)):
+        assert_same_array(got, want)
+    for i, table in enumerate(tables):
+        one_cubes, one_dt, one_certs = subcube_kernels(table)
+        assert_same_array(one_cubes, cubes[i])
+        assert type(one_dt) is int and one_dt == dt[i]
+        assert_same_array(one_certs, certs[i])
+
+
+def test_subcube_kernels_match_oracles():
+    # every table at n <= 3 (the 256 n = 3 tables run on transposed blocks),
+    # and seeded random tables at n = 4..6
+    rng = random.Random(2024)
+    for n in range(7):
+        tables = (
+            [TruthTable.from_packed_int(n, i) for i in range(1 << (1 << n))]
+            if n <= 3
+            else [random_table(rng, n) for _ in range(3)]
+        )
+        cubes = np.array([oracles.brute_subcube_table(t) for t in tables], dtype=np.uint8)
+        dt = np.array([oracles.brute_decision_tree_depth(t) for t in tables], dtype=np.int64)
+        certs = [[oracles.brute_certificate_at(t, x) for x in range(1 << n)] for t in tables]
+        certs = np.array(certs, dtype=np.uint8)
+        assert_subcube_kernels(tables, cubes, dt, certs)
+
+
+def mixed_tables(rng: random.Random, n: int) -> list:
+    """Constant, dictator, parity, DT < n and random rows of arity n."""
+    x = np.arange(1 << n)
+    rows = [
+        np.zeros(1 << n, dtype=np.uint8),
+        x >> (n - 1),
+        core.popcounts(n) & 1,
+        (x >> (n - 1)) & (x >> (n - 2)) & 1,  # x_1 and x_2: DT 2
+        random_table(rng, n - 2).values[x >> 2],  # a function of x_1 ... x_{n-2}
+        random_table(rng, n).values,
+        random_table(rng, n).values,
+    ]
+    return [TruthTable(n, row) for row in rows]
+
+
+def test_subcube_kernels_match_the_one_layout_loops():
+    rng = random.Random(77)
+    for n in range(7, 13):
+        tables = mixed_tables(rng, n)
+        cubes = reference_subcube_table(np.stack([t.values for t in tables]), n)
+        dt = reference_decision_tree_depth(cubes, n)
+        assert dt[:4].tolist() == [0, 1, n, 2] and dt[4] <= n - 2
+        assert_subcube_kernels(tables, cubes, dt, reference_per_point_certificate(cubes, n))
+
+
+def test_decision_tree_rounds_stop_early_or_exit_at_n(monkeypatch):
+    # Round d reads only the marks of round d - 1, and a cube open after
+    # round n - 1 has DT = n without round n. A stack whose rows are all
+    # decided early stops at its deepest row; one with a parity row runs
+    # n - 1 rounds.
+    n = 5
+    rounds = []
+    sweep = measures._digit_sweep
+    monkeypatch.setattr(measures, "_digit_sweep", lambda *a, **kw: rounds.append(a[0]) or sweep(*a, **kw))
+    x = np.arange(1 << n)
+    early = [TruthTable.constant(n, 1), TruthTable(n, x & 1), TruthTable(n, (x >> 1) & x & 1)]
+    parity = families.named_basics("parity", n)
+    for tables, want, want_rounds in ((early, [0, 1, 2], 2), (early + [parity], [0, 1, 2, n], n - 1)):
+        stack = np.stack([t.values for t in tables])
+        cubes = reference_subcube_table(stack, n)
+        rounds.clear()
+        dt = decision_tree_depth(stack, cubes=cubes)
+        assert dt.tolist() == want == [oracles.brute_decision_tree_depth(t) for t in tables]
+        assert len(rounds) == want_rounds
+        assert_same_array(dt, reference_decision_tree_depth(cubes, n))
