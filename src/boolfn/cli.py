@@ -138,15 +138,14 @@ def _analyze_payload(record: measures.MeasureContext, args) -> dict:
 
 def _cmd_analyze(args, parser) -> int:
     functions = _resolve_all(vars(args))
-    records = (
-        measures.MeasureContext(materialize(f), args.bs_cap, args.cert_cap, args.dt_cap)
-        for f in functions
-    )
+    caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
     if args.file is not None:
-        # corpus file: one function per line, emitted as one JSON object per line
+        # corpus file: one function per line, emitted as one JSON object per
+        # line; consecutive lines of one arity share a chunk
+        records = measures.records(functions, **caps)
         _emit("\n".join(json.dumps(_analyze_payload(r, args), sort_keys=True) for r in records))
         return 0
-    record = next(records)
+    record = measures.MeasureContext(materialize(functions[0]), **caps)
     out = _analyze_payload(record, args)
     if args.spectrum_out:
         with _write(args.spectrum_out) as handle:

@@ -49,6 +49,7 @@ __all__ = [
     "popcounts",
     "serialize",
     "table_values",
+    "unpack_rows",
 ]
 
 DEFAULT_DENSE_CAP = 24
@@ -150,13 +151,15 @@ class TruthTable:
     @classmethod
     def _unpacked(cls, n: int, packed: int) -> "TruthTable":
         """``from_packed_int`` for an arity and a value already checked: the
-        unpacked bits are the table's own array, with no second copy."""
-        size = 1 << n
-        raw = np.frombuffer(packed.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[:size]
-        bits.setflags(write=False)
+        stack of one from :func:`unpack_rows`, with no second copy."""
+        return cls._row(unpack_rows(n, packed.to_bytes(((1 << n) + 7) // 8, "little"))[0])
+
+    @classmethod
+    def _row(cls, values: np.ndarray) -> "TruthTable":
+        """The table whose values are ``values`` itself, not a copy: a row
+        of a read-only uint8 stack of tables."""
         table = cls.__new__(cls)
-        table.n, table.values = n, bits
+        table.n, table.values = values.size.bit_length() - 1, values
         return table
 
     @classmethod
@@ -191,6 +194,20 @@ class TruthTable:
 
     def __repr__(self) -> str:
         return f"TruthTable({serialize(self)!r})" if self.n <= 6 else f"TruthTable(n={self.n})"
+
+
+def unpack_rows(n: int, packed) -> np.ndarray:
+    """The read-only ``(N, 2**n)`` stack of N packed tables of arity n.
+
+    ``packed`` (bytes, or a uint8 array of ``ceil(2**n / 8)`` columns) holds
+    each table's values little-endian by input index in ``ceil(2**n / 8)``
+    bytes, one table after the other. Bits past 2**n are dropped.
+    """
+    size = 1 << n
+    raw = np.frombuffer(packed, dtype=np.uint8) if isinstance(packed, bytes) else packed
+    rows = np.unpackbits(raw.reshape(-1, (size + 7) // 8), axis=-1, count=size, bitorder="little")
+    rows.setflags(write=False)
+    return rows
 
 
 Tables = Union[TruthTable, np.ndarray]

@@ -16,19 +16,21 @@ the last few, which there would read runs of 1 to 9 cells, on block copies
 with the cells transposed. The DT rounds stop after round n - 1, as a cube
 open then has DT = n.
 
-Every measure is a column of a :class:`Chunk`: consecutive same-arity
-tables, at most ``CHUNK_CELLS`` cells in all. A column is computed at its
-first read, once for all rows. The kernels behind the columns (the
-alternation DP, Moebius, Walsh and per-point sensitivity) each run once on
-the stacked ``(N, 2**n)`` matrix; the subcube tables, with their C sweep
-and DT rounds, run on parts of it of at most ``CHUNK_CELLS`` subcube
-cells. Only block sensitivity still searches row by row, and only on rows
-with s(f) < max C(f, x). The check registry reads whole
-columns. Every value a report carries is named once, in ``VALUES``, with
-its whole-chunk column of Python values: the measure matrix zips a chunk's
-columns, and :class:`MeasureContext`, the record of one function, is a row
-index into its chunk that picks its entry of them, for ``boolfn analyze``
-and ``Check.run``. Sweeps build their chunks with :func:`chunks`; a lone
+Every measure is a column of a :class:`Chunk`: a read-only ``(N, 2**n)``
+stack of consecutive same-arity tables, at most ``CHUNK_CELLS`` cells in
+all. A column is computed at its first read, once for all rows. The
+kernels behind the columns (the alternation DP, Moebius, Walsh and
+per-point sensitivity) each run once on the stack; the subcube tables,
+with their C sweep and DT rounds, run on parts of it of at most
+``CHUNK_CELLS`` subcube cells. Only block sensitivity still searches row
+by row, and only on rows with s(f) < max C(f, x). The check registry reads
+whole columns. Every value a report carries is named once, in ``VALUES``,
+with its whole-chunk column of Python values: the measure matrix zips a
+chunk's columns, and :class:`MeasureContext`, the record of one function,
+is a row index into its chunk that picks its entry of them, for ``boolfn
+analyze`` and ``Check.run``. A sweep's population decodes its members
+straight into the stacks (``verify.Population.stacks``); :func:`chunks`
+stacks tables already built, such as an ``analyze --file`` corpus; a lone
 record is a chunk of one.
 """
 
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, partialmethod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -382,10 +384,13 @@ def _exact_column(compute: Callable[["Chunk"], np.ndarray]) -> cached_property:
 class Chunk:
     """Same-arity tables whose measures are columns, each computed once.
 
-    A column is computed at its first read, for all rows at once, and kept.
-    The per-point columns (``stack``, ``per_point_s``, ``profile``,
-    ``coeffs``, ``spectrum``, and each row's witness chain order
-    ``witness``) come from one kernel run on the ``(N, 2**n)`` stack, and
+    The chunk holds its tables as one read-only ``(N, 2**n)`` uint8
+    ``stack``. A row becomes a :class:`TruthTable`, a read-only view of the
+    stack (:meth:`table`), only where one is read: by a record, the bs
+    search, and the function ids. A column is computed at its first read,
+    for all rows at once, and kept. The per-point columns (``per_point_s``,
+    ``profile``, ``coeffs``, ``spectrum``, and each row's witness chain
+    order ``witness``) come from one kernel run on the stack, and
     ``per_point_cert`` from one run per part of the subcube tables
     ``cubes``; the per-row measures are built from them as exact integers
     (``algebra.exact_terms``). A rational measure is kept as its numerator:
@@ -396,19 +401,24 @@ class Chunk:
 
     def __init__(
         self,
-        tables: Sequence[TruthTable],
+        stack: np.ndarray,
         bs_cap: int = BS_CAP_DEFAULT,
         cert_cap: int = CERT_CAP_DEFAULT,
         dt_cap: int = DT_CAP_DEFAULT,
     ) -> None:
         check_caps(bs_cap, cert_cap, dt_cap)
-        self.tables = tables
-        self.n = tables[0].n
+        self.stack = stack.view()  # read-only, as its rows are the tables
+        self.stack.setflags(write=False)
+        self.n = table_values(stack)[0]
         self.bs_cap, self.cert_cap, self.dt_cap = bs_cap, cert_cap, dt_cap
         self._kept: dict = {}
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.stack)
+
+    def table(self, row: int) -> TruthTable:
+        """The table of row ``row``: a read-only view of its stack row."""
+        return TruthTable._row(self.stack[row])
 
     def keep(self, key, compute: Callable[["Chunk"], object]):
         """``compute(self)``, computed at the first call with ``key`` and kept."""
@@ -421,10 +431,10 @@ class Chunk:
         return self.keep(name, VALUES[name])
 
     def record(self, row: int) -> "MeasureContext":
-        return MeasureContext(self.tables[row], chunk=self, row=row)
+        return MeasureContext(self.table(row), chunk=self, row=row)
 
     def records(self) -> Iterator["MeasureContext"]:
-        return map(self.record, range(len(self.tables)))
+        return map(self.record, range(len(self)))
 
     def first_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
         """The (at most) ``k`` of ``rows`` with the smallest function ids.
@@ -439,7 +449,6 @@ class Chunk:
         return rows
 
     # The per-point columns: one kernel run each on the stack.
-    stack = cached_property(lambda c: np.stack([t.values for t in c.tables]))
     per_point_s = cached_property(lambda c: per_point_sensitivity(c.stack))
     profile = cached_property(lambda c: chains.alternation_profile(c.stack))
     coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack).coeffs)
@@ -476,7 +485,7 @@ class Chunk:
         bs = self.s.copy()
         for i in np.flatnonzero(self.s < self.cert).tolist():
             bounds = int(self.s[i]), self.per_point_cert[i]
-            bs[i] = block_sensitivity(self.tables[i], cap=self.bs_cap, bounds=bounds)
+            bs[i] = block_sensitivity(self.table(i), cap=self.bs_cap, bounds=bounds)
         return bs
 
     # From the profile: alt, dc, the circuit negation count, and the
@@ -524,7 +533,7 @@ class MeasureContext:
         row: int = 0,
     ) -> None:
         self.table, self.n, self.row = table, table.n, row
-        self.chunk = Chunk([table], bs_cap, cert_cap, dt_cap) if chunk is None else chunk
+        self.chunk = Chunk(table.values[None], bs_cap, cert_cap, dt_cap) if chunk is None else chunk
 
     def value(self, name: str):
         """The record's entry of the ``VALUES`` column ``name``."""
@@ -607,7 +616,7 @@ def _over(numerators: Callable[[Chunk], np.ndarray], power: int) -> Callable[[Ch
 # analyze JSON; the rest are the deg_m and spectral fields of that JSON and
 # the values checks keep.
 VALUES: dict[str, Callable[[Chunk], list]] = {
-    "fn": lambda c: [serialize(t) for t in c.tables],
+    "fn": lambda c: [serialize(c.table(row)) for row in range(len(c))],
     "n": lambda c: [c.n] * len(c),
     "s": lambda c: c.s.tolist(),
     "bs": _capped("bs_cap", lambda c: c.bs),
@@ -642,11 +651,13 @@ def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
 
     Consecutive tables of one arity n share a :class:`Chunk` of at most
     ``max(1, CHUNK_CELLS >> n)`` tables, so every column is computed once
-    per chunk rather than once per table.
+    per chunk rather than once per table. Each chunk stacks its tables'
+    values once; a population decodes its stacks with no tables
+    (``verify.Population.stacks``).
     """
     for n, same in itertools.groupby(tables, key=lambda t: t.n):
         while batch := list(itertools.islice(same, max(1, CHUNK_CELLS >> n))):
-            yield Chunk(batch, **caps)
+            yield Chunk(np.stack([t.values for t in batch]), **caps)
 
 
 def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:

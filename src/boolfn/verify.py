@@ -15,10 +15,14 @@ One registry feeds both the test suite and the CLI, populations are
 enumerated or sampled deterministically, and aggregates merge commutatively
 so parallel runs match serial ones.
 
-A worker builds only the members of its own index range, as chunks of up to
-``measures.CHUNK_CELLS`` cells from :func:`boolfn.measures.chunks`, so every
-measure is computed once per chunk, not once per function. Population
-parameters are checked when the population is made, before any sweep.
+A worker decodes only the members of its own index range, straight into
+read-only stacks of up to ``measures.CHUNK_CELLS`` cells
+(:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
+every measure is computed once per chunk, not once per function, and no
+member is built as a table of its own. Explicit members are checked and
+decoded a run at a time, exhaustive and sampled ones from their packed
+integers. Population parameters are checked when the population is made,
+before any sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -34,7 +39,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import measures
-from .core import TruthTable, dense_cap, parse, serialize
+from .core import TruthTable, dense_cap, parse, serialize, table_values, unpack_rows
 from .measures import MeasureContext
 
 __all__ = [
@@ -108,19 +113,33 @@ class Population:
     def explicit(cls, tables: Iterable[TruthTable]) -> "Population":
         return cls(kind="explicit", members=tuple(serialize(t) for t in tables))
 
-    def tables(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TruthTable]:
-        """Members ``start`` to ``stop`` (default: the end). None before
-        ``start`` is built: a sampled stream draws their bits only."""
+    def stacks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[np.ndarray]:
+        """Members ``start`` to ``stop`` (default: the end) as read-only
+        ``(N, 2**n)`` uint8 stacks: consecutive members of one arity n, at
+        most ``max(1, CHUNK_CELLS >> n)`` to a stack, each unpacked by one
+        :func:`~boolfn.core.unpack_rows`. None before ``start`` is decoded:
+        a sampled stream draws their bits only."""
         stop = self.size() if stop is None else min(stop, self.size())
         if self.kind == "explicit":
-            return map(parse, self.members[start:stop])
-        packed = range(start, stop)
+            yield from _explicit_stacks(self.members[start:stop])
+            return
+        size, width = 1 << self.n, ((1 << self.n) + 7) // 8
         if self.kind == "sample":
             rng = random.Random(self.seed)
             for _ in range(start):
-                rng.getrandbits(1 << self.n)
-            packed = (rng.getrandbits(1 << self.n) for _ in packed)
-        return (TruthTable.from_packed_int(self.n, p) for p in packed)
+                rng.getrandbits(size)
+        step = max(1, measures.CHUNK_CELLS >> self.n)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            if self.kind == "exhaustive":  # member i is the table packed as i
+                packed = np.arange(lo, hi, dtype=f"<u{width}").view(np.uint8)
+            else:
+                packed = b"".join(rng.getrandbits(size).to_bytes(width, "little") for _ in range(lo, hi))
+            yield unpack_rows(self.n, packed)
+
+    def tables(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TruthTable]:
+        """Members ``start`` to ``stop``, each a row of its :meth:`stacks` stack."""
+        return (TruthTable._row(row) for stack in self.stacks(start, stop) for row in stack)
 
     def size(self) -> int:
         if self.kind == "exhaustive":
@@ -134,6 +153,86 @@ class Population:
             return {"kind": self.kind, "members": list(self.members)}
         keys = ("n",) if self.kind == "exhaustive" else ("n", "count", "seed")
         return {"kind": self.kind, **{key: getattr(self, key) for key in keys}}
+
+
+_ARITY = re.compile(r"([0-9]{1,2}):")  # the arity of a member in canonical form
+
+
+def _explicit_stacks(members: Sequence[str]) -> Iterator[np.ndarray]:
+    """The explicit ``members`` as :meth:`Population.stacks` gives them.
+
+    The members are joined as the lines of one text. A run of well-formed
+    members of one arity, as many as the stack has room for, is checked and
+    decoded at once by :func:`_decoded`. Any other member (space-padded,
+    above the dense cap, malformed) is parsed alone, so bad text raises
+    what :func:`~boolfn.core.parse` raises, at the same member.
+    """
+    text = "\n".join(members) + "\n"
+    lines = text.count("\n") == len(members)  # no member holds a line break
+    held, held_n, count, i, pos = [], None, 0, 0, 0  # the stack being made: its parts, arity, rows
+    while i < len(members):
+        head = _ARITY.match(members[i]) if lines else None
+        n, rows = int(head[1]) if head else None, None
+        if n is not None and n <= dense_cap():
+            rows = _decoded(n, text, pos, max(1, measures.CHUNK_CELLS >> n) - (count if n == held_n else 0))
+        if rows is None:
+            rows = parse(members[i]).values[None]
+            n = table_values(rows)[0]
+        if held and n != held_n:
+            yield _joined(held)
+            held, count = [], 0
+        held.append(rows)
+        # the decoded members all have the length of the first
+        held_n, count, pos, i = n, count + len(rows), pos + len(rows) * (len(members[i]) + 1), i + len(rows)
+        if count == max(1, measures.CHUNK_CELLS >> n):
+            yield _joined(held)
+            held, count = [], 0
+    if held:
+        yield _joined(held)
+
+
+def _decoded(n: int, text: str, pos: int, room: int) -> Optional[np.ndarray]:
+    """The stack of the well-formed members of arity n, one a line, that
+    ``text`` holds from ``pos`` on, at most ``room`` of them; ``None`` if
+    there is none.
+
+    A well-formed member is its arity, a colon and ceil(2**n / 4) hex digits
+    that leave the bits past 2**n clear. The run is found by columns of the
+    text: the lines of a member's length that start with its prefix and end
+    with a line break. The columns are read over a window that widens
+    while the run fills it, so a short run costs little. ``bytes.fromhex``
+    skips whitespace and rejects any other character but a hex digit, so
+    the run is well-formed if it gives each member all its bytes.
+    """
+    prefix, digits = f"{n}:", ((1 << n) + 3) // 4
+    line = len(prefix) + digits + 1
+    count = window = 0
+    while count == window < room:
+        window = min(room, 4 * window + 16)
+        count = window
+        for j, char in [(line - 1, "\n"), *enumerate(prefix)]:
+            column = text[pos + j : pos + window * line : line]
+            count = min(count, len(column) - len(column.lstrip(char)))
+    block = text[pos : pos + count * line]
+    try:  # a lone digit is padded to a byte
+        raw = bytes.fromhex(block.replace(prefix, "0" * (digits % 2)))
+    except ValueError:
+        return None
+    if not count or len(raw) != count * ((digits + 1) // 2):
+        return None
+    if n < 2 and max(raw) >> (1 << n):  # padding bits set
+        return None
+    # each member's bytes come most significant first
+    return unpack_rows(n, np.frombuffer(raw, dtype=np.uint8).reshape(count, -1)[:, ::-1])
+
+
+def _joined(stacks: list[np.ndarray]) -> np.ndarray:
+    """One read-only stack of the rows of ``stacks``, in order."""
+    if len(stacks) == 1:
+        return stacks[0]
+    joined = np.concatenate(stacks)
+    joined.setflags(write=False)
+    return joined
 
 
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values
@@ -428,7 +527,7 @@ class Aggregate:
             self.counts["pass"] += opened
             (num, den), rows = result, np.flatnonzero(open_)
             (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1)
-            self._offer_ratio(_ratio(num.item(best), den.item(best)), serialize(chunk.tables[best]))
+            self._offer_ratio(_ratio(num.item(best), den.item(best)), serialize(chunk.table(best)))
             return
         failed = np.flatnonzero(open_ & ~result)
         self.counts["pass"] += opened - len(failed)
@@ -504,7 +603,8 @@ def _run_chunk(
 ) -> dict[str, Aggregate]:
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
-    for chunk in measures.chunks(population.tables(start, stop), **caps):
+    for stack in population.stacks(start, stop):
+        chunk = measures.Chunk(stack, **caps)
         for check in selected:
             aggregates[check.name].add_chunk(chunk, check)
     return aggregates
@@ -571,5 +671,6 @@ def measure_matrix_rows(
     the CSV writer leaves empty."""
     yield list(measures.COLUMNS)
     caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
-    for chunk in measures.chunks(population.tables(), **caps):
+    for stack in population.stacks():
+        chunk = measures.Chunk(stack, **caps)
         yield from map(list, zip(*map(chunk.values, measures.COLUMNS)))

@@ -77,7 +77,8 @@ def test_criterion_3_alternation_dt_bounds_exhaustive(exhaustive4):
         assert agg["fail"] == 0, agg["failures"]
         assert agg["pass"] == total
     assert not report.failed, report.to_text()
-    # measured at 1.5-1.7 s on a 2-core Xeon (Python 3.11.7, numpy 2.4.6)
+    # measured at 0.50-0.57 s in a fresh interpreter on a 2-core Xeon (Python
+    # 3.11.7, numpy 2.4.6), 0.99-1.12 s before members were decoded as stacks
     assert elapsed < 10.0
     _line(3, f"alt<=2^(DT+1)-1 and dc<=2^DT-1 on all {total} n=4 functions ({elapsed:.0f}s, all checks green)")
 

@@ -114,7 +114,7 @@ def test_chunks_split_at_arity_changes_and_the_cell_budget(monkeypatch):
     records = list(measures.records(tables))
     assert [r.table for r in records] == tables
     chunks = dict.fromkeys(r.chunk for r in records)
-    assert [len(c.tables) for c in chunks] == [2, 1, 1, 1, 1]
+    assert [len(c) for c in chunks] == [2, 1, 1, 1, 1]
 
 
 def test_record_rows_are_read_only():
@@ -142,7 +142,7 @@ def test_chunk_columns_match_oracles(data):
         for chunk in chunks:
             chunk.bs
     for chunk in chunks:
-        for i, t in enumerate(chunk.tables):
+        for i, t in enumerate(map(chunk.table, range(len(chunk)))):
             got = {
                 "s": chunk.s[i], "bs": chunk.bs[i], "C": chunk.cert[i], "DT": chunk.dt[i],
                 "alt": chunk.alt[i], "deg": chunk.deg[i], **{f"deg_{m}": chunk.degm(m)[i] for m in range(2, 7)},

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, piping."""
 
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import cli, measures, verify
-from boolfn.core import parse
+from boolfn import chains, cli, measures, verify
+from boolfn.core import parse, serialize
+from test_record import count_calls
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -82,6 +84,26 @@ def test_analyze_corpus_emits_one_json_per_line(tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert [json.loads(line)["fn"] for line in lines] == ["2:8", "2:F", "3:96"]
+
+
+def test_corpus_lines_of_one_arity_share_a_chunk(tmp_path, monkeypatch):
+    tables = [*verify.Population.sample(4, 40, 2).tables(), *verify.standard_family_instances()]
+    tables += verify.Population.exhaustive(2).tables()
+    corpus = tmp_path / "mixed.txt"
+    corpus.write_text("# mixed arities\n" + "".join(f"{serialize(t)}\n" for t in tables))
+    caps = {"bs_cap": 5, "cert_cap": 6, "dt_cap": 4}
+    one_by_one = []
+    for table in tables:  # each line a chunk of one
+        record = measures.MeasureContext(table, **caps)
+        one_by_one.append(json.dumps({**record.to_json_dict(), "per_point": record.per_point()}, sort_keys=True))
+    calls = count_calls(monkeypatch, [(chains, "alternation_profile")])
+    flags = ["--bs-cap", "5", "--cert-cap", "6", "--dt-cap", "4", "--per-point"]
+    code, out, _ = run_cli(["analyze", "--file", str(corpus), *flags])
+    assert code == 0
+    assert out == "\n".join(one_by_one) + "\n"
+    # one profile run per run of lines of one arity
+    runs = [n for n, _ in itertools.groupby(t.n for t in tables)]
+    assert calls == {"alternation_profile": len(runs)} and len(runs) < len(tables) / 4
 
 
 def test_dense_cap_env_override(monkeypatch):

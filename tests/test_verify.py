@@ -4,12 +4,13 @@ import itertools
 import json
 import multiprocessing
 import os
+import random
 
 import numpy as np
 import pytest
 
-from boolfn import families, measures, verify
-from boolfn.core import TruthTable, parse, serialize
+from boolfn import core, families, measures, verify
+from boolfn.core import TruthTable, parse, serialize, unpack_rows
 from boolfn.verify import (
     CHECKS,
     Check,
@@ -230,26 +231,152 @@ CAPS = {
 }
 
 
+def record_decoded(monkeypatch) -> list[str]:
+    """The ids of the members the population decoder unpacks from now on;
+    a member parsed on its own fails the test."""
+    decoded = []
+
+    def unpack(n, packed):
+        rows = unpack_rows(n, packed)
+        decoded.extend(serialize(TruthTable(n, row)) for row in rows)
+        return rows
+
+    monkeypatch.setattr(verify, "unpack_rows", unpack)
+    monkeypatch.setattr(verify, "parse", lambda text: pytest.fail(f"parsed {text!r} on its own"))
+    return decoded
+
+
 def test_worker_parses_only_its_own_range(monkeypatch):
     texts = tuple(serialize(t) for t in Population.sample(8, 4000, 5).tables())
-    parsed = []
-    monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
+    decoded = record_decoded(monkeypatch)
     part = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
     assert part["alt-dc-relation"].counts["pass"] == 2000
-    assert parsed == list(texts[2000:])
+    assert decoded == list(texts[2000:])
 
 
 @pytest.mark.parametrize("population", [Population.exhaustive(3), Population.sample(4, 100, 3)], ids=["exhaustive", "sample"])
 def test_ranges_build_only_their_members(monkeypatch, population):
     whole = [serialize(t) for t in population.tables()]
-    built = []
-    original = TruthTable.from_packed_int.__func__
-    monkeypatch.setattr(
-        TruthTable, "from_packed_int", classmethod(lambda cls, n, p: built.append(p) or original(cls, n, p))
-    )
+    built = record_decoded(monkeypatch)
     assert [serialize(t) for t in population.tables(60, 90)] == whole[60:90]
-    assert len(built) == 30
+    assert len(built) == 30 and built == whole[60:90]
     assert [serialize(t) for t in population.tables(90, 10**6)] == whole[90:]
+
+
+def assert_stacks_of(got, tables) -> None:
+    """``got`` are the stacks ``measures.chunks`` makes of ``tables``, each
+    read-only, C-contiguous uint8, and so is each of its rows."""
+    want = [chunk.stack for chunk in measures.chunks(tables)]
+    assert [stack.shape for stack in got] == [stack.shape for stack in want]
+    for stack, expected in zip(got, want):
+        assert np.array_equal(stack, expected)
+        for array in (stack, *stack):
+            assert array.dtype == np.uint8 and array.flags.c_contiguous and not array.flags.writeable
+
+
+# The text forms of a member: canonical, lowercase, and forms only parse
+# reads (padded with spaces, a line break after it, a leading zero).
+FORMS = {
+    "canonical": serialize,
+    "lowercase": lambda t: serialize(t).lower(),
+    "padded": lambda t: f"  {serialize(t)} ",
+    "line-break": lambda t: serialize(t) + "\n",
+    "leading-zero": lambda t: "0" + serialize(t),
+}
+MIXED_ARITIES = [
+    *Population.exhaustive(0).tables(),
+    *verify.standard_family_instances(),
+    *Population.sample(9, 3, 4).tables(),
+    *Population.sample(3, 70, 4).tables(),
+    *Population.exhaustive(1).tables(),
+    *itertools.chain(*zip(Population.sample(0, 9, 5).tables(), Population.sample(1, 9, 5).tables())),
+]
+
+
+@pytest.mark.parametrize("cells", [measures.CHUNK_CELLS, 64, 1])
+@pytest.mark.parametrize("form", [*FORMS, "alternating"])
+def test_explicit_stacks_match_parse(monkeypatch, form, cells):
+    # mixed arities 0..9 and 15; at 64 cells the n = 3 run splits every 8 members
+    monkeypatch.setattr(measures, "CHUNK_CELLS", cells)
+    # Alternating forms put members parsed alone between runs of decoded ones.
+    # A line break in any member has every member parsed, so it is left out.
+    mixed = [write for name, write in FORMS.items() if name != "line-break"]
+    forms = itertools.cycle(mixed) if form == "alternating" else itertools.repeat(FORMS[form])
+    texts = tuple(write(t) for write, t in zip(forms, MIXED_ARITIES))
+    population = Population(kind="explicit", members=texts)
+    assert_stacks_of(list(population.stacks()), [parse(text) for text in texts])
+    for start, stop in ((0, 1), (5, 45), (44, 200), (107, 10**6)):
+        assert_stacks_of(list(population.stacks(start, stop)), [parse(text) for text in texts[start:stop]])
+    assert [t.values.tolist() for t in population.tables(5, 45)] == [parse(x).values.tolist() for x in texts[5:45]]
+
+
+@pytest.mark.parametrize("cells", [measures.CHUNK_CELLS, 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9])
+def test_sample_stacks_match_packed_ints(monkeypatch, n, cells):
+    monkeypatch.setattr(measures, "CHUNK_CELLS", cells)
+    rng = random.Random(8)
+    packed = [rng.getrandbits(1 << n) for _ in range(150)]
+    population = Population.sample(n, 150, 8)
+    for start, stop in ((0, None), (1, 2), (37, 120), (120, 10**6)):
+        tables = [TruthTable.from_packed_int(n, p) for p in packed[start:stop]]
+        assert_stacks_of(list(population.stacks(start, stop)), tables)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_exhaustive_stacks_match_packed_ints(monkeypatch, n):
+    size = 1 << (1 << n)
+    for cells in (measures.CHUNK_CELLS, 64):
+        monkeypatch.setattr(measures, "CHUNK_CELLS", cells)
+        for start, stop in ((0, size), (1, 2), (size // 3, size - 1), (size - 1, size + 5)):
+            tables = [TruthTable.from_packed_int(n, p) for p in range(start, min(stop, size))]
+            assert_stacks_of(list(Population.exhaustive(n).stacks(start, stop)), tables)
+
+
+BAD_MEMBERS = [
+    "4:ABC",  # too few digits
+    "4:ABCDE",  # too many
+    "3:1",
+    "0:2",  # padding bits at n = 0
+    "0:F",
+    "1:4",  # and at n = 1
+    "1:f",
+    "25:0",  # above the dense cap
+    "99:" + "0" * 20,
+    "4:GHIJ",  # not hex
+    "4:AB\nCD",
+    "4:0123\n4:4567",  # two well-formed lines in one member
+    "4:AB CD",  # a space in the digits
+    "4:AB  ",  # spaces in place of digits
+    "ABCD  ",  # no arity, at a member's length
+    "4:",
+    "x",
+    "",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_MEMBERS)
+def test_bad_explicit_members_raise_what_parse_raises(bad):
+    with pytest.raises(ValueError) as parsed:
+        parse(bad)
+    good = tuple(serialize(t) for t in Population.sample(4, 6, 1).tables())
+    for members in ((bad,), (*good, bad, *good), (*good[:3], bad, "4:Z", *good)):
+        population = Population(kind="explicit", members=members)
+        with pytest.raises(type(parsed.value)) as decoded:
+            list(population.stacks())
+        assert str(decoded.value) == str(parsed.value)
+    # a range ending before the bad member decodes; one starting at it raises
+    population = Population(kind="explicit", members=(*good, bad))
+    assert_stacks_of(list(population.stacks(0, 6)), [parse(text) for text in good])
+    with pytest.raises(type(parsed.value)) as decoded:
+        list(population.stacks(6))
+    assert str(decoded.value) == str(parsed.value)
+
+
+def test_members_above_a_lowered_dense_cap_raise_cap_exceeded(monkeypatch):
+    monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
+    members = (*(serialize(t) for t in Population.sample(4, 3, 1).tables()), "5:" + "0" * 8)
+    with pytest.raises(core.CapExceededError, match="arity 5 exceeds dense cap 4"):
+        list(Population(kind="explicit", members=members).stacks())
 
 
 def test_spawn_pool_matches_serial():
@@ -284,7 +411,7 @@ def test_decomposition_check_fails_on_a_corrupted_profile(profile):
     # AND_2 has A = [0, 0, 0, 1]; the first profile drops from 2 to 1 along
     # x_2, the second has A mod 2 != f xor f(0^n) at two points. The profile
     # is a column of the chunk, read by the record and by the column path.
-    chunk = measures.Chunk([families.named_basics("and", 2)])
+    chunk = measures.Chunk(families.named_basics("and", 2).values[None])
     chunk.profile = np.array([profile], dtype=np.int32)
     status, observed = CHECKS["monotone-decomposition"].run(chunk.record(0))
     assert status == "fail"
