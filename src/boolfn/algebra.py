@@ -8,19 +8,23 @@ appear only at reporting time.
 
 The Moebius and Walsh transforms are butterflies along the last axis, so
 each takes one table or an ``(N, 2**n)`` stack of same-arity tables and
-transforms every row in the same passes.
+transforms every row in the same passes: one :func:`core.digit_sweep`,
+whose passes on the last five variables run on transposed int8 blocks, as
+a block's entries stay within +/-2**5, and those on the first variables on
+the natural layout in int32 (int64 above ``INT64_EXACT_MAX_ARITY``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .core import Tables, TruthTable, popcounts, table_values
+from .core import Tables, TruthTable, digit_sweep, popcounts, table_values
 
 __all__ = [
     "FourierSpectrum",
@@ -63,14 +67,28 @@ def _one_table(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _subset_transform(values: np.ndarray, n: int, op) -> np.ndarray:
-    """Zeta (``np.add``) or Moebius (``np.subtract``) transform over subsets:
-    c_S = sum over T <= S of f(T), with sign (-1)**|S - T| for Moebius."""
-    a = values.astype(np.int64)
-    for p in range(n):
-        shaped = a.reshape(-1, 2, 1 << p)
-        op(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
-    return a
+def _subset_step(op, cells: np.ndarray) -> np.ndarray:
+    """hi op lo into hi along one digit. After a sweep of the zeta
+    (``np.add``) or Moebius (``np.subtract``) step, c_S = sum over T <= S
+    of f(T), with sign (-1)**|S - T| for Moebius."""
+    op(cells[:, 1], cells[:, 0], out=cells[:, 1])
+    return cells
+
+
+def _walsh_step(cells: np.ndarray) -> np.ndarray:
+    """(lo + hi, lo - hi) along one digit, in place. After pass p no entry
+    of +/-1 values exceeds 2**(p + 1) in size."""
+    lo, hi = cells[:, 0], cells[:, 1]
+    diff = lo - hi
+    lo += hi
+    hi[...] = diff
+    return cells
+
+
+def _exact_dtype(n: int):
+    """The Moebius and Walsh entries' dtype at arity n: they stay within
+    2**n, so int32 up to ``INT64_EXACT_MAX_ARITY`` and int64 above."""
+    return np.int32 if n <= INT64_EXACT_MAX_ARITY else np.int64
 
 
 @dataclass(frozen=True)
@@ -100,7 +118,7 @@ class MultilinearPoly:
 
     def evaluate_all(self) -> np.ndarray:
         """Evaluate at every 0/1 point (zeta transform; reduced mod m)."""
-        vals = _subset_transform(self.coeffs, self.n, np.add)
+        vals = digit_sweep(partial(_subset_step, np.add), self.n, self.coeffs.astype(np.int64))
         if self.modulus is not None:
             vals %= self.modulus
         return vals
@@ -128,7 +146,7 @@ def multilinear_coefficients(f: Tables, modulus: Modulus = "integers") -> Multil
     """
     m = _check_modulus(modulus)
     n, values = table_values(f)
-    coeffs = _subset_transform(values, n, np.subtract)
+    coeffs = digit_sweep(partial(_subset_step, np.subtract), n, values.astype(np.int8), dtype=_exact_dtype(n))
     if m is not None:
         coeffs %= m
     coeffs.setflags(write=False)
@@ -217,18 +235,11 @@ def fourier_transform(f: Tables) -> FourierSpectrum:
     """Exact integer Walsh transform of the +/-1 value vector 1 - 2f (of
     every row, for a stack)."""
     n, values = table_values(f)
-    a = np.subtract(1, 2 * values, dtype=np.int64)
-    b = np.empty_like(a)
-    # Each step writes the sum and the difference of the halves on the top
-    # index bit interleaved, moving that bit to the bottom: after n steps
-    # every bit is transformed and back in place.
-    for _ in range(n):
-        top, out = a.reshape(-1, 2, 1 << (n - 1)), b.reshape(-1, 1 << (n - 1), 2)
-        np.add(top[:, 0], top[:, 1], out=out[..., 0])
-        np.subtract(top[:, 0], top[:, 1], out=out[..., 1])
-        a, b = b, a
-    a.setflags(write=False)
-    return FourierSpectrum(n, a)
+    # The low passes run on the +/-1 values in int8, whose entries reach
+    # 2**5 there (the constant table's), and widen as the blocks go back.
+    scaled = digit_sweep(_walsh_step, n, 1 - 2 * values.astype(np.int8), dtype=_exact_dtype(n))
+    scaled.setflags(write=False)
+    return FourierSpectrum(n, scaled)
 
 
 def sparsity(f: TruthTable) -> int:
@@ -263,14 +274,15 @@ def spectral_numerators(
     scaled: np.ndarray, n: int, weights: Optional[np.ndarray] = None
 ) -> dict[str, np.ndarray]:
     """The exact numerators of the spectral sums over S, along the last axis
-    of a spectrum or a stack, from one ``abs``, one square and the weight
+    of a spectrum or a stack, from one ``abs`` (taken straight into the
+    exact dtype, one copy of an int32 spectrum), one square and the weight
     vector |S|, ``weights`` (``popcounts(n)``, built here unless the caller
     holds it). Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum
     |scaled[S]| |S|. Over 4**n: sum scaled[S]**2 times |S|**2
     (``weighted2``), |S| (``spectral``, the influence) or 1 (``sum_sq``, 4**n
     by Parseval)."""
     weights = exact_terms(popcounts(n) if weights is None else weights, n)
-    a = np.abs(exact_terms(scaled, n))
+    a = np.abs(scaled, dtype=np.int64) if n <= INT64_EXACT_MAX_ARITY else np.abs(exact_terms(scaled, n))
     sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)

@@ -135,7 +135,7 @@ def alternation_profile(f: Tables) -> np.ndarray:
     k, shape = min(n, BLOCK_BITS), v.shape
     # (high parts, tables, low parts): a leading-axis gather moves blocks.
     v = v.reshape(-1, 1 << (n - k), 1 << k).transpose(1, 0, 2)
-    A = np.zeros(v.shape, dtype=np.int32)
+    A = np.zeros(v.shape, dtype=np.uint8)  # A <= n
     for T, P in (_level_plan if n - k <= BLOCK_BITS else _plan)(n - k):
         vt, at = v[T], A[T]
         for pred in P:
@@ -144,7 +144,7 @@ def alternation_profile(f: Tables) -> np.ndarray:
         for t, p in _level_plan(k)[1:]:
             a[t] = np.maximum(a[t], (a[p] + (vl[p] != vl[t])).max(axis=0))
         A[T] = a.reshape(1 << k, -1, v.shape[1]).transpose(1, 2, 0)
-    A = np.ascontiguousarray(A.transpose(1, 0, 2)).reshape(shape)
+    A = np.ascontiguousarray(A.transpose(1, 0, 2), dtype=np.int32).reshape(shape)
     A.setflags(write=False)
     return A
 

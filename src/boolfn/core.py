@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "CHUNK_CELLS",
     "DEFAULT_DENSE_CAP",
     "DENSE_CAP_ENV",
     "ArityMismatchError",
@@ -40,6 +42,7 @@ __all__ = [
     "compose",
     "dense_cap",
     "depends_on_all",
+    "digit_sweep",
     "evaluate",
     "is_monotone",
     "materialize",
@@ -54,6 +57,13 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 24
 DENSE_CAP_ENV = "BOOLFN_DENSE_CAP"
+# A chunk stacks at most this many table cells (256 tables at n = 8), which
+# bounds each stacked kernel array; a table above it is a chunk of one. It
+# also bounds the transposed blocks of digit_sweep, whose low phase has the
+# largest l with 9**l <= CHUNK_CELLS digits (5). The butterflies run that
+# phase in int8, exact while it has at most 6 bits (the Walsh entries of
+# +/-1 values reach +/-2**l), so CHUNK_CELLS must stay below 9**7.
+CHUNK_CELLS = 1 << 16
 
 _TEXT_RE = re.compile(r"^(\d+):([0-9A-Fa-f]+)$")
 
@@ -361,14 +371,89 @@ def materialize(f: BooleanFunction, cap: int | None = None) -> TruthTable:
     return TruthTable(f.arity, [f.evaluator(i) & 1 for i in range(1 << f.arity)])
 
 
+def digit_sweep(
+    step: Callable, n: int, a: np.ndarray, radix: int = 2, base: int = 0, dtype=None, jacobi: bool = False
+) -> np.ndarray:
+    """``a`` after ``step`` has run once on each digit of its cell index.
+
+    ``a`` is a table or a stack of them, whose cells have n digits in base
+    ``radix``. ``step(cells)`` gets the cells viewed along one digit as
+    ``(outer, radix, inner)`` and returns them with that digit in base
+    ``base`` (``radix`` if not given), in place when the two agree. With
+    ``jacobi``, ``step(cells, before)`` also gets the same view of ``a`` as
+    it was before the sweep. The result is in ``dtype`` (``a``'s if not
+    given); if neither base nor dtype changes, it is ``a``, updated in place.
+
+    The low digits, whose passes on ``a`` would have inner extents of a few
+    cells, run first, in ``a``'s own dtype, on transposed copies with cells
+    ``(low, rows, high)``; then the cells move back, widened to ``dtype``,
+    and the high digits run on the natural layout. A low step relates only
+    cells of one high index, so the copies are made in blocks of high
+    cells, at most ``CHUNK_CELLS`` cells (or one high cell) each, and a
+    block's own copy is its ``before``. There are as many low digits as the
+    largest l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer: then for base
+    3 the shortest pass on the result, 3**l cells, and the width of a block,
+    about ``CHUNK_CELLS`` // 3**l cells, are both about the square root of
+    the budget. Below 3**8 result cells the copies cost more than the short
+    passes do, and none are made.
+    """
+
+    def passes(cells, before, digits, tail):
+        for j in range(digits):
+            shape = (-1, radix, radix ** (digits - j - 1) * tail)
+            cells = step(*(x.reshape(shape) for x in (cells, before) if x is not None))
+        return cells
+
+    base, dtype = base or radix, dtype or a.dtype
+    lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
+    low = _low_digits(n, rows * base**n)
+    before = a.copy() if jacobi and low < n else None
+    if low:
+        cells = a.reshape(rows, -1, radix**low)
+        in_place = base == radix and dtype == a.dtype
+        a = cells if in_place else np.empty((rows, cells.shape[1], base**low), dtype)
+        for part, block in _low_blocks(cells, base**low):
+            block = passes(block, block.copy() if jacobi else None, low, block[0].size)
+            a[:, part] = block.reshape(base**low, rows, -1).transpose(1, 2, 0)
+    return passes(a.astype(dtype, copy=False), before, n - low, base**low).reshape(*lead, -1)
+
+
+def _low_digits(n: int, size: int) -> int:
+    """How many of n digits :func:`digit_sweep` runs on transposed blocks,
+    for a result of ``size`` cells."""
+    return 0 if size < 3**8 else min(n, int(math.log(CHUNK_CELLS, 9)))
+
+
+def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The ``(rows, high, low)`` cells as C-contiguous ``(low, rows, width)``
+    copies of consecutive high cells, each with its slice of them: as many
+    as keep a block at most ``CHUNK_CELLS`` cells of ``size`` (one, if none
+    fits)."""
+    width = max(1, CHUNK_CELLS // (len(cells) * size))
+    for start in range(0, cells.shape[1], width):
+        part = slice(start, start + width)
+        yield part, np.ascontiguousarray(cells[:, part].transpose(2, 0, 1))
+
+
 def depends_on_all(f: Tables):
     """True iff every variable has some input where flipping it flips f; for
-    an ``(N, 2**n)`` stack of tables, that flag of every row."""
+    an ``(N, 2**n)`` stack of tables, that flag of every row.
+
+    Like :func:`digit_sweep`, it compares the halves on the last variables
+    in transposed blocks, each block's ``any`` per row, and those on the
+    first variables on the natural layout."""
     n, v = table_values(f)
-    out = np.ones(v.shape[:-1], dtype=bool)
-    for j in range(1, n + 1):
-        halves = v.reshape(*v.shape[:-1], 1 << (j - 1), 2, 1 << (n - j))
-        out &= (halves[..., 0, :] != halves[..., 1, :]).any(axis=(-2, -1))
+    rows = v.reshape(-1, 1 << n)
+    low = _low_digits(n, rows.size)
+    flips = np.zeros((n, len(rows)), dtype=bool)
+    for _, block in _low_blocks(rows.reshape(len(rows), -1, 1 << low), 1 << low) if low else ():
+        for j in range(low):
+            halves = block.reshape(1 << j, 2, 1 << (low - j - 1), len(rows), -1)
+            flips[n - low + j] |= (halves[:, 0] != halves[:, 1]).any(axis=(0, 1, 3))
+    for j in range(n - low):
+        halves = rows.reshape(len(rows), 1 << j, 2, -1)
+        flips[j] = (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
+    out = flips.all(axis=0).reshape(v.shape[:-1])
     return bool(out) if out.ndim == 0 else out
 
 

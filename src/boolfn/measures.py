@@ -9,12 +9,14 @@ subcube table (:func:`subcube_table`): f's constant value on each of the
 3**n subcubes, or ``FREE`` where f is not constant. Block sensitivity reads
 it too: C(f, x) for every x, with s(f), bounds its search, so only points
 with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
-3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``. The table
-and each DT round make one pass per variable (:func:`_digit_sweep`): the
-passes on the first variables run on the natural cell order, and those on
-the last few, which there would read runs of 1 to 9 cells, on block copies
-with the cells transposed. The DT rounds stop after round n - 1, as a cube
-open then has DT = n.
+3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``. The table,
+each DT round and per-point sensitivity are each one sweep of one pass per
+variable (:func:`core.digit_sweep`): the passes on the first variables run
+on the natural cell order, and those on the last few, which there would
+read runs of 1 to 16 cells, on block copies with the cells transposed.
+Per-point sensitivity runs in uint8, each cell f(x) in its top bit and
+s(f, x) below. The DT rounds stop after round n - 1, as a cube open then
+has DT = n.
 
 Every measure is a column of a :class:`Chunk`: a read-only ``(N, 2**n)``
 stack of consecutive same-arity tables, at most ``CHUNK_CELLS`` cells in
@@ -37,7 +39,6 @@ record is a chunk of one.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, partialmethod
@@ -47,12 +48,14 @@ import numpy as np
 
 from . import algebra, chains
 from .core import (
+    CHUNK_CELLS,
     BooleanFunction,
     CapExceededError,
     Point,
     Tables,
     TruthTable,
     depends_on_all,
+    digit_sweep,
     materialize,
     point_index,
     popcounts,
@@ -103,22 +106,28 @@ DT_CAP_DEFAULT = 15
 # (2-core Xeon). No bs, C or DT cap may exceed this.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
-# A chunk stacks at most this many table cells (256 tables at n = 8), which
-# bounds each stacked kernel array; a table above it is a chunk of one.
-CHUNK_CELLS = 1 << 16
 SPARSITY_EXPONENT = 2.0  # the c of the deg-sparsity-exponent check
 
 
+def _count_flips(cells: np.ndarray) -> np.ndarray:
+    """Add one to the count in the low 7 bits of both cells of each pair on
+    a digit whose values, in the top bit, differ."""
+    flips = cells[:, :1] ^ cells[:, 1:]
+    flips >>= 7
+    cells += flips
+    return cells
+
+
 def per_point_sensitivity(f: Tables) -> np.ndarray:
-    """s(f, x) for every point x (of every row, for a stack), one butterfly
-    pass per variable: the two points of a pair differing in that variable
-    are both sensitive to it or both not."""
+    """s(f, x) for every point x (of every row, for a stack), as uint8.
+
+    One :func:`core.digit_sweep` of butterfly passes: the two points of a
+    pair differing in a variable are both sensitive to it or both not. Each
+    uint8 cell holds f(x) in its top bit and counts s(f, x) <= n < 128 below.
+    """
     n, v = table_values(f)
-    s = np.zeros(v.shape, dtype=np.int32)
-    for p in range(n):
-        pairs = v.reshape(-1, 2, 1 << p)
-        halves = s.reshape(-1, 2, 1 << p)
-        halves += pairs[:, :1] != pairs[:, 1:]
+    s = digit_sweep(_count_flips, n, v << 7)
+    s &= 127
     s.setflags(write=False)
     return s
 
@@ -204,47 +213,6 @@ def block_sensitivity(
     return best
 
 
-def _digit_sweep(step: Callable, n: int, radix: int, a: np.ndarray, jacobi: bool = False) -> np.ndarray:
-    """``a`` after ``step`` has run once on each digit of its cell index.
-
-    ``a`` is a table or a stack of them, whose cells have n digits in base
-    ``radix``. ``step(cells)`` gets ``a`` viewed along one digit as
-    ``(outer, radix, inner)`` and returns the cells with that digit in base
-    3. With ``jacobi``, ``step(cells, before)`` also gets the same view of
-    ``a`` as it was before the sweep, and updates ``cells`` in place.
-
-    The low digits, whose passes on ``a`` would have inner extents of a few
-    cells, run first, on transposed copies with cells ``(low, rows, high)``;
-    then the cells move back, and the high digits run on ``a`` itself. A low
-    step relates only cells of one high index, so the copies are made in
-    blocks of high cells, at most ``CHUNK_CELLS`` cells (or one high cell)
-    each, and a block's own copy is its ``before``. There are as many low digits as the largest
-    l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer: then the shortest pass
-    on ``a``, 3**l cells, and the width of a block, about ``CHUNK_CELLS`` //
-    3**l cells, are both about the square root of the budget. Below 3**8
-    cells the copies cost more than the short passes do, and none are made.
-    """
-
-    def passes(cells, before, digits, tail):
-        for j in range(digits):
-            shape = (-1, radix, radix ** (digits - j - 1) * tail)
-            cells = step(*(x.reshape(shape) for x in (cells, before) if x is not None))
-        return cells
-
-    lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
-    low = 0 if rows * 3**n < 3**8 else min(n, int(math.log(CHUNK_CELLS, 9)))
-    before = a.copy() if jacobi and low < n else None
-    if low:
-        cells = a.reshape(rows, -1, radix**low)
-        a = cells if radix == 3 else np.empty((rows, cells.shape[1], 3**low), a.dtype)
-        width = max(1, CHUNK_CELLS // (rows * 3**low))
-        for start in range(0, cells.shape[1], width):
-            block = np.ascontiguousarray(cells[:, start : start + width].transpose(2, 0, 1))
-            block = passes(block, block.copy() if jacobi else None, low, block[0].size)
-            a[:, start : start + width] = block.reshape(3**low, rows, -1).transpose(1, 2, 0)
-    return passes(a, before, n - low, 3**low).reshape(*lead, -1)
-
-
 def _split_on_digit(halves: np.ndarray) -> np.ndarray:
     """The cells fixing x_j to 0 and to 1, and after them the cell leaving
     it free: their common value, or ``FREE``."""
@@ -261,12 +229,12 @@ def subcube_table(f: Tables) -> np.ndarray:
     fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
     cube. One pass per variable splits each cell on x_j into its two halves
     and the cell where x_j is free; the passes on the last variables run on
-    transposed blocks (:func:`_digit_sweep`).
+    transposed blocks (:func:`core.digit_sweep`).
     """
     n, values = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
-    cube = _digit_sweep(_split_on_digit, n, 2, values)
+    cube = digit_sweep(_split_on_digit, n, values, base=3)
     cube.setflags(write=False)
     return cube
 
@@ -337,9 +305,9 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np
     Round d marks the subcubes that a depth-d tree decides: the constant
     ones, and those with a free x_j whose two halves on x_j were marked in
     round d - 1. Each round reads the marks of the round before and is one
-    :func:`_digit_sweep`. The depth is the first round that marks the whole
-    cube; a cube still open after round n - 1 has depth n, as every f has
-    DT <= n, so round n is never run.
+    :func:`core.digit_sweep`. The depth is the first round that marks the
+    whole cube; a cube still open after round n - 1 has depth n, as every f
+    has DT <= n, so round n is never run.
     """
     n, _ = table_values(f)
     if n > cap:
@@ -351,7 +319,7 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np
         if decided[..., -1].all():
             break
         depth += ~decided[..., -1]
-        _digit_sweep(_decide_on_digit, n, 3, decided, jacobi=True)
+        digit_sweep(_decide_on_digit, n, decided, radix=3, jacobi=True)
     depth += ~decided[..., -1]
     return depth if lead else int(depth)
 
@@ -392,8 +360,11 @@ class Chunk:
     ``profile``, ``coeffs``, ``spectrum``, and each row's witness chain
     order ``witness``) come from one kernel run on the stack, and
     ``per_point_cert`` from one run per part of the subcube tables
-    ``cubes``; the per-row measures are built from them as exact integers
-    (``algebra.exact_terms``). A rational measure is kept as its numerator:
+    ``cubes``. They are as narrow as their entries: ``per_point_s`` and
+    ``per_point_cert`` uint8, ``profile`` int32, ``coeffs`` and ``spectrum``
+    int32 (int64 above ``algebra.INT64_EXACT_MAX_ARITY``). The per-row
+    measures are built from them as exact integers (``algebra.exact_terms``,
+    int64 or Python ints). A rational measure is kept as its numerator:
     ``I_num`` and ``avg_s2_num`` over 2**n, and the spectral ``sums`` (see
     ``algebra.spectral_numerators``). :meth:`values` gives a column of
     ``VALUES``, as Python values. No reader asks for a measure above its cap.

@@ -275,3 +275,91 @@ def test_exact_terms_guard_above_int64_arity():
     exact = algebra.exact_terms(a, limit + 1)
     assert exact.dtype == object
     assert int((exact * exact).sum()) == 2 * 3**78 + 25
+
+
+# The transforms as one-layout loops in int64, every butterfly pass on the
+# natural cell order (the Walsh pass ping-pongs between two buffers):
+# references for the differential tests below.
+def reference_mobius(values: np.ndarray, n: int) -> np.ndarray:
+    a = values.astype(np.int64)
+    for p in range(n):
+        shaped = a.reshape(-1, 2, 1 << p)
+        np.subtract(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
+    return a
+
+
+def reference_walsh(values: np.ndarray, n: int) -> np.ndarray:
+    a = np.subtract(1, 2 * values, dtype=np.int64)
+    b = np.empty_like(a)
+    for _ in range(n):
+        top, out = a.reshape(-1, 2, 1 << (n - 1)), b.reshape(-1, 1 << (n - 1), 2)
+        np.add(top[:, 0], top[:, 1], out=out[..., 0])
+        np.subtract(top[:, 0], top[:, 1], out=out[..., 1])
+        a, b = b, a
+    return a
+
+
+def mixed_rows(rng: random.Random, n: int, count: int = 0) -> np.ndarray:
+    """Constant, dictator and parity rows of arity n, then seeded random
+    rows up to ``count`` rows in all."""
+    x = np.arange(1 << n)
+    rows = np.stack([x * 0, x * 0 + 1, x >> max(n - 1, 0), x & 1, popcounts(n) & 1])
+    random_rows = np.random.default_rng(rng.getrandbits(32)).integers(0, 2, (max(3, count - 5), 1 << n))
+    return np.concatenate([rows, random_rows]).astype(np.uint8)
+
+
+def assert_transforms_match(stack: np.ndarray, n: int, wide: bool = False) -> None:
+    """Moebius and Walsh of the stack and of each row alone equal the
+    reference loops by value, in int32 (int64 if ``wide``)."""
+    for transform, reference in (
+        (lambda f: multilinear_coefficients(f).coeffs, reference_mobius),
+        (lambda f: fourier_transform(f).scaled, reference_walsh),
+    ):
+        want = reference(stack, n)
+        got = transform(stack)
+        assert got.dtype == (np.int64 if wide else np.int32) and not got.flags.writeable
+        assert np.array_equal(got, want)
+        for row in (0, 2, 4, len(stack) - 1):
+            assert np.array_equal(transform(TruthTable(n, stack[row])), want[row])
+
+
+def test_transforms_match_the_one_layout_loops():
+    # n = 0..12 spans fewer, as many and more bits than the sweep's five
+    # low ones; each stack holds 1.5 * CHUNK_CELLS cells, so above n = 5 its
+    # low passes run in blocks, two of them at n = 12 (24 rows of 128 high
+    # cells, in blocks of 85).
+    rng = random.Random(13)
+    for n in range(13):
+        stack = mixed_rows(rng, n, 3 * measures.CHUNK_CELLS // 2 >> n)
+        assert_transforms_match(stack, n)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_transforms_of_large_tables_match_the_one_layout_loops(n):
+    stack = mixed_rows(random.Random(n), n)
+    assert_transforms_match(stack, n)
+    # the all-zero table's Walsh entry at the empty set is 2**n, and the
+    # parity's top Moebius coefficient is (-2)**(n - 1)
+    assert fourier_transform(TruthTable(n, stack[0])).scaled[0] == 1 << n
+    assert multilinear_coefficients(TruthTable(n, stack[4])).coeffs[-1] == (-2) ** (n - 1)
+
+
+def test_transforms_take_int64_above_the_exact_arity(monkeypatch):
+    monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 7)
+    stack = mixed_rows(random.Random(8), 8, 300)
+    assert_transforms_match(stack, 8, wide=True)
+    assert_transforms_match(mixed_rows(random.Random(7), 7, 300), 7)
+
+
+def test_spectral_numerators_of_int32_and_int64_spectra_agree():
+    rng = random.Random(32)
+    for n in (0, 1, 5, 9, 16):
+        scaled = fourier_transform(mixed_rows(rng, n)).scaled
+        assert scaled.dtype == np.int32
+        narrow = algebra.spectral_numerators(scaled, n)
+        wide = algebra.spectral_numerators(scaled.astype(np.int64), n)
+        assert narrow.keys() == wide.keys()
+        for key in narrow:
+            assert narrow[key].dtype == wide[key].dtype == np.int64
+            assert np.array_equal(narrow[key], wide[key])
+        assert (narrow["sum_sq"] == 4**n).all()

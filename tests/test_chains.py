@@ -23,6 +23,7 @@ from boolfn.core import (
     compose,
     is_monotone,
     materialize,
+    popcounts,
     serialize,
 )
 
@@ -45,7 +46,7 @@ def check_profiles(tables):
     """The profile of each table alone and of their stack: equal, read-only,
     and equal to the point-order DP."""
     stack = chains.alternation_profile(np.stack([t.values for t in tables]))
-    assert not stack.flags.writeable
+    assert not stack.flags.writeable and stack.dtype == np.int32
     for row, t in zip(stack, tables):
         single = chains.alternation_profile(t)
         assert not single.flags.writeable
@@ -77,6 +78,13 @@ def test_blocked_dp_matches_point_order_at_n12(block_bits, monkeypatch):
     tables += [families.named_basics(name, 12) for name in ("parity", "and", "or")]
     tables.append(TruthTable.constant(12, 1))
     check_profiles(tables)
+
+
+def test_profile_of_parity_at_n20_is_the_hamming_weight():
+    # A is kept in uint8 (A <= n) and widened to int32 once, at the exit
+    parity = families.named_basics("parity", 20)
+    profile = chains.alternation_profile(parity)
+    assert profile.dtype == np.int32 and np.array_equal(profile, popcounts(20))
 
 
 def traced_bytes(f, *args):

@@ -223,6 +223,50 @@ def test_depends_on_all():
         assert depends_on_all(materialize(fk))
 
 
+def reference_depends_on_all(values: np.ndarray, n: int) -> np.ndarray:
+    """One comparison of the halves per variable on the natural cell order:
+    the reference for the tests below."""
+    out = np.ones(values.shape[:-1], dtype=bool)
+    for j in range(1, n + 1):
+        halves = values.reshape(*values.shape[:-1], 1 << (j - 1), 2, 1 << (n - j))
+        out &= (halves[..., 0, :] != halves[..., 1, :]).any(axis=(-2, -1))
+    return out
+
+
+def rows_ignoring_one_variable(gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Constant and parity rows, random rows that ignore x_j for every j
+    in turn, and random rows, ``count`` (at least n + 3) in all."""
+    x = np.arange(1 << n)
+    rows = gen.integers(0, 2, (max(count, n + 3), 1 << n), dtype=np.uint8)
+    rows[0], rows[1] = 0, core.popcounts(n) & 1
+    for j in range(1, n + 1):
+        rows[j + 1] = rows[j + 1][x & ~(1 << (n - j))]
+    return rows
+
+
+def assert_depends_on_all_matches(stack: np.ndarray, n: int) -> None:
+    want = reference_depends_on_all(stack, n)
+    got = depends_on_all(stack)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert want[2 : n + 2].sum() == 0 and (n == 0 or want[1])
+    for row in (0, 1, 2, n + 1, len(stack) - 1):
+        alone = depends_on_all(TruthTable(n, stack[row]))
+        assert type(alone) is bool and alone == want[row]
+
+
+def test_depends_on_all_matches_the_one_layout_loop():
+    # n = 0..12 on stacks of 1.5 * CHUNK_CELLS cells, so the comparisons on
+    # the last five variables run in transposed blocks, two at n = 12
+    gen = np.random.default_rng(17)
+    for n in range(13):
+        assert_depends_on_all_matches(rows_ignoring_one_variable(gen, n, 3 * core.CHUNK_CELLS // 2 >> n), n)
+
+
+@pytest.mark.parametrize("n", range(16, 21))
+def test_depends_on_all_of_large_tables_matches_the_one_layout_loop(n):
+    assert_depends_on_all_matches(rows_ignoring_one_variable(np.random.default_rng(n), n, 0), n)
+
+
 def test_serialize_examples():
     assert serialize(families.named_basics("and", 2)) == "2:8"
     assert serialize(TruthTable.constant(2, 1)) == "2:F"

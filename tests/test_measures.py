@@ -18,6 +18,7 @@ from boolfn.measures import (
     influence,
     measure_report,
     negation_complexity,
+    per_point_sensitivity,
     sensitivity,
 )
 
@@ -310,6 +311,53 @@ def test_per_point_table():
     assert report.per_point()["s"] == [0, 2, 2, 2, 2, 2, 2, 0]
 
 
+def reference_per_point_sensitivity(values: np.ndarray, n: int) -> np.ndarray:
+    """Per-point sensitivity as a one-layout loop in int32, every butterfly
+    pass on the natural cell order: the reference for the tests below."""
+    s = np.zeros(values.shape, dtype=np.int32)
+    for p in range(n):
+        pairs = values.reshape(-1, 2, 1 << p)
+        halves = s.reshape(-1, 2, 1 << p)
+        halves += pairs[:, :1] != pairs[:, 1:]
+    return s
+
+
+def mixed_stack(rng: random.Random, n: int, count: int = 0) -> np.ndarray:
+    """Constant, dictator and parity rows of arity n, then seeded random
+    rows up to ``count`` rows in all."""
+    x = np.arange(1 << n)
+    rows = np.stack([x * 0, x >> max(n - 1, 0), core.popcounts(n) & 1, x & 1, x * 0 + 1])
+    random_rows = np.random.default_rng(rng.getrandbits(32)).integers(0, 2, (max(3, count - 5), 1 << n))
+    return np.concatenate([rows, random_rows]).astype(np.uint8)
+
+
+def assert_sensitivity_matches(stack: np.ndarray, n: int) -> None:
+    """The stack's per-point sensitivity and each row's alone equal the
+    reference loop by value, as read-only uint8."""
+    want = reference_per_point_sensitivity(stack, n)
+    got = per_point_sensitivity(stack)
+    assert got.dtype == np.uint8 and not got.flags.writeable
+    assert np.array_equal(got, want)
+    for row in (0, 2, 4, len(stack) - 1):
+        assert np.array_equal(per_point_sensitivity(TruthTable(n, stack[row])), want[row])
+
+
+def test_per_point_sensitivity_matches_the_one_layout_loop():
+    # n = 0..12 spans fewer, as many and more bits than the sweep's five
+    # low ones, on stacks of 1.5 * CHUNK_CELLS cells, so above n = 5 the low
+    # passes run in blocks (two at n = 12).
+    rng = random.Random(14)
+    for n in range(13):
+        assert_sensitivity_matches(mixed_stack(rng, n, 3 * measures.CHUNK_CELLS // 2 >> n), n)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_per_point_sensitivity_of_large_tables_matches_the_one_layout_loop(n):
+    stack = mixed_stack(random.Random(n), n)
+    assert_sensitivity_matches(stack, n)
+    assert per_point_sensitivity(stack).max(axis=-1).tolist()[:3] == [0, 1, n]
+
+
 # The subcube kernels as one-layout loops, every digit pass on the natural
 # cell order and every DT round up to the one that decides the whole cube:
 # references for the differential tests below.
@@ -424,8 +472,8 @@ def test_decision_tree_rounds_stop_early_or_exit_at_n(monkeypatch):
     # n - 1 rounds.
     n = 5
     rounds = []
-    sweep = measures._digit_sweep
-    monkeypatch.setattr(measures, "_digit_sweep", lambda *a, **kw: rounds.append(a[0]) or sweep(*a, **kw))
+    sweep = measures.digit_sweep
+    monkeypatch.setattr(measures, "digit_sweep", lambda *a, **kw: rounds.append(a[0]) or sweep(*a, **kw))
     x = np.arange(1 << n)
     early = [TruthTable.constant(n, 1), TruthTable(n, x & 1), TruthTable(n, (x >> 1) & x & 1)]
     parity = families.named_basics("parity", n)
