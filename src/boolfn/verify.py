@@ -15,8 +15,10 @@ One registry feeds both the test suite and the CLI, populations are
 enumerated or sampled deterministically, and aggregates merge commutatively
 so parallel runs match serial ones.
 
-A worker decodes only the members of its own index range, straight into
-read-only stacks of up to ``measures.CHUNK_CELLS`` cells
+A sweep with ``jobs > 1`` splits the population into index ranges: the
+calling process runs the first, and one worker process each of the rest
+(:func:`run_check_suite`). Each decodes only the members of its own range,
+straight into read-only stacks of up to ``measures.CHUNK_CELLS`` cells
 (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
 every measure is computed once per chunk, not once per function, and no
 member is built as a table of its own. Explicit members are checked and
@@ -610,6 +612,34 @@ def _run_chunk(
     return aggregates
 
 
+def _worker(conn, *args) -> None:
+    """Run one share (``_run_chunk``'s arguments) in a worker process and
+    send ``(aggregates, None)`` down ``conn``, or ``(exception, its
+    traceback)`` if it raised."""
+    try:
+        result = (_run_chunk(*args), None)
+    except Exception as exc:
+        import traceback
+
+        result = (exc, traceback.format_exc())
+    conn.send(result)
+    conn.close()
+
+
+def _receive(conn, worker) -> dict[str, Aggregate]:
+    """A worker's share, or what it raised, with the worker's traceback as
+    its cause; a worker that ends without sending either raises
+    ``RuntimeError``."""
+    try:
+        value, trace = conn.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"sweep worker exited with code {worker.exitcode} without a result") from None
+    if trace is not None:
+        raise value from RuntimeError(f"raised in a sweep worker:\n{trace}")
+    return value
+
+
 def _sweep_report(population: Population, partials: list[dict[str, Aggregate]]) -> SweepReport:
     """The report of the chunk runs ``partials``, which cover the population."""
     aggregates = partials[0]
@@ -636,7 +666,13 @@ def run_check_suite(
 
     Aggregation is commutative (counts add, extrema and retained witnesses
     are order-independent), so fanning out over workers produces the same
-    report as a serial run, and the worker count is clamped to the CPU count.
+    report as a serial run. ``jobs`` is clamped to the CPU count, and a
+    population of fewer than ``2 * jobs`` members runs serially. Otherwise
+    the members split into ``jobs`` shares: the calling process runs the
+    first, one worker process each of the rest, each sending its aggregates
+    back over a pipe of its own. A worker's exception is raised here, and
+    a worker that ends without a result raises ``RuntimeError``; no worker
+    outlives the call.
     """
     measures.check_caps(bs_cap, cert_cap, dt_cap)
     if fail_limit < 0:
@@ -650,14 +686,33 @@ def run_check_suite(
         return _sweep_report(population, [_run_chunk(population, names, 0, None, caps, fail_limit)])
     import multiprocessing as mp
 
-    # total >= 2 * jobs, so no chunk is empty
+    # total >= 2 * jobs, so no share is empty
     bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    args = [(population, names, lo, hi, caps, fail_limit) for lo, hi in zip(bounds, bounds[1:])]
     # fork where the platform has it; elsewhere the default start method,
-    # which works too, as _run_chunk and its arguments pickle
+    # which works too, as _worker and its arguments pickle
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-    with ctx.Pool(processes=len(args)) as pool:
-        return _sweep_report(population, pool.starmap(_run_chunk, args))
+    pipes, workers = [], []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            receiver, sender = ctx.Pipe(duplex=False)
+            pipes.append(receiver)
+            worker = ctx.Process(target=_worker, args=(sender, population, names, lo, hi, caps, fail_limit))
+            try:
+                worker.start()
+            finally:
+                # the worker holds the one sender left, so its end ends the pipe
+                sender.close()
+            workers.append(worker)
+        partials = [_run_chunk(population, names, 0, bounds[1], caps, fail_limit)]
+        partials.extend(_receive(receiver, worker) for receiver, worker in zip(pipes, workers))
+    finally:
+        for receiver in pipes:
+            receiver.close()
+        for worker in workers:
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+    return _sweep_report(population, partials)
 
 
 def measure_matrix_rows(

@@ -24,7 +24,7 @@ def test_traced_names_resolve():
             if not callable(owner):
                 missing.append(f"{module_name}.{dotted}")
     assert not missing
-    # the tracer hooks the chunk runner that the serial and pool paths share
+    # the tracer hooks the chunk runner that the caller and the workers share
     assert callable(importlib.import_module("boolfn.verify")._run_chunk)
 
 

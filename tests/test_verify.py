@@ -5,6 +5,9 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,33 +85,127 @@ def test_parallel_matches_serial():
     serial = run_check_suite(pop, checks="all", jobs=1)
     parallel = run_check_suite(pop, checks="all", jobs=3)
     assert serial.to_json() == parallel.to_json()
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_clamped_to_cpu_count(monkeypatch):
-    requested = []
+    started = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            requested.append(processes)
+    class Channel:
+        """Both ends of one in-process pipe."""
 
-        def __enter__(self):
-            return self
+        def __init__(self):
+            self.items = []
 
-        def __exit__(self, *exc):
+        def send(self, item):
+            self.items.append(item)
+
+        def recv(self):
+            return self.items.pop(0)
+
+        def close(self):
+            pass
+
+    class InlineProcess:
+        """Runs its target when started, in this process."""
+
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(self.args)
+            self.target(*self.args)
+
+        def is_alive(self):
             return False
 
-        def starmap(self, fn, args):
-            return list(itertools.starmap(fn, args))
+        def join(self):
+            pass
 
     class RecordingContext:
-        Pool = RecordingPool
+        Process = InlineProcess
+
+        @staticmethod
+        def Pipe(duplex):
+            channel = Channel()
+            return channel, channel
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext())
     pop = Population.sample(4, 40, 3)
     clamped = run_check_suite(pop, checks="all", jobs=64)
-    assert requested == [2]
+    # two shares: the caller runs members 0..20, one started process the rest
+    assert [args[3:5] for args in started] == [(20, 40)]
     assert clamped.to_json() == run_check_suite(pop, checks="all", jobs=1).to_json()
+
+
+# A sweep whose worker dies without a result, in a process of its own, so
+# that a sweep that waits on the dead worker fails the test by its timeout.
+DYING_WORKER = """
+import multiprocessing, os
+from boolfn import verify
+
+run_chunk = verify._run_chunk
+
+def dying(population, names, start, *rest):
+    if start > 0:
+        os._exit(3)
+    return run_chunk(population, names, start, *rest)
+
+os.cpu_count = lambda: 2
+verify._run_chunk = dying
+try:
+    verify.run_check_suite(verify.Population.sample(4, 40, 3), jobs=2)
+except RuntimeError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is patched by fork")
+def test_worker_that_dies_without_a_result_raises():
+    src = str(Path(verify.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", DYING_WORKER],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["sweep worker exited with code 3 without a result", "[]"]
+
+
+@pytest.fixture
+def joined(monkeypatch) -> list:
+    """The processes joined from now on, with two CPUs to start them on."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    joined = []
+    join = multiprocessing.process.BaseProcess.join
+
+    def recording_join(self, timeout=None):
+        join(self, timeout)
+        joined.append(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "join", recording_join)
+    return joined
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["caller-share", "last-share"])
+def test_worker_errors_reach_the_caller(joined, at):
+    members = [serialize(t) for t in Population.sample(4, 200, 2).tables()]
+    members[at] = "3:ZZ"
+    population = Population(kind="explicit", members=tuple(members))
+    with pytest.raises(core.FormatError) as serial:
+        run_check_suite(population, jobs=1)
+    assert joined == []
+    with pytest.raises(core.FormatError) as parallel:
+        run_check_suite(population, jobs=2)
+    assert str(parallel.value) == str(serial.value) == "malformed table text: '3:ZZ'"
+    # a worker's error comes with the worker's traceback as its cause
+    assert (parallel.value.__cause__ is None) == (at == 0)
+    assert len(joined) == 1 and joined[0].exitcode is not None
+    assert multiprocessing.active_children() == []
 
 
 def test_counterexample_round_trip():
@@ -379,12 +476,13 @@ def test_members_above_a_lowered_dense_cap_raise_cap_exceeded(monkeypatch):
         list(Population(kind="explicit", members=members).stacks())
 
 
-def test_spawn_pool_matches_serial():
+def test_spawn_workers_match_serial(monkeypatch):
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: get_context("spawn"))
     pop = Population.sample(5, 80, 11)
-    args = [(pop, "all", lo, hi, CAPS, verify.DEFAULT_FAIL_LIMIT) for lo, hi in ((0, 40), (40, 80))]
-    with multiprocessing.get_context("spawn").Pool(2) as pool:
-        partials = pool.starmap(verify._run_chunk, args)
-    assert verify._sweep_report(pop, partials).to_json() == run_check_suite(pop).to_json()
+    assert run_check_suite(pop, jobs=2).to_json() == run_check_suite(pop).to_json()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
