@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .core import Tables, TruthTable, digit_sweep, popcounts, table_values
+from .core import CHUNK_CELLS, Tables, TruthTable, digit_sweep, popcounts, table_values
 
 __all__ = [
     "FourierSpectrum",
@@ -274,20 +274,39 @@ def spectral_numerators(
     scaled: np.ndarray, n: int, weights: Optional[np.ndarray] = None
 ) -> dict[str, np.ndarray]:
     """The exact numerators of the spectral sums over S, along the last axis
-    of a spectrum or a stack, from one ``abs`` (taken straight into the
-    exact dtype, one copy of an int32 spectrum), one square and the weight
-    vector |S|, ``weights`` (``popcounts(n)``, built here unless the caller
-    holds it). Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum
-    |scaled[S]| |S|. Over 4**n: sum scaled[S]**2 times |S|**2
-    (``weighted2``), |S| (``spectral``, the influence) or 1 (``sum_sq``, 4**n
-    by Parseval)."""
-    weights = exact_terms(popcounts(n) if weights is None else weights, n)
-    a = np.abs(scaled, dtype=np.int64) if n <= INT64_EXACT_MAX_ARITY else np.abs(exact_terms(scaled, n))
-    sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
+    of a spectrum or a stack, with the weight vector |S|, ``weights``
+    (``popcounts(n)``, built here unless the caller holds it). Over 2**n:
+    ``l1``, sum |scaled[S]|, and ``weighted``, sum |scaled[S]| |S|. Over
+    4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S| (``spectral``,
+    the influence) or 1 (``sum_sq``, 4**n by Parseval).
+
+    The columns go in blocks of at most ``CHUNK_CELLS`` cells (one column,
+    if none fits), whose sums are added up per row, so no full-size copy of
+    the spectrum or of the weights is made. The sums stay in integers: a
+    float sum such as ``np.bincount``'s is inexact past 2**53, which
+    weighted2 passes at n = 23."""
+    weights = popcounts(n) if weights is None else weights
+    rows = scaled.reshape(-1, 1 << n)
+    width = max(1, CHUNK_CELLS // max(1, len(rows)))
+    sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral"), 0)
+    for start in range(0, 1 << n, width):
+        block = _block_numerators(rows[:, start : start + width], weights[start : start + width], n)
+        for key in sums:
+            sums[key] += block[key]
+    return {key: total.reshape(scaled.shape[:-1]) for key, total in sums.items()}
+
+
+def _block_numerators(part: np.ndarray, weights: np.ndarray, n: int) -> dict[str, np.ndarray]:
+    """The five sums of a block of spectrum columns and their weights, from
+    one ``abs`` (taken straight into the exact dtype), one square and one
+    product."""
+    w = exact_terms(weights, n)
+    a = np.abs(part, dtype=np.int64) if n <= INT64_EXACT_MAX_ARITY else np.abs(exact_terms(part, n))
+    sums = {"l1": a.sum(axis=-1), "weighted": a @ w}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)
-    a *= weights
-    return {**sums, "weighted2": a @ weights, "spectral": a.sum(axis=-1)}
+    a *= w
+    return {**sums, "weighted2": a @ w, "spectral": a.sum(axis=-1)}
 
 
 def spectral_sums(f: TruthTable) -> SpectralSums:

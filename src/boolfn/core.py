@@ -53,13 +53,15 @@ __all__ = [
     "serialize",
     "table_values",
     "unpack_rows",
+    "variable_halves",
 ]
 
 DEFAULT_DENSE_CAP = 24
 DENSE_CAP_ENV = "BOOLFN_DENSE_CAP"
 # A chunk stacks at most this many table cells (256 tables at n = 8), which
 # bounds each stacked kernel array; a table above it is a chunk of one. It
-# also bounds the transposed blocks of digit_sweep, whose low phase has the
+# also bounds the blocks in which algebra.spectral_numerators sums the
+# spectrum, and the transposed blocks of digit_sweep, whose low phase has the
 # largest l with 9**l <= CHUNK_CELLS digits (5). The butterflies run that
 # phase in int8, exact while it has at most 6 bits (the Walsh entries of
 # +/-1 values reach +/-2**l), so CHUNK_CELLS must stay below 9**7.
@@ -156,12 +158,6 @@ class TruthTable:
         _check_arity(n)
         if packed < 0 or packed >> (1 << n):
             raise ValueError(f"packed value out of range for arity {n}")
-        return cls._unpacked(n, packed)
-
-    @classmethod
-    def _unpacked(cls, n: int, packed: int) -> "TruthTable":
-        """``from_packed_int`` for an arity and a value already checked: the
-        stack of one from :func:`unpack_rows`, with no second copy."""
         return cls._row(unpack_rows(n, packed.to_bytes(((1 << n) + 7) // 8, "little"))[0])
 
     @classmethod
@@ -435,24 +431,34 @@ def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarra
         yield part, np.ascontiguousarray(cells[:, part].transpose(2, 0, 1))
 
 
-def depends_on_all(f: Tables):
-    """True iff every variable has some input where flipping it flips f; for
-    an ``(N, 2**n)`` stack of tables, that flag of every row.
+def variable_halves(rows: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(j, lo, hi)`` for each variable x_(j+1) of the ``(N, 2**n)`` rows:
+    the cells with x_(j+1) = 0 and those with x_(j+1) = 1, as matching
+    4-d views with the rows first, so a reduction over axes 1 to 3 gives
+    one flag per row.
 
-    Like :func:`digit_sweep`, it compares the halves on the last variables
-    in transposed blocks, each block's ``any`` per row, and those on the
-    first variables on the natural layout."""
-    n, v = table_values(f)
-    rows = v.reshape(-1, 1 << n)
+    Like :func:`digit_sweep`, it reads the last variables on transposed
+    blocks, each block once for all of them, and the first variables on the
+    natural layout; a variable is given once per block."""
     low = _low_digits(n, rows.size)
-    flips = np.zeros((n, len(rows)), dtype=bool)
     for _, block in _low_blocks(rows.reshape(len(rows), -1, 1 << low), 1 << low) if low else ():
         for j in range(low):
-            halves = block.reshape(1 << j, 2, 1 << (low - j - 1), len(rows), -1)
-            flips[n - low + j] |= (halves[:, 0] != halves[:, 1]).any(axis=(0, 1, 3))
+            halves = block.reshape(1 << j, 2, 1 << (low - j - 1), len(rows), -1).transpose(3, 0, 1, 2, 4)
+            yield n - low + j, halves[:, :, 0], halves[:, :, 1]
     for j in range(n - low):
-        halves = rows.reshape(len(rows), 1 << j, 2, -1)
-        flips[j] = (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
+        halves = rows.reshape(len(rows), 1 << j, 2, -1, 1)
+        yield j, halves[:, :, 0], halves[:, :, 1]
+
+
+def depends_on_all(f: Tables):
+    """True iff every variable has some input where flipping it flips f; for
+    an ``(N, 2**n)`` stack of tables, that flag of every row, from the
+    halves of :func:`variable_halves`."""
+    n, v = table_values(f)
+    rows = v.reshape(-1, 1 << n)
+    flips = np.zeros((n, len(rows)), dtype=bool)
+    for j, lo, hi in variable_halves(rows, n):
+        flips[j] |= (lo != hi).any(axis=(1, 2, 3))
     out = flips.all(axis=0).reshape(v.shape[:-1])
     return bool(out) if out.ndim == 0 else out
 
@@ -464,13 +470,17 @@ def is_monotone(f: TruthTable) -> bool:
 
 
 def serialize(f: TruthTable) -> str:
-    """Canonical text form ``n:HEX`` (values packed little-endian by index)."""
+    """Canonical text form ``n:HEX`` (values packed little-endian by index):
+    the packed bytes in reverse order as hex, trimmed to the digit count."""
     digits = ((1 << f.n) + 3) // 4
-    return f"{f.n}:{f.packed_int():0{digits}X}"
+    raw = np.packbits(f.values, bitorder="little").tobytes()
+    return f"{f.n}:{raw[::-1].hex().upper()[-digits:]}"
 
 
 def parse(text: str) -> TruthTable:
-    """Inverse of :func:`serialize`; rejects malformed input."""
+    """Inverse of :func:`serialize`; rejects malformed input. The digits
+    are read as bytes (below n = 3 one digit, and the bits past 2**n of
+    its byte must be clear)."""
     m = _TEXT_RE.match(text.strip())
     if not m:
         raise FormatError(f"malformed table text: {text!r}")
@@ -482,10 +492,10 @@ def parse(text: str) -> TruthTable:
         raise FormatError(
             f"expected {digits} hex digits for arity {n}, got {len(hexpart)}"
         )
-    packed = int(hexpart, 16)
-    if packed >> (1 << n):
+    raw = bytes.fromhex(hexpart.zfill(2))[::-1]
+    if n < 3 and raw[0] >> (1 << n):
         raise FormatError(f"padding bits set in {text!r}")
-    return TruthTable._unpacked(n, packed)
+    return TruthTable._row(unpack_rows(n, raw)[0])
 
 
 def parse_corpus(lines: Iterable[str]) -> Iterator[TruthTable]:

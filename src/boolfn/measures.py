@@ -444,7 +444,10 @@ class Chunk:
     # From the per-point sensitivity: s, I and the mean squared sensitivity.
     s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
     I_num = _exact_column(lambda c: c.per_point_s.sum(axis=-1, dtype=np.int64))
-    avg_s2_num = _exact_column(lambda c: (c.per_point_s.astype(np.int64) ** 2).sum(axis=-1))
+    # per_point_s is uint8, so each s(f, x)**2 fits uint16.
+    avg_s2_num = _exact_column(
+        lambda c: np.square(c.per_point_s, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+    )
 
     # From the subcube table: C and DT, and bs, which starts at s and is
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
@@ -623,12 +626,14 @@ def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
     Consecutive tables of one arity n share a :class:`Chunk` of at most
     ``max(1, CHUNK_CELLS >> n)`` tables, so every column is computed once
     per chunk rather than once per table. Each chunk stacks its tables'
-    values once; a population decodes its stacks with no tables
+    values once, and a chunk of one table is a view of its values, with no
+    copy; a population decodes its stacks with no tables
     (``verify.Population.stacks``).
     """
     for n, same in itertools.groupby(tables, key=lambda t: t.n):
         while batch := list(itertools.islice(same, max(1, CHUNK_CELLS >> n))):
-            yield Chunk(np.stack([t.values for t in batch]), **caps)
+            stack = batch[0].values[None] if len(batch) == 1 else np.stack([t.values for t in batch])
+            yield Chunk(stack, **caps)
 
 
 def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:

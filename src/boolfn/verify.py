@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import measures
-from .core import TruthTable, dense_cap, parse, serialize, table_values, unpack_rows
+from .core import TruthTable, dense_cap, parse, serialize, table_values, unpack_rows, variable_halves
 from .measures import MeasureContext
 
 __all__ = [
@@ -349,9 +349,8 @@ def _decomposes(c):
     axis, and their XOR is A mod 2, which must be f xor f(0^n)."""
     A, v = c.profile, c.stack
     ok = (A % 2 == v ^ v[:, :1]).all(axis=-1)
-    for p in range(c.n):
-        halves = A.reshape(len(A), -1, 2, 1 << p)
-        ok &= (halves[:, :, 0] <= halves[:, :, 1]).all(axis=(1, 2))
+    for _, lo, hi in variable_halves(A, c.n):
+        ok &= (lo <= hi).all(axis=(1, 2, 3))
     return ok
 
 

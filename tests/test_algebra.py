@@ -16,9 +16,10 @@ from boolfn.algebra import (
     sparsity,
     spectral_sums,
 )
-from boolfn.core import TruthTable, materialize, popcounts
+from boolfn.core import CHUNK_CELLS, TruthTable, materialize, popcounts
 
 import oracles
+from test_chains import traced_bytes
 
 
 def random_table(rng, n):
@@ -349,6 +350,67 @@ def test_transforms_take_int64_above_the_exact_arity(monkeypatch):
     stack = mixed_rows(random.Random(8), 8, 300)
     assert_transforms_match(stack, 8, wide=True)
     assert_transforms_match(mixed_rows(random.Random(7), 7, 300), 7)
+
+
+def reference_numerators(scaled: np.ndarray, n: int) -> dict:
+    """The spectral numerators from whole-array copies of |scaled| and of
+    the weights, in the exact dtype: the reference for the blocked sums."""
+    weights = algebra.exact_terms(popcounts(n), n)
+    a = np.abs(algebra.exact_terms(scaled.astype(np.int64), n))
+    sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
+    a *= a
+    sums["sum_sq"] = a.sum(axis=-1)
+    a *= weights
+    return {**sums, "weighted2": a @ weights, "spectral": a.sum(axis=-1)}
+
+
+def assert_numerators_match(scaled: np.ndarray, n: int) -> None:
+    """The blocked numerators equal the whole-array ones, in int64 up to
+    ``INT64_EXACT_MAX_ARITY`` (Python ints above), with Parseval per row."""
+    got, want = algebra.spectral_numerators(scaled, n), reference_numerators(scaled, n)
+    assert got.keys() == want.keys()
+    exact = np.int64 if n <= algebra.INT64_EXACT_MAX_ARITY else object
+    for key in want:
+        assert got[key].dtype == exact and got[key].shape == scaled.shape[:-1]
+        assert np.array_equal(got[key], want[key]), key
+    assert (got["sum_sq"] == 4**n).all()
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_blocked_spectral_numerators_match_the_whole_array_formula(monkeypatch, cells):
+    # a block of the 8-row stacks spans all rows and holds 1 column (8 at
+    # 64 cells); the lone row goes in blocks of 1, 7 (the last one short)
+    # or 64 columns, so above n = 0 its blocks split it
+    monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
+    rng = random.Random(cells)
+    for n in range(13):
+        scaled = fourier_transform(mixed_rows(rng, n, 8)).scaled
+        assert_numerators_match(scaled, n)
+        assert_numerators_match(scaled[2], n)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_blocked_spectral_numerators_of_large_tables(n):
+    scaled = fourier_transform(mixed_rows(random.Random(n), n)[-1]).scaled
+    assert_numerators_match(scaled, n)
+
+
+def test_blocked_spectral_numerators_above_the_int64_arity(monkeypatch):
+    monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 7)
+    monkeypatch.setattr(algebra, "CHUNK_CELLS", 100)
+    rng = random.Random(24)
+    for n in (6, 7, 8, 10):
+        assert_numerators_match(fourier_transform(mixed_rows(rng, n, 8)).scaled, n)
+
+
+def test_spectral_numerators_peak_is_bounded_by_a_block():
+    """No full-size copy of the spectrum or of the weights: the peak of
+    the sums over one n = 18 spectrum is a few blocks of CHUNK_CELLS int64
+    cells, whatever 2**n is."""
+    n = 18
+    scaled, weights = fourier_transform(random_table(random.Random(18), n)).scaled, popcounts(n)
+    _, peak = traced_bytes(algebra.spectral_numerators, scaled, n, weights)
+    assert peak <= 3 * 8 * CHUNK_CELLS, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 
 def test_spectral_numerators_of_int32_and_int64_spectra_agree():

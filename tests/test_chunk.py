@@ -117,6 +117,20 @@ def test_chunks_split_at_arity_changes_and_the_cell_budget(monkeypatch):
     assert [len(c) for c in chunks] == [2, 1, 1, 1, 1]
 
 
+def test_a_lone_table_is_a_chunk_of_its_values(monkeypatch):
+    """A run of one table is a read-only view of its values, not a copy;
+    a longer run is stacked."""
+    big = TruthTable.from_packed_int(17, 3 << 70000)  # one table per chunk
+    (chunk,) = measures.chunks([big])
+    assert chunk.stack.shape == (1, 1 << 17) and not chunk.stack.flags.writeable
+    assert np.shares_memory(chunk.stack, big.values)
+    monkeypatch.setattr(measures, "CHUNK_CELLS", 512)  # two tables at n = 8
+    small = [TruthTable.from_packed_int(8, p) for p in (1, 2, 3)]
+    pair, lone = (c.stack for c in measures.chunks(small))
+    assert len(pair) == 2 and not np.shares_memory(pair, small[0].values)
+    assert len(lone) == 1 and np.shares_memory(lone, small[2].values) and not lone.flags.writeable
+
+
 def test_record_rows_are_read_only():
     record = next(measures.records([TruthTable.from_packed_int(3, 0x96)] * 2))
     for row in (record.per_point_s(), record.profile(), record.poly().coeffs, record.spectrum().scaled):

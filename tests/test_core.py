@@ -270,12 +270,18 @@ def test_depends_on_all_of_large_tables_matches_the_one_layout_loop(n):
 def test_serialize_examples():
     assert serialize(families.named_basics("and", 2)) == "2:8"
     assert serialize(TruthTable.constant(2, 1)) == "2:F"
-    with pytest.raises(FormatError):
-        parse("3:G1")
-    with pytest.raises(FormatError):
-        parse("3:9")  # wrong digit count
-    with pytest.raises(FormatError):
-        parse("nonsense")
+    for text, message in (
+        ("3:G1", "malformed table text: '3:G1'"),
+        ("3:9", "expected 2 hex digits for arity 3, got 1"),
+        ("4:123", "expected 4 hex digits for arity 4, got 3"),
+        ("2:10", "expected 1 hex digits for arity 2, got 2"),
+        ("1:4", "padding bits set in '1:4'"),
+        ("0:2", "padding bits set in '0:2'"),
+        ("nonsense", "malformed table text: 'nonsense'"),
+    ):
+        with pytest.raises(FormatError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_serialize_round_trip_random():
@@ -283,6 +289,28 @@ def test_serialize_round_trip_random():
     for _ in range(60):
         f = random_table(rng, rng.randrange(0, 11))
         assert parse(serialize(f)) == f
+
+
+def int_serialize(f: TruthTable) -> str:
+    """The text form through the packed 2**n-bit Python int."""
+    return f"{f.n}:{f.packed_int():0{((1 << f.n) + 3) // 4}X}"
+
+
+def int_parse(text: str) -> TruthTable:
+    n, digits = text.split(":")
+    return TruthTable.from_packed_int(int(n), int(digits, 16))
+
+
+def test_text_form_matches_the_packed_int():
+    rng = random.Random(41)
+    tables = [TruthTable.from_packed_int(n, p) for n in range(4) for p in range(1 << (1 << n))]
+    tables += [random_table(rng, n) for n in (*range(4, 13), 20) for _ in range(3)]
+    for f in tables:
+        text = serialize(f)
+        assert text == int_serialize(f)
+        for form in (text, text.lower()):
+            g = parse(form)
+            assert g == f == int_parse(form) and not g.values.flags.writeable
 
 
 def test_parse_corpus():

@@ -11,6 +11,7 @@ import pytest
 from boolfn import algebra, chains, cli, families, measures, verify
 from boolfn.core import TruthTable
 from boolfn.measures import MeasureContext
+from test_chains import traced_bytes
 
 
 def tables_of_arity(n: int) -> list[TruthTable]:
@@ -116,3 +117,13 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
     )
     assert not report.failed
     assert calls == {name: 0 for _, name in unused}
+
+
+def test_record_peak_memory_per_point():
+    """A large record holds its narrow per-point columns (about 14 bytes
+    per point) and at its peak little more: the spectral sums add blocks of
+    at most CHUNK_CELLS cells, not int64 copies of the whole spectrum."""
+    n = 18
+    table = TruthTable.from_packed_int(n, random.Random(18).getrandbits(1 << n))
+    _, peak = traced_bytes(lambda: MeasureContext(table).to_json_dict())
+    assert peak <= 20 << n, f"{peak / (1 << n):.2f} bytes per point at the peak for n = 18"
