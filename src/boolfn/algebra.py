@@ -76,12 +76,13 @@ def _subset_step(op, cells: np.ndarray) -> np.ndarray:
 
 
 def _walsh_step(cells: np.ndarray) -> np.ndarray:
-    """(lo + hi, lo - hi) along one digit, in place. After pass p no entry
-    of +/-1 values exceeds 2**(p + 1) in size."""
+    """(lo + hi, (lo + hi) - 2 * hi) along one digit, in place with no
+    temporary. After pass p no entry of +/-1 values, nor any intermediate,
+    exceeds 2**(p + 1) in size."""
     lo, hi = cells[:, 0], cells[:, 1]
-    diff = lo - hi
     lo += hi
-    hi[...] = diff
+    hi *= -2
+    hi += lo
     return cells
 
 

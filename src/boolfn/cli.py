@@ -139,14 +139,22 @@ def _analyze_payload(record: measures.MeasureContext, args) -> dict:
 def _cmd_analyze(args, parser) -> int:
     functions = _resolve_all(vars(args))
     caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
+    exports = [flag for flag, path in (("--spectrum-out", args.spectrum_out), ("--poly-out", args.poly_out)) if path]
+    if exports and len(functions) > 1:
+        raise UsageError(f"{' and '.join(exports)}: file {args.file!r} holds {len(functions)} tables, not one")
     if args.file is not None:
-        # corpus file: one function per line, emitted as one JSON object per
-        # line; consecutive lines of one arity share a chunk
-        records = measures.records(functions, **caps)
-        _emit("\n".join(json.dumps(_analyze_payload(r, args), sort_keys=True) for r in records))
-        return 0
-    record = measures.MeasureContext(materialize(functions[0]), **caps)
-    out = _analyze_payload(record, args)
+        # one JSON object per corpus line; lines of one arity share a chunk
+        lines = []
+        for record in measures.records(functions, **caps):
+            lines.append(json.dumps(_analyze_payload(record, args), sort_keys=True))
+    else:
+        record = measures.MeasureContext(materialize(functions[0]), **caps)
+        out = _analyze_payload(record, args)
+        if args.format == "json":
+            lines = [json.dumps(out, sort_keys=True, indent=2)]
+        else:
+            lines = [f"{k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(out.items())]
+    # an export is of one table, so record is the only one
     if args.spectrum_out:
         with _write(args.spectrum_out) as handle:
             csv.writer(handle).writerows(record.spectrum().csv_rows())
@@ -154,11 +162,7 @@ def _cmd_analyze(args, parser) -> int:
         with _write(args.poly_out) as handle:
             json.dump(record.poly().to_json_dict(), handle, sort_keys=True)
             handle.write("\n")
-    if args.format == "json":
-        _emit(json.dumps(out, sort_keys=True, indent=2))
-    else:
-        lines = [f"{k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(out.items())]
-        _emit("\n".join(lines))
+    _emit("\n".join(lines))
     return 0
 
 

@@ -21,14 +21,15 @@ calling process runs the first, and one worker process each of the rest
 straight into read-only stacks of up to ``measures.CHUNK_CELLS`` cells
 (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
 every measure is computed once per chunk, not once per function, and no
-member is built as a table of its own. Explicit members are checked and
-decoded a run at a time, exhaustive and sampled ones from their packed
-integers. Population parameters are checked when the population is made,
-before any sweep.
+member is built as a table of its own. Explicit members are checked a
+stack at a time, a canonical stack decoded by one ``bytes.fromhex``, and
+exhaustive and sampled ones decoded from their packed integers. Population
+parameters are checked when the population is made, before any sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import measures
-from .core import TruthTable, dense_cap, parse, serialize, table_values, unpack_rows, variable_halves
+from .core import TruthTable, dense_cap, parse, serialize, unpack_rows, variable_halves
 from .measures import MeasureContext
 
 __all__ = [
@@ -120,7 +121,8 @@ class Population:
         ``(N, 2**n)`` uint8 stacks: consecutive members of one arity n, at
         most ``max(1, CHUNK_CELLS >> n)`` to a stack, each unpacked by one
         :func:`~boolfn.core.unpack_rows`. None before ``start`` is decoded:
-        a sampled stream draws their bits only."""
+        a sampled stream draws their bits only. Explicit members are checked
+        a stack at a time (:func:`_explicit_stacks`)."""
         stop = self.size() if stop is None else min(stop, self.size())
         if self.kind == "explicit":
             yield from _explicit_stacks(self.members[start:stop])
@@ -163,78 +165,50 @@ _ARITY = re.compile(r"([0-9]{1,2}):")  # the arity of a member in canonical form
 def _explicit_stacks(members: Sequence[str]) -> Iterator[np.ndarray]:
     """The explicit ``members`` as :meth:`Population.stacks` gives them.
 
-    The members are joined as the lines of one text. A run of well-formed
-    members of one arity, as many as the stack has room for, is checked and
-    decoded at once by :func:`_decoded`. Any other member (space-padded,
-    above the dense cap, malformed) is parsed alone, so bad text raises
-    what :func:`~boolfn.core.parse` raises, at the same member.
+    A stack takes the members that would share it: from a member whose
+    arity n is read off its prefix (or parsed), at most ``max(1,
+    CHUNK_CELLS >> n)``. :func:`_decoded` decodes them at once if all are
+    canonical; else each is parsed alone, up to the first member of another
+    arity, so bad text raises what :func:`~boolfn.core.parse` raises, at
+    the same member.
     """
-    text = "\n".join(members) + "\n"
-    lines = text.count("\n") == len(members)  # no member holds a line break
-    held, held_n, count, i, pos = [], None, 0, 0, 0  # the stack being made: its parts, arity, rows
+    i = 0
     while i < len(members):
-        head = _ARITY.match(members[i]) if lines else None
-        n, rows = int(head[1]) if head else None, None
-        if n is not None and n <= dense_cap():
-            rows = _decoded(n, text, pos, max(1, measures.CHUNK_CELLS >> n) - (count if n == held_n else 0))
-        if rows is None:
-            rows = parse(members[i]).values[None]
-            n = table_values(rows)[0]
-        if held and n != held_n:
-            yield _joined(held)
-            held, count = [], 0
-        held.append(rows)
-        # the decoded members all have the length of the first
-        held_n, count, pos, i = n, count + len(rows), pos + len(rows) * (len(members[i]) + 1), i + len(rows)
-        if count == max(1, measures.CHUNK_CELLS >> n):
-            yield _joined(held)
-            held, count = [], 0
-    if held:
-        yield _joined(held)
+        head = _ARITY.match(members[i])
+        n = int(head[1]) if head else parse(members[i]).n
+        group = members[i : i + max(1, measures.CHUNK_CELLS >> n)]
+        stack = _decoded(n, group)
+        if stack is None:
+            stack = np.stack([t.values for t in itertools.takewhile(lambda t: t.n == n, map(parse, group))])
+            stack.setflags(write=False)
+        yield stack
+        i += len(stack)
 
 
-def _decoded(n: int, text: str, pos: int, room: int) -> Optional[np.ndarray]:
-    """The stack of the well-formed members of arity n, one a line, that
-    ``text`` holds from ``pos`` on, at most ``room`` of them; ``None`` if
-    there is none.
+def _decoded(n: int, group: Sequence[str]) -> Optional[np.ndarray]:
+    """The stack of ``group`` if each member is canonical text of arity n:
+    the arity, a colon and ceil(2**n / 4) hex digits that leave the bits
+    past 2**n clear; else ``None``.
 
-    A well-formed member is its arity, a colon and ceil(2**n / 4) hex digits
-    that leave the bits past 2**n clear. The run is found by columns of the
-    text: the lines of a member's length that start with its prefix and end
-    with a line break. The columns are read over a window that widens
-    while the run fills it, so a short run costs little. ``bytes.fromhex``
-    skips whitespace and rejects any other character but a hex digit, so
-    the run is well-formed if it gives each member all its bytes.
+    The members are joined one a line, and each column of a line break or
+    a prefix character must hold it throughout. ``bytes.fromhex`` skips
+    whitespace and rejects any other character but a hex digit, so the
+    digits are canonical if they give each member all its bytes: a line
+    break or a space inside a member takes the place of a digit.
     """
     prefix, digits = f"{n}:", ((1 << n) + 3) // 4
-    line = len(prefix) + digits + 1
-    count = window = 0
-    while count == window < room:
-        window = min(room, 4 * window + 16)
-        count = window
-        for j, char in [(line - 1, "\n"), *enumerate(prefix)]:
-            column = text[pos + j : pos + window * line : line]
-            count = min(count, len(column) - len(column.lstrip(char)))
-    block = text[pos : pos + count * line]
+    line, count, text = len(prefix) + digits + 1, len(group), "\n".join(group) + "\n"
+    columns = [(line - 1, "\n"), *enumerate(prefix)]
+    if n > dense_cap() or any(text[j::line] != char * count for j, char in columns):
+        return None
     try:  # a lone digit is padded to a byte
-        raw = bytes.fromhex(block.replace(prefix, "0" * (digits % 2)))
+        raw = bytes.fromhex(text.replace(prefix, "0" * (digits % 2)))
     except ValueError:
         return None
-    if not count or len(raw) != count * ((digits + 1) // 2):
-        return None
-    if n < 2 and max(raw) >> (1 << n):  # padding bits set
+    if len(raw) != count * ((digits + 1) // 2) or (n < 2 and max(raw) >> (1 << n)):  # padding bits set
         return None
     # each member's bytes come most significant first
     return unpack_rows(n, np.frombuffer(raw, dtype=np.uint8).reshape(count, -1)[:, ::-1])
-
-
-def _joined(stacks: list[np.ndarray]) -> np.ndarray:
-    """One read-only stack of the rows of ``stacks``, in order."""
-    if len(stacks) == 1:
-        return stacks[0]
-    joined = np.concatenate(stacks)
-    joined.setflags(write=False)
-    return joined
 
 
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values

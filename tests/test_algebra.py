@@ -413,6 +413,15 @@ def test_spectral_numerators_peak_is_bounded_by_a_block():
     assert peak <= 3 * 8 * CHUNK_CELLS, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 
+def test_fourier_transform_peak_per_point():
+    """The Walsh step runs in place with no half-size temporary, so the
+    peak of one n = 18 transform is its int32 result, the int8 +/-1 values
+    and the sweep's blocks: under 6 bytes per point."""
+    n = 18
+    _, peak = traced_bytes(fourier_transform, random_table(random.Random(18), n))
+    assert peak <= 6 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
+
+
 def test_spectral_numerators_of_int32_and_int64_spectra_agree():
     rng = random.Random(32)
     for n in (0, 1, 5, 9, 16):

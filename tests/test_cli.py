@@ -129,6 +129,38 @@ def test_analyze_spectrum_and_poly_exports(tmp_path):
     assert json.loads(poly.read_text()) == {"3": 1}  # AND_2 = x1*x2
 
 
+@pytest.mark.parametrize(
+    "text", ["2:8", serialize(next(verify.Population.sample(12, 1, 3).tables()))], ids=["n2", "n12"]
+)
+def test_analyze_file_of_one_table_exports_what_fn_exports(tmp_path, text):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text(f"# one table\n{text}\n")
+    _, plain, _ = run_cli(["analyze", "--file", str(corpus)])
+    exported = {}
+    for flag, source in (("--fn", text), ("--file", str(corpus))):
+        spectrum, poly = tmp_path / f"{flag[2:]}.csv", tmp_path / f"{flag[2:]}.json"
+        code, out, err = run_cli(["analyze", flag, source, "--spectrum-out", str(spectrum), "--poly-out", str(poly)])
+        assert code == 0 and err == ""
+        exported[flag] = spectrum.read_bytes(), poly.read_bytes()
+    assert exported["--file"] == exported["--fn"]
+    assert out == plain  # the corpus record, as without the exports
+
+
+@pytest.mark.parametrize("flags", [["--spectrum-out"], ["--poly-out"], ["--spectrum-out", "--poly-out"]])
+def test_analyze_file_of_several_tables_refuses_an_export(tmp_path, monkeypatch, flags):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("2:8\n3:96\n")
+    for name in ("records", "MeasureContext"):  # no record is computed
+        monkeypatch.setattr(measures, name, lambda *a, **k: pytest.fail("a record was computed"))
+    paths = [tmp_path / f"out{i}" for i in range(len(flags))]
+    argv = ["analyze", "--file", str(corpus), *itertools.chain(*zip(flags, map(str, paths)))]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags) and "holds 2 tables" in err
+    assert not any(path.exists() for path in paths)
+
+
 def test_analyze_byte_identical():
     a = run_cli(["analyze", "--fn", "3:96"])
     b = run_cli(["analyze", "--fn", "3:96"])

@@ -50,3 +50,25 @@ def test_no_module_level_caches():
                 name = getattr(statement, "name", None) or ast.unparse(getattr(statement, "targets", [statement])[0])
                 cached.add(f"{path.stem}.{name}")
     assert cached == {"chains._level_plan"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module's top-level imports bind that it neither reads
+    nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and "__all__" in {getattr(t, "id", None) for t in statement.targets}:
+            used.update(ast.literal_eval(statement.value))
+    unused = []
+    for statement in tree.body:
+        if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", None) != "__future__":
+            bound = (alias.asname or alias.name.split(".")[0] for alias in statement.names)
+            unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return unused
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export, so it is left out
+    paths = sorted((ROOT / "src" / "boolfn").glob("*.py"))
+    assert [name for path in paths if path.stem != "__init__" for name in _unused_imports(path)] == []

@@ -448,6 +448,7 @@ BAD_MEMBERS = [
     "4:",
     "x",
     "",
+    "²:0",  # a digit to str.isdigit, but not an arity to parse
 ]
 
 
@@ -469,9 +470,43 @@ def test_bad_explicit_members_raise_what_parse_raises(bad):
     assert str(decoded.value) == str(parsed.value)
 
 
+@pytest.mark.parametrize("at", [0, 17, 19, 40])
+def test_a_member_parsed_alone_costs_at_most_its_stack(monkeypatch, at):
+    # at 64 cells a stack holds 4 members of arity 4: at most the padded
+    # member's stack is parsed, and every other member decoded
+    monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
+    texts = [serialize(t) for t in Population.sample(4, 41, 6).tables()]
+    texts[at] = f"  {texts[at]} "
+    decoded, parsed = record_decoded(monkeypatch), []
+    monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
+    assert_stacks_of(list(Population(kind="explicit", members=tuple(texts)).stacks()), [parse(t) for t in texts])
+    assert texts[at] in parsed and set(parsed) <= set(texts[at // 4 * 4 : at // 4 * 4 + 4])
+    assert decoded == [text for text in texts if text not in parsed]
+
+
+def test_an_empty_explicit_population_gives_zero_counts():
+    population = Population.explicit([])
+    assert population.size() == 0 and list(population.stacks()) == []
+    report = run_check_suite(population)
+    assert len(report.checks) == len(CHECKS) and not report.failed
+    for agg in report.checks.values():
+        assert (agg["pass"], agg["fail"], agg["skip"], agg["max_ratio"]) == (0, 0, 0, None)
+    assert list(verify.measure_matrix_rows(population)) == [list(measures.COLUMNS)]
+
+
 def test_members_above_a_lowered_dense_cap_raise_cap_exceeded(monkeypatch):
     monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
     members = (*(serialize(t) for t in Population.sample(4, 3, 1).tables()), "5:" + "0" * 8)
+    with pytest.raises(core.CapExceededError, match="arity 5 exceeds dense cap 4"):
+        list(Population(kind="explicit", members=members).stacks())
+
+
+@pytest.mark.parametrize("before", [0, 4])
+def test_a_canonical_member_above_a_lowered_dense_cap_raises_cap_exceeded(monkeypatch, before):
+    # the arity 5 member starts a stack: alone, or after a full stack of 4
+    monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
+    monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
+    members = (*(serialize(t) for t in Population.sample(4, before, 1).tables()), "5:" + "0" * 8)
     with pytest.raises(core.CapExceededError, match="arity 5 exceeds dense cap 4"):
         list(Population(kind="explicit", members=members).stacks())
 
