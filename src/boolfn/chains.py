@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -77,9 +77,11 @@ class Chain:
         return list(self.order)
 
     @classmethod
-    def from_json(cls, data: Sequence[int], arity: Optional[int] = None) -> "Chain":
-        order = tuple(int(j) for j in data)
-        return cls(arity if arity is not None else len(order), order)
+    def from_json(cls, data, arity: Optional[int] = None) -> "Chain":
+        """The chain of a parsed JSON list of integers (no bools, floats or strings)."""
+        if not isinstance(data, list) or not all(type(j) is int for j in data):
+            raise ValueError("chain JSON must be an array of 1-based variable indices")
+        return cls(arity if arity is not None else len(data), tuple(data))
 
 
 def alternation_along(f: BooleanFunction, c: Chain) -> int:

@@ -13,7 +13,7 @@ import itertools
 import json
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Optional
 
 from . import chains, families, measures, verify
@@ -181,10 +181,7 @@ def _load_chain(args, arity: int) -> chains.Chain:
         raw = sys.stdin.read()
     elif not raw.strip().startswith("["):
         raw = _read(raw)
-    data = json.loads(raw)
-    if not isinstance(data, list):
-        raise UsageError("chain JSON must be an array of 1-based variable indices")
-    return chains.Chain.from_json(data, arity)
+    return chains.Chain.from_json(json.loads(raw), arity)
 
 
 def _chain_or_witness(raw: Optional[str], fn: BooleanFunction) -> chains.Chain:
@@ -245,20 +242,16 @@ def _cmd_verify(args, parser) -> int:
     if not populations:
         raise UsageError("provide at least one population (--exhaustive, --sample, --families)")
     checks = "all" if args.checks == "all" else tuple(args.checks.split(","))
-    if args.matrix_out:
-        with _write(args.matrix_out, "a"):  # fail before the sweep, not after it
-            pass
-    exit_code, outputs = 0, []
     caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
-    for population in populations:
-        report = verify.run_check_suite(population, checks, args.jobs, args.fail_limit, **caps)
-        if report.failed:
-            exit_code = 1
-        outputs.append(report)
-        if args.matrix_out:
-            rows = verify.measure_matrix_rows(population, **caps)
-            with _write(args.matrix_out, "a" if population is not populations[0] else "w") as handle:
-                csv.writer(handle).writerows(rows)
+    verify.resolve_checks(checks)  # a bad name or cap fails before the file is opened
+    measures.check_caps(**caps)
+    exit_code, outputs = 0, []
+    with _write(args.matrix_out) if args.matrix_out else nullcontext() as matrix:
+        for population in populations:
+            report = verify.run_check_suite(population, checks, args.jobs, args.fail_limit, **caps, matrix=matrix)
+            if report.failed:
+                exit_code = 1
+            outputs.append(report)
     if args.format == "json":
         payload = [r.to_json_dict() for r in outputs]
         _emit(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))

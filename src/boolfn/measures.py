@@ -522,11 +522,8 @@ class MeasureContext:
     dt = partialmethod(value, "DT")
     alt = partialmethod(value, "alt")
     dc = partialmethod(value, "dc")
-    deg = partialmethod(value, "deg")
-    deg2 = partialmethod(value, "deg2")
     sparsity = partialmethod(value, "sparsity")
     influence = partialmethod(value, "I")
-    avg_s2 = partialmethod(value, "avg_s2")
     depends_all = partialmethod(value, "depends_on_all")
 
     def degm(self, m: int) -> int:

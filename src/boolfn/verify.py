@@ -25,10 +25,13 @@ member is built as a table of its own. Explicit members are checked a
 stack at a time, a canonical stack decoded by one ``bytes.fromhex``, and
 exhaustive and sampled ones decoded from their packed integers. Population
 parameters are checked when the population is made, before any sweep.
+A sweep asked for the measure matrix writes each chunk's rows as it
+aggregates the chunk, so no member is decoded or measured twice.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -37,7 +40,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -55,7 +58,6 @@ __all__ = [
     "Population",
     "Skip",
     "SweepReport",
-    "measure_matrix_rows",
     "resolve_checks",
     "run_check_suite",
     "run_single_check",
@@ -175,11 +177,13 @@ def _explicit_stacks(members: Sequence[str]) -> Iterator[np.ndarray]:
     i = 0
     while i < len(members):
         head = _ARITY.match(members[i])
-        n = int(head[1]) if head else parse(members[i]).n
+        first = [] if head else [parse(members[i])]  # no prefix: parsed once, here
+        n = int(head[1]) if head else first[0].n
         group = members[i : i + max(1, measures.CHUNK_CELLS >> n)]
         stack = _decoded(n, group)
         if stack is None:
-            stack = np.stack([t.values for t in itertools.takewhile(lambda t: t.n == n, map(parse, group))])
+            tables = itertools.chain(first, map(parse, group[len(first) :]))
+            stack = np.stack([t.values for t in itertools.takewhile(lambda t: t.n == n, tables)])
             stack.setflags(write=False)
         yield stack
         i += len(stack)
@@ -575,22 +579,33 @@ def _run_chunk(
     stop: Optional[int],
     caps: dict,
     fail_limit: int,
+    matrix: Optional[TextIO] = None,
 ) -> dict[str, Aggregate]:
+    """The aggregates of members ``start`` to ``stop``, a chunk per stack,
+    and each chunk's ``measures.COLUMNS`` rows written to ``matrix`` as CSV
+    if given (a capped cell is ``None``, which the CSV writer leaves empty)."""
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
     for stack in population.stacks(start, stop):
         chunk = measures.Chunk(stack, **caps)
         for check in selected:
             aggregates[check.name].add_chunk(chunk, check)
+        if matrix is not None:
+            import csv  # loaded only by a sweep that writes the matrix
+
+            csv.writer(matrix).writerows(zip(*map(chunk.values, measures.COLUMNS)))
     return aggregates
 
 
 def _worker(conn, *args) -> None:
-    """Run one share (``_run_chunk``'s arguments) in a worker process and
-    send ``(aggregates, None)`` down ``conn``, or ``(exception, its
-    traceback)`` if it raised."""
+    """Run one share (``_run_chunk``'s arguments, ``matrix`` a flag) in a worker
+    process; send ``(aggregates, None)`` down ``conn``, ``((aggregates, matrix
+    CSV text), None)`` if flagged, or ``(exception, its traceback)``."""
     try:
-        result = (_run_chunk(*args), None)
+        *args, matrix = args
+        rows = io.StringIO() if matrix else None
+        aggregates = _run_chunk(*args, rows)
+        result = ((aggregates, rows.getvalue()) if matrix else aggregates, None)
     except Exception as exc:
         import traceback
 
@@ -599,7 +614,7 @@ def _worker(conn, *args) -> None:
     conn.close()
 
 
-def _receive(conn, worker) -> dict[str, Aggregate]:
+def _receive(conn, worker):
     """A worker's share, or what it raised, with the worker's traceback as
     its cause; a worker that ends without sending either raises
     ``RuntimeError``."""
@@ -634,6 +649,7 @@ def run_check_suite(
     bs_cap: int = measures.BS_CAP_DEFAULT,
     cert_cap: int = measures.CERT_CAP_DEFAULT,
     dt_cap: int = measures.DT_CAP_DEFAULT,
+    matrix: Optional[TextIO] = None,
 ) -> SweepReport:
     """Run the named checks on every population member and aggregate.
 
@@ -646,6 +662,10 @@ def run_check_suite(
     back over a pipe of its own. A worker's exception is raised here, and
     a worker that ends without a result raises ``RuntimeError``; no worker
     outlives the call.
+
+    Given a text file ``matrix``, the sweep writes the ``measures.COLUMNS``
+    header and each member's row to it as CSV, in population order: its own
+    share chunk by chunk, then the CSV text each worker sent, in share order.
     """
     measures.check_caps(bs_cap, cert_cap, dt_cap)
     if fail_limit < 0:
@@ -655,8 +675,12 @@ def run_check_suite(
     names = "all" if checks == "all" else tuple(c.name for c in selected)
     caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
     total = population.size()
+    if matrix is not None:
+        import csv
+
+        csv.writer(matrix).writerow(measures.COLUMNS)
     if jobs <= 1 or total < 2 * jobs:
-        return _sweep_report(population, [_run_chunk(population, names, 0, None, caps, fail_limit)])
+        return _sweep_report(population, [_run_chunk(population, names, 0, None, caps, fail_limit, matrix)])
     import multiprocessing as mp
 
     # total >= 2 * jobs, so no share is empty
@@ -669,15 +693,21 @@ def run_check_suite(
         for lo, hi in zip(bounds[1:], bounds[2:]):
             receiver, sender = ctx.Pipe(duplex=False)
             pipes.append(receiver)
-            worker = ctx.Process(target=_worker, args=(sender, population, names, lo, hi, caps, fail_limit))
+            args = (sender, population, names, lo, hi, caps, fail_limit, matrix is not None)
+            worker = ctx.Process(target=_worker, args=args)
             try:
                 worker.start()
             finally:
                 # the worker holds the one sender left, so its end ends the pipe
                 sender.close()
             workers.append(worker)
-        partials = [_run_chunk(population, names, 0, bounds[1], caps, fail_limit)]
-        partials.extend(_receive(receiver, worker) for receiver, worker in zip(pipes, workers))
+        partials = [_run_chunk(population, names, 0, bounds[1], caps, fail_limit, matrix)]
+        for receiver, worker in zip(pipes, workers):
+            value = _receive(receiver, worker)
+            if matrix is not None:
+                value, rows = value
+                matrix.write(rows)
+            partials.append(value)
     finally:
         for receiver in pipes:
             receiver.close()
@@ -686,19 +716,3 @@ def run_check_suite(
                 worker.terminate()
             worker.join()
     return _sweep_report(population, partials)
-
-
-def measure_matrix_rows(
-    population: Population,
-    bs_cap: int = measures.BS_CAP_DEFAULT,
-    cert_cap: int = measures.CERT_CAP_DEFAULT,
-    dt_cap: int = measures.DT_CAP_DEFAULT,
-) -> Iterator[list]:
-    """Per-function measure matrix (header row first), for CSV export: each
-    chunk's ``measures.COLUMNS`` zipped; a capped cell is ``None``, which
-    the CSV writer leaves empty."""
-    yield list(measures.COLUMNS)
-    caps = {"bs_cap": bs_cap, "cert_cap": cert_cap, "dt_cap": dt_cap}
-    for stack in population.stacks():
-        chunk = measures.Chunk(stack, **caps)
-        yield from map(list, zip(*map(chunk.values, measures.COLUMNS)))

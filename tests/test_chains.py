@@ -129,6 +129,14 @@ def test_chain_json_round_trip():
     assert Chain.from_json(c.to_json()) == c
 
 
+@pytest.mark.parametrize("data", [7, "21", [2.9, 1], [True, 2], [1.5, 2], {}, None], ids=repr)
+def test_chain_json_is_a_list_of_integers(data):
+    # a string, a float or a bool is not read as an index, not even one that
+    # would truncate to a valid order
+    with pytest.raises(ValueError, match="chain JSON must be an array"):
+        Chain.from_json(data, 2)
+
+
 def test_alternation_along_examples():
     rng = random.Random(73)
     for n in (2, 3, 5):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boolfn import algebra, chains, measures, verify
+from boolfn import algebra, chains, cli, measures, verify
 from boolfn.core import TruthTable, parse, restrict, serialize
 from boolfn.verify import Population, run_check_suite
-from test_record import count_calls
+from test_record import count_calls, matrix_sweep
 
 STACKED = (
     (chains, "alternation_profile"),
@@ -90,11 +90,11 @@ POPULATIONS = {
 @pytest.mark.parametrize("name", sorted(POPULATIONS))
 def test_chunk_of_one_gives_the_same_bytes(monkeypatch, name, jobs):
     population = POPULATIONS[name]
-    chunked = run_check_suite(population, jobs=jobs).to_json()
-    rows = list(verify.measure_matrix_rows(population))
+    chunked, rows = matrix_sweep(population, jobs=jobs)
     monkeypatch.setattr(measures, "CHUNK_CELLS", 1)
-    assert run_check_suite(population, jobs=jobs).to_json() == chunked
-    assert list(verify.measure_matrix_rows(population)) == rows
+    report, matrix = matrix_sweep(population, jobs=jobs)
+    assert report.to_json() == chunked.to_json()
+    assert matrix == rows
 
 
 def test_kernels_run_once_per_chunk(monkeypatch):
@@ -106,6 +106,15 @@ def test_kernels_run_once_per_chunk(monkeypatch):
     assert not report.failed
     # 600 tables of 2**8 cells: chunks of 256, 256 and 88
     assert calls == {name: 3 for _, name in STACKED}
+
+
+def test_matrix_out_runs_each_kernel_once_per_chunk(monkeypatch, tmp_path):
+    # the sweep writes the matrix from the chunks its checks read
+    kernels = [(algebra, "multilinear_coefficients"), (chains, "alternation_profile")]
+    calls = count_calls(monkeypatch, kernels)
+    assert cli.main(["verify", "--exhaustive", "3", "--matrix-out", str(tmp_path / "m.csv")]) == 0
+    chunks = len(list(Population.exhaustive(3).stacks()))
+    assert calls == {name: chunks for _, name in kernels}
 
 
 def test_chunks_split_at_arity_changes_and_the_cell_budget(monkeypatch):

@@ -352,6 +352,14 @@ def test_unwritable_matrix_out_fails_before_the_sweep(monkeypatch):
     assert err.startswith("error: cannot write")
 
 
+@pytest.mark.parametrize("flags", [["--checks", "nope"], ["--bs-cap", "99"]], ids=" ".join)
+def test_bad_checks_or_caps_leave_the_matrix_file_alone(tmp_path, flags):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("kept\n")
+    code, out, err = run_cli(["verify", "--exhaustive", "1", *flags, "--matrix-out", str(matrix)])
+    assert (code, out, matrix.read_text()) == (2, "", "kept\n")
+
+
 def test_verify_deterministic_output():
     a = run_cli(["verify", "--sample", "5,30,3"])
     b = run_cli(["verify", "--sample", "5,30,3"])
@@ -422,6 +430,12 @@ def test_console_script_entry_point():
         ["verify", "--sample", "3,5"],
         ["verify", "--sample", "3,x,1"],
         ["verify", "--exhaustive", "2", "--checks", "deg-sparsity-exponent", "--fail-limit", "-1"],
+        ["chain", "glue", "--f", "and2", "--g", "and2", "--f-chain", "7"],
+        ["chain", "glue", "--f", "and2", "--g", "and2", "--g-chain", '"21"'],
+        ["chain", "glue", "--f", "and2", "--g", "and2", "--f-chain", "[2.9,1]"],
+        ["chain", "glue", "--f", "and2", "--g", "and2", "--g-chain", "[true,2]"],
+        ["chain", "eval", "--family", "parity", "--n", "2", "--chain", "[1.5,2]"],
+        ["chain", "eval", "--family", "parity", "--n", "2", "--chain", "[true,2]"],
     ],
     ids=" ".join,
 )
@@ -465,7 +479,7 @@ _FUZZ_COMMANDS = {
     ("enumerate",): (["--n"], ["--limit"]),
 }
 _SWITCHES = {"--per-point", "--lazy"}
-_CHAINS = ["[1]", "[1,2]", "[2,1,3]", "[]", "[0]", "[1,1]", "[1,", "{}", "-"]
+_CHAINS = ["[1]", "[1,2]", "[2,1,3]", "[]", "[0]", "[1,1]", "[1,", "{}", "-", "7", '"21"', "[1.5,2]", "[true,2]"]
 
 
 def _fuzz_values(files):

@@ -5,7 +5,8 @@ file it writes, with ``tests/golden/<case>.*``. Two README examples are
 shrunk to keep the suite fast: ``--exhaustive 4 --matrix-out`` runs at
 arity 3, and the ``--sample 8,10000,42 ... --jobs 4`` sweep at 500 tables
 with 2 jobs. The cases after the README block add the text format,
-per-point output, a lazy source and an arity above 16.
+per-point output, a lazy source and an arity above 16, and the two matrix
+cases are replayed with ``--jobs 2`` against the same goldens.
 
 Regenerate the goldens only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -14,6 +15,7 @@ Regenerate the goldens only for an intended output change:
 from __future__ import annotations
 
 import io
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -103,6 +105,16 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert out.encode() == (GOLDEN / f"{case.name}.out").read_bytes()
     for name in case.files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / f"{case.name}.{name}").read_bytes()
+
+
+# The matrix cases again with two workers: the same stdout and CSV bytes.
+JOBS2_CASES = [c._replace(argv=(*c.argv, "--jobs", "2")) for c in CASES if c.name.endswith("matrix")]
+
+
+@pytest.mark.parametrize("case", JOBS2_CASES, ids=[f"{c.name}-jobs2" for c in JOBS2_CASES])
+def test_matrix_output_under_two_jobs_matches_golden(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two shares on any host
+    test_cli_output_matches_golden(case, tmp_path)
 
 
 def write_goldens() -> None:

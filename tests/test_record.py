@@ -2,6 +2,8 @@
 oracles, and each measure kernel run at most once per function."""
 
 import argparse
+import csv
+import io
 import math
 import random
 
@@ -61,8 +63,9 @@ def test_record_capped_columns_read_none():
     assert (record.bs(), record.cert(), record.dt()) == (None, None, None)
     assert set(record.skips()) == {"bs", "C", "DT"}
     population = verify.Population.explicit([record.table])
-    matrix_row = list(verify.measure_matrix_rows(population, bs_cap=4, cert_cap=4, dt_cap=4))[1]
-    assert [matrix_row[measures.COLUMNS.index(name)] for name in ("bs", "C", "DT")] == [None] * 3
+    _, matrix = matrix_sweep(population, bs_cap=4, cert_cap=4, dt_cap=4)
+    matrix_row = list(csv.reader(matrix.splitlines()))[1]
+    assert [matrix_row[measures.COLUMNS.index(name)] for name in ("bs", "C", "DT")] == [""] * 3
     assert record.to_json_dict()["skips"] == record.skips()
 
 
@@ -74,6 +77,12 @@ KERNELS = (
     (measures, "subcube_table"),
     (measures, "per_point_certificate"),
 )
+
+
+def matrix_sweep(population, **kwargs) -> tuple[verify.SweepReport, str]:
+    """A sweep's report and the measure matrix CSV text it writes."""
+    matrix = io.StringIO()
+    return verify.run_check_suite(population, matrix=matrix, **kwargs), matrix.getvalue()
 
 
 def count_calls(monkeypatch, kernels) -> dict:

@@ -1,5 +1,6 @@
 """Population streams, check registry behavior, report determinism."""
 
+import csv
 import itertools
 import json
 import multiprocessing
@@ -22,6 +23,7 @@ from boolfn.verify import (
     run_check_suite,
     run_single_check,
 )
+from test_record import matrix_sweep
 
 
 def test_enumerate_counts():
@@ -312,13 +314,14 @@ def test_standard_family_instances_sweep():
 
 
 def test_measure_matrix_rows():
-    rows = list(verify.measure_matrix_rows(Population.exhaustive(1)))
+    _, matrix = matrix_sweep(Population.exhaustive(1))
+    rows = list(csv.reader(matrix.splitlines()))
     assert rows[0][0] == "fn"
     assert len(rows) == 5
     by_fn = {row[0]: row for row in rows[1:]}
     identity = by_fn["1:2"]
     cols = dict(zip(rows[0], identity))
-    assert cols["s"] == 1 and cols["alt"] == 1 and cols["deg"] == 1
+    assert cols["s"] == "1" and cols["alt"] == "1" and cols["deg"] == "1"
 
 
 CAPS = {
@@ -481,17 +484,18 @@ def test_a_member_parsed_alone_costs_at_most_its_stack(monkeypatch, at):
     monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
     assert_stacks_of(list(Population(kind="explicit", members=tuple(texts)).stacks()), [parse(t) for t in texts])
     assert texts[at] in parsed and set(parsed) <= set(texts[at // 4 * 4 : at // 4 * 4 + 4])
+    assert len(parsed) == len(set(parsed))  # no member is parsed twice
     assert decoded == [text for text in texts if text not in parsed]
 
 
 def test_an_empty_explicit_population_gives_zero_counts():
     population = Population.explicit([])
     assert population.size() == 0 and list(population.stacks()) == []
-    report = run_check_suite(population)
+    report, matrix = matrix_sweep(population)
     assert len(report.checks) == len(CHECKS) and not report.failed
     for agg in report.checks.values():
         assert (agg["pass"], agg["fail"], agg["skip"], agg["max_ratio"]) == (0, 0, 0, None)
-    assert list(verify.measure_matrix_rows(population)) == [list(measures.COLUMNS)]
+    assert list(csv.reader(matrix.splitlines())) == [list(measures.COLUMNS)]
 
 
 def test_members_above_a_lowered_dense_cap_raise_cap_exceeded(monkeypatch):
