@@ -129,31 +129,24 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _analyze_payload(record: measures.MeasureContext, args) -> dict:
-    out = record.to_json_dict()
-    if args.per_point:
-        out["per_point"] = record.per_point()
-    return out
-
-
 def _cmd_analyze(args, parser) -> int:
     functions = _resolve_all(vars(args))
     caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
     exports = [flag for flag, path in (("--spectrum-out", args.spectrum_out), ("--poly-out", args.poly_out)) if path]
     if exports and len(functions) > 1:
         raise UsageError(f"{' and '.join(exports)}: file {args.file!r} holds {len(functions)} tables, not one")
-    if args.file is not None:
-        # one JSON object per corpus line; lines of one arity share a chunk
-        lines = []
-        for record in measures.records(functions, **caps):
-            lines.append(json.dumps(_analyze_payload(record, args), sort_keys=True))
-    else:
-        record = measures.MeasureContext(materialize(functions[0]), **caps)
-        out = _analyze_payload(record, args)
-        if args.format == "json":
-            lines = [json.dumps(out, sort_keys=True, indent=2)]
+    lines = []
+    # lines of one arity in a corpus share a chunk; a lone function is a chunk of one
+    for record in measures.records(map(materialize, functions), **caps):
+        out = record.to_json_dict()
+        if args.per_point:
+            out["per_point"] = record.per_point()
+        if args.file is not None:  # one JSON object per corpus line
+            lines.append(json.dumps(out, sort_keys=True))
+        elif args.format == "json":
+            lines.append(json.dumps(out, sort_keys=True, indent=2))
         else:
-            lines = [f"{k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(out.items())]
+            lines += [f"{k} = {json.dumps(v, sort_keys=True)}" for k, v in sorted(out.items())]
     # an export is of one table, so record is the only one
     if args.spectrum_out:
         with _write(args.spectrum_out) as handle:

@@ -29,11 +29,12 @@ by row, and only on rows with s(f) < max C(f, x). The check registry reads
 whole columns. Every value a report carries is named once, in ``VALUES``,
 with its whole-chunk column of Python values: the measure matrix zips a
 chunk's columns, and :class:`MeasureContext`, the record of one function,
-is a row index into its chunk that picks its entry of them, for ``boolfn
-analyze`` and ``Check.run``. A sweep's population decodes its members
-straight into the stacks (``verify.Population.stacks``); :func:`chunks`
-stacks tables already built, such as an ``analyze --file`` corpus; a lone
-record is a chunk of one.
+is a view of one row of its chunk that reads a column's entry by that
+name, for ``boolfn analyze`` and ``Check.run``. A population decodes its
+members straight into stacks (``verify.Population.stacks``);
+:func:`records` stacks built tables, such as every ``analyze`` source. A
+lone function's record, :func:`measure_report`, is a chunk of one; the
+library's one-function measures read it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, partialmethod
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -101,9 +102,7 @@ DT_CAP_DEFAULT = 15
 # the DT rounds take parts of at most CHUNK_CELLS cells (or one table); the
 # rounds keep two more arrays of a part's size, the marks and a snapshot of
 # them, and their transposed copies are blocks of at most CHUNK_CELLS cells.
-# C and DT of one random table peak at 47 MB of RSS at n = 14 (about 0.25 s)
-# and 181 MB at n = 16 (3.7 s), 30 MB of each the interpreter and numpy
-# (2-core Xeon). No bs, C or DT cap may exceed this.
+# No bs, C or DT cap may exceed this arity.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 SPARSITY_EXPONENT = 2.0  # the c of the deg-sparsity-exponent check
@@ -135,7 +134,7 @@ def per_point_sensitivity(f: Tables) -> np.ndarray:
 def sensitivity(f: TruthTable, x: Optional[Point] = None) -> int:
     """Number of sensitive bits at x, or the maximum over all inputs."""
     if x is None:
-        return MeasureContext(f).s()
+        return measure_report(f).value("s")
     i = point_index(x, f.n)
     v = f.values
     return int(sum(v[i ^ (1 << p)] != v[i] for p in range(f.n)))
@@ -187,7 +186,6 @@ def block_sensitivity(
     f: TruthTable,
     x: Optional[Point] = None,
     cap: int = BS_CAP_DEFAULT,
-    cubes: Optional[np.ndarray] = None,
     bounds: Optional[tuple[int, np.ndarray]] = None,
 ) -> int:
     """Maximum number of disjoint blocks whose joint flip changes f.
@@ -197,15 +195,15 @@ def block_sensitivity(
     as every certificate for x fixes a variable in each disjoint sensitive
     block: it visits points in decreasing C(f, x), stops at the first with
     C(f, x) <= best, and stops each packing once it reaches C(f, x).
-    ``bounds`` is (s(f), C(f, x) for every x) when the caller holds them;
-    otherwise C is read from ``cubes``, built if absent.
+    ``bounds`` is (s(f), C(f, x) for every x) when the caller holds them,
+    as a :class:`Chunk` does; otherwise both are computed here.
     """
     n = f.n
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds block-sensitivity cap {cap}")
     if x is not None:
         return _max_disjoint(_minimal_from_sens(f, point_index(x, n)))
-    best, certs = bounds or (int(per_point_sensitivity(f).max()), per_point_certificate(f, cubes))
+    best, certs = bounds or (int(per_point_sensitivity(f).max()), per_point_certificate(f))
     for i in np.argsort(certs, kind="stable")[::-1].tolist():
         if certs[i] <= best:
             break
@@ -262,18 +260,17 @@ def certificate_complexity(
     f: TruthTable,
     x: Optional[Point] = None,
     cap: int = CERT_CAP_DEFAULT,
-    cubes: Optional[np.ndarray] = None,
 ) -> int:
     """Size of the smallest forcing set at x, or the maximum over inputs."""
     if f.n > cap:
         raise CapExceededError(f"arity {f.n} exceeds certificate cap {cap}")
-    size = per_point_certificate(f, cubes)
+    size = per_point_certificate(f)
     return int(size[point_index(x, f.n)] if x is not None else size.max())
 
 
 def influence(f: TruthTable) -> Fraction:
     """Average per-input sensitivity, as an exact rational."""
-    return MeasureContext(f).influence()
+    return measure_report(f).value("I")
 
 
 @dataclass(frozen=True)
@@ -287,8 +284,8 @@ class AltDecrease:
 
 def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDecrease:
     """Alternation and decrease via the full-hypercube DP, plus a witness."""
-    record = MeasureContext(materialize(f, cap))
-    return AltDecrease(record.alt(), record.dc(), record.witness())
+    record = measure_report(materialize(f, cap))
+    return AltDecrease(record.value("alt"), record.value("dc"), record.witness())
 
 
 def _decide_on_digit(decided: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -326,7 +323,8 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np
 
 def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
     """(circuit, formula) negation counts derived from the decrease value."""
-    return MeasureContext(materialize(f, cap)).negs()
+    record = measure_report(materialize(f, cap))
+    return record.value("negs"), record.value("negs_formula")
 
 
 def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
@@ -367,7 +365,8 @@ class Chunk:
     int64 or Python ints). A rational measure is kept as its numerator:
     ``I_num`` and ``avg_s2_num`` over 2**n, and the spectral ``sums`` (see
     ``algebra.spectral_numerators``). :meth:`values` gives a column of
-    ``VALUES``, as Python values. No reader asks for a measure above its cap.
+    ``VALUES``, as Python values, and :meth:`record` a view of one row that
+    reads them by name. No reader asks for a measure above its cap.
     """
 
     def __init__(
@@ -402,7 +401,7 @@ class Chunk:
         return self.keep(name, VALUES[name])
 
     def record(self, row: int) -> "MeasureContext":
-        return MeasureContext(self.table(row), chunk=self, row=row)
+        return MeasureContext(self, row)
 
     def records(self) -> Iterator["MeasureContext"]:
         return map(self.record, range(len(self)))
@@ -487,27 +486,18 @@ class Chunk:
 
 
 class MeasureContext:
-    """The record of one function: row ``row`` of its chunk.
+    """The record of one function: a view of row ``row`` of its chunk.
 
     ``boolfn analyze``, ``Check.run`` and the library functions read it.
-    Every value is the record's entry of a whole-chunk column, of ``VALUES``
-    or a per-point one, so each measure is computed once per chunk, and only
-    when some reader needs it. A measure above its cap reads ``None``.
-    Without a ``chunk`` the record is a chunk of one, with the given caps; a
-    bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front.
+    A measure is read by its ``VALUES`` name (:meth:`value`), as the
+    record's entry of that whole-chunk column, so each measure is computed
+    once per chunk, and only when some reader needs it. A measure above its
+    cap reads ``None``. A lone function's record is :func:`measure_report`.
     """
 
-    def __init__(
-        self,
-        table: TruthTable,
-        bs_cap: int = BS_CAP_DEFAULT,
-        cert_cap: int = CERT_CAP_DEFAULT,
-        dt_cap: int = DT_CAP_DEFAULT,
-        chunk: Optional[Chunk] = None,
-        row: int = 0,
-    ) -> None:
-        self.table, self.n, self.row = table, table.n, row
-        self.chunk = Chunk(table.values[None], bs_cap, cert_cap, dt_cap) if chunk is None else chunk
+    def __init__(self, chunk: Chunk, row: int) -> None:
+        self.chunk, self.row = chunk, row
+        self.table, self.n = chunk.table(row), chunk.n
 
     def value(self, name: str):
         """The record's entry of the ``VALUES`` column ``name``."""
@@ -516,39 +506,12 @@ class MeasureContext:
     def fn_id(self) -> str:
         return serialize(self.table)
 
-    s = partialmethod(value, "s")
-    bs = partialmethod(value, "bs")
-    cert = partialmethod(value, "C")
-    dt = partialmethod(value, "DT")
-    alt = partialmethod(value, "alt")
-    dc = partialmethod(value, "dc")
-    sparsity = partialmethod(value, "sparsity")
-    influence = partialmethod(value, "I")
-    depends_all = partialmethod(value, "depends_on_all")
-
-    def degm(self, m: int) -> int:
-        """The degree over Z_m, for m in 2..6."""
-        return self.value(f"deg_{m}")
-
-    def negs(self) -> tuple[int, int]:
-        """(circuit, formula) negation counts: ceil(log2(1 + dc)) and dc."""
-        return self.value("negs"), self.value("negs_formula")
-
-    def sums(self) -> algebra.SpectralSums:
-        return algebra.SpectralSums(*map(self.value, ("l1", "weighted", "weighted2")))
-
     def skips(self) -> dict[str, str]:
         caps = {"bs": self.chunk.bs_cap, "C": self.chunk.cert_cap, "DT": self.chunk.dt_cap}
         return {k: f"arity {self.n} above cap {cap}" for k, cap in caps.items() if self.n > cap}
 
-    def per_point_s(self) -> np.ndarray:
-        return self.chunk.per_point_s[self.row]
-
     def per_point(self) -> dict:
-        return {"s": self.per_point_s().tolist()}
-
-    def profile(self) -> np.ndarray:
-        return self.chunk.profile[self.row]
+        return {"s": self.chunk.per_point_s[self.row].tolist()}
 
     def witness(self) -> chains.Chain:
         return chains.Chain(self.n, tuple(self.chunk.witness[self.row].tolist()))
@@ -562,9 +525,9 @@ class MeasureContext:
     def to_json_dict(self) -> dict:
         """The ``boolfn analyze`` object, without the per-point table."""
         out = {name: _cell(self.value(name)) for name in COLUMNS}
-        out["deg_m"] = {str(m): self.degm(m) for m in (3, 4, 5, 6)}
-        out["spectral"] = {name: str(value) for name, value in vars(self.sums()).items()}
-        out["depends_on_all"] = self.depends_all()
+        out["deg_m"] = {str(m): self.value(f"deg_{m}") for m in (3, 4, 5, 6)}
+        out["spectral"] = {name: str(self.value(name)) for name in ("l1", "weighted", "weighted2")}
+        out["depends_on_all"] = self.value("depends_on_all")
         if self.skips():
             out["skips"] = self.skips()
         return out
@@ -650,5 +613,6 @@ def measure_report(
     cert_cap: int = CERT_CAP_DEFAULT,
     dt_cap: int = DT_CAP_DEFAULT,
 ) -> MeasureContext:
-    """The record of every measure of one function, honoring the caps."""
-    return MeasureContext(materialize(f), bs_cap, cert_cap, dt_cap)
+    """The record of one function: row 0 of a chunk of one, with the caps;
+    a bs, C or DT cap above ``SUBCUBE_MAX_ARITY`` is rejected up front."""
+    return Chunk(materialize(f).values[None], bs_cap, cert_cap, dt_cap).record(0)

@@ -46,7 +46,6 @@ import numpy as np
 
 from . import measures
 from .core import TruthTable, dense_cap, parse, serialize, unpack_rows, variable_halves
-from .measures import MeasureContext
 
 __all__ = [
     "CHECKS",
@@ -54,7 +53,6 @@ __all__ = [
     "Aggregate",
     "Check",
     "CheckResult",
-    "MeasureContext",
     "Population",
     "Skip",
     "SweepReport",
@@ -87,7 +85,9 @@ def standard_family_instances() -> list[TruthTable]:
 class Population:
     """Deterministic stream of functions: exhaustive, sampled, or explicit.
 
-    A bad arity or count is a ``ValueError`` when the population is made.
+    A bad parameter is a ``ValueError`` naming it when the population is
+    made: n must be an ``int`` (not a ``bool``), a sample's count and seed
+    too, and explicit members a sequence of ``str``.
     """
 
     kind: str  # "exhaustive" | "sample" | "explicit"
@@ -99,6 +99,15 @@ class Population:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "sample", "explicit"):
             raise ValueError(f"unknown population kind {self.kind!r}")
+        if self.kind == "explicit":
+            sequence = isinstance(self.members, Sequence) and not isinstance(self.members, str)
+            if not sequence or not all(isinstance(m, str) for m in self.members):
+                raise ValueError("members must be a sequence of str")
+            return
+        for name in ("n", "count", "seed") if self.kind == "sample" else ("n",):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.kind == "exhaustive" and not 0 <= self.n <= 4:
             raise ValueError("exhaustive enumeration is limited to 0 <= n <= 4")
         if self.kind == "sample" and not 0 <= self.n <= dense_cap():
@@ -275,7 +284,7 @@ class Check:
             return first, tuple(np.full(len(first), a) for a in holds)
         return first, np.full(len(first), holds, dtype=bool)
 
-    def run(self, record: MeasureContext) -> Outcome:
+    def run(self, record: measures.MeasureContext) -> Outcome:
         """The outcome on one record: its row of the chunk's outcomes,
         which the chunk keeps for its other records."""
         first, result = record.chunk.keep(self, self.outcomes)
@@ -290,7 +299,7 @@ class Check:
         return ("pass" if result[row] else "fail"), values
 
 
-def _values(record: MeasureContext, names: Sequence[str]) -> dict:
+def _values(record: measures.MeasureContext, names: Sequence[str]) -> dict:
     return {name: record.value(name) for name in names}
 
 
@@ -422,6 +431,8 @@ CHECKS: dict[str, Check] = {
 def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
     if checks == "all":
         return list(CHECKS.values())
+    if isinstance(checks, str):  # one check name
+        checks = [checks]
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check name {name!r}")
@@ -432,9 +443,9 @@ def run_single_check(check: Check | str, table: TruthTable, **caps) -> CheckResu
     """Run one check on one function (counterexample reproduction path)."""
     if isinstance(check, str):
         check = resolve_checks([check])[0]
-    ctx = MeasureContext(table, **caps)
-    status, observed = check.run(ctx)
-    return CheckResult(check=check.name, fn_id=ctx.fn_id(), status=status, observed=observed)
+    record = measures.measure_report(table, **caps)
+    status, observed = check.run(record)
+    return CheckResult(check=check.name, fn_id=record.fn_id(), status=status, observed=observed)
 
 
 @dataclass
@@ -599,13 +610,14 @@ def _run_chunk(
 
 def _worker(conn, *args) -> None:
     """Run one share (``_run_chunk``'s arguments, ``matrix`` a flag) in a worker
-    process; send ``(aggregates, None)`` down ``conn``, ``((aggregates, matrix
-    CSV text), None)`` if flagged, or ``(exception, its traceback)``."""
+    process; send ``((aggregates, rows), None)`` down ``conn``, ``rows`` the
+    share's matrix CSV text if flagged and else ``None``, or ``(exception,
+    its traceback)``."""
     try:
         *args, matrix = args
         rows = io.StringIO() if matrix else None
         aggregates = _run_chunk(*args, rows)
-        result = ((aggregates, rows.getvalue()) if matrix else aggregates, None)
+        result = ((aggregates, rows.getvalue() if matrix else None), None)
     except Exception as exc:
         import traceback
 
@@ -703,11 +715,10 @@ def run_check_suite(
             workers.append(worker)
         partials = [_run_chunk(population, names, 0, bounds[1], caps, fail_limit, matrix)]
         for receiver, worker in zip(pipes, workers):
-            value = _receive(receiver, worker)
-            if matrix is not None:
-                value, rows = value
+            aggregates, rows = _receive(receiver, worker)
+            if rows is not None:
                 matrix.write(rows)
-            partials.append(value)
+            partials.append(aggregates)
     finally:
         for receiver in pipes:
             receiver.close()

@@ -263,7 +263,7 @@ def test_spectral_sums_above_16_match_python_ints(name, n):
         Fraction(weighted2, denom * denom),
     )
     assert influence_from_spectrum(spec) == Fraction(infl, denom * denom)
-    status, observed = verify.CHECKS["parseval"].run(verify.MeasureContext(table))
+    status, observed = verify.CHECKS["parseval"].run(measures.measure_report(table))
     assert (status, observed["sum_sq"]) == ("pass", squares) and squares == 4**n
 
 

@@ -142,7 +142,8 @@ def test_a_lone_table_is_a_chunk_of_its_values(monkeypatch):
 
 def test_record_rows_are_read_only():
     record = next(measures.records([TruthTable.from_packed_int(3, 0x96)] * 2))
-    for row in (record.per_point_s(), record.profile(), record.poly().coeffs, record.spectrum().scaled):
+    chunk, i = record.chunk, record.row
+    for row in (chunk.per_point_s[i], chunk.profile[i], record.poly().coeffs, record.spectrum().scaled):
         assert not row.flags.writeable
 
 

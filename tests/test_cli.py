@@ -94,7 +94,7 @@ def test_corpus_lines_of_one_arity_share_a_chunk(tmp_path, monkeypatch):
     caps = {"bs_cap": 5, "cert_cap": 6, "dt_cap": 4}
     one_by_one = []
     for table in tables:  # each line a chunk of one
-        record = measures.MeasureContext(table, **caps)
+        record = measures.measure_report(table, **caps)
         one_by_one.append(json.dumps({**record.to_json_dict(), "per_point": record.per_point()}, sort_keys=True))
     calls = count_calls(monkeypatch, [(chains, "alternation_profile")])
     flags = ["--bs-cap", "5", "--cert-cap", "6", "--dt-cap", "4", "--per-point"]
@@ -336,7 +336,7 @@ def test_matrix_rows_match_analyze(tmp_path):
     rows.remove(header)  # each population writes its own header
     assert len(rows) == 16 + len(verify.standard_family_instances())
     for row in rows:
-        fields = measures.MeasureContext(parse(row[0]), bs_cap=2, cert_cap=2, dt_cap=2).to_json_dict()
+        fields = measures.measure_report(parse(row[0]), bs_cap=2, cert_cap=2, dt_cap=2).to_json_dict()
         assert row == ["" if fields[name] is None else str(fields[name]) for name in measures.COLUMNS], row[0]
 
 

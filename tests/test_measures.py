@@ -74,8 +74,9 @@ def test_block_sensitivity_matches_oracles(data):
     x = data.draw(st.integers(0, (1 << n) - 1))
     bs = oracles.brute_block_sensitivity(f)
     assert block_sensitivity(f) == bs
-    assert block_sensitivity(f, cubes=measures.subcube_table(f)) == bs
-    assert measures.MeasureContext(f).bs() == bs
+    certs = measures.per_point_certificate(f, measures.subcube_table(f))
+    assert block_sensitivity(f, bounds=(sensitivity(f), certs)) == bs
+    assert measure_report(f).value("bs") == bs
     assert block_sensitivity(f, x) == oracles.brute_block_sensitivity_at(f, x)
 
 
@@ -103,7 +104,7 @@ def test_block_sensitivity_search_cases_match_oracle():
     for packed in searched:
         f = TruthTable.from_packed_int(4, packed)
         bs = oracles.brute_block_sensitivity(f)
-        assert block_sensitivity(f) == measures.MeasureContext(f).bs() == bs, packed
+        assert block_sensitivity(f) == measure_report(f).value("bs") == bs, packed
 
 
 def test_packing_floor_and_ceiling():
@@ -133,8 +134,8 @@ def rubinstein(blocks: int, width: int) -> TruthTable:
 def test_block_sensitivity_rubinstein(monkeypatch):
     f = rubinstein(3, 4)
     scans = count_scans(monkeypatch)
-    record = measures.MeasureContext(f)
-    assert (record.s(), record.bs(), record.cert()) == (4, 6, 6)
+    record = measure_report(f)
+    assert (record.value("s"), record.value("bs"), record.value("C")) == (4, 6, 6)
     assert len(scans) == 1  # the first point with C(f, x) = 6 reaches it
     assert block_sensitivity(f, "0" * 12) == 6
 
@@ -142,7 +143,7 @@ def test_block_sensitivity_rubinstein(monkeypatch):
 def test_block_sensitivity_random_n9_needs_no_scan(monkeypatch):
     f = random_table(random.Random(9), 9)
     scans = count_scans(monkeypatch)
-    assert measures.MeasureContext(f).bs() == block_sensitivity(f) == sensitivity(f)
+    assert measure_report(f).value("bs") == block_sensitivity(f) == sensitivity(f)
     assert scans == []
 
 
@@ -237,8 +238,9 @@ def test_subcube_measures_match_oracles(data):
     x = data.draw(st.integers(0, (1 << n) - 1))
     cubes = measures.subcube_table(f)
     assert decision_tree_depth(f, cubes=cubes) == oracles.brute_decision_tree_depth(f)
-    assert certificate_complexity(f, cubes=cubes) == oracles.brute_certificate(f)
-    assert certificate_complexity(f, x, cubes=cubes) == oracles.brute_certificate_at(f, x)
+    certs = measures.per_point_certificate(f, cubes)
+    assert certs.max() == certificate_complexity(f) == oracles.brute_certificate(f)
+    assert certs[x] == certificate_complexity(f, x) == oracles.brute_certificate_at(f, x)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -265,7 +267,7 @@ def test_subcube_ceiling():
         measures.subcube_table(TruthTable.constant(ceiling + 1, 0))
     for caps in ({"bs_cap": ceiling + 1}, {"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
         with pytest.raises(CapExceededError):
-            measures.MeasureContext(TruthTable.constant(2, 0), **caps)
+            measure_report(TruthTable.constant(2, 0), **caps)
 
 
 def test_decision_tree_matches_oracle():
@@ -294,14 +296,15 @@ def test_measure_report_fields_and_invariants():
     data = report.to_json_dict()
     assert data["s"] == 3 and data["alt"] == 5 and data["dc"] == 2
     assert data["negs"] == 2 and data["negs_formula"] == 2
-    assert report.influence() <= report.s() <= report.bs()
-    assert report.alt() in (2 * report.dc() - 1, 2 * report.dc(), 2 * report.dc() + 1)
+    assert report.value("I") <= report.value("s") <= report.value("bs")
+    dc = report.value("dc")
+    assert report.value("alt") in (2 * dc - 1, 2 * dc, 2 * dc + 1)
 
 
 def test_measure_report_honors_caps():
     f = families.named_basics("parity", 6)
     report = measure_report(f, bs_cap=4, cert_cap=4, dt_cap=4)
-    assert report.bs() is None and report.cert() is None and report.dt() is None
+    assert report.value("bs") is None and report.value("C") is None and report.value("DT") is None
     assert set(report.skips()) == {"bs", "C", "DT"}
 
 

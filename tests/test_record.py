@@ -1,7 +1,6 @@
 """The lazy measure record: every column against the first-principles
 oracles, and each measure kernel run at most once per function."""
 
-import argparse
 import csv
 import io
 import math
@@ -10,9 +9,9 @@ import random
 import oracles
 import pytest
 
-from boolfn import algebra, chains, cli, families, measures, verify
+from boolfn import algebra, chains, families, measures, verify
 from boolfn.core import TruthTable
-from boolfn.measures import MeasureContext
+from boolfn.measures import MeasureContext, measure_report
 from test_chains import traced_bytes
 
 
@@ -45,22 +44,22 @@ def oracle_columns(t: TruthTable) -> dict:
 def record_columns(record: MeasureContext) -> dict:
     out = {name: record.value(name) for name in measures.COLUMNS}
     assert out.pop("fn") == record.fn_id() and out.pop("n") == record.n
-    assert out.pop("deg2") == record.degm(2)
-    out.update({f"deg_{m}": record.degm(m) for m in range(2, 7)})
+    assert out.pop("deg2") == record.value("deg_2")
+    out.update({f"deg_{m}": record.value(f"deg_{m}") for m in range(2, 7)})
     return out
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_record_columns_match_oracles(n):
     for table in tables_of_arity(n):
-        record = MeasureContext(table)
+        record = measure_report(table)
         assert record_columns(record) == oracle_columns(table), record.fn_id()
-        assert chains.alternation_along(table, record.witness()) == record.alt()
+        assert chains.alternation_along(table, record.witness()) == record.value("alt")
 
 
 def test_record_capped_columns_read_none():
-    record = MeasureContext(families.named_basics("parity", 5), bs_cap=4, cert_cap=4, dt_cap=4)
-    assert (record.bs(), record.cert(), record.dt()) == (None, None, None)
+    record = measure_report(families.named_basics("parity", 5), bs_cap=4, cert_cap=4, dt_cap=4)
+    assert (record.value("bs"), record.value("C"), record.value("DT")) == (None, None, None)
     assert set(record.skips()) == {"bs", "C", "DT"}
     population = verify.Population.explicit([record.table])
     _, matrix = matrix_sweep(population, bs_cap=4, cert_cap=4, dt_cap=4)
@@ -100,11 +99,11 @@ def count_calls(monkeypatch, kernels) -> dict:
 
 def test_each_kernel_runs_once_per_record(monkeypatch):
     calls = count_calls(monkeypatch, KERNELS)
-    record = MeasureContext(families.address(2))
+    record = measure_report(families.address(2))
     assert len(verify.CHECKS) == 30
     for check in verify.CHECKS.values():
         assert check.run(record)[0] in ("pass", "skip"), check.name
-    cli._analyze_payload(record, argparse.Namespace(per_point=True))
+    record.to_json_dict(), record.per_point()  # what analyze --per-point reads
     [record.value(name) for name in measures.VALUES]
     list(record.spectrum().csv_rows())
     record.poly().to_json_dict()
@@ -134,5 +133,5 @@ def test_record_peak_memory_per_point():
     at most CHUNK_CELLS cells, not int64 copies of the whole spectrum."""
     n = 18
     table = TruthTable.from_packed_int(n, random.Random(18).getrandbits(1 << n))
-    _, peak = traced_bytes(lambda: MeasureContext(table).to_json_dict())
+    _, peak = traced_bytes(lambda: measure_report(table).to_json_dict())
     assert peak <= 20 << n, f"{peak / (1 << n):.2f} bytes per point at the peak for n = 18"

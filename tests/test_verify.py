@@ -15,10 +15,10 @@ import pytest
 
 from boolfn import core, families, measures, verify
 from boolfn.core import TruthTable, parse, serialize, unpack_rows
+from boolfn.measures import measure_report
 from boolfn.verify import (
     CHECKS,
     Check,
-    MeasureContext,
     Population,
     run_check_suite,
     run_single_check,
@@ -63,8 +63,8 @@ def test_spectral_weight_tight_on_parity():
     pop = Population.explicit([families.named_basics("parity", 4)])
     report = run_check_suite(pop, checks=["spectral-weight-ge-n"])
     assert report.checks["spectral-weight-ge-n"]["pass"] == 1
-    ctx = MeasureContext(families.named_basics("parity", 4))
-    assert ctx.sums().weighted == 4  # exactly n, the tight case
+    record = measure_report(families.named_basics("parity", 4))
+    assert record.value("weighted") == 4  # exactly n, the tight case
 
 
 def test_skip_reasons_recorded():
@@ -222,10 +222,10 @@ def test_counterexample_round_trip():
     pop = Population.exhaustive(2)
     aggregates = {}
     for table in pop.tables():
-        ctx = MeasureContext(table)
-        status, observed = bogus.run(ctx)
+        record = measure_report(table)
+        status, observed = bogus.run(record)
         if status == "fail":
-            aggregates[ctx.fn_id()] = observed
+            aggregates[record.fn_id()] = observed
     assert aggregates  # the projection functions fail it
     # re-run each failure from its serialized witness alone
     for fn_id in aggregates:
@@ -537,6 +537,34 @@ def test_spawn_workers_match_serial(monkeypatch):
 def test_bad_population_parameters_rejected_when_made(make):
     with pytest.raises(ValueError):
         make()
+
+
+MALFORMED = {
+    "seed-None": ("seed", dict(kind="sample", n=3, count=3, seed=None)),  # would draw system randomness
+    "seed-str": ("seed", dict(kind="sample", n=3, count=3, seed="3")),
+    "sample-n-None": ("n", dict(kind="sample", n=None, count=3, seed=1)),
+    "sample-n-float": ("n", dict(kind="sample", n=2.5, count=3, seed=1)),
+    "exhaustive-n-None": ("n", dict(kind="exhaustive", n=None)),
+    "exhaustive-n-float": ("n", dict(kind="exhaustive", n=2.5)),
+    "exhaustive-n-bool": ("n", dict(kind="exhaustive", n=True)),
+    "count-None": ("count", dict(kind="sample", n=3, count=None, seed=1)),
+    "count-float": ("count", dict(kind="sample", n=3, count=2.0, seed=1)),
+    "count-bool": ("count", dict(kind="sample", n=3, count=True, seed=1)),
+    "members-str": ("members", dict(kind="explicit", members="2:8")),  # not three members
+    "members-tables": ("members", dict(kind="explicit", members=(parse("2:8"),))),
+}
+
+
+@pytest.mark.parametrize("field, kwargs", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_population_fields_raise_value_error_naming_them(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Population(**kwargs)
+
+
+def test_a_lone_check_name_is_one_name():
+    pop = Population.exhaustive(2)
+    assert [c.name for c in verify.resolve_checks("s-le-bs")] == ["s-le-bs"]
+    assert run_check_suite(pop, checks="s-le-bs").to_json() == run_check_suite(pop, checks=["s-le-bs"]).to_json()
 
 
 @pytest.mark.parametrize(
