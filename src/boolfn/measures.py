@@ -4,27 +4,33 @@ Sensitivity, block sensitivity, certificate complexity, influence,
 alternation/decrease (via the hypercube DP), decision-tree depth, and the
 negation counts that follow from the decrease value. Everything is exact.
 
-Decision-tree depth and certificate complexity are both read from one
-subcube table (:func:`subcube_table`): f's constant value on each of the
-3**n subcubes, or ``FREE`` where f is not constant. Block sensitivity reads
-it too: C(f, x) for every x, with s(f), bounds its search, so only points
-with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. The table's
-3**n bytes bound the bs, C and DT caps by ``SUBCUBE_MAX_ARITY``. The table,
-each DT round and per-point sensitivity are each one sweep of one pass per
-variable (:func:`core.digit_sweep`): the passes on the first variables run
-on the natural cell order, and those on the last few, which there would
-read runs of 1 to 16 cells, on block copies with the cells transposed.
-Per-point sensitivity runs in uint8, each cell f(x) in its top bit and
-s(f, x) below. The DT rounds stop after round n - 1, as a cube open then
-has DT = n.
+Decision-tree depth and certificate complexity are both read from f's
+constancy planes (:func:`constancy_planes`): one bit per row and subcube,
+set where f is constant on it, eight rows to a byte. They come from the
+value planes, four rows to a byte, each row with a bit for constant 1 and
+one for constant 0: a subcube with x_j free is constant 1 where both its
+halves on x_j are and constant 0 where both are, so each split is one AND
+(:func:`subcube_table` reads f's value on each subcube off them). Block
+sensitivity reads C: C(f, x) for every x, with s(f), bounds its search, so
+only points with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. A
+table's 3**n bytes of planes bound the bs, C and DT caps by
+``SUBCUBE_MAX_ARITY``. The value planes, each DT round, which is bitwise
+on the constancy planes, and per-point sensitivity are each one sweep of
+one pass per variable (:func:`core.digit_sweep`): the passes on the first
+variables run on the natural cell order, and those on the last few, which
+there would read runs of 1 to 16 cells, on block copies with the cells
+transposed. Per-point sensitivity runs in uint8, each cell f(x) in its top
+bit and s(f, x) below. The DT rounds stop after round n - 1, as a cube
+open then has DT = n. The C sweep unpacks a row's constancy bits into
+counts.
 
 Every measure is a column of a :class:`Chunk`: a read-only ``(N, 2**n)``
 stack of consecutive same-arity tables, at most ``CHUNK_CELLS`` cells in
 all. A column is computed at its first read, once for all rows. The
 kernels behind the columns (the alternation DP, Moebius, Walsh and
-per-point sensitivity) each run once on the stack; the subcube tables,
-with their C sweep and DT rounds, run on parts of it of at most
-``CHUNK_CELLS`` subcube cells. Only block sensitivity still searches row
+per-point sensitivity) each run once on the stack; the constancy planes,
+with the C sweep and the DT rounds over them, run on parts of it of at most
+``8 * CHUNK_CELLS`` subcube cells. Only block sensitivity still searches row
 by row, and only on rows with s(f) < max C(f, x). The check registry reads
 whole columns. Every value a report carries is named once, in ``VALUES``,
 with its whole-chunk column of Python values: the measure matrix zips a
@@ -82,6 +88,7 @@ __all__ = [
     "certificate_complexity",
     "check_caps",
     "chunks",
+    "constancy_planes",
     "decision_tree_depth",
     "influence",
     "measure_report",
@@ -97,14 +104,20 @@ __all__ = [
 BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
-# A chunk keeps the subcube tables of its N = CHUNK_CELLS >> n tables, N * 3**n
-# bytes, which grows with n to 43 MB for one table at n = 16. The C sweep and
-# the DT rounds take parts of at most CHUNK_CELLS cells (or one table); the
-# rounds keep two more arrays of a part's size, the marks and a snapshot of
-# them, and their transposed copies are blocks of at most CHUNK_CELLS cells.
-# No bs, C or DT cap may exceed this arity.
+# A chunk keeps the constancy planes of its N = CHUNK_CELLS >> n tables, eight
+# rows to a byte, ceil(N / 8) * 3**n bytes per part: 43 MB for one table at
+# n = 16. Building a part's planes takes its value planes, ceil(N / 4) * 3**n
+# bytes, and a temporary of their size. The C sweep unpacks a part, at most
+# 8 * CHUNK_CELLS subcube cells (or one table), into one count byte per cell;
+# the DT rounds keep two more arrays of a part's planes, the marks and a
+# snapshot of them, and their transposed copies and the AND of a DT step are
+# blocks. No bs, C or DT cap may exceed this arity.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
+# A DT step ANDs the marks of a digit's two halves in blocks of at most this
+# many cells, so its temporary, a third of the marks if unblocked, stays
+# small next to a large table's marks and their snapshot.
+DT_BLOCK_CELLS = 1 << 19
 SPARSITY_EXPONENT = 2.0  # the c of the deg-sparsity-exponent check
 
 
@@ -213,9 +226,35 @@ def block_sensitivity(
 
 def _split_on_digit(halves: np.ndarray) -> np.ndarray:
     """The cells fixing x_j to 0 and to 1, and after them the cell leaving
-    it free: their common value, or ``FREE``."""
-    lo, hi = halves[:, :1], halves[:, 1:]
-    return np.concatenate([halves, np.where(lo == hi, lo, FREE)], axis=1)
+    it free: constant 1 where both halves are, and constant 0 where both
+    are, so its bits are the AND of theirs."""
+    return np.concatenate([halves, halves[:, :1] & halves[:, 1:]], axis=1)
+
+
+def _value_planes(f: Tables) -> np.ndarray:
+    """f's value planes: ``(ceil(N/4), 3**n)`` uint8, whose byte r carries
+    rows 4r to 4r + 3 of the stack, bit i set where row 4r + i is constant
+    1 on the subcube and bit 4 + i where it is constant 0. Padding lanes
+    hold a constant-0 row."""
+    n, values = table_values(f)
+    if n > SUBCUBE_MAX_ARITY:
+        raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
+    rows = values.reshape(-1, 1 << n)
+    ones = np.packbits(rows, axis=0, bitorder="little")
+    quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(rows) // 4)]
+    quads |= (quads ^ 15) << 4
+    return digit_sweep(_split_on_digit, n, quads, base=3)
+
+
+def _lanes(planes: np.ndarray, rows: int, width: int = 8) -> np.ndarray:
+    """The ``(rows, cells)`` 0/1 rows of planes packed ``width`` rows to a
+    byte: row width * r + i is bit i of byte r."""
+    bits = np.empty((rows, planes.shape[-1]), np.uint8)
+    for i in range(min(width, rows)):
+        lane = bits[i::width]
+        np.right_shift(planes[: len(lane)], i, out=lane)
+        lane &= 1
+    return bits
 
 
 def subcube_table(f: Tables) -> np.ndarray:
@@ -225,35 +264,58 @@ def subcube_table(f: Tables) -> np.ndarray:
     Cell c of the flat 3**n array has base-3 digits c_1 ... c_n, with c_1
     the most significant, as x_1 is the top bit of a point. Digit 0 or 1
     fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
-    cube. One pass per variable splits each cell on x_j into its two halves
-    and the cell where x_j is free; the passes on the last variables run on
-    transposed blocks (:func:`core.digit_sweep`).
+    cube. The table is read off f's value planes, four rows to a byte, each
+    with a bit for constant 1 and one for constant 0: one sweep
+    (:func:`core.digit_sweep`) of one pass per variable, which splits each
+    cell on x_j into its two halves and the cell where x_j is free.
     """
     n, values = table_values(f)
-    if n > SUBCUBE_MAX_ARITY:
-        raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
-    cube = digit_sweep(_split_on_digit, n, values, base=3)
+    quads, rows = _value_planes(f), values.size >> n
+    cube = _lanes(quads >> 4, rows, 4)  # constant 0
+    cube <<= 1
+    cube |= _lanes(quads, rows, 4)  # constant 1
+    np.subtract(FREE, cube, out=cube)
+    cube = cube.reshape(*values.shape[:-1], -1)
     cube.setflags(write=False)
     return cube
 
 
-def per_point_certificate(f: Tables, cubes: Optional[np.ndarray] = None) -> np.ndarray:
-    """C(f, x) for every point x (of every row, for a stack), read from the
-    subcube table ``cubes``.
+def constancy_planes(f: Tables) -> np.ndarray:
+    """Where f is constant, eight rows to a byte: ``(ceil(N/8), 3**n)``
+    uint8, bit i of byte r, cell c set iff row 8r + i of the stack is
+    constant on subcube c (one byte row for a table): the OR of each row's
+    two bits in its value planes, four rows to a byte, then two such bytes
+    in one."""
+    quads = _value_planes(f)
+    quads |= quads >> 4
+    quads &= 15
+    planes = np.ascontiguousarray(quads[::2])
+    planes[: len(quads) // 2] |= quads[1::2] << 4
+    planes.setflags(write=False)
+    return planes
+
+
+def per_point_certificate(f: Tables, *, planes: Optional[np.ndarray] = None) -> np.ndarray:
+    """C(f, x) for every point x (of every row, for a stack), read from its
+    constancy planes ``planes`` (:func:`constancy_planes`).
 
     C(f, x) is the fewest fixed variables of a constant subcube that holds
-    x. The sweep over x_j gives each cell fixing x_j the better of its own
-    count plus one and the count of its cell with x_j free, then drops the
-    free cells; after n sweeps the 2**n cells left hold C(f, x) for every x.
+    x. Each row's counts start at 0 on its constant cells and n + 1 on the
+    others. The sweep over x_j gives each cell fixing x_j the better of its
+    own count plus one and the count of its cell with x_j free, then drops
+    the free cells; after n sweeps the 2**n cells left hold C(f, x) for
+    every x.
     """
-    n, _ = table_values(f)
-    cubes = subcube_table(f) if cubes is None else cubes
-    lead = cubes.shape[:-1]
-    size = np.where(cubes == FREE, np.uint8(n + 1), np.uint8(0))
+    n, values = table_values(f)
+    rows = values.size >> n
+    size = _lanes(constancy_planes(f) if planes is None else planes, rows)
+    size ^= 1
+    size *= n + 1
     for j in range(n):
-        cells = size.reshape(*lead, 2**j, 3, -1)
-        size = np.minimum(cells[..., :FREE, :] + 1, cells[..., FREE:, :])
-    return size.reshape(*lead, -1)
+        cells = size.reshape(rows, 2**j, 3, -1)
+        size = cells[..., :FREE, :] + 1
+        np.minimum(size, cells[..., FREE:, :], out=size)
+    return size.reshape(values.shape)
 
 
 def certificate_complexity(
@@ -290,35 +352,44 @@ def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDe
 
 def _decide_on_digit(decided: np.ndarray, before: np.ndarray) -> np.ndarray:
     """Mark each cell leaving x_j free whose two halves on x_j were marked
-    ``before``."""
-    decided[:, FREE] |= before[:, 0] & before[:, 1]
+    ``before``, in blocks of at most ``DT_BLOCK_CELLS`` cells."""
+    outer, _, inner = decided.shape
+    if outer * inner <= DT_BLOCK_CELLS:
+        decided[:, FREE] |= before[:, 0] & before[:, 1]
+        return decided
+    rows, width = max(1, DT_BLOCK_CELLS // inner), min(inner, DT_BLOCK_CELLS)
+    for o, i in itertools.product(range(0, outer, rows), range(0, inner, width)):
+        _decide_on_digit(decided[o : o + rows, :, i : i + width], before[o : o + rows, :, i : i + width])
     return decided
 
 
-def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, cubes: Optional[np.ndarray] = None):
+def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, *, planes: Optional[np.ndarray] = None):
     """Depth of the shallowest decision tree, exact; for a stack, the
     depth of every row.
 
     Round d marks the subcubes that a depth-d tree decides: the constant
-    ones, and those with a free x_j whose two halves on x_j were marked in
-    round d - 1. Each round reads the marks of the round before and is one
-    :func:`core.digit_sweep`. The depth is the first round that marks the
-    whole cube; a cube still open after round n - 1 has depth n, as every f
-    has DT <= n, so round n is never run.
+    ones (the constancy planes ``planes``, :func:`constancy_planes`), and
+    those with a free x_j whose two halves on x_j were marked in round
+    d - 1. Each round reads the marks of the round before and is one
+    :func:`core.digit_sweep` of bitwise steps on the marks of eight rows to
+    a byte. The depth is the first round that marks the whole cube; a cube
+    still open after round n - 1 has depth n, as every f has DT <= n, so
+    round n is never run.
     """
-    n, _ = table_values(f)
+    n, values = table_values(f)
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
-    decided = (subcube_table(f) if cubes is None else cubes) != FREE
-    lead = decided.shape[:-1]
-    depth = np.zeros(lead, dtype=np.int64)
-    for _ in range(n - 1):
-        if decided[..., -1].all():
+    rows = values.size >> n
+    decided = (constancy_planes(f) if planes is None else planes).copy()
+    depth = np.zeros(rows, dtype=np.int64)
+    for d in range(n):
+        open_rows = np.unpackbits(decided[:, -1], count=rows, bitorder="little") ^ 1
+        if not open_rows.any():
             break
-        depth += ~decided[..., -1]
-        digit_sweep(_decide_on_digit, n, decided, radix=3, jacobi=True)
-    depth += ~decided[..., -1]
-    return depth if lead else int(depth)
+        depth += open_rows
+        if d < n - 1:
+            digit_sweep(_decide_on_digit, n, decided, radix=3, jacobi=True)
+    return depth if values.ndim > 1 else int(depth[0])
 
 
 def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
@@ -357,12 +428,13 @@ class Chunk:
     for all rows at once, and kept. The per-point columns (``per_point_s``,
     ``profile``, ``coeffs``, ``spectrum``, and each row's witness chain
     order ``witness``) come from one kernel run on the stack, and
-    ``per_point_cert`` from one run per part of the subcube tables
-    ``cubes``. They are as narrow as their entries: ``per_point_s`` and
-    ``per_point_cert`` uint8, ``profile`` int32, ``coeffs`` and ``spectrum``
-    int32 (int64 above ``algebra.INT64_EXACT_MAX_ARITY``). The per-row
-    measures are built from them as exact integers (``algebra.exact_terms``,
-    int64 or Python ints). A rational measure is kept as its numerator:
+    ``per_point_cert`` from one run per part of the constancy planes
+    ``planes``, which stay packed eight rows to a byte. They are as narrow
+    as their entries: ``per_point_s`` and ``per_point_cert`` uint8,
+    ``profile`` int32, ``coeffs`` and ``spectrum`` int32 (int64 above
+    ``algebra.INT64_EXACT_MAX_ARITY``). The per-row measures are built from
+    them as exact integers (``algebra.exact_terms``, int64 or Python ints).
+    A rational measure is kept as its numerator:
     ``I_num`` and ``avg_s2_num`` over 2**n, and the spectral ``sums`` (see
     ``algebra.spectral_numerators``). :meth:`values` gives a column of
     ``VALUES``, as Python values, and :meth:`record` a view of one row that
@@ -424,21 +496,23 @@ class Chunk:
     coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack).coeffs)
     spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack).scaled)
     witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
-    per_point_cert = cached_property(lambda c: c._by_cube_parts(per_point_certificate))
+    per_point_cert = cached_property(lambda c: c._by_plane_parts(per_point_certificate))
 
     @cached_property
-    def cubes(self) -> list[np.ndarray]:
-        """The subcube tables, in parts of at most ``CHUNK_CELLS`` cells (one
-        table, above that), so the C sweep and the DT rounds, which read
-        each table many times, run on arrays of a bounded size."""
-        step = max(1, CHUNK_CELLS // 3**self.n)
-        return [subcube_table(self.stack[i : i + step]) for i in range(0, len(self), step)]
+    def planes(self) -> list[tuple[slice, np.ndarray]]:
+        """The constancy planes of the stack (:func:`constancy_planes`), in
+        parts of consecutive rows, each with its slice of the rows. A part
+        holds at most ``8 * CHUNK_CELLS`` subcube cells of its rows (one
+        table, above that), so its planes take about ``CHUNK_CELLS`` bytes,
+        and the DT rounds, which read them many times, and the C sweep,
+        which unpacks them, run on arrays of a bounded size."""
+        step = max(1, 8 * CHUNK_CELLS // 3**self.n)
+        parts = [slice(i, i + step) for i in range(0, len(self), step)]
+        return [(rows, constancy_planes(self.stack[rows])) for rows in parts]
 
-    def _by_cube_parts(self, measure: Callable[..., np.ndarray]) -> np.ndarray:
-        """``measure(rows, cubes=part)`` of each part of ``cubes``, joined."""
-        step = len(self.cubes[0])
-        parts = zip(range(0, len(self), step), self.cubes)
-        return np.concatenate([measure(self.stack[i : i + step], cubes=cubes) for i, cubes in parts])
+    def _by_plane_parts(self, measure: Callable[..., np.ndarray]) -> np.ndarray:
+        """``measure(rows, planes=part)`` of each part of ``planes``, joined."""
+        return np.concatenate([measure(self.stack[rows], planes=part) for rows, part in self.planes])
 
     # From the per-point sensitivity: s, I and the mean squared sensitivity.
     s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
@@ -448,10 +522,10 @@ class Chunk:
         lambda c: np.square(c.per_point_s, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
     )
 
-    # From the subcube table: C and DT, and bs, which starts at s and is
+    # From the constancy planes: C and DT, and bs, which starts at s and is
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
     cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
-    dt = _exact_column(lambda c: c._by_cube_parts(partial(decision_tree_depth, cap=c.dt_cap)))
+    dt = _exact_column(lambda c: c._by_plane_parts(partial(decision_tree_depth, cap=c.dt_cap)))
 
     @cached_property
     def bs(self) -> np.ndarray:

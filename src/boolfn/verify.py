@@ -429,6 +429,7 @@ CHECKS: dict[str, Check] = {
 
 
 def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
+    """The named checks, each once, in the order first named."""
     if checks == "all":
         return list(CHECKS.values())
     if isinstance(checks, str):  # one check name
@@ -436,7 +437,7 @@ def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check name {name!r}")
-    return [CHECKS[name] for name in checks]
+    return [CHECKS[name] for name in dict.fromkeys(checks)]
 
 
 def run_single_check(check: Check | str, table: TruthTable, **caps) -> CheckResult:

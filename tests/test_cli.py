@@ -360,6 +360,19 @@ def test_bad_checks_or_caps_leave_the_matrix_file_alone(tmp_path, flags):
     assert (code, out, matrix.read_text()) == (2, "", "kept\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_repeated_check_name_counts_once(tmp_path, fmt):
+    # Each check aggregates every member once, however often it is named.
+    runs = []
+    for checks in ("s-le-bs", "s-le-bs,s-le-bs"):
+        matrix = tmp_path / f"{len(checks)}.csv"
+        args = ["verify", "--exhaustive", "1", "--checks", checks, "--format", fmt, "--matrix-out", str(matrix)]
+        runs.append((run_cli(args), matrix.read_bytes()))
+    assert runs[0] == runs[1]
+    if fmt == "text":
+        assert "pass=4" in runs[0][0][1]
+
+
 def test_verify_deterministic_output():
     a = run_cli(["verify", "--sample", "5,30,3"])
     b = run_cli(["verify", "--sample", "5,30,3"])

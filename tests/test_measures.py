@@ -23,6 +23,7 @@ from boolfn.measures import (
 )
 
 import oracles
+from test_chains import traced_bytes
 
 
 def random_table(rng, n):
@@ -74,7 +75,7 @@ def test_block_sensitivity_matches_oracles(data):
     x = data.draw(st.integers(0, (1 << n) - 1))
     bs = oracles.brute_block_sensitivity(f)
     assert block_sensitivity(f) == bs
-    certs = measures.per_point_certificate(f, measures.subcube_table(f))
+    certs = measures.per_point_certificate(f, planes=measures.constancy_planes(f))
     assert block_sensitivity(f, bounds=(sensitivity(f), certs)) == bs
     assert measure_report(f).value("bs") == bs
     assert block_sensitivity(f, x) == oracles.brute_block_sensitivity_at(f, x)
@@ -236,9 +237,9 @@ def test_subcube_measures_match_oracles(data):
     n = data.draw(st.integers(0, 6))
     f = TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     x = data.draw(st.integers(0, (1 << n) - 1))
-    cubes = measures.subcube_table(f)
-    assert decision_tree_depth(f, cubes=cubes) == oracles.brute_decision_tree_depth(f)
-    certs = measures.per_point_certificate(f, cubes)
+    planes = measures.constancy_planes(f)
+    assert decision_tree_depth(f, planes=planes) == oracles.brute_decision_tree_depth(f)
+    certs = measures.per_point_certificate(f, planes=planes)
     assert certs.max() == certificate_complexity(f) == oracles.brute_certificate(f)
     assert certs[x] == certificate_complexity(f, x) == oracles.brute_certificate_at(f, x)
 
@@ -407,9 +408,11 @@ def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def subcube_kernels(f) -> tuple:
-    """The subcube table, the DT and every C(f, x) of a table or a stack."""
-    cubes = measures.subcube_table(f)
-    return cubes, decision_tree_depth(f, cubes=cubes), measures.per_point_certificate(f, cubes)
+    """The subcube table, the DT and every C(f, x) of a table or a stack,
+    the last two read from its constancy planes."""
+    planes = measures.constancy_planes(f)
+    dt = decision_tree_depth(f, planes=planes)
+    return measures.subcube_table(f), dt, measures.per_point_certificate(f, planes=planes)
 
 
 def assert_subcube_kernels(tables: list, cubes: np.ndarray, dt: np.ndarray, certs: np.ndarray) -> None:
@@ -483,8 +486,91 @@ def test_decision_tree_rounds_stop_early_or_exit_at_n(monkeypatch):
     for tables, want, want_rounds in ((early, [0, 1, 2], 2), (early + [parity], [0, 1, 2, n], n - 1)):
         stack = np.stack([t.values for t in tables])
         cubes = reference_subcube_table(stack, n)
+        planes = measures.constancy_planes(stack)
         rounds.clear()
-        dt = decision_tree_depth(stack, cubes=cubes)
+        dt = decision_tree_depth(stack, planes=planes)
         assert dt.tolist() == want == [oracles.brute_decision_tree_depth(t) for t in tables]
         assert len(rounds) == want_rounds
         assert_same_array(dt, reference_decision_tree_depth(cubes, n))
+
+
+# The packed planes hold eight rows to a byte (four in the value planes), so
+# a stack's row count decides which lanes of its last byte are padding.
+
+
+def lane_rows(rng: random.Random, n: int) -> np.ndarray:
+    """The ``mixed_tables`` rows and ten seeded random rows of arity n: 17."""
+    tables = mixed_tables(rng, n) + [random_table(rng, n) for _ in range(10)]
+    return np.stack([t.values for t in tables])
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_packed_lanes_match_the_one_layout_loops(n):
+    # 1, 7, 8, 9 and 17 rows: one lane, a byte but one, a byte, a byte and
+    # one lane, two bytes and one lane; each stack takes its rows from the
+    # same 17 in a seeded order, and its lone row runs as a table too.
+    rng = random.Random(1900 + n)
+    pool = lane_rows(rng, n)
+    cubes = reference_subcube_table(pool, n)
+    want = cubes, reference_decision_tree_depth(cubes, n), reference_per_point_certificate(cubes, n)
+    for count in (1, 7, 8, 9, 17):
+        rows = rng.sample(range(len(pool)), count)
+        for got, expected in zip(subcube_kernels(pool[rows]), want):
+            assert_same_array(got, expected[rows])
+    (row,) = rows = rng.sample(range(len(pool)), 1)
+    one_cubes, one_dt, one_certs = subcube_kernels(TruthTable(n, pool[row]))
+    assert_same_array(one_cubes, cubes[row])
+    assert type(one_dt) is int and one_dt == want[1][row]
+    assert_same_array(one_certs, want[2][row])
+
+
+@pytest.mark.parametrize("step", [1, 3, 5, 9])
+def test_chunk_parts_that_split_a_byte_lane(monkeypatch, step):
+    # CHUNK_CELLS set so that a part holds `step` rows: the parts' bounds fall
+    # inside the bytes that the chunk's rows would fill, and each part packs
+    # its own lanes. The DT steps run in blocks of a few hundred cells.
+    n = 7
+    pool = lane_rows(random.Random(step), n)
+    cubes = reference_subcube_table(pool, n)
+    monkeypatch.setattr(measures, "CHUNK_CELLS", (step * 3**n + 7) // 8)
+    monkeypatch.setattr(measures, "DT_BLOCK_CELLS", 300)
+    chunk = measures.Chunk(pool)
+    assert [rows.stop - rows.start for rows, _ in chunk.planes][0] == step
+    assert_same_array(chunk.per_point_cert, reference_per_point_certificate(cubes, n))
+    assert chunk.dt.tolist() == reference_decision_tree_depth(cubes, n).tolist()
+    assert chunk.cert.tolist() == chunk.per_point_cert.max(axis=1).tolist()
+
+
+def test_padding_lanes_never_change_a_real_row():
+    # 9 rows fill one byte of the constancy planes and one lane of the next,
+    # and two value-plane bytes and one lane of a third. The value planes'
+    # padding lanes read as constant-0 rows; whatever the constancy planes'
+    # padding lanes hold, each real row's DT and C are the same.
+    n, count = 7, 9
+    stack = lane_rows(random.Random(9), n)[:count]
+    quads = measures._value_planes(stack)
+    assert not measures._lanes(quads, 12, 4)[count:].any()
+    assert measures._lanes(quads >> 4, 12, 4)[count:].all()
+    planes = measures.constancy_planes(stack)
+    dt = decision_tree_depth(stack, planes=planes)
+    certs = measures.per_point_certificate(stack, planes=planes)
+    padded = np.concatenate([stack, np.zeros((16 - count, 1 << n), np.uint8)])
+    assert_same_array(decision_tree_depth(padded)[:count], dt)
+    assert_same_array(measures.per_point_certificate(padded)[:count], certs)
+    padding = np.zeros_like(planes)
+    padding[1] = 0xFF ^ 1  # the lanes of rows 9 to 15
+    for lanes in (planes | padding, planes & ~padding):
+        assert_same_array(decision_tree_depth(stack, planes=lanes), dt)
+        assert_same_array(measures.per_point_certificate(stack, planes=lanes), certs)
+
+
+@pytest.mark.parametrize("n, rows, byte_tables_peak", [(14, 1, 15_993_126), (8, 256, 2_040_245)])
+def test_subcube_columns_peak_no_higher_than_on_byte_tables(n, rows, byte_tables_peak):
+    """C and DT of a lone n = 14 table and of a 256-row n = 8 chunk peak at
+    most where they did when a chunk kept ``(N, 3**n)`` byte subcube tables:
+    the bounds are those peaks, as this test measured them then, after the
+    rest of this file (run alone, 16_065_905 and 2_051_885 bytes)."""
+    stack = np.random.default_rng(n).integers(0, 2, (rows, 1 << n), dtype=np.uint8)
+    chunk = measures.Chunk(stack)
+    _, peak = traced_bytes(lambda: (chunk.cert, chunk.dt))
+    assert peak <= byte_tables_peak, f"{peak} bytes at the peak"

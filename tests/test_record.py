@@ -73,7 +73,7 @@ KERNELS = (
     (algebra, "multilinear_coefficients"),
     (algebra, "fourier_transform"),
     (measures, "per_point_sensitivity"),
-    (measures, "subcube_table"),
+    (measures, "constancy_planes"),
     (measures, "per_point_certificate"),
 )
 
@@ -116,7 +116,7 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
         (measures, "decision_tree_depth"),
         (algebra, "fourier_transform"),
         (measures, "per_point_sensitivity"),
-        (measures, "subcube_table"),
+        (measures, "constancy_planes"),
         (measures, "per_point_certificate"),
     )
     calls = count_calls(monkeypatch, unused)
