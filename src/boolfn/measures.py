@@ -246,14 +246,14 @@ def _value_planes(f: Tables) -> np.ndarray:
     return digit_sweep(_split_on_digit, n, quads, base=3)
 
 
-def _lanes(planes: np.ndarray, rows: int, width: int = 8) -> np.ndarray:
-    """The ``(rows, cells)`` 0/1 rows of planes packed ``width`` rows to a
-    byte: row width * r + i is bit i of byte r."""
+def _lanes(planes: np.ndarray, rows: int, width: int = 8, mask: int = 1) -> np.ndarray:
+    """The ``(rows, cells)`` rows of planes packed ``width`` rows to a byte:
+    row width * r + i is byte r shifted down by i, its bits in ``mask``."""
     bits = np.empty((rows, planes.shape[-1]), np.uint8)
     for i in range(min(width, rows)):
         lane = bits[i::width]
         np.right_shift(planes[: len(lane)], i, out=lane)
-        lane &= 1
+        lane &= mask
     return bits
 
 
@@ -271,9 +271,8 @@ def subcube_table(f: Tables) -> np.ndarray:
     """
     n, values = table_values(f)
     quads, rows = _value_planes(f), values.size >> n
-    cube = _lanes(quads >> 4, rows, 4)  # constant 0
-    cube <<= 1
-    cube |= _lanes(quads, rows, 4)  # constant 1
+    cube = _lanes(quads, rows, 4, 0x11)  # 1 where constant 1, 16 where constant 0
+    cube %= 14  # 16 -> 2, so FREE - cube is the value, or FREE where f varies
     np.subtract(FREE, cube, out=cube)
     cube = cube.reshape(*values.shape[:-1], -1)
     cube.setflags(write=False)

@@ -517,7 +517,7 @@ def test_packed_lanes_match_the_one_layout_loops(n):
         rows = rng.sample(range(len(pool)), count)
         for got, expected in zip(subcube_kernels(pool[rows]), want):
             assert_same_array(got, expected[rows])
-    (row,) = rows = rng.sample(range(len(pool)), 1)
+    (row,) = rng.sample(range(len(pool)), 1)
     one_cubes, one_dt, one_certs = subcube_kernels(TruthTable(n, pool[row]))
     assert_same_array(one_cubes, cubes[row])
     assert type(one_dt) is int and one_dt == want[1][row]
@@ -532,13 +532,15 @@ def test_chunk_parts_that_split_a_byte_lane(monkeypatch, step):
     n = 7
     pool = lane_rows(random.Random(step), n)
     cubes = reference_subcube_table(pool, n)
+    certs = reference_per_point_certificate(cubes, n)
     monkeypatch.setattr(measures, "CHUNK_CELLS", (step * 3**n + 7) // 8)
     monkeypatch.setattr(measures, "DT_BLOCK_CELLS", 300)
     chunk = measures.Chunk(pool)
-    assert [rows.stop - rows.start for rows, _ in chunk.planes][0] == step
-    assert_same_array(chunk.per_point_cert, reference_per_point_certificate(cubes, n))
+    rows, _ = chunk.planes[0]
+    assert rows.stop - rows.start == step
+    assert_same_array(chunk.per_point_cert, certs)
     assert chunk.dt.tolist() == reference_decision_tree_depth(cubes, n).tolist()
-    assert chunk.cert.tolist() == chunk.per_point_cert.max(axis=1).tolist()
+    assert chunk.cert.tolist() == certs.max(axis=1).tolist()
 
 
 def test_padding_lanes_never_change_a_real_row():
@@ -549,8 +551,7 @@ def test_padding_lanes_never_change_a_real_row():
     n, count = 7, 9
     stack = lane_rows(random.Random(9), n)[:count]
     quads = measures._value_planes(stack)
-    assert not measures._lanes(quads, 12, 4)[count:].any()
-    assert measures._lanes(quads >> 4, 12, 4)[count:].all()
+    assert (measures._lanes(quads, 12, 4, 0x11)[count:] == 16).all()  # f = 0 bit only
     planes = measures.constancy_planes(stack)
     dt = decision_tree_depth(stack, planes=planes)
     certs = measures.per_point_certificate(stack, planes=planes)
