@@ -229,6 +229,8 @@ def _populations(args) -> list[verify.Population]:
 def _cmd_verify(args, parser) -> int:
     if args.fail_limit < 0:
         raise UsageError(f"--fail-limit {args.fail_limit}: must be >= 0")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs}: must be >= 1")
     populations = _populations(args)
     if args.families:
         populations.append(verify.Population.explicit(verify.standard_family_instances()))

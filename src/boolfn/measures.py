@@ -606,6 +606,15 @@ class MeasureContext:
         return out
 
 
+def _fn_ids(c: Chunk) -> list[str]:
+    """Each row's :func:`~boolfn.core.serialize` text, from one hex string
+    of the whole stack: every row's packed bytes, most significant first,
+    of which a row keeps its last ceil(2**n / 4) digits."""
+    packed = np.packbits(c.stack, axis=-1, bitorder="little")[:, ::-1]
+    text, width, digits = packed.tobytes().hex().upper(), 2 * packed.shape[1], ((1 << c.n) + 3) // 4
+    return [f"{c.n}:{text[end - digits : end]}" for end in range(width, len(text) + 1, width)]
+
+
 def _capped(cap: str, column: Callable[[Chunk], np.ndarray]) -> Callable[[Chunk], list]:
     """An integer column as Python ints, or ``None`` on every row when the
     arity is above the chunk's ``cap``."""
@@ -623,7 +632,7 @@ def _over(numerators: Callable[[Chunk], np.ndarray], power: int) -> Callable[[Ch
 # analyze JSON; the rest are the deg_m and spectral fields of that JSON and
 # the values checks keep.
 VALUES: dict[str, Callable[[Chunk], list]] = {
-    "fn": lambda c: [serialize(c.table(row)) for row in range(len(c))],
+    "fn": _fn_ids,
     "n": lambda c: [c.n] * len(c),
     "s": lambda c: c.s.tolist(),
     "bs": _capped("bs_cap", lambda c: c.bs),

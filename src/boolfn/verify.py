@@ -15,13 +15,15 @@ One registry feeds both the test suite and the CLI, populations are
 enumerated or sampled deterministically, and aggregates merge commutatively
 so parallel runs match serial ones.
 
-A sweep with ``jobs > 1`` splits the population into index ranges: the
-calling process runs the first, and one worker process each of the rest
-(:func:`run_check_suite`). Each decodes only the members of its own range,
-straight into read-only stacks of up to ``measures.CHUNK_CELLS`` cells
-(:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
-every measure is computed once per chunk, not once per function, and no
-member is built as a table of its own. Explicit members are checked a
+A sweep with ``jobs > 1`` first runs alone, stack by stack, for
+``SOLO_SWEEP_S``, about what starting a worker costs, so a short sweep
+starts none. Then it splits the members it has not swept into index
+ranges: the calling process runs the first, and one worker process each of
+the rest (:func:`run_check_suite`). Each decodes only the members of its
+own range, straight into read-only stacks of up to ``measures.CHUNK_CELLS``
+cells (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk`
+each, so every measure is computed once per chunk, not once per function,
+and no member is built as a table of its own. Explicit members are checked a
 stack at a time, a canonical stack decoded by one ``bytes.fromhex``, and
 exhaustive and sampled ones decoded from their packed integers. Population
 parameters are checked when the population is made, before any sweep.
@@ -38,6 +40,7 @@ import math
 import os
 import random
 import re
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -64,6 +67,11 @@ __all__ = [
 REGISTRY_VERSION = "1"
 
 DEFAULT_FAIL_LIMIT = 5
+
+# How long a sweep with jobs > 1 runs alone before it starts workers, in
+# seconds: about what importing multiprocessing and starting and joining a
+# worker cost, so a sweep that ends sooner is faster with none.
+SOLO_SWEEP_S = 0.05
 
 
 def standard_family_instances() -> list[TruthTable]:
@@ -592,13 +600,21 @@ def _run_chunk(
     caps: dict,
     fail_limit: int,
     matrix: Optional[TextIO] = None,
-) -> dict[str, Aggregate]:
+    until: Optional[float] = None,
+) -> tuple[dict[str, Aggregate], int]:
     """The aggregates of members ``start`` to ``stop``, a chunk per stack,
-    and each chunk's ``measures.COLUMNS`` rows written to ``matrix`` as CSV
-    if given (a capped cell is ``None``, which the CSV writer leaves empty)."""
+    and the index of the first member not swept. Each chunk's
+    ``measures.COLUMNS`` rows are written to ``matrix`` as CSV if given (a
+    capped cell is ``None``, which the CSV writer leaves empty). Given a
+    ``time.perf_counter`` deadline ``until``, no stack is decoded once it
+    has passed."""
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
-    for stack in population.stacks(start, stop):
+    stacks, reached = population.stacks(start, stop), start
+    while until is None or time.perf_counter() < until:
+        stack = next(stacks, None)
+        if stack is None:
+            break
         chunk = measures.Chunk(stack, **caps)
         for check in selected:
             aggregates[check.name].add_chunk(chunk, check)
@@ -606,7 +622,8 @@ def _run_chunk(
             import csv  # loaded only by a sweep that writes the matrix
 
             csv.writer(matrix).writerows(zip(*map(chunk.values, measures.COLUMNS)))
-    return aggregates
+        reached += len(stack)
+    return aggregates, reached
 
 
 def _worker(conn, *args) -> None:
@@ -617,7 +634,7 @@ def _worker(conn, *args) -> None:
     try:
         *args, matrix = args
         rows = io.StringIO() if matrix else None
-        aggregates = _run_chunk(*args, rows)
+        aggregates, _ = _run_chunk(*args, rows)
         result = ((aggregates, rows.getvalue() if matrix else None), None)
     except Exception as exc:
         import traceback
@@ -668,21 +685,27 @@ def run_check_suite(
 
     Aggregation is commutative (counts add, extrema and retained witnesses
     are order-independent), so fanning out over workers produces the same
-    report as a serial run. ``jobs`` is clamped to the CPU count, and a
-    population of fewer than ``2 * jobs`` members runs serially. Otherwise
-    the members split into ``jobs`` shares: the calling process runs the
-    first, one worker process each of the rest, each sending its aggregates
-    back over a pipe of its own. A worker's exception is raised here, and
-    a worker that ends without a result raises ``RuntimeError``; no worker
+    report as a serial run. ``jobs`` must be at least 1, and is clamped to
+    the CPU count. With ``jobs > 1`` the calling process first sweeps alone,
+    stack by stack, until ``SOLO_SWEEP_S`` has passed; a sweep that ends by
+    then imports no ``multiprocessing`` and starts no process. If fewer
+    than ``2 * jobs`` members are left, it sweeps them alone too. Otherwise
+    they split into ``jobs`` shares: the calling process runs the first,
+    one worker process each of the rest, each sending its aggregates back
+    over a pipe of its own. A worker's exception is raised here, and a
+    worker that ends without a result raises ``RuntimeError``; no worker
     outlives the call.
 
     Given a text file ``matrix``, the sweep writes the ``measures.COLUMNS``
-    header and each member's row to it as CSV, in population order: its own
-    share chunk by chunk, then the CSV text each worker sent, in share order.
+    header and each member's row to it as CSV, in population order: the
+    rows it swept alone and its own share chunk by chunk, then the CSV text
+    each worker sent, in share order.
     """
     measures.check_caps(bs_cap, cert_cap, dt_cap)
     if fail_limit < 0:
         raise ValueError(f"fail_limit {fail_limit} is negative")
+    if jobs < 1:
+        raise ValueError(f"jobs {jobs} is below 1")
     jobs = min(jobs, os.cpu_count() or 1)
     selected = resolve_checks(checks)
     names = "all" if checks == "all" else tuple(c.name for c in selected)
@@ -692,12 +715,17 @@ def run_check_suite(
         import csv
 
         csv.writer(matrix).writerow(measures.COLUMNS)
-    if jobs <= 1 or total < 2 * jobs:
-        return _sweep_report(population, [_run_chunk(population, names, 0, None, caps, fail_limit, matrix)])
+    until = time.perf_counter() + SOLO_SWEEP_S if jobs > 1 else None
+    solo, reached = _run_chunk(population, names, 0, None, caps, fail_limit, matrix, until)
+    partials = [solo]
+    if total - reached < 2 * jobs:  # too few members left to share
+        if reached < total:
+            partials.append(_run_chunk(population, names, reached, None, caps, fail_limit, matrix)[0])
+        return _sweep_report(population, partials)
     import multiprocessing as mp
 
-    # total >= 2 * jobs, so no share is empty
-    bounds = [(total * i) // jobs for i in range(jobs + 1)]
+    # total - reached >= 2 * jobs, so no share is empty
+    bounds = [reached + ((total - reached) * i) // jobs for i in range(jobs + 1)]
     # fork where the platform has it; elsewhere the default start method,
     # which works too, as _worker and its arguments pickle
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
@@ -714,7 +742,7 @@ def run_check_suite(
                 # the worker holds the one sender left, so its end ends the pipe
                 sender.close()
             workers.append(worker)
-        partials = [_run_chunk(population, names, 0, bounds[1], caps, fail_limit, matrix)]
+        partials.append(_run_chunk(population, names, bounds[0], bounds[1], caps, fail_limit, matrix)[0])
         for receiver, worker in zip(pipes, workers):
             aggregates, rows = _receive(receiver, worker)
             if rows is not None:

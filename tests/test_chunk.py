@@ -86,6 +86,7 @@ POPULATIONS = {
 }
 
 
+@pytest.mark.usefixtures("workers_at_once")
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(POPULATIONS))
 def test_chunk_of_one_gives_the_same_bytes(monkeypatch, name, jobs):
@@ -95,6 +96,14 @@ def test_chunk_of_one_gives_the_same_bytes(monkeypatch, name, jobs):
     report, matrix = matrix_sweep(population, jobs=jobs)
     assert report.to_json() == chunked.to_json()
     assert matrix == rows
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_fn_column_is_serialize_row_by_row(n):
+    stack = next(Population.sample(n, 37, n).stacks())
+    ids = [serialize(TruthTable._row(row)) for row in stack]
+    assert measures.Chunk(stack).values("fn") == ids
+    assert measures.measure_report(TruthTable._row(stack[5])).value("fn") == ids[5]  # a lone row
 
 
 def test_kernels_run_once_per_chunk(monkeypatch):
@@ -231,6 +240,7 @@ def chunks_holding(population, monkeypatch) -> dict:
     return held
 
 
+@pytest.mark.usefixtures("workers_at_once")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
     monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)

@@ -294,11 +294,20 @@ def test_verify_exhaustive_3_exit_zero():
             assert agg["fail"] == 0, name
 
 
+@pytest.mark.usefixtures("workers_at_once")
 def test_verify_jobs_flag_matches_serial():
     serial = run_cli(["verify", "--sample", "4,40,5"])
     parallel = run_cli(["verify", "--sample", "4,40,5", "--jobs", "2"])
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_fails_before_the_matrix_file_is_opened(jobs, tmp_path):
+    target = tmp_path / "m.csv"
+    code, out, err = run_cli(["verify", "--exhaustive", "2", "--jobs", jobs, "--matrix-out", str(target)])
+    assert (code, out, err) == (2, "", f"error: --jobs {jobs}: must be >= 1\n")
+    assert not target.exists()
 
 
 def test_verify_unknown_check():
@@ -443,6 +452,8 @@ def test_console_script_entry_point():
         ["verify", "--sample", "3,5"],
         ["verify", "--sample", "3,x,1"],
         ["verify", "--exhaustive", "2", "--checks", "deg-sparsity-exponent", "--fail-limit", "-1"],
+        ["verify", "--exhaustive", "2", "--jobs", "0"],
+        ["verify", "--exhaustive", "2", "--jobs", "-1"],
         ["chain", "glue", "--f", "and2", "--g", "and2", "--f-chain", "7"],
         ["chain", "glue", "--f", "and2", "--g", "and2", "--g-chain", '"21"'],
         ["chain", "glue", "--f", "and2", "--g", "and2", "--f-chain", "[2.9,1]"],
@@ -462,9 +473,9 @@ def test_bad_source_is_a_usage_error(argv, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    # A bad population or fail limit names its flag and value, and fails
-    # before any sweep.
-    if argv[-2] in ("--exhaustive", "--sample", "--fail-limit"):
+    # A bad population, fail limit or job count names its flag and value,
+    # and fails before any sweep.
+    if argv[-2] in ("--exhaustive", "--sample", "--fail-limit", "--jobs"):
         assert sweeps == [] and err.startswith(f"error: {argv[-2]} {argv[-1]}"), err
 
 

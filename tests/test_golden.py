@@ -6,7 +6,8 @@ shrunk to keep the suite fast: ``--exhaustive 4 --matrix-out`` runs at
 arity 3, and the ``--sample 8,10000,42 ... --jobs 4`` sweep at 500 tables
 with 2 jobs. The cases after the README block add the text format,
 per-point output, a lazy source and an arity above 16, and the two matrix
-cases are replayed with ``--jobs 2`` against the same goldens.
+cases are replayed with ``--jobs 2``, their workers started at once,
+against the same goldens.
 
 Regenerate the goldens only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -112,6 +113,7 @@ JOBS2_CASES = [c._replace(argv=(*c.argv, "--jobs", "2")) for c in CASES if c.nam
 
 
 @pytest.mark.parametrize("case", JOBS2_CASES, ids=[f"{c.name}-jobs2" for c in JOBS2_CASES])
+@pytest.mark.usefixtures("workers_at_once")
 def test_matrix_output_under_two_jobs_matches_golden(case, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two shares on any host
     test_cli_output_matches_golden(case, tmp_path)

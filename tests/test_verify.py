@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,7 @@ def test_report_determinism_bytes():
     assert a == b
 
 
+@pytest.mark.usefixtures("workers_at_once")
 def test_parallel_matches_serial():
     pop = Population.sample(5, 120, 9)
     serial = run_check_suite(pop, checks="all", jobs=1)
@@ -90,27 +92,29 @@ def test_parallel_matches_serial():
     assert multiprocessing.active_children() == []
 
 
-def test_worker_count_clamped_to_cpu_count(monkeypatch):
+class Channel:
+    """Both ends of one in-process pipe."""
+
+    def __init__(self):
+        self.items = []
+
+    def send(self, item):
+        self.items.append(item)
+
+    def recv(self):
+        return self.items.pop(0)
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def inline_workers(monkeypatch) -> list:
+    """The arguments of each worker started from now on, with two CPUs: a
+    worker runs its target when started, in this process."""
     started = []
 
-    class Channel:
-        """Both ends of one in-process pipe."""
-
-        def __init__(self):
-            self.items = []
-
-        def send(self, item):
-            self.items.append(item)
-
-        def recv(self):
-            return self.items.pop(0)
-
-        def close(self):
-            pass
-
     class InlineProcess:
-        """Runs its target when started, in this process."""
-
         def __init__(self, target, args):
             self.target, self.args = target, args
 
@@ -134,11 +138,64 @@ def test_worker_count_clamped_to_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: RecordingContext())
+    return started
+
+
+@pytest.mark.usefixtures("workers_at_once")
+def test_worker_count_clamped_to_cpu_count(inline_workers):
+    started = inline_workers
     pop = Population.sample(4, 40, 3)
     clamped = run_check_suite(pop, checks="all", jobs=64)
     # two shares: the caller runs members 0..20, one started process the rest
     assert [args[3:5] for args in started] == [(20, 40)]
     assert clamped.to_json() == run_check_suite(pop, checks="all", jobs=1).to_json()
+
+
+def test_jobs_below_one_rejected_before_the_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "_run_chunk", lambda *args: pytest.fail("the sweep ran"))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs {jobs} is below 1"):
+            run_check_suite(Population.exhaustive(2), jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "count, solo, shares",
+    [
+        (40, 0, [(0, 20), (20, 40)]),
+        (40, 3, [(12, 26), (26, 40)]),
+        (40, 9, [(36, 38), (38, 40)]),
+        (42, 10, [(40, None)]),  # 2 members left, fewer than 2 * jobs: the caller sweeps them
+        (40, 10, []),  # the solo phase swept them all
+    ],
+    ids=["no-solo-stack", "after-3-stacks", "after-9-stacks", "rest-alone", "all-solo"],
+)
+def test_workers_take_only_the_members_the_solo_phase_left(monkeypatch, inline_workers, count, solo, shares):
+    # stacks of 4 members; the fake clock passes the deadline after `solo` stacks
+    monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
+    ticks = itertools.count()
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr(verify, "SOLO_SWEEP_S", solo + 1)
+    ranges = []
+    run_chunk = verify._run_chunk
+
+    def recording(population, names, start, stop, *rest):
+        aggregates, reached = run_chunk(population, names, start, stop, *rest)
+        ranges.append((start, stop, reached))
+        return aggregates, reached
+
+    monkeypatch.setattr(verify, "_run_chunk", recording)
+    pop = Population.sample(4, count, 3)
+    report, matrix = matrix_sweep(pop, jobs=2)
+    assert ranges[0] == (0, None, 4 * solo)
+    # then the caller's share and each worker's (inline, so a worker's
+    # share is swept when it starts, before the caller's), each whole
+    assert sorted((start, stop) for start, stop, _ in ranges[1:]) == shares
+    assert all(reached == (count if stop is None else stop) for _, stop, reached in ranges[1:])
+    assert [args[3:5] for args in inline_workers] == shares[1:]
+    ranges.clear()
+    serial, serial_matrix = matrix_sweep(pop, jobs=1)
+    assert ranges == [(0, None, count)]
+    assert (report.to_json(), matrix) == (serial.to_json(), serial_matrix)
 
 
 # A sweep whose worker dies without a result, in a process of its own, so
@@ -155,6 +212,7 @@ def dying(population, names, start, *rest):
     return run_chunk(population, names, start, *rest)
 
 os.cpu_count = lambda: 2
+verify.SOLO_SWEEP_S = 0
 verify._run_chunk = dying
 try:
     verify.run_check_suite(verify.Population.sample(4, 40, 3), jobs=2)
@@ -178,6 +236,35 @@ def test_worker_that_dies_without_a_result_raises():
     assert result.stdout.splitlines() == ["sweep worker exited with code 3 without a result", "[]"]
 
 
+# `boolfn verify` with two CPUs, its argv from the command line; stderr
+# says whether the sweep imported multiprocessing.
+TWO_CPUS = """
+import os, sys
+os.cpu_count = lambda: 2
+from boolfn import cli
+code = cli.main(sys.argv[1:])
+print("multiprocessing" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_sweep_shorter_than_the_solo_phase_starts_no_worker():
+    src = str(Path(verify.__file__).resolve().parents[1])
+    argv = ["verify", "--sample", "8,500,42", "--checks", "deg-product-bound-m2,deg-product-bound-m3"]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", TWO_CPUS, *argv, "--jobs", jobs],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        for jobs in ("1", "2")
+    ]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "False\n")] * 2
+    assert runs[1].stdout == runs[0].stdout
+
+
 @pytest.fixture
 def joined(monkeypatch) -> list:
     """The processes joined from now on, with two CPUs to start them on."""
@@ -193,6 +280,7 @@ def joined(monkeypatch) -> list:
     return joined
 
 
+@pytest.mark.usefixtures("workers_at_once")
 @pytest.mark.parametrize("at", [0, -1], ids=["caller-share", "last-share"])
 def test_worker_errors_reach_the_caller(joined, at):
     members = [serialize(t) for t in Population.sample(4, 200, 2).tables()]
@@ -349,7 +437,8 @@ def record_decoded(monkeypatch) -> list[str]:
 def test_worker_parses_only_its_own_range(monkeypatch):
     texts = tuple(serialize(t) for t in Population.sample(8, 4000, 5).tables())
     decoded = record_decoded(monkeypatch)
-    part = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
+    part, reached = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
+    assert reached == 4000
     assert part["alt-dc-relation"].counts["pass"] == 2000
     assert decoded == list(texts[2000:])
 
@@ -515,6 +604,7 @@ def test_a_canonical_member_above_a_lowered_dense_cap_raises_cap_exceeded(monkey
         list(Population(kind="explicit", members=members).stacks())
 
 
+@pytest.mark.usefixtures("workers_at_once")
 def test_spawn_workers_match_serial(monkeypatch):
     get_context = multiprocessing.get_context
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
