@@ -1,7 +1,8 @@
 """Exact polynomial and Fourier algebra on dense truth tables.
 
-Multilinear coefficients over the integers (and reduced mod m), the degrees
-they induce, the integer-scaled Walsh spectrum of the +/-1-valued version of
+Multilinear coefficients over the integers, the degrees they induce over Z
+and over every Z_m (one scan of the coefficients, :func:`degrees`), the
+integer-scaled Walsh spectrum of the +/-1-valued version of
 a function, sparsity, and the weighted spectral sums. All arithmetic is
 exact: the spectrum carries numerators at denominator 2**n and rationals
 appear only at reporting time.
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,9 +40,6 @@ __all__ = [
     "spectral_sums",
     "subset_of_index",
 ]
-
-Modulus = Union[str, int]
-
 
 def subset_of_index(t: int, n: int) -> tuple[int, ...]:
     """Variable subset named by a coefficient index (x_1 = most significant)."""
@@ -67,11 +64,10 @@ def _one_table(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _subset_step(op, cells: np.ndarray) -> np.ndarray:
-    """hi op lo into hi along one digit. After a sweep of the zeta
-    (``np.add``) or Moebius (``np.subtract``) step, c_S = sum over T <= S
-    of f(T), with sign (-1)**|S - T| for Moebius."""
-    op(cells[:, 1], cells[:, 0], out=cells[:, 1])
+def _moebius_step(cells: np.ndarray) -> np.ndarray:
+    """hi - lo into hi along one digit. After a sweep of this step, c_S =
+    sum over T <= S of (-1)**|S - T| f(T)."""
+    np.subtract(cells[:, 1], cells[:, 0], out=cells[:, 1])
     return cells
 
 
@@ -97,15 +93,13 @@ class MultilinearPoly:
     """Exact coefficients of the unique multilinear representation.
 
     ``coeffs[t]`` is the coefficient of the monomial over the variables in
-    ``subset_of_index(t, n)``; over Z_m the residues live in [0, m). From a
-    stack of tables, ``coeffs`` is the stack of coefficient rows and
-    ``MultilinearPoly(n, coeffs[i], modulus)`` is member i's polynomial; the
-    other methods raise on a stack.
+    ``subset_of_index(t, n)``. From a stack of tables, ``coeffs`` is the
+    stack of coefficient rows and ``MultilinearPoly(n, coeffs[i])`` is
+    member i's polynomial; the other methods raise on a stack.
     """
 
     n: int
     coeffs: np.ndarray
-    modulus: Optional[int] = None
 
     def coefficient(self, vars_) -> int:
         return int(_one_table(self.coeffs)[_index_of_subset(iter(vars_), self.n)])
@@ -117,46 +111,30 @@ class MultilinearPoly:
         for t in np.nonzero(_one_table(self.coeffs))[0]:
             yield subset_of_index(int(t), self.n), int(self.coeffs[t])
 
-    def evaluate_all(self) -> np.ndarray:
-        """Evaluate at every 0/1 point (zeta transform; reduced mod m)."""
-        vals = digit_sweep(partial(_subset_step, np.add), self.n, self.coeffs.astype(np.int64))
-        if self.modulus is not None:
-            vals %= self.modulus
-        return vals
-
     def to_json_dict(self) -> dict:
         nz = np.nonzero(_one_table(self.coeffs))[0]
         return {str(int(t)): int(self.coeffs[t]) for t in nz}
 
 
-def _check_modulus(modulus: Modulus) -> Optional[int]:
-    if modulus == "integers" or modulus is None:
-        return None
-    m = int(modulus)
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    return m
-
-
-def multilinear_coefficients(f: Tables, modulus: Modulus = "integers") -> MultilinearPoly:
-    """Moebius transform of the table (or stack); one pass serves Z and
-    every Z_m.
+def multilinear_coefficients(f: Tables) -> MultilinearPoly:
+    """Moebius transform of the table (or stack) over Z; one pass serves Z
+    and every Z_m.
 
     The zeta matrix is unipotent, so the canonical multilinear coefficients
     reduced mod m are the unique total-agreement representation over Z_m.
     """
-    m = _check_modulus(modulus)
     n, values = table_values(f)
-    coeffs = digit_sweep(partial(_subset_step, np.subtract), n, values.astype(np.int8), dtype=_exact_dtype(n))
-    if m is not None:
-        coeffs %= m
+    coeffs = digit_sweep(_moebius_step, n, values.astype(np.int8), dtype=_exact_dtype(n))
     coeffs.setflags(write=False)
-    return MultilinearPoly(n, coeffs, m)
+    return MultilinearPoly(n, coeffs)
 
 
-def degree(f: TruthTable, modulus: Modulus = "integers") -> int:
-    """Degree of the multilinear representation over Z (or over Z_m)."""
-    return multilinear_coefficients(f, modulus).degree()
+def degree(f: TruthTable, m: Optional[int] = None) -> int:
+    """Degree of the multilinear representation over Z, or over Z_m for
+    ``m`` >= 2 (:func:`degrees` of the coefficients, reduced mod m)."""
+    if m is not None and (m := int(m)) < 2:
+        raise ValueError("modulus must be >= 2")
+    return int(degrees(multilinear_coefficients(f).coeffs, f.n, m))
 
 
 def _levels_from_top(n: int) -> Iterator[np.ndarray]:

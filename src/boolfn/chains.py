@@ -157,9 +157,10 @@ def decrease(alt, value, value0):
     return (alt - value + value0) // 2
 
 
-def witness_orders(f: Tables, profile: Optional[np.ndarray] = None) -> np.ndarray:
+def witness_orders(f: Tables, profile: np.ndarray) -> np.ndarray:
     """The order of a chain achieving the maximum alternation, for one table
-    or for every row of a stack, recovered by backtracking from 1^n.
+    or for every row of a stack, recovered by backtracking from 1^n through
+    its alternation profile ``profile`` (:func:`alternation_profile`).
 
     Each step back from x clears the lowest-numbered set variable x_j whose
     predecessor y is consistent with the profile, A(y) + [f(y) != f(x)] =
@@ -167,8 +168,7 @@ def witness_orders(f: Tables, profile: Optional[np.ndarray] = None) -> np.ndarra
     The n steps run on all rows at once, n candidates each.
     """
     n, v = table_values(f)
-    A = alternation_profile(f) if profile is None else profile
-    shape, v, A = v.shape, v.reshape(-1), A.reshape(-1)
+    shape, v, A = v.shape, v.reshape(-1), profile.reshape(-1)
     rows = np.arange(len(v) >> n)
     bits = 1 << np.arange(n - 1, -1, -1)  # x_1 first
     x = (rows << n) + (1 << n) - 1  # flat: point x of row r is r * 2**n + x
@@ -182,9 +182,9 @@ def witness_orders(f: Tables, profile: Optional[np.ndarray] = None) -> np.ndarra
     return order.reshape(*shape[:-1], n)
 
 
-def max_alternation_witness(f: TruthTable, profile: Optional[np.ndarray] = None) -> Chain:
+def max_alternation_witness(f: TruthTable) -> Chain:
     """A chain achieving the maximum alternation, recovered by backtracking."""
-    return Chain(f.n, tuple(witness_orders(f, profile).tolist()))
+    return Chain(f.n, tuple(witness_orders(f, alternation_profile(f)).tolist()))
 
 
 def alternations_along(f: Tables, orders: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command-line surface: analyze functions, generate families, build and
 evaluate chains, run verification sweeps, and stream enumerations.
 
-Exit codes: 0 success, 1 verification assertion failure, 2 usage error.
-Data goes to stdout only when complete; diagnostics go to stderr.
+Exit codes: 0 success, 1 verification assertion failure, 2 usage error,
+3 an OS error, such as stdout closed early or full. Data goes to stdout
+only when complete; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from typing import Optional
 
 from . import chains, families, measures, verify
@@ -25,6 +27,7 @@ from .core import (
     parse,
     parse_corpus,
     serialize,
+    serialize_rows,
 )
 
 _FAMILY_TOKEN = re.compile(
@@ -36,8 +39,17 @@ class UsageError(Exception):
     pass
 
 
-# Required parameters of each family; every other family needs --n.
-_FAMILY_PARAMS = {"fk": ("k",), "addr": ("t",), "compose": ("base", "power")}
+# Each family: its required parameters and its builder from them all. The
+# first parameter is the number a compact token such as addr2 gives.
+_FAMILIES = {
+    "fk": (("k",), lambda p: families.gap_family(p["k"])[0]),
+    "addr": (("t",), lambda p: families.address(p["t"])),
+    "compose": (("base", "power"), lambda p: families.compose_power(_resolve(_token_source(p["base"])), p["power"])),
+    **{
+        name: (("n",), lambda p, name=name: families.named_basics(name, p["n"], threshold=p.get("threshold")))
+        for name in ("parity", "and", "or", "majority", "threshold")
+    },
+}
 
 
 def _read(path: str) -> str:
@@ -64,21 +76,16 @@ def _token_source(token: str) -> dict:
     m = _FAMILY_TOKEN.match(token)
     if m:
         name = "majority" if m.group("name").startswith("maj") else m.group("name")
-        return {"family": name, _FAMILY_PARAMS.get(name, ("n",))[0]: int(m.group("num"))}
+        return {"family": name, _FAMILIES[name][0][0]: int(m.group("num"))}
     return {"file": token}
 
 
 def _family(name: str, params: dict) -> BooleanFunction:
-    missing = [f"--{p}" for p in _FAMILY_PARAMS.get(name, ("n",)) if params.get(p) is None]
+    required, build = _FAMILIES[name]
+    missing = [f"--{p}" for p in required if params.get(p) is None]
     if missing:
         raise UsageError(f"family {name} requires {' and '.join(missing)}")
-    if name == "fk":
-        return families.gap_family(params["k"])[0]
-    if name == "addr":
-        return families.address(params["t"])
-    if name == "compose":
-        return families.compose_power(_resolve(_token_source(params["base"])), params["power"])
-    return families.named_basics(name, params["n"], threshold=params.get("threshold"))
+    return build(params)
 
 
 def _resolve_all(source: dict) -> list[BooleanFunction]:
@@ -112,7 +119,7 @@ def _function_source_flags(sub) -> None:
     sub.add_argument("--file", help="path to a corpus file holding one table")
     sub.add_argument(
         "--family",
-        choices=["fk", "addr", "compose", "parity", "and", "or", "majority", "threshold"],
+        choices=list(_FAMILIES),
         help="generated family instead of an explicit table",
     )
     sub.add_argument("--k", type=int, help="depth parameter for --family fk")
@@ -258,8 +265,9 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
-    for table in itertools.islice(verify.Population.exhaustive(args.n).tables(), args.limit):
-        _emit(serialize(table))
+    texts = itertools.chain.from_iterable(map(serialize_rows, verify.Population.exhaustive(args.n).stacks()))
+    for text in itertools.islice(texts, args.limit):
+        _emit(text)
     return 0
 
 
@@ -282,9 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(handler=_cmd_analyze)
 
     p_family = sub.add_parser("family", help="emit a generated family member")
-    p_family.add_argument(
-        "generator", choices=["fk", "addr", "compose", "parity", "and", "or", "majority", "threshold"]
-    )
+    p_family.add_argument("generator", choices=list(_FAMILIES))
     p_family.add_argument("--k", type=int, help="depth for fk")
     p_family.add_argument("--t", type=int, help="address bits for addr")
     p_family.add_argument("--n", type=int, help="arity for basics")
@@ -345,10 +351,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        code = args.handler(args, parser)
+        sys.stdout.flush()  # a full disk shows here, not at exit
+        return code
     except (UsageError, ValueError) as exc:  # FormatError and CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # BrokenPipeError included
+        # point stdout at os.devnull, so what is left in its buffer is not retried at exit
+        with suppress(OSError, ValueError):  # an in-process caller's stream may have no descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,10 @@ Conventions used throughout the package:
   equals ``int("101000", 2)``.
 * ``TruthTable.values[i]`` is f at the point with index ``i``.
 * Text form is ``n:HEX`` where HEX packs the 2**n values little-endian by
-  input index into exactly ``ceil(2**n / 4)`` hex digits.
+  input index into exactly ``ceil(2**n / 4)`` hex digits. This module owns
+  it: :func:`serialize_rows` writes a stack of tables and
+  :func:`packed_rows` reads canonical texts of one arity, and
+  :func:`serialize` and :func:`parse` are their one-table cases.
 """
 
 from __future__ import annotations
@@ -46,11 +49,13 @@ __all__ = [
     "evaluate",
     "is_monotone",
     "materialize",
+    "packed_rows",
     "parse",
     "parse_corpus",
     "point_index",
     "popcounts",
     "serialize",
+    "serialize_rows",
     "table_values",
     "unpack_rows",
     "variable_halves",
@@ -178,11 +183,6 @@ class TruthTable:
 
     def evaluate(self, x: Point) -> int:
         return int(self.values[point_index(x, self.n)])
-
-    def packed_int(self) -> int:
-        """Values packed little-endian by input index into one integer."""
-        raw = np.packbits(self.values, bitorder="little").tobytes()
-        return int.from_bytes(raw, "little")
 
     def negate(self) -> "TruthTable":
         return TruthTable(self.n, 1 - self.values)
@@ -350,18 +350,16 @@ def describe(f: BooleanFunction) -> dict:
     return f.descriptor or {"kind": "opaque", "arity": f.arity}
 
 
-def materialize(f: BooleanFunction, cap: int | None = None) -> TruthTable:
+def materialize(f: BooleanFunction) -> TruthTable:
     """Tabulate a lazy function (identity on dense tables).
 
-    The arity is checked first, against ``cap`` and the dense cap. A
-    function with a table rule (every composition) is tabulated by it; any
-    other is evaluated at every point in turn.
+    The arity is checked first, against the dense cap. A function with a
+    table rule (every composition) is tabulated by it; any other is
+    evaluated at every point in turn.
     """
     if isinstance(f, TruthTable):
         return f
-    cap = dense_cap() if cap is None else min(cap, dense_cap())
-    if f.arity > cap:
-        raise CapExceededError(f"arity {f.arity} exceeds dense cap {cap}")
+    _check_arity(f.arity)
     if f.tabulate is not None:
         return TruthTable(f.arity, f.tabulate())
     return TruthTable(f.arity, [f.evaluator(i) & 1 for i in range(1 << f.arity)])
@@ -470,32 +468,72 @@ def is_monotone(f: TruthTable) -> bool:
 
 
 def serialize(f: TruthTable) -> str:
-    """Canonical text form ``n:HEX`` (values packed little-endian by index):
-    the packed bytes in reverse order as hex, trimmed to the digit count."""
-    digits = ((1 << f.n) + 3) // 4
-    raw = np.packbits(f.values, bitorder="little").tobytes()
-    return f"{f.n}:{raw[::-1].hex().upper()[-digits:]}"
+    """Canonical text form ``n:HEX`` of one table (:func:`serialize_rows`)."""
+    return serialize_rows(f.values[None])[0]
+
+
+def serialize_rows(rows: np.ndarray) -> list[str]:
+    """The canonical text of each row of an ``(N, 2**n)`` stack: ``n:HEX``,
+    the row's values packed little-endian by index, the packed bytes in
+    reverse order as hex, trimmed to ceil(2**n / 4) digits. The rows share
+    one hex string, of which a row keeps its last digits."""
+    n = table_values(rows)[0]
+    packed = np.packbits(rows, axis=-1, bitorder="little")[:, ::-1]
+    text, width, digits = packed.tobytes().hex().upper(), 2 * packed.shape[1], ((1 << n) + 3) // 4
+    return [f"{n}:{text[end - digits : end]}" for end in range(width, len(text) + 1, width)]
+
+
+def packed_rows(n: int, texts: Sequence[str]) -> np.ndarray | None:
+    """The ``(N, ceil(2**n / 8))`` packed rows of ``texts``, as
+    :func:`unpack_rows` reads them, if each is canonical text of arity n at
+    most the dense cap: the arity, a colon and ceil(2**n / 4) hex digits
+    that leave the bits past 2**n clear; else ``None``.
+
+    The texts are joined one a line, and each column of a line break or a
+    prefix character must hold it throughout; it is then blanked to a
+    space. ``bytes.fromhex`` skips whitespace between bytes and rejects any
+    other character but a hex digit, so the digits are canonical if they
+    give each text all its bytes: a line break or a space inside a text
+    takes the place of a digit.
+    """
+    if n > dense_cap():
+        return None
+    prefix, digits = f"{n}:", ((1 << n) + 3) // 4
+    line, count = len(prefix) + digits + 1, len(texts)
+    try:  # ValueError: a character that is not ASCII, or not a hex digit or whitespace
+        text = bytearray("\n".join(texts) + "\n", "ascii")
+        for j, char in [(line - 1, "\n"), *enumerate(prefix)]:
+            if text[j::line] != (char * count).encode():
+                return None
+            text[j::line] = b" " * count
+        if digits % 2:  # a lone digit is padded to a byte
+            text[len(prefix) - 1 :: line] = b"0" * count
+        raw = bytes.fromhex(text.decode())
+    except ValueError:
+        return None
+    if len(raw) != count * ((digits + 1) // 2) or (n < 2 and max(raw) >> (1 << n)):  # padding bits set
+        return None
+    # each text's bytes come most significant first
+    return np.frombuffer(raw, dtype=np.uint8).reshape(count, -1)[:, ::-1]
 
 
 def parse(text: str) -> TruthTable:
-    """Inverse of :func:`serialize`; rejects malformed input. The digits
-    are read as bytes (below n = 3 one digit, and the bits past 2**n of
-    its byte must be clear)."""
+    """Inverse of :func:`serialize`; rejects malformed input with a
+    :class:`FormatError`, and an arity above the dense cap with a
+    :class:`CapExceededError`. The hex digits may be lowercase, and the
+    text padded with whitespace."""
     m = _TEXT_RE.match(text.strip())
     if not m:
         raise FormatError(f"malformed table text: {text!r}")
-    n = int(m.group(1))
-    _check_arity(n)
-    hexpart = m.group(2)
-    digits = ((1 << n) + 3) // 4
-    if len(hexpart) != digits:
-        raise FormatError(
-            f"expected {digits} hex digits for arity {n}, got {len(hexpart)}"
-        )
-    raw = bytes.fromhex(hexpart.zfill(2))[::-1]
-    if n < 3 and raw[0] >> (1 << n):
+    n, hexpart = int(m.group(1)), m.group(2)
+    packed = packed_rows(n, [f"{n}:{hexpart}"])
+    if packed is None:  # the cap, the digit count or the padding bits
+        _check_arity(n)
+        digits = ((1 << n) + 3) // 4
+        if len(hexpart) != digits:
+            raise FormatError(f"expected {digits} hex digits for arity {n}, got {len(hexpart)}")
         raise FormatError(f"padding bits set in {text!r}")
-    return TruthTable._row(unpack_rows(n, raw)[0])
+    return TruthTable._row(unpack_rows(n, packed)[0])
 
 
 def parse_corpus(lines: Iterable[str]) -> Iterator[TruthTable]:

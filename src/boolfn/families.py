@@ -79,17 +79,15 @@ def _leaf(value: int) -> DecisionTreeShape:
 
 
 def gap_family(
-    k: int,
-    variable_order: Optional[Sequence[int]] = None,
-    cap: Optional[int] = None,
+    k: int, variable_order: Optional[Sequence[int]] = None
 ) -> tuple[BooleanFunction, DecisionTreeShape]:
     """Depth-k full-tree function on n = 2**k - 1 distinct variables.
 
     Internal nodes take variables in breadth-first order (root = x_1) unless
     ``variable_order`` supplies a different permutation of [n]; every
     bottom-level node has leaf children 0 (left) and 1 (right). Returns the
-    function (dense when n fits the cap, lazy otherwise) together with its
-    defining tree.
+    function (dense when n fits the dense cap, lazy otherwise) together
+    with its defining tree.
     """
     if not 1 <= k <= FK_MAX_DEPTH:
         raise ValueError(f"k must be between 1 and {FK_MAX_DEPTH}")
@@ -118,8 +116,7 @@ def gap_family(
             rank = 2 * rank + b
         return b
 
-    cap = dense_cap() if cap is None else cap
-    if n <= cap:
+    if n <= dense_cap():
         fn: BooleanFunction = TruthTable.from_evaluator(n, ev)
     else:
         desc = {"kind": "fk", "k": k, "arity": n}
@@ -129,15 +126,15 @@ def gap_family(
     return fn, tree
 
 
-def address(t: int, cap: Optional[int] = None) -> TruthTable:
+def address(t: int) -> TruthTable:
     """Multiplexer on t + 2**t bits: the t address bits (MSB-first) select
-    which of the 2**t data bits is returned."""
+    which of the 2**t data bits is returned; an arity above the dense cap is
+    rejected before any table is built."""
     if t < 1:
         raise ValueError("t must be >= 1")
     n = t + (1 << t)
-    cap = dense_cap() if cap is None else cap
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds dense cap {cap}")
+    if n > dense_cap():
+        raise CapExceededError(f"arity {n} exceeds dense cap {dense_cap()}")
     idx = np.arange(1 << n, dtype=np.int64)
     addr = idx >> (1 << t)
     # Data bit y_addr is variable t+1+addr, i.e. index bit 2**t - 1 - addr.

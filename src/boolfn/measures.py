@@ -67,6 +67,7 @@ from .core import (
     point_index,
     popcounts,
     serialize,
+    serialize_rows,
     table_values,
 )
 
@@ -98,13 +99,14 @@ __all__ = [
     "per_value",
     "records",
     "sensitivity",
+    "stack_size",
     "subcube_table",
 ]
 
 BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
-# A chunk keeps the constancy planes of its N = CHUNK_CELLS >> n tables, eight
+# A chunk keeps the constancy planes of its N = stack_size(n) tables, eight
 # rows to a byte, ceil(N / 8) * 3**n bytes per part: 43 MB for one table at
 # n = 16. Building a part's planes takes its value planes, ceil(N / 4) * 3**n
 # bytes, and a temporary of their size. The C sweep unpacks a part, at most
@@ -343,9 +345,9 @@ class AltDecrease:
     witness: chains.Chain
 
 
-def alternation_decrease(f: BooleanFunction, cap: Optional[int] = None) -> AltDecrease:
+def alternation_decrease(f: BooleanFunction) -> AltDecrease:
     """Alternation and decrease via the full-hypercube DP, plus a witness."""
-    record = measure_report(materialize(f, cap))
+    record = measure_report(f)
     return AltDecrease(record.value("alt"), record.value("dc"), record.witness())
 
 
@@ -391,9 +393,9 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, *, planes: Optiona
     return depth if values.ndim > 1 else int(depth[0])
 
 
-def negation_complexity(f: BooleanFunction, cap: Optional[int] = None) -> tuple[int, int]:
+def negation_complexity(f: BooleanFunction) -> tuple[int, int]:
     """(circuit, formula) negation counts derived from the decrease value."""
-    record = measure_report(materialize(f, cap))
+    record = measure_report(f)
     return record.value("negs"), record.value("negs_formula")
 
 
@@ -606,15 +608,6 @@ class MeasureContext:
         return out
 
 
-def _fn_ids(c: Chunk) -> list[str]:
-    """Each row's :func:`~boolfn.core.serialize` text, from one hex string
-    of the whole stack: every row's packed bytes, most significant first,
-    of which a row keeps its last ceil(2**n / 4) digits."""
-    packed = np.packbits(c.stack, axis=-1, bitorder="little")[:, ::-1]
-    text, width, digits = packed.tobytes().hex().upper(), 2 * packed.shape[1], ((1 << c.n) + 3) // 4
-    return [f"{c.n}:{text[end - digits : end]}" for end in range(width, len(text) + 1, width)]
-
-
 def _capped(cap: str, column: Callable[[Chunk], np.ndarray]) -> Callable[[Chunk], list]:
     """An integer column as Python ints, or ``None`` on every row when the
     arity is above the chunk's ``cap``."""
@@ -632,7 +625,7 @@ def _over(numerators: Callable[[Chunk], np.ndarray], power: int) -> Callable[[Ch
 # analyze JSON; the rest are the deg_m and spectral fields of that JSON and
 # the values checks keep.
 VALUES: dict[str, Callable[[Chunk], list]] = {
-    "fn": _fn_ids,
+    "fn": lambda c: serialize_rows(c.stack),
     "n": lambda c: [c.n] * len(c),
     "s": lambda c: c.s.tolist(),
     "bs": _capped("bs_cap", lambda c: c.bs),
@@ -662,18 +655,24 @@ VALUES: dict[str, Callable[[Chunk], list]] = {
 COLUMNS = tuple(VALUES)[:14]
 
 
+def stack_size(n: int) -> int:
+    """The most tables of arity n to one stack: those whose cells fit in
+    ``CHUNK_CELLS`` (read at each call), and at least one."""
+    return max(1, CHUNK_CELLS >> n)
+
+
 def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
     """The tables, in order, as chunks with the measure caps ``caps``.
 
     Consecutive tables of one arity n share a :class:`Chunk` of at most
-    ``max(1, CHUNK_CELLS >> n)`` tables, so every column is computed once
-    per chunk rather than once per table. Each chunk stacks its tables'
-    values once, and a chunk of one table is a view of its values, with no
-    copy; a population decodes its stacks with no tables
+    ``stack_size(n)`` tables, so every column is computed once per chunk
+    rather than once per table. Each chunk stacks its tables' values once,
+    and a chunk of one table is a view of its values, with no copy; a
+    population decodes its stacks with no tables
     (``verify.Population.stacks``).
     """
     for n, same in itertools.groupby(tables, key=lambda t: t.n):
-        while batch := list(itertools.islice(same, max(1, CHUNK_CELLS >> n))):
+        while batch := list(itertools.islice(same, stack_size(n))):
             stack = batch[0].values[None] if len(batch) == 1 else np.stack([t.values for t in batch])
             yield Chunk(stack, **caps)
 

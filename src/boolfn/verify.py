@@ -24,9 +24,10 @@ own range, straight into read-only stacks of up to ``measures.CHUNK_CELLS``
 cells (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk`
 each, so every measure is computed once per chunk, not once per function,
 and no member is built as a table of its own. Explicit members are checked a
-stack at a time, a canonical stack decoded by one ``bytes.fromhex``, and
-exhaustive and sampled ones decoded from their packed integers. Population
-parameters are checked when the population is made, before any sweep.
+stack at a time, a canonical stack read at once by
+:func:`~boolfn.core.packed_rows`, and exhaustive and sampled ones decoded
+from their packed integers. Population parameters are checked when the
+population is made, before any sweep.
 A sweep asked for the measure matrix writes each chunk's rows as it
 aggregates the chunk, so no member is decoded or measured twice.
 """
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from . import measures
-from .core import TruthTable, dense_cap, parse, serialize, unpack_rows, variable_halves
+from .core import TruthTable, dense_cap, packed_rows, parse, serialize, unpack_rows, variable_halves
 
 __all__ = [
     "CHECKS",
@@ -138,7 +139,7 @@ class Population:
     def stacks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[np.ndarray]:
         """Members ``start`` to ``stop`` (default: the end) as read-only
         ``(N, 2**n)`` uint8 stacks: consecutive members of one arity n, at
-        most ``max(1, CHUNK_CELLS >> n)`` to a stack, each unpacked by one
+        most ``measures.stack_size(n)`` to a stack, each unpacked by one
         :func:`~boolfn.core.unpack_rows`. None before ``start`` is decoded:
         a sampled stream draws their bits only. Explicit members are checked
         a stack at a time (:func:`_explicit_stacks`)."""
@@ -151,7 +152,7 @@ class Population:
             rng = random.Random(self.seed)
             for _ in range(start):
                 rng.getrandbits(size)
-        step = max(1, measures.CHUNK_CELLS >> self.n)
+        step = measures.stack_size(self.n)
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
             if self.kind == "exhaustive":  # member i is the table packed as i
@@ -185,51 +186,26 @@ def _explicit_stacks(members: Sequence[str]) -> Iterator[np.ndarray]:
     """The explicit ``members`` as :meth:`Population.stacks` gives them.
 
     A stack takes the members that would share it: from a member whose
-    arity n is read off its prefix (or parsed), at most ``max(1,
-    CHUNK_CELLS >> n)``. :func:`_decoded` decodes them at once if all are
-    canonical; else each is parsed alone, up to the first member of another
-    arity, so bad text raises what :func:`~boolfn.core.parse` raises, at
-    the same member.
+    arity n is read off its prefix (or parsed), at most
+    ``measures.stack_size(n)``. They are unpacked at once if all are
+    canonical (:func:`~boolfn.core.packed_rows`); else each is parsed
+    alone, up to the first member of another arity, so bad text raises
+    what :func:`~boolfn.core.parse` raises, at the same member.
     """
     i = 0
     while i < len(members):
         head = _ARITY.match(members[i])
         first = [] if head else [parse(members[i])]  # no prefix: parsed once, here
         n = int(head[1]) if head else first[0].n
-        group = members[i : i + max(1, measures.CHUNK_CELLS >> n)]
-        stack = _decoded(n, group)
-        if stack is None:
+        group = members[i : i + measures.stack_size(n)]
+        if (packed := packed_rows(n, group)) is not None:
+            stack = unpack_rows(n, packed)
+        else:
             tables = itertools.chain(first, map(parse, group[len(first) :]))
             stack = np.stack([t.values for t in itertools.takewhile(lambda t: t.n == n, tables)])
             stack.setflags(write=False)
         yield stack
         i += len(stack)
-
-
-def _decoded(n: int, group: Sequence[str]) -> Optional[np.ndarray]:
-    """The stack of ``group`` if each member is canonical text of arity n:
-    the arity, a colon and ceil(2**n / 4) hex digits that leave the bits
-    past 2**n clear; else ``None``.
-
-    The members are joined one a line, and each column of a line break or
-    a prefix character must hold it throughout. ``bytes.fromhex`` skips
-    whitespace and rejects any other character but a hex digit, so the
-    digits are canonical if they give each member all its bytes: a line
-    break or a space inside a member takes the place of a digit.
-    """
-    prefix, digits = f"{n}:", ((1 << n) + 3) // 4
-    line, count, text = len(prefix) + digits + 1, len(group), "\n".join(group) + "\n"
-    columns = [(line - 1, "\n"), *enumerate(prefix)]
-    if n > dense_cap() or any(text[j::line] != char * count for j, char in columns):
-        return None
-    try:  # a lone digit is padded to a byte
-        raw = bytes.fromhex(text.replace(prefix, "0" * (digits % 2)))
-    except ValueError:
-        return None
-    if len(raw) != count * ((digits + 1) // 2) or (n < 2 and max(raw) >> (1 << n)):  # padding bits set
-        return None
-    # each member's bytes come most significant first
-    return unpack_rows(n, np.frombuffer(raw, dtype=np.uint8).reshape(count, -1)[:, ::-1])
 
 
 Outcome = tuple[str, dict]  # status in {"pass", "fail", "skip"}, observed values

@@ -7,6 +7,8 @@ the tests can check the fast paths against first principles.
 
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from boolfn.core import TruthTable
 
 
@@ -156,6 +158,22 @@ def brute_mobius(table: TruthTable, modulus=None) -> dict:
             total %= modulus
         coeffs[s_vars] = total
     return coeffs
+
+
+def zeta(coeffs, n: int) -> np.ndarray:
+    """The values at every 0/1 point of the multilinear polynomial with
+    coefficients ``coeffs``: the sum of c_T over the subsets T of each point
+    (the zeta transform, the inverse of the Moebius transform)."""
+    values = np.array(coeffs, dtype=np.int64)
+    for p in range(n):
+        halves = values.reshape(-1, 2, 1 << p)
+        halves[:, 1] += halves[:, 0]
+    return values
+
+
+def packed_int(table: TruthTable) -> int:
+    """The table's values packed little-endian by input index into one integer."""
+    return int.from_bytes(np.packbits(table.values, bitorder="little").tobytes(), "little")
 
 
 def brute_degree(table: TruthTable, modulus=None) -> int:

@@ -287,7 +287,7 @@ def test_criterion_10_monotone_decomposition(exhaustive4):
             acc = 0
             for part in parts:
                 assert oracles.brute_monotone(part)
-                acc ^= part.packed_int()
+                acc ^= oracles.packed_int(part)
             if negated:
                 acc ^= (1 << (1 << n)) - 1
             assert acc == packed

@@ -26,6 +26,12 @@ def random_table(rng, n):
     return TruthTable.from_packed_int(n, rng.getrandbits(1 << n))
 
 
+def reduced(f, modulus=None):
+    """f's multilinear polynomial over Z, or its coefficients reduced mod m."""
+    coeffs = multilinear_coefficients(f).coeffs
+    return algebra.MultilinearPoly(f.n, coeffs if modulus is None else coeffs % modulus)
+
+
 def test_mobius_examples():
     and2 = families.named_basics("and", 2)
     poly = multilinear_coefficients(and2)
@@ -36,14 +42,14 @@ def test_mobius_examples():
     poly = multilinear_coefficients(p2)
     assert dict(poly.items()) == {(1,): 1, (2,): 1, (1, 2): -2}
 
-    mod2 = multilinear_coefficients(p2, 2)
+    mod2 = reduced(p2, 2)
     assert dict(mod2.items()) == {(1,): 1, (2,): 1}
 
 
 def test_mobius_modulus_validation():
     p2 = families.named_basics("parity", 2)
     with pytest.raises(ValueError):
-        multilinear_coefficients(p2, 1)
+        degree(p2, 1)
 
 
 def test_mobius_matches_oracle():
@@ -51,9 +57,10 @@ def test_mobius_matches_oracle():
     for _ in range(15):
         f = random_table(rng, rng.randrange(1, 5))
         for modulus in (None, 2, 3, 6):
-            got = multilinear_coefficients(f, "integers" if modulus is None else modulus)
+            got = reduced(f, modulus)
             want = oracles.brute_mobius(f, modulus)
             assert {s: c for s, c in want.items() if c != 0} == dict(got.items())
+            assert degree(f, modulus) == oracles.brute_degree(f, modulus)
 
 
 def test_mobius_zeta_round_trip():
@@ -61,10 +68,12 @@ def test_mobius_zeta_round_trip():
     for _ in range(30):
         n = rng.randrange(0, 11)
         f = random_table(rng, n)
-        for modulus in ("integers", 2, 3, 4, 5, 6):
-            poly = multilinear_coefficients(f, modulus)
+        for modulus in (None, 2, 3, 4, 5, 6):
+            values = oracles.zeta(reduced(f, modulus).coeffs, n)
+            if modulus is not None:
+                values %= modulus
             # bits are their own residues mod m >= 2, so both cases compare equal
-            assert list(poly.evaluate_all()) == list(f.values)
+            assert list(values) == list(f.values)
 
 
 def test_degree_examples():

@@ -298,8 +298,8 @@ def test_monotone_decomposition_random():
         acc = 0
         for part in parts:
             assert is_monotone(part)
-            acc = acc ^ part.packed_int()
+            acc = acc ^ oracles.packed_int(part)
         if negated:
             acc ^= (1 << (1 << f.n)) - 1
-        assert acc == f.packed_int()
+        assert acc == oracles.packed_int(f)
         assert negated == bool(f.evaluate(0))

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -419,6 +420,37 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["s"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # 65536 lines overfill the pipe, so a write meets the closed end
+        (["enumerate", "--n", "4"], b"4:0000\n"),
+        # the report is written whole at the end, after the reader has gone
+        (["verify", "--exhaustive", "2", "--format", "text"], None),
+    ],
+    ids=["enumerate", "verify"],
+)
+def test_a_reader_that_closes_early_gives_exit_three(argv, first):
+    cmd = [sys.executable, "-m", "boolfn.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        if first is not None:
+            assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 3
+    assert err.count("error:") == 1 and "Broken pipe" in err and "Traceback" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_full_stdout_gives_exit_three():
+    with open("/dev/full", "w") as full:
+        cmd = [sys.executable, "-m", "boolfn.cli", "analyze", "--fn", "3:96"]
+        result = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert result.returncode == 3
+    err = result.stderr
+    assert err.count("error:") == 1 and "No space left" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -72,3 +72,43 @@ def test_no_unused_imports():
     # __init__ imports to re-export, so it is left out
     paths = sorted((ROOT / "src" / "boolfn").glob("*.py"))
     assert [name for path in paths if path.stem != "__init__" for name in _unused_imports(path)] == []
+
+
+class _Owners(ast.NodeVisitor):
+    """Where a module converts hex (``.hex(...)``, ``.fromhex(...)``) and
+    shifts ``CHUNK_CELLS`` right, by the dotted name of the enclosing
+    function or class."""
+
+    def __init__(self, module: str) -> None:
+        self.scope, self.hex, self.shifts = [module], set(), set()
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if getattr(node.func, "attr", None) in ("hex", "fromhex"):
+            self.hex.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        shifted = getattr(node.left, "id", None) or getattr(node.left, "attr", None)
+        if isinstance(node.op, ast.RShift) and shifted == "CHUNK_CELLS":
+            self.shifts.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_owner_for_the_text_format_and_the_stack_size():
+    # core alone writes and reads the n:HEX text, and measures.stack_size
+    # alone decides how many tables share a stack
+    hex_users, shifts = set(), set()
+    for path in sorted((ROOT / "src" / "boolfn").glob("*.py")):
+        owners = _Owners(path.stem)
+        owners.visit(ast.parse(path.read_text()))
+        hex_users |= {name.split(".")[0] for name in owners.hex}
+        shifts |= owners.shifts
+    assert hex_users == {"core"}
+    assert shifts == {"measures.stack_size"}
