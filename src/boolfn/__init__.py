@@ -24,12 +24,10 @@ from .core import (
     CapExceededError,
     FormatError,
     LazyFunction,
-    Restriction,
     TruthTable,
     compose,
     dense_cap,
     depends_on_all,
-    evaluate,
     is_monotone,
     materialize,
     parse,

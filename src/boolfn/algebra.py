@@ -104,9 +104,6 @@ class MultilinearPoly:
     def coefficient(self, vars_) -> int:
         return int(_one_table(self.coeffs)[_index_of_subset(iter(vars_), self.n)])
 
-    def degree(self) -> int:
-        return int(degrees(_one_table(self.coeffs), self.n))
-
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         for t in np.nonzero(_one_table(self.coeffs))[0]:
             yield subset_of_index(int(t), self.n), int(self.coeffs[t])

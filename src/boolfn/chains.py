@@ -29,7 +29,6 @@ from .core import (
     BooleanFunction,
     Tables,
     TruthTable,
-    evaluate,
     materialize,
     popcounts,
     table_values,
@@ -90,7 +89,7 @@ def alternation_along(f: BooleanFunction, c: Chain) -> int:
         raise ArityMismatchError(
             f"function arity {f.arity} != chain arity {c.arity}"
         )
-    values = [evaluate(f, x) for x in c.points()]
+    values = [f.evaluate(x) for x in c.points()]
     return sum(a != b for a, b in zip(values, values[1:]))
 
 
@@ -234,8 +233,8 @@ def glued_composition_chain(f_chain: Chain, g_chain: Chain, g: BooleanFunction) 
     n = g_chain.arity
     if g.arity != n:
         raise ArityMismatchError(f"g arity {g.arity} != chain arity {n}")
-    c0 = evaluate(g, 0)
-    c1 = evaluate(g, (1 << n) - 1)
+    c0 = g.evaluate(0)
+    c1 = g.evaluate((1 << n) - 1)
     if c0 == c1:
         raise ValueError("gluing requires g(0^n) != g(1^n)")
     blocks = f_chain.order if c0 == 0 else tuple(reversed(f_chain.order))

@@ -1,9 +1,9 @@
 """Command-line surface: analyze functions, generate families, build and
 evaluate chains, run verification sweeps, and stream enumerations.
 
-Exit codes: 0 success, 1 verification assertion failure, 2 usage error,
-3 an OS error, such as stdout closed early or full. Data goes to stdout
-only when complete; diagnostics go to stderr.
+Exit codes: 0 success, 1 a failed assert check, 2 usage error, 3 an OS
+error (stdout closed early or full, a dead sweep worker), 130 Ctrl-C.
+Data goes to stdout only when complete; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _cmd_analyze(args, parser) -> int:
+def _cmd_analyze(args) -> int:
     functions = _resolve_all(vars(args))
     caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
     exports = [flag for flag, path in (("--spectrum-out", args.spectrum_out), ("--poly-out", args.poly_out)) if path]
@@ -166,7 +166,7 @@ def _cmd_analyze(args, parser) -> int:
     return 0
 
 
-def _cmd_family(args, parser) -> int:
+def _cmd_family(args) -> int:
     fn = _resolve(dict(vars(args), family=args.generator))
     if isinstance(fn, LazyFunction) or args.lazy:
         _emit(json.dumps({**describe(fn), "arity": fn.arity}, sort_keys=True))
@@ -191,7 +191,7 @@ def _chain_or_witness(raw: Optional[str], fn: BooleanFunction) -> chains.Chain:
     return measures.alternation_decrease(fn).witness
 
 
-def _cmd_chain(args, parser) -> int:
+def _cmd_chain(args) -> int:
     if args.chain_cmd == "eval":
         fn = _resolve(vars(args))
         alt = chains.alternation_along(fn, _load_chain(args, fn.arity))
@@ -233,7 +233,7 @@ def _populations(args) -> list[verify.Population]:
     return populations
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     if args.fail_limit < 0:
         raise UsageError(f"--fail-limit {args.fail_limit}: must be >= 0")
     if args.jobs < 1:
@@ -262,7 +262,7 @@ def _cmd_verify(args, parser) -> int:
     return exit_code
 
 
-def _cmd_enumerate(args, parser) -> int:
+def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
     texts = itertools.chain.from_iterable(map(serialize_rows, verify.Population.exhaustive(args.n).stacks()))
@@ -348,16 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args, parser)
+        code = args.handler(args)
         sys.stdout.flush()  # a full disk shows here, not at exit
         return code
     except (UsageError, ValueError) as exc:  # FormatError and CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # BrokenPipeError included
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    except OSError as exc:  # BrokenPipeError and a dead sweep worker included
         # point stdout at os.devnull, so what is left in its buffer is not retried at exit
         with suppress(OSError, ValueError):  # an in-process caller's stream may have no descriptor
             fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)

@@ -40,13 +40,11 @@ __all__ = [
     "CapExceededError",
     "FormatError",
     "LazyFunction",
-    "Restriction",
     "TruthTable",
     "compose",
     "dense_cap",
     "depends_on_all",
     "digit_sweep",
-    "evaluate",
     "is_monotone",
     "materialize",
     "packed_rows",
@@ -187,9 +185,6 @@ class TruthTable:
     def negate(self) -> "TruthTable":
         return TruthTable(self.n, 1 - self.values)
 
-    def __invert__(self) -> "TruthTable":
-        return self.negate()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruthTable):
             return NotImplemented
@@ -257,40 +252,10 @@ class LazyFunction:
 BooleanFunction = Union[TruthTable, LazyFunction]
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Partial assignment fixing a subset of variables to bits.
-
-    ``fixed`` maps 1-based variable indices to 0/1.
-    """
-
-    fixed: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        indices = [j for j, _ in self.fixed]
-        if len(indices) != len(set(indices)):
-            raise ValueError("duplicate restriction index")
-
-    @classmethod
-    def of(cls, assignment: Mapping[int, int]) -> "Restriction":
-        items = tuple(sorted((int(j), int(b) & 1) for j, b in assignment.items()))
-        return cls(items)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.fixed)
-
-
-def evaluate(f: BooleanFunction, x: Point) -> int:
-    """Evaluate ``f`` at the point ``x``."""
-    return f.evaluate(x)
-
-
-def restrict(f: TruthTable, r: Restriction | Mapping[int, int]) -> TruthTable:
-    """Subfunction with the given variables fixed.
-
-    Surviving variables are renumbered in increasing original order.
-    """
-    fixed = r.as_dict() if isinstance(r, Restriction) else dict(r)
+def restrict(f: TruthTable, fixed: Mapping[int, int]) -> TruthTable:
+    """Subfunction with the variables that ``fixed`` maps (1-based) set to
+    their bits. Surviving variables are renumbered in increasing original
+    order."""
     n = f.n
     for j in fixed:
         if not 1 <= j <= n:

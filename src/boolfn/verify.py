@@ -17,9 +17,9 @@ so parallel runs match serial ones.
 
 A sweep with ``jobs > 1`` first runs alone, stack by stack, for
 ``SOLO_SWEEP_S``, about what starting a worker costs, so a short sweep
-starts none. Then it splits the members it has not swept into index
-ranges: the calling process runs the first, and one worker process each of
-the rest (:func:`run_check_suite`). Each decodes only the members of its
+starts none. Then the members left form one plan of index ranges
+(:func:`run_check_suite`): the calling process sweeps the first, and one
+worker process each of the rest. Each decodes only the members of its
 own range, straight into read-only stacks of up to ``measures.CHUNK_CELLS``
 cells (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk`
 each, so every measure is computed once per chunk, not once per function,
@@ -41,6 +41,7 @@ import math
 import os
 import random
 import re
+import signal
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -424,10 +425,8 @@ def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
     return [CHECKS[name] for name in dict.fromkeys(checks)]
 
 
-def run_single_check(check: Check | str, table: TruthTable, **caps) -> CheckResult:
+def run_single_check(check: Check, table: TruthTable, **caps) -> CheckResult:
     """Run one check on one function (counterexample reproduction path)."""
-    if isinstance(check, str):
-        check = resolve_checks([check])[0]
     record = measures.measure_report(table, **caps)
     status, observed = check.run(record)
     return CheckResult(check=check.name, fn_id=record.fn_id(), status=status, observed=observed)
@@ -510,14 +509,13 @@ class Aggregate:
         kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
         self._keep_failures([_failure(r.fn_id(), _values(r, check.observed)) for r in kept])
 
-    def merge(self, other: "Aggregate") -> "Aggregate":
+    def merge(self, other: "Aggregate") -> None:
         for status, count in other.counts.items():
             self.counts[status] += count
         self._keep_failures(other.failures)
         self._count_skips(other.skip_reasons)
         if other.max_ratio is not None:
             self._offer_ratio(other.max_ratio, other.max_ratio_fn)
-        return self
 
     def _keep_failures(self, failures: list) -> None:
         self.failures.extend(failures)
@@ -576,18 +574,17 @@ def _run_chunk(
     caps: dict,
     fail_limit: int,
     matrix: Optional[TextIO] = None,
-    until: Optional[float] = None,
+    until: Optional[Callable[[], bool]] = None,
 ) -> tuple[dict[str, Aggregate], int]:
     """The aggregates of members ``start`` to ``stop``, a chunk per stack,
     and the index of the first member not swept. Each chunk's
     ``measures.COLUMNS`` rows are written to ``matrix`` as CSV if given (a
-    capped cell is ``None``, which the CSV writer leaves empty). Given a
-    ``time.perf_counter`` deadline ``until``, no stack is decoded once it
-    has passed."""
+    capped cell is ``None``, which the CSV writer leaves empty). Given
+    ``until``, no stack is decoded once ``until()`` is true."""
     selected = resolve_checks(check_names)
     aggregates = {c.name: Aggregate(c.kind, fail_limit) for c in selected}
     stacks, reached = population.stacks(start, stop), start
-    while until is None or time.perf_counter() < until:
+    while until is None or not until():
         stack = next(stacks, None)
         if stack is None:
             break
@@ -606,45 +603,37 @@ def _worker(conn, *args) -> None:
     """Run one share (``_run_chunk``'s arguments, ``matrix`` a flag) in a worker
     process; send ``((aggregates, rows), None)`` down ``conn``, ``rows`` the
     share's matrix CSV text if flagged and else ``None``, or ``(exception,
-    its traceback)``."""
+    its traceback)``. It ignores SIGINT, as its caller ends it. Once its
+    parent changes, its caller is gone: it stops and sends nothing."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+    orphaned = lambda: os.getppid() != parent
     try:
         *args, matrix = args
         rows = io.StringIO() if matrix else None
-        aggregates, _ = _run_chunk(*args, rows)
+        aggregates, _ = _run_chunk(*args, rows, orphaned)
         result = ((aggregates, rows.getvalue() if matrix else None), None)
     except Exception as exc:
         import traceback
 
         result = (exc, traceback.format_exc())
-    conn.send(result)
+    if not orphaned():
+        conn.send(result)
     conn.close()
 
 
 def _receive(conn, worker):
     """A worker's share, or what it raised, with the worker's traceback as
     its cause; a worker that ends without sending either raises
-    ``RuntimeError``."""
+    ``ChildProcessError``."""
     try:
         value, trace = conn.recv()
     except EOFError:
         worker.join()
-        raise RuntimeError(f"sweep worker exited with code {worker.exitcode} without a result") from None
+        raise ChildProcessError(f"sweep worker exited with code {worker.exitcode} without a result") from None
     if trace is not None:
         raise value from RuntimeError(f"raised in a sweep worker:\n{trace}")
     return value
-
-
-def _sweep_report(population: Population, partials: list[dict[str, Aggregate]]) -> SweepReport:
-    """The report of the chunk runs ``partials``, which cover the population."""
-    aggregates = partials[0]
-    for part in partials[1:]:
-        for name, agg in part.items():
-            aggregates[name].merge(agg)
-    return SweepReport(
-        registry_version=REGISTRY_VERSION,
-        population=population.descriptor(),
-        checks={name: aggregates[name].finalize() for name in sorted(aggregates)},
-    )
 
 
 def run_check_suite(
@@ -662,15 +651,15 @@ def run_check_suite(
     Aggregation is commutative (counts add, extrema and retained witnesses
     are order-independent), so fanning out over workers produces the same
     report as a serial run. ``jobs`` must be at least 1, and is clamped to
-    the CPU count. With ``jobs > 1`` the calling process first sweeps alone,
-    stack by stack, until ``SOLO_SWEEP_S`` has passed; a sweep that ends by
-    then imports no ``multiprocessing`` and starts no process. If fewer
-    than ``2 * jobs`` members are left, it sweeps them alone too. Otherwise
-    they split into ``jobs`` shares: the calling process runs the first,
-    one worker process each of the rest, each sending its aggregates back
-    over a pipe of its own. A worker's exception is raised here, and a
-    worker that ends without a result raises ``RuntimeError``; no worker
-    outlives the call.
+    the CPU count. The calling process first sweeps alone, stack by stack,
+    to the end if ``jobs = 1``, else until ``SOLO_SWEEP_S`` has passed.
+    The members left form ``jobs`` shares if there are ``2 * jobs`` or
+    more, else one: the calling process sweeps the first, and one worker
+    process each of the rest, sending its aggregates over a pipe of its
+    own. Each share is merged into the solo phase's aggregates as it is
+    received; one share imports no ``multiprocessing``. A worker's
+    exception is raised here, and a worker that ends without a result
+    raises ``ChildProcessError``; no worker outlives the call.
 
     Given a text file ``matrix``, the sweep writes the ``measures.COLUMNS``
     header and each member's row to it as CSV, in population order: the
@@ -691,39 +680,35 @@ def run_check_suite(
         import csv
 
         csv.writer(matrix).writerow(measures.COLUMNS)
-    until = time.perf_counter() + SOLO_SWEEP_S if jobs > 1 else None
-    solo, reached = _run_chunk(population, names, 0, None, caps, fail_limit, matrix, until)
-    partials = [solo]
-    if total - reached < 2 * jobs:  # too few members left to share
-        if reached < total:
-            partials.append(_run_chunk(population, names, reached, None, caps, fail_limit, matrix)[0])
-        return _sweep_report(population, partials)
-    import multiprocessing as mp
-
-    # total - reached >= 2 * jobs, so no share is empty
-    bounds = [reached + ((total - reached) * i) // jobs for i in range(jobs + 1)]
-    # fork where the platform has it; elsewhere the default start method,
-    # which works too, as _worker and its arguments pickle
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+    deadline = time.perf_counter() + SOLO_SWEEP_S
+    until = (lambda: time.perf_counter() >= deadline) if jobs > 1 else None
+    aggregates, reached = _run_chunk(population, names, 0, None, caps, fail_limit, matrix, until)
+    # with 2 * jobs members left or more, no share is empty
+    shares = jobs if total - reached >= 2 * jobs else 1
+    bounds = [reached + ((total - reached) * i) // shares for i in range(shares + 1)]
     pipes, workers = [], []
     try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            receiver, sender = ctx.Pipe(duplex=False)
-            pipes.append(receiver)
-            args = (sender, population, names, lo, hi, caps, fail_limit, matrix is not None)
-            worker = ctx.Process(target=_worker, args=args)
-            try:
-                worker.start()
-            finally:
-                # the worker holds the one sender left, so its end ends the pipe
-                sender.close()
-            workers.append(worker)
-        partials.append(_run_chunk(population, names, bounds[0], bounds[1], caps, fail_limit, matrix)[0])
-        for receiver, worker in zip(pipes, workers):
-            aggregates, rows = _receive(receiver, worker)
+        if shares > 1:
+            import multiprocessing as mp
+
+            # fork where the platform has it; elsewhere the default start
+            # method, which works too, as _worker and its arguments pickle
+            ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                receiver, sender = ctx.Pipe(duplex=False)
+                pipes.append(receiver)
+                args = (sender, population, names, lo, hi, caps, fail_limit, matrix is not None)
+                worker = ctx.Process(target=_worker, args=args)
+                with sender:  # the worker holds the one sender left, so its end ends the pipe
+                    worker.start()
+                workers.append(worker)
+        # the caller's share, then each worker's, merged as it is received
+        own = _run_chunk(population, names, *bounds[:2], caps, fail_limit, matrix)[0] if reached < total else {}
+        for share, rows in itertools.chain([(own, None)], map(_receive, pipes, workers)):
             if rows is not None:
                 matrix.write(rows)
-            partials.append(aggregates)
+            for name, agg in share.items():
+                aggregates[name].merge(agg)
     finally:
         for receiver in pipes:
             receiver.close()
@@ -731,4 +716,8 @@ def run_check_suite(
             if worker.is_alive():
                 worker.terminate()
             worker.join()
-    return _sweep_report(population, partials)
+    return SweepReport(
+        registry_version=REGISTRY_VERSION,
+        population=population.descriptor(),
+        checks={name: aggregates[name].finalize() for name in sorted(aggregates)},
+    )

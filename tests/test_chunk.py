@@ -66,7 +66,7 @@ def test_stacked_results_serve_only_their_rows():
     poly = algebra.multilinear_coefficients(stack)
     spec = algebra.fourier_transform(stack)
     whole = [
-        poly.degree, poly.to_json_dict, lambda: list(poly.items()), lambda: poly.coefficient([1]),
+        poly.to_json_dict, lambda: list(poly.items()), lambda: poly.coefficient([1]),
         spec.sparsity, lambda: list(spec.support()), lambda: list(spec.csv_rows()),
         lambda: spec.coefficient([1]), lambda: algebra.spectral_sums_of(spec),
         lambda: algebra.influence_from_spectrum(spec),
@@ -75,7 +75,7 @@ def test_stacked_results_serve_only_their_rows():
         with pytest.raises(ValueError, match="stack"):
             read()
     for i, t in enumerate(tables):
-        assert algebra.MultilinearPoly(3, poly.coeffs[i]).degree() == algebra.degree(t)
+        assert algebra.degrees(poly.coeffs[i], 3) == algebra.degree(t)
         assert algebra.FourierSpectrum(3, spec.scaled[i]).sparsity() == algebra.sparsity(t)
 
 

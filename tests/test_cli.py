@@ -4,8 +4,11 @@ import csv
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +454,80 @@ def test_a_full_stdout_gives_exit_three():
     assert result.returncode == 3
     err = result.stderr
     assert err.count("error:") == 1 and "No space left" in err and "Traceback" not in err, err
+
+
+# `boolfn verify --jobs 2` with two CPUs, on a sweep long enough that its
+# one worker is still running when the test signals.
+LONG_SWEEP = """
+import os, sys
+os.cpu_count = lambda: 2
+from boolfn import cli
+sys.exit(cli.main(["verify", "--sample", "8,4000000,42", "--checks", "deg-product-bound-m2", "--jobs", "2"]))
+"""
+
+
+def _group(pgid: int) -> dict[int, int]:
+    """Each live (not zombie) process of process group ``pgid``, read from
+    /proc: its pid and the mask of signals it ignores."""
+    group = {}
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as stat, open(f"/proc/{pid}/status") as status:
+                state, _, pgrp = stat.read().rsplit(")", 1)[1].split()[:3]
+                ignored = next(line.split()[1] for line in status if line.startswith("SigIgn:"))
+        except OSError:  # gone
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            group[int(pid)] = int(ignored, 16)
+    return group
+
+
+def _wait_until(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+def _workers(caller) -> dict[int, int]:
+    return {pid: ignored for pid, ignored in _group(caller.pid).items() if pid != caller.pid}
+
+
+@contextmanager
+def long_sweep():
+    """The LONG_SWEEP caller, in a session of its own, once its worker has
+    started; on exit every process of its session is killed."""
+    caller = subprocess.Popen(
+        [sys.executable, "-c", LONG_SWEEP], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        assert _wait_until(lambda: _workers(caller), 60), "no worker started"
+        yield caller
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(caller.pid, signal.SIGKILL)
+        caller.communicate()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="the test reads the processes from /proc")
+def test_no_worker_outlives_a_terminated_caller():
+    with long_sweep() as caller:
+        caller.terminate()
+        assert caller.wait(timeout=60) == -signal.SIGTERM
+        # the worker stops before its next stack, which takes well under a second
+        assert _wait_until(lambda: not _group(caller.pid), 5), _group(caller.pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="the test reads the processes from /proc")
+def test_an_interrupt_gives_exit_130_and_one_error_line():
+    sigint = 1 << (signal.SIGINT - 1)  # its bit in a /proc SigIgn mask
+    with long_sweep() as caller:
+        _wait_until(lambda: all(ignored & sigint for ignored in _workers(caller).values()), 5)
+        os.killpg(caller.pid, signal.SIGINT)  # Ctrl-C reaches the whole group
+        out, err = caller.communicate(timeout=60)
+        assert (caller.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert not _group(caller.pid)
 
 
 @pytest.mark.parametrize(

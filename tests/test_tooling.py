@@ -1,5 +1,6 @@
 """The benchmark's tracer names functions of boolfn, so a rename must show
-here; and the package keeps no module-level caches."""
+here; the package keeps no module-level caches; and src/ keeps within its
+line budget."""
 
 import ast
 import importlib
@@ -8,6 +9,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+# The most lines src/boolfn/*.py may hold. A change that grows src/ raises
+# it in the same diff and says why in CHANGES.md.
+SRC_LINE_BUDGET = 3100
 
 
 def test_traced_names_resolve():
@@ -112,3 +116,8 @@ def test_one_owner_for_the_text_format_and_the_stack_size():
         shifts |= owners.shifts
     assert hex_users == {"core"}
     assert shifts == {"measures.stack_size"}
+
+
+def test_src_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in (ROOT / "src" / "boolfn").glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET

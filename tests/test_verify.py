@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,12 @@ class Channel:
     def close(self):
         pass
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
 
 @pytest.fixture
 def inline_workers(monkeypatch) -> list:
@@ -120,7 +127,11 @@ def inline_workers(monkeypatch) -> list:
 
         def start(self):
             started.append(self.args)
-            self.target(*self.args)
+            handler = signal.getsignal(signal.SIGINT)  # a worker ignores SIGINT
+            try:
+                self.target(*self.args)
+            finally:
+                signal.signal(signal.SIGINT, handler)
 
         def is_alive(self):
             return False
@@ -164,7 +175,7 @@ def test_jobs_below_one_rejected_before_the_sweep(monkeypatch):
         (40, 0, [(0, 20), (20, 40)]),
         (40, 3, [(12, 26), (26, 40)]),
         (40, 9, [(36, 38), (38, 40)]),
-        (42, 10, [(40, None)]),  # 2 members left, fewer than 2 * jobs: the caller sweeps them
+        (42, 10, [(40, 42)]),  # 2 members left, fewer than 2 * jobs: the caller sweeps them
         (40, 10, []),  # the solo phase swept them all
     ],
     ids=["no-solo-stack", "after-3-stacks", "after-9-stacks", "rest-alone", "all-solo"],
@@ -200,9 +211,10 @@ def test_workers_take_only_the_members_the_solo_phase_left(monkeypatch, inline_w
 
 # A sweep whose worker dies without a result, in a process of its own, so
 # that a sweep that waits on the dead worker fails the test by its timeout.
+# Given an argv, the sweep is `boolfn verify` with it.
 DYING_WORKER = """
-import multiprocessing, os
-from boolfn import verify
+import multiprocessing, os, sys
+from boolfn import cli, verify
 
 run_chunk = verify._run_chunk
 
@@ -214,26 +226,39 @@ def dying(population, names, start, *rest):
 os.cpu_count = lambda: 2
 verify.SOLO_SWEEP_S = 0
 verify._run_chunk = dying
+if sys.argv[1:]:
+    sys.exit(cli.main(sys.argv[1:]))
 try:
     verify.run_check_suite(verify.Population.sample(4, 40, 3), jobs=2)
-except RuntimeError as exc:
+except ChildProcessError as exc:
     print(exc)
 print(multiprocessing.active_children())
 """
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is patched by fork")
-def test_worker_that_dies_without_a_result_raises():
+def run_dying_worker(*argv) -> subprocess.CompletedProcess:
     src = str(Path(verify.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", DYING_WORKER],
+    return subprocess.run(
+        [sys.executable, "-c", DYING_WORKER, *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is patched by fork")
+def test_worker_that_dies_without_a_result_raises():
+    result = run_dying_worker()
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["sweep worker exited with code 3 without a result", "[]"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is patched by fork")
+def test_a_dead_worker_gives_exit_three():
+    result = run_dying_worker("verify", "--sample", "4,40,3", "--jobs", "2")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error: sweep worker exited with code 3 without a result\n"
 
 
 # `boolfn verify` with two CPUs, its argv from the command line; stderr
