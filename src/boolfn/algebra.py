@@ -1,25 +1,23 @@
 """Exact polynomial and Fourier algebra on dense truth tables.
 
 Multilinear coefficients over the integers, the degrees they induce over Z
-and over every Z_m (one scan of the coefficients, :func:`degrees`), the
-integer-scaled Walsh spectrum of the +/-1-valued version of
-a function, sparsity, and the weighted spectral sums. All arithmetic is
-exact: the spectrum carries numerators at denominator 2**n and rationals
-appear only at reporting time.
+and over each Z_m of ``MODULI`` (one scan, :func:`degrees`) or any other
+m (:func:`degree`), the integer-scaled Walsh spectrum of the +/-1-valued
+version of a function, sparsity, and the weighted spectral sums. All
+arithmetic is exact: the spectrum carries numerators at denominator 2**n
+and rationals appear only at reporting time.
 
-The Moebius and Walsh transforms are butterflies along the last axis, so
-each takes one table or an ``(N, 2**n)`` stack of same-arity tables and
-transforms every row in the same passes: one :func:`core.digit_sweep`,
-whose passes on the last five variables run on transposed int8 blocks, as
-a block's entries stay within +/-2**5, and those on the first variables on
-the natural layout in int32 (int64 above ``INT64_EXACT_MAX_ARITY``).
+The Moebius and Walsh transforms take one table or an ``(N, 2**n)`` stack
+of same-arity tables and transform every row in one :func:`core.digit_sweep`
+of butterflies, in int8 on the last five variables' blocks, whose entries
+stay within +/-2**5, and then in ``_exact_dtype(n)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Optional
 
 import numpy as np
@@ -27,6 +25,7 @@ import numpy as np
 from .core import CHUNK_CELLS, Tables, TruthTable, digit_sweep, popcounts, table_values
 
 __all__ = [
+    "MODULI",
     "FourierSpectrum",
     "MultilinearPoly",
     "SpectralSums",
@@ -128,10 +127,11 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly:
 
 def degree(f: TruthTable, m: Optional[int] = None) -> int:
     """Degree of the multilinear representation over Z, or over Z_m for
-    ``m`` >= 2 (:func:`degrees` of the coefficients, reduced mod m)."""
+    ``m`` >= 2: the degree over Z of the coefficients reduced mod m."""
     if m is not None and (m := int(m)) < 2:
         raise ValueError("modulus must be >= 2")
-    return int(degrees(multilinear_coefficients(f).coeffs, f.n, m))
+    coeffs = multilinear_coefficients(f).coeffs
+    return int(degrees(coeffs if m is None else coeffs % m, f.n)[0])
 
 
 def _levels_from_top(n: int) -> Iterator[np.ndarray]:
@@ -146,34 +146,52 @@ def _levels_from_top(n: int) -> Iterator[np.ndarray]:
         level, low = np.repeat(level, low) | (1 << b), b
 
 
-def degrees(
-    coeffs: np.ndarray, n: int, modulus: Optional[int] = None, weights: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The degree of every coefficient row (along the last axis): the largest
-    monomial whose coefficient is nonzero (mod ``modulus``), 0 if none.
+# The moduli m of the deg_m that :func:`degrees` gives after the degree over Z,
+# and per residue below their lcm, bit i + 1 set iff MODULI[i] does not divide it.
+MODULI = (2, 3, 4, 5, 6)
+_RESIDUE_BITS = sum((np.arange(lcm(*MODULI)) % m != 0).astype(np.uint8) << i for i, m in enumerate(MODULI, 1))
+_BITS = np.arange(1 + len(MODULI), dtype=np.uint8)
 
-    The popcount levels are scanned from n down, reducing only the rows
-    still open, so a random table is done after a level or two. Before the
-    scan would read 1/32 of all the coefficients, the open rows take the
-    full pass instead, so low-degree rows cost about what that pass does.
-    That pass reads ``weights``, ``popcounts(n)``, built here unless the
-    caller holds it.
+
+def _nonzero_bits(c: np.ndarray) -> np.ndarray:
+    """Per coefficient, bit 0 set iff it is nonzero and bit i + 1 iff ``MODULI[i]`` does not divide it."""
+    residue = c - c // len(_RESIDUE_BITS) * len(_RESIDUE_BITS)  # a floor division is far faster than %
+    return _RESIDUE_BITS.take(residue) | (c != 0)
+
+
+def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Of every coefficient row (along the last axis), the degree over Z and
+    over each Z_m of ``MODULI``, the largest monomial whose coefficient is
+    nonzero (mod m), along a new last axis in that order, as uint8.
+
+    The popcount levels are scanned from n down, each coefficient read once
+    for all six as a bit mask (:func:`_nonzero_bits`), until a row has all
+    six, so a random table is done after a level or two. Before the scan
+    would read 1/32 of all the coefficients, the open rows take the full
+    pass instead, at about one modulus's cost: their masks, then per degree
+    still open the largest of ``weights`` (``popcounts(n)`` unless given)
+    where its bit is set.
     """
     rows = coeffs.reshape(-1, 1 << n)
-    deg, todo, budget = np.zeros(len(rows), dtype=np.int64), np.arange(len(rows)), rows.size >> 5
-    nonzero = (lambda c: c % modulus != 0) if modulus else (lambda c: c != 0)
+    deg = np.zeros((len(rows), len(_BITS)), np.uint8)
+    todo, found, budget = np.arange(len(rows)), np.zeros(len(rows), np.uint8), rows.size >> 5
     levels = _levels_from_top(n)
     for w in range(n, 0, -1):
         budget -= todo.size * comb(n, w)
-        if budget < 0:
-            weights = popcounts(n) if weights is None else weights
-            deg[todo] = np.where(nonzero(coeffs), weights, 0).max(axis=-1).reshape(-1)[todo]
+        if budget < 0:  # the open rows' masks transposed, so each max is over rows of them
+            bits = _nonzero_bits(np.ascontiguousarray((rows if todo.size == len(rows) else rows[todo]).T))
+            weights = (popcounts(n) if weights is None else weights)[:, None]
+            for b in np.flatnonzero((np.bitwise_and.reduce(found) >> _BITS & 1) == 0).tolist():
+                deg[todo, b] = ((bits >> b & 1) * weights).max(axis=0)
             break
-        hit = nonzero(rows[todo[:, None], next(levels)]).any(axis=-1)
-        deg[todo[hit]] = w
-        if not (todo := todo[~hit]).size:
+        hit = np.bitwise_or.reduce(_nonzero_bits(rows[todo[:, None], next(levels)]), axis=-1)
+        deg[todo] += ((hit & ~found)[:, None] >> _BITS & 1) * np.uint8(w)
+        found |= hit
+        keep = found != (1 << len(_BITS)) - 1
+        todo, found = todo[keep], found[keep]
+        if not todo.size:
             break
-    return deg.reshape(coeffs.shape[:-1])
+    return deg.reshape(*coeffs.shape[:-1], len(_BITS))
 
 
 @dataclass(frozen=True)

@@ -4,40 +4,23 @@ Sensitivity, block sensitivity, certificate complexity, influence,
 alternation/decrease (via the hypercube DP), decision-tree depth, and the
 negation counts that follow from the decrease value. Everything is exact.
 
-Decision-tree depth and certificate complexity are both read from f's
-constancy planes (:func:`constancy_planes`): one bit per row and subcube,
-set where f is constant on it, eight rows to a byte. They come from the
-value planes, four rows to a byte, each row with a bit for constant 1 and
-one for constant 0: a subcube with x_j free is constant 1 where both its
-halves on x_j are and constant 0 where both are, so each split is one AND
-(:func:`subcube_table` reads f's value on each subcube off them). Block
-sensitivity reads C: C(f, x) for every x, with s(f), bounds its search, so
-only points with s(f) < C(f, x) get the O(n * 2**n) minimal-block scan. A
-table's 3**n bytes of planes bound the bs, C and DT caps by
-``SUBCUBE_MAX_ARITY``. The value planes, each DT round, which is bitwise
-on the constancy planes, and per-point sensitivity are each one sweep of
-one pass per variable (:func:`core.digit_sweep`): the passes on the first
-variables run on the natural cell order, and those on the last few, which
-there would read runs of 1 to 16 cells, on block copies with the cells
-transposed. Per-point sensitivity runs in uint8, each cell f(x) in its top
-bit and s(f, x) below. The DT rounds stop after round n - 1, as a cube
-open then has DT = n. The C sweep unpacks a row's constancy bits into
-counts.
+Decision-tree depth and certificate complexity are read from f's constancy
+planes (:func:`constancy_planes`), one bit per row and subcube, eight rows
+to a byte, and block sensitivity reads C: C(f, x) for every x, with s(f),
+bounds its search. A table's 3**n bytes of planes bound the bs, C and DT
+caps by ``SUBCUBE_MAX_ARITY``. The value planes, each DT round and
+per-point sensitivity are each one sweep of one pass per variable
+(:func:`core.digit_sweep`), whose passes on the last few variables run on
+block copies with the cells transposed.
 
-Every measure is a column of a :class:`Chunk`: a read-only ``(N, 2**n)``
-stack of consecutive same-arity tables, at most ``CHUNK_CELLS`` cells in
-all. A column is computed at its first read, once for all rows. The
-kernels behind the columns (the alternation DP, Moebius, Walsh and
-per-point sensitivity) each run once on the stack; the constancy planes,
-with the C sweep and the DT rounds over them, run on parts of it of at most
-``8 * CHUNK_CELLS`` subcube cells. Only block sensitivity still searches row
-by row, and only on rows with s(f) < max C(f, x). The check registry reads
-whole columns. Every value a report carries is named once, in ``VALUES``,
-with its whole-chunk column of Python values: the measure matrix zips a
-chunk's columns, and :class:`MeasureContext`, the record of one function,
-is a view of one row of its chunk that reads a column's entry by that
-name, for ``boolfn analyze`` and ``Check.run``. A population decodes its
-members straight into stacks (``verify.Population.stacks``);
+Every measure is a column of a :class:`Chunk` of same-arity tables,
+computed once for all its rows. Only block sensitivity still searches row
+by row, and only on rows with s(f) < max C(f, x). Every value a report
+carries is named once, in ``VALUES``, with its whole-chunk column of Python
+values: the check registry and the measure matrix read these columns, and
+:class:`MeasureContext`, the record of one function for ``boolfn analyze``
+and ``Check.run``, is a view of one row of its chunk. A population decodes
+its members straight into stacks (``verify.Population.stacks``);
 :func:`records` stacks built tables, such as every ``analyze`` source. A
 lone function's record, :func:`measure_report`, is a chunk of one; the
 library's one-function measures read it.
@@ -407,11 +390,10 @@ def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
 
 def per_value(fn: Callable, column: np.ndarray) -> np.ndarray:
     """``fn`` of every entry of an integer column, run in Python once per
-    distinct value, so a float formula gives the bits it gives on that
-    value as a Python int."""
-    entries = column.tolist()
-    results = {v: fn(v) for v in set(entries)}
-    return np.array([results[v] for v in entries])
+    distinct value, on that value as a Python int, so a float formula gives
+    the bits it gives there."""
+    distinct, inverse = np.unique(column, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[inverse]
 
 
 def _exact_column(compute: Callable[["Chunk"], np.ndarray]) -> cached_property:
@@ -423,23 +405,20 @@ class Chunk:
     """Same-arity tables whose measures are columns, each computed once.
 
     The chunk holds its tables as one read-only ``(N, 2**n)`` uint8
-    ``stack``. A row becomes a :class:`TruthTable`, a read-only view of the
-    stack (:meth:`table`), only where one is read: by a record, the bs
-    search, and the function ids. A column is computed at its first read,
-    for all rows at once, and kept. The per-point columns (``per_point_s``,
-    ``profile``, ``coeffs``, ``spectrum``, and each row's witness chain
-    order ``witness``) come from one kernel run on the stack, and
-    ``per_point_cert`` from one run per part of the constancy planes
-    ``planes``, which stay packed eight rows to a byte. They are as narrow
-    as their entries: ``per_point_s`` and ``per_point_cert`` uint8,
-    ``profile`` int32, ``coeffs`` and ``spectrum`` int32 (int64 above
-    ``algebra.INT64_EXACT_MAX_ARITY``). The per-row measures are built from
-    them as exact integers (``algebra.exact_terms``, int64 or Python ints).
-    A rational measure is kept as its numerator:
-    ``I_num`` and ``avg_s2_num`` over 2**n, and the spectral ``sums`` (see
-    ``algebra.spectral_numerators``). :meth:`values` gives a column of
-    ``VALUES``, as Python values, and :meth:`record` a view of one row that
-    reads them by name. No reader asks for a measure above its cap.
+    ``stack`` of at most ``CHUNK_CELLS`` cells (or one table); a row is read
+    as a :class:`TruthTable` view (:meth:`table`) only by a record, the bs
+    search and the function ids. A column is computed at its first read,
+    for all rows, and kept. The per-point columns (``per_point_s``,
+    ``profile``, ``coeffs``, ``spectrum``, the witness chain orders
+    ``witness``) come from one kernel run on the stack, and
+    ``per_point_cert`` from one run per part of the constancy ``planes``.
+    The per-row measures are exact integers (``algebra.exact_terms``):
+    ``degrees``, one scan of ``coeffs``, holds the degree over Z and over
+    each Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
+    rational measure is kept as its numerator (``I_num`` and ``avg_s2_num``
+    over 2**n, the spectral ``sums``). :meth:`values` gives a column of
+    ``VALUES`` as Python values, and :meth:`record` a view of one row. No
+    reader asks for a measure above its cap.
     """
 
     def __init__(
@@ -480,15 +459,13 @@ class Chunk:
         return map(self.record, range(len(self)))
 
     def first_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """The (at most) ``k`` of ``rows`` with the smallest function ids.
-
-        Within one arity, ``serialize`` order is the order of the packed
-        tables, so the rows sort on those integers and no id is built.
-        """
+        """The (at most) ``k`` of ``rows`` with the smallest function ids,
+        equal tables in their order in ``rows``. Within one arity, ``serialize``
+        order is that of the packed tables as little-endian integers, so the
+        rows sort on their bytes, the last one first, and no id is built."""
         if len(rows) > k:
             packed = np.packbits(self.stack[rows], axis=-1, bitorder="little")
-            keys = [int.from_bytes(row, "little") for row in packed]
-            rows = rows[sorted(range(len(rows)), key=keys.__getitem__)[:k]]
+            rows = rows[np.lexsort(packed.T)[:k]]
         return rows
 
     # The per-point columns: one kernel run each on the stack.
@@ -543,15 +520,15 @@ class Chunk:
     negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
     witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
 
-    # The Hamming weight of every index, built once for the degrees and the
-    # spectral sums.
+    # The Hamming weight of every index, for the degrees and the spectral sums.
     weights = cached_property(lambda c: popcounts(c.n))
 
-    # From the Moebius coefficients: the degree over Z and over every Z_m.
-    deg = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n, weights=c.weights))
+    # From the Moebius coefficients: the degrees over Z and each Z_m, one scan.
+    degrees = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n, c.weights))
+    deg = cached_property(lambda c: c.degrees[:, 0])
 
     def degm(self, m: int) -> np.ndarray:
-        return self.keep(m, lambda c: algebra.exact_terms(algebra.degrees(c.coeffs, c.n, m, c.weights), c.n))
+        return self.degrees[:, 1 + algebra.MODULI.index(m)]
 
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.
     sparsity = _exact_column(lambda c: np.count_nonzero(c.spectrum, axis=-1))
@@ -639,7 +616,7 @@ VALUES: dict[str, Callable[[Chunk], list]] = {
     "deg": lambda c: c.deg.tolist(),
     "deg2": lambda c: c.degm(2).tolist(),
     "sparsity": lambda c: c.sparsity.tolist(),
-    **{f"deg_{m}": (lambda c, m=m: c.degm(m).tolist()) for m in range(2, 7)},
+    **{f"deg_{m}": (lambda c, m=m: c.degm(m).tolist()) for m in algebra.MODULI},
     "l1": _over(lambda c: c.sums["l1"], 1),
     "weighted": _over(lambda c: c.sums["weighted"], 1),
     "weighted2": _over(lambda c: c.sums["weighted2"], 2),

@@ -43,6 +43,7 @@ import random
 import re
 import signal
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -599,13 +600,16 @@ def _run_chunk(
     return aggregates, reached
 
 
-def _worker(conn, *args) -> None:
+def _worker(conn, inherited, *args) -> None:
     """Run one share (``_run_chunk``'s arguments, ``matrix`` a flag) in a worker
     process; send ``((aggregates, rows), None)`` down ``conn``, ``rows`` the
     share's matrix CSV text if flagged and else ``None``, or ``(exception,
-    its traceback)``. It ignores SIGINT, as its caller ends it. Once its
-    parent changes, its caller is gone: it stops and sends nothing."""
+    its traceback)``. It ignores SIGINT, as its caller ends it, and closes
+    the caller's receiving ends it inherited, so its send breaks once its
+    caller is gone; once its parent changes, it stops and sends nothing."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for receiver in inherited:
+        receiver.close()
     parent = os.getppid()
     orphaned = lambda: os.getppid() != parent
     try:
@@ -617,8 +621,9 @@ def _worker(conn, *args) -> None:
         import traceback
 
         result = (exc, traceback.format_exc())
-    if not orphaned():
-        conn.send(result)
+    with suppress(BrokenPipeError):
+        if not orphaned():
+            conn.send(result)
     conn.close()
 
 
@@ -697,7 +702,7 @@ def run_check_suite(
             for lo, hi in zip(bounds[1:], bounds[2:]):
                 receiver, sender = ctx.Pipe(duplex=False)
                 pipes.append(receiver)
-                args = (sender, population, names, lo, hi, caps, fail_limit, matrix is not None)
+                args = (sender, tuple(pipes), population, names, lo, hi, caps, fail_limit, matrix is not None)
                 worker = ctx.Process(target=_worker, args=args)
                 with sender:  # the worker holds the one sender left, so its end ends the pipe
                     worker.start()

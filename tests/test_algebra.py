@@ -94,6 +94,10 @@ def full_pass_degrees(coeffs, n, m=None):
     return np.where((coeffs if m is None else coeffs % m) != 0, popcounts(n), 0).max(-1)
 
 
+# The moduli of the columns of algebra.degrees, None for the degree over Z.
+MODULI = (None, *algebra.MODULI)
+
+
 def vanishing_top_row(rng, n, m):
     """A random table whose top coefficient is nonzero but 0 mod m."""
     while True:
@@ -103,18 +107,23 @@ def vanishing_top_row(rng, n, m):
             return values
 
 
-@pytest.mark.parametrize("m", [None, 2, 3, 4, 5, 6])
+def and_of_first(n, j):
+    """AND of the first j variables: degree j, reached only by the full pass."""
+    return (np.arange(1 << n) >> (n - j) == (1 << j) - 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("m", MODULI)
 def test_top_down_degrees_match_the_full_pass(m):
+    column = MODULI.index(m)
     stack = np.stack([TruthTable.from_packed_int(3, p).values for p in range(256)])
     coeffs = multilinear_coefficients(stack).coeffs
-    assert np.array_equal(algebra.degrees(coeffs, 3, m), full_pass_degrees(coeffs, 3, m))
+    assert np.array_equal(algebra.degrees(coeffs, 3)[:, column], full_pass_degrees(coeffs, 3, m))
     rng = random.Random(8 if m is None else m)
     special = [
         TruthTable.constant(8, 0).values,
         TruthTable.constant(8, 1).values,
         families.named_basics("parity", 8).values,
-        # AND of the first j variables: degree j, reached only by the full pass
-        *((np.arange(256) >> (8 - j) == (1 << j) - 1).astype(np.uint8) for j in (1, 2, 3)),
+        *(and_of_first(8, j) for j in (1, 2, 3)),
         vanishing_top_row(rng, 8, m or 2),
     ]
     for rows in (special, special[:6]):
@@ -122,22 +131,84 @@ def test_top_down_degrees_match_the_full_pass(m):
             mixed = [random_table(rng, 8).values for _ in range(rng.randrange(0, 40))] + rows
             rng.shuffle(mixed)
             coeffs = multilinear_coefficients(np.stack(mixed)).coeffs
-            got = algebra.degrees(coeffs, 8, m)
+            got = algebra.degrees(coeffs, 8)[:, column]
             assert got.tolist() == full_pass_degrees(coeffs, 8, m).tolist()
             for row, deg in zip(coeffs, got):
-                assert algebra.degrees(row, 8, m) == deg
+                assert algebra.degrees(row, 8)[column] == deg
 
 
 def test_top_down_degrees_cost_about_a_full_pass_on_low_degree_rows():
     """A constant is the scan's worst case: no level above 0 has a nonzero
-    coefficient, so it falls back to the full pass after a few levels."""
+    coefficient, so it falls back to the full pass after a few levels. That
+    pass finds all six degrees at about the cost of one modulus's."""
     n = 18
     coeffs = np.zeros(1 << n, dtype=np.int64)
     coeffs[0] = 1
     full = min(timeit.repeat(lambda: full_pass_degrees(coeffs, n, 3), number=1, repeat=7))
-    top_down = min(timeit.repeat(lambda: algebra.degrees(coeffs, n, 3), number=1, repeat=7))
-    assert algebra.degrees(coeffs, n, 3) == 0
+    top_down = min(timeit.repeat(lambda: algebra.degrees(coeffs, n), number=1, repeat=7))
+    assert algebra.degrees(coeffs, n).tolist() == [0] * len(MODULI)
     assert top_down <= 3 * full, f"top-down {top_down * 1e3:.2f} ms, full pass {full * 1e3:.2f} ms"
+
+
+def brute_degrees(t):
+    return [oracles.brute_degree(t, m) for m in MODULI]
+
+
+def test_degrees_of_every_small_table_match_the_oracle():
+    for n in range(4):
+        tables = [TruthTable.from_packed_int(n, p) for p in range(1 << (1 << n))]
+        got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])).coeffs, n)
+        assert got.tolist() == [brute_degrees(t) for t in tables]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_degrees_of_seeded_tables_match_the_oracle(n):
+    rng = random.Random(n)
+    tables = [random_table(rng, n) for _ in range(12)] + [TruthTable(n, and_of_first(n, j)) for j in (1, n)]
+    got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])).coeffs, n)
+    assert got.tolist() == [brute_degrees(t) for t in tables]
+    assert [[degree(t, m) for m in MODULI] for t in tables] == got.tolist()
+
+
+@pytest.mark.parametrize("n", [8, 18])
+def test_low_degree_and_vanishing_top_rows_match_the_full_pass(n):
+    rng = random.Random(n)
+    rows = [
+        TruthTable.constant(n, 0).values,
+        TruthTable.constant(n, 1).values,
+        families.named_basics("parity", n).values,
+        *(and_of_first(n, j) for j in (1, 2, 3)),
+        *(vanishing_top_row(rng, n, m) for m in algebra.MODULI),
+    ]
+    # alone, as a lone record's chunk scans them, and stacked, where the
+    # open rows share one full pass
+    stacks = [row[None] for row in rows] + [np.stack(rows)]
+    for stack in stacks:
+        coeffs = multilinear_coefficients(stack).coeffs
+        want = np.stack([full_pass_degrees(coeffs, n, m) for m in MODULI], axis=-1)
+        assert algebra.degrees(coeffs, n).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_degrees_read_every_residue_of_a_coefficient(n):
+    """Rows of coefficients, not of a table: a constant term and one top
+    coefficient c, for every c in -130..130, so each residue mod 60 and
+    nonzero multiples of 60 occur, and each row's degrees are n or 0."""
+    top = np.arange(-130, 131)
+    coeffs = np.zeros((len(top), 1 << n), dtype=np.int32)
+    coeffs[:, 0], coeffs[:, -1] = 1, top
+    want = [[n if (c if m is None else c % m) else 0 for m in MODULI] for c in top.tolist()]
+    assert algebra.degrees(coeffs, n).tolist() == want
+    assert [algebra.degrees(row, n).tolist() for row in coeffs] == want
+
+
+def test_degree_takes_any_modulus():
+    rng = random.Random(7)
+    for n in (3, 5):
+        for _ in range(5):
+            t = random_table(rng, n)
+            for m in (7, 8, 9, 10, 12, 60, 97):
+                assert degree(t, m) == oracles.brute_degree(t, m)
 
 
 def test_fourier_examples():

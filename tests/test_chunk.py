@@ -75,7 +75,7 @@ def test_stacked_results_serve_only_their_rows():
         with pytest.raises(ValueError, match="stack"):
             read()
     for i, t in enumerate(tables):
-        assert algebra.degrees(poly.coeffs[i], 3) == algebra.degree(t)
+        assert algebra.degrees(poly.coeffs[i], 3)[0] == algebra.degree(t)
         assert algebra.FourierSpectrum(3, spec.scaled[i]).sparsity() == algebra.sparsity(t)
 
 
@@ -104,6 +104,64 @@ def test_fn_column_is_serialize_row_by_row(n):
     ids = [serialize(TruthTable._row(row)) for row in stack]
     assert measures.Chunk(stack).values("fn") == ids
     assert measures.measure_report(TruthTable._row(stack[5])).value("fn") == ids[5]  # a lone row
+
+
+def test_one_chunk_scans_its_coefficients_once_for_every_degree(monkeypatch):
+    calls = count_calls(monkeypatch, [(algebra, "degrees")])
+    tables = [*Population.sample(4, 40, 4).tables(), TruthTable.constant(4, 1), parse("4:8000")]
+    chunk = measures.Chunk(np.stack([t.values for t in tables]))
+    names = ["deg", "deg2", *(f"deg_{m}" for m in algebra.MODULI)]
+    got = [chunk.values(name) for name in names]
+    assert calls == {"degrees": 1}
+    want = [[oracles.brute_degree(t, m) for t in tables] for m in (None, 2, *algebra.MODULI)]
+    assert got == want
+
+
+def ids_first(rows, ids, k):
+    """The first k of ``rows`` by function id, equal ids in their order in ``rows``."""
+    return sorted(rows, key=ids.__getitem__)[:k]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_first_rows_are_the_smallest_ids_in_row_order(n):
+    tables = list(Population.sample(n, 12, n).tables())
+    chunk = measures.Chunk(np.stack([t.values for t in tables + tables[:5] + tables[:2]]))  # repeats tie
+    ids = chunk.values("fn")
+    rows = np.random.default_rng(n).permutation(len(chunk))
+    for k in (0, 1, 3, len(rows) - 1):
+        assert chunk.first_rows(rows, k).tolist() == ids_first(rows.tolist(), ids, k)
+    assert chunk.first_rows(rows, len(rows)).tolist() == rows.tolist()  # at most k rows: as they are
+    ties = np.flatnonzero(np.array(ids) == ids[0])
+    assert chunk.first_rows(ties[::-1], 1).tolist() == [ties[-1]]
+
+
+def dict_per_value(fn, column):
+    """``measures.per_value`` as a dict of each distinct entry's result."""
+    entries = column.tolist()
+    results = {v: fn(v) for v in set(entries)}
+    return np.array([results[v] for v in entries])
+
+
+@pytest.mark.parametrize("fn", [int.bit_length, verify._ceil_log2_1p, verify._log2_power, lambda v: v >= 3])
+def test_per_value_matches_the_dict_of_distinct_values(monkeypatch, fn):
+    columns = [
+        np.array([3, 0, 7, 3, 3, 12, 0, 1], dtype=np.int64),
+        np.array([2**70, 5, 2**70, 1, 5], dtype=object),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=object),
+    ]
+    chunk = next(measures.chunks(Population.sample(4, 300, 9).tables()))
+    columns += [chunk.dc, chunk.sparsity]
+    monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)  # the columns of n > 24: Python ints
+    chunk = next(measures.chunks(Population.sample(4, 300, 9).tables()))
+    assert chunk.dc.dtype == object
+    columns += [chunk.dc, chunk.sparsity]
+    for column in columns:
+        distinct = []
+        got = measures.per_value(lambda v: distinct.append(v) or fn(v), column)
+        want = dict_per_value(fn, column)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tolist() == want.tolist()
+        assert sorted(distinct) == sorted(set(column.tolist())) and all(type(v) is int for v in distinct)
 
 
 def test_kernels_run_once_per_chunk(monkeypatch):

@@ -494,11 +494,12 @@ def _workers(caller) -> dict[int, int]:
 
 
 @contextmanager
-def long_sweep():
-    """The LONG_SWEEP caller, in a session of its own, once its worker has
-    started; on exit every process of its session is killed."""
+def long_sweep(script: str = LONG_SWEEP, *argv: str):
+    """The caller ``script`` (LONG_SWEEP unless given) with ``argv``, in a
+    session of its own, once its worker has started; on exit every process
+    of its session is killed."""
     caller = subprocess.Popen(
-        [sys.executable, "-c", LONG_SWEEP], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-c", script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
     try:
@@ -517,6 +518,50 @@ def test_no_worker_outlives_a_terminated_caller():
         assert caller.wait(timeout=60) == -signal.SIGTERM
         # the worker stops before its next stack, which takes well under a second
         assert _wait_until(lambda: not _group(caller.pid), 5), _group(caller.pid)
+
+
+# `boolfn verify --jobs 2 --matrix-out FILE` with two CPUs, no solo phase
+# and a caller whose own share never ends: its one worker sweeps its share
+# in well under a second, then waits in the send of its matrix rows, more
+# than a pipe holds, for a caller that does not read.
+BLOCKED_SEND = """
+import os, sys, time
+os.cpu_count = lambda: 2
+from boolfn import cli, verify
+
+caller, run_chunk = os.getpid(), verify._run_chunk
+
+def endless_caller_share(*args):
+    if os.getpid() == caller and len(args) == 7:  # the solo phase and a worker also pass `until`
+        time.sleep(600)
+    return run_chunk(*args)
+
+verify.SOLO_SWEEP_S = 0
+verify._run_chunk = endless_caller_share
+argv = ["verify", "--sample", "4,20000,42", "--checks", "s-le-bs", "--jobs", "2", "--matrix-out", sys.argv[1]]
+sys.exit(cli.main(argv))
+"""
+
+
+def _state(pid: int) -> str:
+    """The state letter of process ``pid`` in /proc (R running, S sleeping), or "" once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="the test reads the processes from /proc")
+def test_no_worker_blocked_in_its_send_outlives_a_terminated_caller(tmp_path):
+    with long_sweep(BLOCKED_SEND, str(tmp_path / "matrix.csv")) as caller:
+        (worker,) = _workers(caller)
+        assert _wait_until(lambda: _state(worker) == "S", 60), _state(worker)
+        caller.terminate()
+        assert caller.wait(timeout=60) == -signal.SIGTERM
+        # with the caller's end closed, the pipe has no reader and the send breaks
+        assert _wait_until(lambda: not _group(caller.pid), 5), _group(caller.pid)
+        assert "Traceback" not in caller.communicate(timeout=60)[1]  # the worker exits quietly
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="the test reads the processes from /proc")

@@ -158,7 +158,7 @@ def test_worker_count_clamped_to_cpu_count(inline_workers):
     pop = Population.sample(4, 40, 3)
     clamped = run_check_suite(pop, checks="all", jobs=64)
     # two shares: the caller runs members 0..20, one started process the rest
-    assert [args[3:5] for args in started] == [(20, 40)]
+    assert [args[4:6] for args in started] == [(20, 40)]
     assert clamped.to_json() == run_check_suite(pop, checks="all", jobs=1).to_json()
 
 
@@ -202,7 +202,7 @@ def test_workers_take_only_the_members_the_solo_phase_left(monkeypatch, inline_w
     # share is swept when it starts, before the caller's), each whole
     assert sorted((start, stop) for start, stop, _ in ranges[1:]) == shares
     assert all(reached == (count if stop is None else stop) for _, stop, reached in ranges[1:])
-    assert [args[3:5] for args in inline_workers] == shares[1:]
+    assert [args[4:6] for args in inline_workers] == shares[1:]
     ranges.clear()
     serial, serial_matrix = matrix_sweep(pop, jobs=1)
     assert ranges == [(0, None, count)]
