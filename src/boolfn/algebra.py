@@ -9,8 +9,10 @@ and rationals appear only at reporting time.
 
 The Moebius and Walsh transforms take one table or an ``(N, 2**n)`` stack
 of same-arity tables and transform every row in one :func:`core.digit_sweep`
-of butterflies, in int8 on the last five variables' blocks, whose entries
-stay within +/-2**5, and then in ``_exact_dtype(n)``.
+of butterflies. After p passes a Walsh entry of +/-1 values is within 2**p
+and a Moebius entry of 0/1 values within 2**(p - 1), so the passes run in
+int8 on the last five variables' blocks, in int16 up to pass 14 (Walsh) or
+15 (Moebius), and then in ``_exact_dtype(n)``.
 """
 
 from __future__ import annotations
@@ -65,15 +67,17 @@ def _one_table(a: np.ndarray) -> np.ndarray:
 
 def _moebius_step(cells: np.ndarray) -> np.ndarray:
     """hi - lo into hi along one digit. After a sweep of this step, c_S =
-    sum over T <= S of (-1)**|S - T| f(T)."""
+    sum over T <= S of (-1)**|S - T| f(T); after p passes, a sum of 2**p
+    such terms, half of either sign, so within 2**(p - 1)."""
     np.subtract(cells[:, 1], cells[:, 0], out=cells[:, 1])
     return cells
 
 
 def _walsh_step(cells: np.ndarray) -> np.ndarray:
     """(lo + hi, (lo + hi) - 2 * hi) along one digit, in place with no
-    temporary. After pass p no entry of +/-1 values, nor any intermediate,
-    exceeds 2**(p + 1) in size."""
+    temporary. After pass p no entry of +/-1 values is above 2**p in size,
+    nor is any intermediate: lo + hi is the new lo, and 2 * hi is twice an
+    entry of pass p - 1. So int16 holds passes 1 to 14 exactly."""
     lo, hi = cells[:, 0], cells[:, 1]
     lo += hi
     hi *= -2
@@ -120,7 +124,7 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly:
     reduced mod m are the unique total-agreement representation over Z_m.
     """
     n, values = table_values(f)
-    coeffs = digit_sweep(_moebius_step, n, values.astype(np.int8), dtype=_exact_dtype(n))
+    coeffs = digit_sweep(_moebius_step, n, values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=15)
     coeffs.setflags(write=False)
     return MultilinearPoly(n, coeffs)
 
@@ -166,11 +170,9 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
 
     The popcount levels are scanned from n down, each coefficient read once
     for all six as a bit mask (:func:`_nonzero_bits`), until a row has all
-    six, so a random table is done after a level or two. Before the scan
-    would read 1/32 of all the coefficients, the open rows take the full
-    pass instead, at about one modulus's cost: their masks, then per degree
-    still open the largest of ``weights`` (``popcounts(n)`` unless given)
-    where its bit is set.
+    six. Before the scan would read 1/32 of all the coefficients, the open
+    rows take a full pass instead: per degree still open, the largest of
+    ``weights`` (``popcounts(n)`` unless given) where its bit is set.
     """
     rows = coeffs.reshape(-1, 1 << n)
     deg = np.zeros((len(rows), len(_BITS)), np.uint8)
@@ -229,9 +231,7 @@ def fourier_transform(f: Tables) -> FourierSpectrum:
     """Exact integer Walsh transform of the +/-1 value vector 1 - 2f (of
     every row, for a stack)."""
     n, values = table_values(f)
-    # The low passes run on the +/-1 values in int8, whose entries reach
-    # 2**5 there (the constant table's), and widen as the blocks go back.
-    scaled = digit_sweep(_walsh_step, n, 1 - 2 * values.astype(np.int8), dtype=_exact_dtype(n))
+    scaled = digit_sweep(_walsh_step, n, 1 - 2 * values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=14)
     scaled.setflags(write=False)
     return FourierSpectrum(n, scaled)
 
@@ -276,9 +276,8 @@ def spectral_numerators(
 
     The columns go in blocks of at most ``CHUNK_CELLS`` cells (one column,
     if none fits), whose sums are added up per row, so no full-size copy of
-    the spectrum or of the weights is made. The sums stay in integers: a
-    float sum such as ``np.bincount``'s is inexact past 2**53, which
-    weighted2 passes at n = 23."""
+    the spectrum or of the weights is made. The sums stay in integers, as
+    weighted2 passes 2**53 at n = 23."""
     weights = popcounts(n) if weights is None else weights
     rows = scaled.reshape(-1, 1 << n)
     width = max(1, CHUNK_CELLS // max(1, len(rows)))

@@ -7,13 +7,13 @@ extraction, the recursive full-tree witness chain, the glued chain for block
 compositions, and the XOR-of-monotone decomposition built on the same DP.
 
 The DP computes only the alternation profile A, for one table or for a
-stack of same-arity tables at once. It runs on blocks of the low
-``BLOCK_BITS`` bits, visited in order of the Hamming weight of their high
-bits, so it needs O(2**n) memory and a gather plan of at most
-``BLOCK_BITS`` bits. The decrease profile D needs no second DP: along
-every increasing path from 0^n to x, rises - drops = f(x) - f(0^n), so
-the path with the most changes also has the most drops, and
-D = (A - f + f(0^n)) / 2 (:func:`decrease`).
+stack of same-arity tables at once. A path to x changes value an odd
+number of times iff g(x) = f(x) xor f(0^n) is 1, so A(x) = g(x) mod 2 and
+A(y) + [f(y) != f(x)] is A(y) rounded up to the parity of g(x). Rounding
+up is monotone, so A(x) is the max of A over x's predecessors, rounded up.
+The decrease profile D needs no second DP: along every increasing path
+from 0^n to x, rises - drops = f(x) - f(0^n), so the path with the most
+changes also has the most drops, and D = (A - f + f(0^n)) / 2.
 """
 
 from __future__ import annotations
@@ -127,23 +127,27 @@ def alternation_profile(f: Tables) -> np.ndarray:
     tables gives the ``(N, 2**n)`` stack of their profiles. The points that
     share their high n - k bits, k = min(n, ``BLOCK_BITS``), form a block,
     and blocks go by the Hamming weight of their high part h. A level's
-    blocks first take the maximum of ``A[h ^ e_p] + (v[h ^ e_p] != v[h])``
-    over their high predecessors, one gather of whole blocks each, then run
-    the DP over the low bits from it, all at once. For n <= k this is the
-    DP on the whole table. O(n * 2**n) time, O(2**n) memory.
+    blocks take the max of ``A[h ^ e_p]`` over their high predecessors, one
+    gather of whole blocks each; then each low level, from 0 up, takes the
+    max over its low predecessors too and rounds up to the parity of g
+    (module docstring). O(n * 2**n) time, O(2**n) memory, and gather plans
+    of at most ``BLOCK_BITS`` bits.
     """
     n, v = table_values(f)
     k, shape = min(n, BLOCK_BITS), v.shape
     # (high parts, tables, low parts): a leading-axis gather moves blocks.
     v = v.reshape(-1, 1 << (n - k), 1 << k).transpose(1, 0, 2)
+    v0 = v[0, :, :1]  # f(0^n) of each table
     A = np.zeros(v.shape, dtype=np.uint8)  # A <= n
     for T, P in (_level_plan if n - k <= BLOCK_BITS else _plan)(n - k):
-        vt, at = v[T], A[T]
+        at = A[T]
         for pred in P:
-            np.maximum(at, A[pred] + (v[pred] != vt), out=at)
-        a, vl = _low_first(at), _low_first(vt)
-        for t, p in _level_plan(k)[1:]:
-            a[t] = np.maximum(a[t], (a[p] + (vl[p] != vl[t])).max(axis=0))
+            np.maximum(at, A[pred], out=at)
+        a, g = _low_first(at), _low_first(v[T] ^ v0)
+        for t, p in _level_plan(k):
+            m = np.maximum(a[t], a[p].max(axis=0)) if len(p) else a[t]
+            m += (m ^ g[t]) & 1
+            a[t] = m
         A[T] = a.reshape(1 << k, -1, v.shape[1]).transpose(1, 2, 0)
     A = np.ascontiguousarray(A.transpose(1, 0, 2), dtype=np.int32).reshape(shape)
     A.setflags(write=False)

@@ -61,13 +61,11 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 24
 DENSE_CAP_ENV = "BOOLFN_DENSE_CAP"
-# A chunk stacks at most this many table cells (256 tables at n = 8), which
-# bounds each stacked kernel array; a table above it is a chunk of one. It
-# also bounds the blocks in which algebra.spectral_numerators sums the
-# spectrum, and the transposed blocks of digit_sweep, whose low phase has the
-# largest l with 9**l <= CHUNK_CELLS digits (5). The butterflies run that
-# phase in int8, exact while it has at most 6 bits (the Walsh entries of
-# +/-1 values reach +/-2**l), so CHUNK_CELLS must stay below 9**7.
+# A chunk stacks at most this many table cells (256 tables at n = 8); a
+# table above it is a chunk of one. It also bounds the blocks of
+# algebra.spectral_numerators and of digit_sweep, whose low phase has the
+# largest l with 9**l <= CHUNK_CELLS digits (5) and runs the butterflies in
+# int8, exact up to 6 digits (Walsh entries reach 2**l): so CHUNK_CELLS < 9**7.
 CHUNK_CELLS = 1 << 16
 
 _TEXT_RE = re.compile(r"^(\d+):([0-9A-Fa-f]+)$")
@@ -331,7 +329,8 @@ def materialize(f: BooleanFunction) -> TruthTable:
 
 
 def digit_sweep(
-    step: Callable, n: int, a: np.ndarray, radix: int = 2, base: int = 0, dtype=None, jacobi: bool = False
+    step: Callable, n: int, a: np.ndarray, radix: int = 2, base: int = 0, dtype=None, jacobi: bool = False,
+    int16_passes: int = 0,
 ) -> np.ndarray:
     """``a`` after ``step`` has run once on each digit of its cell index.
 
@@ -345,16 +344,15 @@ def digit_sweep(
 
     The low digits, whose passes on ``a`` would have inner extents of a few
     cells, run first, in ``a``'s own dtype, on transposed copies with cells
-    ``(low, rows, high)``; then the cells move back, widened to ``dtype``,
-    and the high digits run on the natural layout. A low step relates only
-    cells of one high index, so the copies are made in blocks of high
-    cells, at most ``CHUNK_CELLS`` cells (or one high cell) each, and a
-    block's own copy is its ``before``. There are as many low digits as the
-    largest l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer: then for base
-    3 the shortest pass on the result, 3**l cells, and the width of a block,
-    about ``CHUNK_CELLS`` // 3**l cells, are both about the square root of
-    the budget. Below 3**8 result cells the copies cost more than the short
-    passes do, and none are made.
+    ``(low, rows, high)``, made in blocks of high cells of at most
+    ``CHUNK_CELLS`` cells (or one high cell) each; a block's own copy is its
+    ``before``. A result below 3**8 cells has no low digits, a larger one
+    the largest l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer. The cells
+    then move back, widened, and the high digits run on the natural layout.
+    If the entries stay within int16 for ``int16_passes`` passes (``base``
+    equal to ``radix``, ``dtype`` wider), the lowest high digits up to that
+    pass run in int16, in the first half of the result's own buffer, which
+    :func:`_widen` then widens in place.
     """
 
     def passes(cells, before, digits, tail):
@@ -366,15 +364,35 @@ def digit_sweep(
     base, dtype = base or radix, dtype or a.dtype
     lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
     low = _low_digits(n, rows * base**n)
+    mid = max(0, min(n, int16_passes) - low)
     before = a.copy() if jacobi and low < n else None
-    if low:
-        cells = a.reshape(rows, -1, radix**low)
+    cells = a.reshape(rows, -1, radix**low)
+    if mid:
+        wide = np.empty(a.size, dtype)
+        a = wide.view(np.int16)[: a.size].reshape(cells.shape)
+        if not low:
+            a[...] = cells
+    elif low:
         in_place = base == radix and dtype == a.dtype
         a = cells if in_place else np.empty((rows, cells.shape[1], base**low), dtype)
-        for part, block in _low_blocks(cells, base**low):
-            block = passes(block, block.copy() if jacobi else None, low, block[0].size)
-            a[:, part] = block.reshape(base**low, rows, -1).transpose(1, 2, 0)
-    return passes(a.astype(dtype, copy=False), before, n - low, base**low).reshape(*lead, -1)
+    for part, block in _low_blocks(cells, base**low) if low else ():
+        block = passes(block, block.copy() if jacobi else None, low, block[0].size)
+        a[:, part] = block.reshape(base**low, rows, -1).transpose(1, 2, 0)
+    if mid:
+        _widen(wide, passes(a, before, mid, base**low).reshape(-1))
+        a = wide
+    return passes(a.astype(dtype, copy=False), before, n - low - mid, radix**mid * base**low).reshape(*lead, -1)
+
+
+def _widen(wide: np.ndarray, narrow: np.ndarray) -> None:
+    """Cast ``narrow``, the first half (or quarter) of the bytes of ``wide``,
+    into ``wide``. numpy does not see the overlap of a casting assignment, so
+    blocks of ``CHUNK_CELLS`` cells go top down, each onto cells already read,
+    and block 0, which lands on itself, is copied first."""
+    first = narrow[:CHUNK_CELLS].copy()
+    for start in reversed(range(CHUNK_CELLS, len(narrow), CHUNK_CELLS)):
+        wide[start : start + CHUNK_CELLS] = narrow[start : start + CHUNK_CELLS]
+    wide[: len(first)] = first
 
 
 def _low_digits(n: int, size: int) -> int:

@@ -14,16 +14,12 @@ per-point sensitivity are each one sweep of one pass per variable
 block copies with the cells transposed.
 
 Every measure is a column of a :class:`Chunk` of same-arity tables,
-computed once for all its rows. Only block sensitivity still searches row
-by row, and only on rows with s(f) < max C(f, x). Every value a report
-carries is named once, in ``VALUES``, with its whole-chunk column of Python
-values: the check registry and the measure matrix read these columns, and
-:class:`MeasureContext`, the record of one function for ``boolfn analyze``
-and ``Check.run``, is a view of one row of its chunk. A population decodes
-its members straight into stacks (``verify.Population.stacks``);
-:func:`records` stacks built tables, such as every ``analyze`` source. A
-lone function's record, :func:`measure_report`, is a chunk of one; the
-library's one-function measures read it.
+computed once for all its rows; only block sensitivity searches row by row.
+Every value a report carries is named once, in ``VALUES``, with its
+whole-chunk column of Python values, which the check registry and the
+measure matrix read. The record of one function, :class:`MeasureContext`,
+is a view of one row of its chunk; a lone function's record,
+:func:`measure_report`, is a chunk of one.
 """
 
 from __future__ import annotations
@@ -89,19 +85,14 @@ __all__ = [
 BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
-# A chunk keeps the constancy planes of its N = stack_size(n) tables, eight
-# rows to a byte, ceil(N / 8) * 3**n bytes per part: 43 MB for one table at
-# n = 16. Building a part's planes takes its value planes, ceil(N / 4) * 3**n
-# bytes, and a temporary of their size. The C sweep unpacks a part, at most
-# 8 * CHUNK_CELLS subcube cells (or one table), into one count byte per cell;
-# the DT rounds keep two more arrays of a part's planes, the marks and a
-# snapshot of them, and their transposed copies and the AND of a DT step are
-# blocks. No bs, C or DT cap may exceed this arity.
+# No bs, C or DT cap may exceed this arity. A chunk keeps the constancy
+# planes of its N tables, ceil(N / 8) * 3**n bytes per part: 43 MB for one
+# table at n = 16; building a part's planes, its C sweep and its DT rounds
+# each take a few more arrays of that size or less.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
 # A DT step ANDs the marks of a digit's two halves in blocks of at most this
-# many cells, so its temporary, a third of the marks if unblocked, stays
-# small next to a large table's marks and their snapshot.
+# many cells, so its temporary stays small next to a large table's marks.
 DT_BLOCK_CELLS = 1 << 19
 SPARSITY_EXPONENT = 2.0  # the c of the deg-sparsity-exponent check
 
@@ -479,11 +470,9 @@ class Chunk:
     @cached_property
     def planes(self) -> list[tuple[slice, np.ndarray]]:
         """The constancy planes of the stack (:func:`constancy_planes`), in
-        parts of consecutive rows, each with its slice of the rows. A part
-        holds at most ``8 * CHUNK_CELLS`` subcube cells of its rows (one
-        table, above that), so its planes take about ``CHUNK_CELLS`` bytes,
-        and the DT rounds, which read them many times, and the C sweep,
-        which unpacks them, run on arrays of a bounded size."""
+        parts of consecutive rows, each with its slice of the rows: at most
+        ``8 * CHUNK_CELLS`` subcube cells (one table, above that), so the DT
+        rounds and the C sweep run on planes of about ``CHUNK_CELLS`` bytes."""
         step = max(1, 8 * CHUNK_CELLS // 3**self.n)
         parts = [slice(i, i + step) for i in range(0, len(self), step)]
         return [(rows, constancy_planes(self.stack[rows])) for rows in parts]

@@ -15,21 +15,12 @@ One registry feeds both the test suite and the CLI, populations are
 enumerated or sampled deterministically, and aggregates merge commutatively
 so parallel runs match serial ones.
 
-A sweep with ``jobs > 1`` first runs alone, stack by stack, for
-``SOLO_SWEEP_S``, about what starting a worker costs, so a short sweep
-starts none. Then the members left form one plan of index ranges
-(:func:`run_check_suite`): the calling process sweeps the first, and one
-worker process each of the rest. Each decodes only the members of its
-own range, straight into read-only stacks of up to ``measures.CHUNK_CELLS``
-cells (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk`
-each, so every measure is computed once per chunk, not once per function,
-and no member is built as a table of its own. Explicit members are checked a
-stack at a time, a canonical stack read at once by
-:func:`~boolfn.core.packed_rows`, and exhaustive and sampled ones decoded
-from their packed integers. Population parameters are checked when the
-population is made, before any sweep.
-A sweep asked for the measure matrix writes each chunk's rows as it
-aggregates the chunk, so no member is decoded or measured twice.
+A sweep (:func:`run_check_suite`) splits the members into index ranges,
+one per process, and each process decodes only its own, straight into
+read-only stacks of up to ``measures.CHUNK_CELLS`` cells
+(:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
+every measure is computed once per chunk and no member is built as a table
+of its own or measured twice, the measure matrix included.
 """
 
 from __future__ import annotations
@@ -72,8 +63,7 @@ REGISTRY_VERSION = "1"
 DEFAULT_FAIL_LIMIT = 5
 
 # How long a sweep with jobs > 1 runs alone before it starts workers, in
-# seconds: about what importing multiprocessing and starting and joining a
-# worker cost, so a sweep that ends sooner is faster with none.
+# seconds: about what starting a worker costs.
 SOLO_SWEEP_S = 0.05
 
 

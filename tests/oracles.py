@@ -171,6 +171,30 @@ def zeta(coeffs, n: int) -> np.ndarray:
     return values
 
 
+def moebius_int64(values: np.ndarray, n: int) -> np.ndarray:
+    """The Moebius transform of a table's values, or of each row of a stack,
+    as a one-layout loop in int64: every butterfly pass on the natural cell
+    order."""
+    a = values.astype(np.int64)
+    for p in range(n):
+        shaped = a.reshape(-1, 2, 1 << p)
+        np.subtract(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
+    return a
+
+
+def walsh_int64(values: np.ndarray, n: int) -> np.ndarray:
+    """The Walsh transform of 1 - 2f, as :func:`moebius_int64` gives the
+    Moebius one; each pass ping-pongs between two buffers."""
+    a = np.subtract(1, 2 * values, dtype=np.int64)
+    b = np.empty_like(a)
+    for _ in range(n):
+        top, out = a.reshape(-1, 2, 1 << (n - 1)), b.reshape(-1, 1 << (n - 1), 2)
+        np.add(top[:, 0], top[:, 1], out=out[..., 0])
+        np.subtract(top[:, 0], top[:, 1], out=out[..., 1])
+        a, b = b, a
+    return a
+
+
 def packed_int(table: TruthTable) -> int:
     """The table's values packed little-endian by input index into one integer."""
     return int.from_bytes(np.packbits(table.values, bitorder="little").tobytes(), "little")

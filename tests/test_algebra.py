@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boolfn import algebra, families, measures, verify
+from boolfn import algebra, core, families, measures, verify
 from boolfn.algebra import (
     degree,
     fourier_transform,
@@ -358,28 +358,6 @@ def test_exact_terms_guard_above_int64_arity():
     assert int((exact * exact).sum()) == 2 * 3**78 + 25
 
 
-# The transforms as one-layout loops in int64, every butterfly pass on the
-# natural cell order (the Walsh pass ping-pongs between two buffers):
-# references for the differential tests below.
-def reference_mobius(values: np.ndarray, n: int) -> np.ndarray:
-    a = values.astype(np.int64)
-    for p in range(n):
-        shaped = a.reshape(-1, 2, 1 << p)
-        np.subtract(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
-    return a
-
-
-def reference_walsh(values: np.ndarray, n: int) -> np.ndarray:
-    a = np.subtract(1, 2 * values, dtype=np.int64)
-    b = np.empty_like(a)
-    for _ in range(n):
-        top, out = a.reshape(-1, 2, 1 << (n - 1)), b.reshape(-1, 1 << (n - 1), 2)
-        np.add(top[:, 0], top[:, 1], out=out[..., 0])
-        np.subtract(top[:, 0], top[:, 1], out=out[..., 1])
-        a, b = b, a
-    return a
-
-
 def mixed_rows(rng: random.Random, n: int, count: int = 0) -> np.ndarray:
     """Constant, dictator and parity rows of arity n, then seeded random
     rows up to ``count`` rows in all."""
@@ -393,8 +371,8 @@ def assert_transforms_match(stack: np.ndarray, n: int, wide: bool = False) -> No
     """Moebius and Walsh of the stack and of each row alone equal the
     reference loops by value, in int32 (int64 if ``wide``)."""
     for transform, reference in (
-        (lambda f: multilinear_coefficients(f).coeffs, reference_mobius),
-        (lambda f: fourier_transform(f).scaled, reference_walsh),
+        (lambda f: multilinear_coefficients(f).coeffs, oracles.moebius_int64),
+        (lambda f: fourier_transform(f).scaled, oracles.walsh_int64),
     ):
         want = reference(stack, n)
         got = transform(stack)
@@ -430,6 +408,39 @@ def test_transforms_take_int64_above_the_exact_arity(monkeypatch):
     stack = mixed_rows(random.Random(8), 8, 300)
     assert_transforms_match(stack, 8, wide=True)
     assert_transforms_match(mixed_rows(random.Random(7), 7, 300), 7)
+
+
+def extreme_stacks():
+    """(n, transform, reference, stack) for the entries that reach the edge
+    of the transforms' int16 passes, each stack with a random row between
+    its two extremes. A constant table's Walsh entry at the empty set is
+    +/-2**p after p passes: 2**14 at pass 14, the last in int16. Parity's
+    top Moebius coefficient is (-2)**(n - 1), and its complement's the
+    negation: 2**14 at n = 15, and 2**15, past int16, at n = 16."""
+    rng = np.random.default_rng(16)
+    for n in (*range(13, 18), 20):
+        const = np.zeros(1 << n, dtype=np.uint8)
+        yield n, lambda f: fourier_transform(f).scaled, oracles.walsh_int64, np.stack(
+            [const, rng.integers(0, 2, 1 << n, dtype=np.uint8), const + 1]
+        )
+    for n in range(14, 18):
+        parity = popcounts(n) & 1
+        yield n, lambda f: multilinear_coefficients(f).coeffs, oracles.moebius_int64, np.stack(
+            [parity, rng.integers(0, 2, 1 << n, dtype=np.uint8), parity ^ 1]
+        )
+
+
+@pytest.mark.parametrize("cells", [CHUNK_CELLS, 3000])
+def test_int16_passes_hold_the_extreme_entries(monkeypatch, cells):
+    # at 3000 cells the widening runs in blocks of 3000 cells, several of
+    # them with a partial one on top, after three low digits
+    monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+    for n, transform, reference, stack in extreme_stacks():
+        want = reference(stack, n)
+        got = transform(stack)
+        assert got.dtype == np.int32 and np.array_equal(got, want), n
+        for row, wanted in zip(stack, want):
+            assert np.array_equal(transform(TruthTable(n, row)), wanted), n
 
 
 def reference_numerators(scaled: np.ndarray, n: int) -> dict:
@@ -499,6 +510,15 @@ def test_fourier_transform_peak_per_point():
     and the sweep's blocks: under 6 bytes per point."""
     n = 18
     _, peak = traced_bytes(fourier_transform, random_table(random.Random(18), n))
+    assert peak <= 6 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
+
+
+def test_multilinear_coefficients_peak_per_point():
+    """The Moebius sweep's int16 passes run in the first half of its own
+    int32 result, so the peak of one n = 18 transform is that result, the
+    int8 values and the sweep's blocks: under 6 bytes per point."""
+    n = 18
+    _, peak = traced_bytes(multilinear_coefficients, random_table(random.Random(18), n))
     assert peak <= 6 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 

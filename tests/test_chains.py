@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boolfn import chains, families, measures
+from boolfn import chains, core, families, measures
 from boolfn.chains import (
     Chain,
     alternation_along,
@@ -85,6 +85,47 @@ def test_profile_of_parity_at_n20_is_the_hamming_weight():
     parity = families.named_basics("parity", 20)
     profile = chains.alternation_profile(parity)
     assert profile.dtype == np.int32 and np.array_equal(profile, popcounts(20))
+
+
+def assert_profiles_exact(rows: np.ndarray) -> None:
+    """The profiles of a stack, and of each row alone, satisfy the DP's
+    defining recurrence exactly: A(0) = 0, and A(x) = max over the set bits
+    i of x of A(x ^ e_i) + [f(x ^ e_i) != f(x)]. Each cell packs its flat
+    index, A and f, so the halves of core.variable_halves pair every x with
+    each predecessor; the max is attained where some step is tight."""
+    n = rows.shape[-1].bit_length() - 1
+    A = chains.alternation_profile(rows)
+    assert A.dtype == np.int32 and not A.flags.writeable
+    for row, a in zip(rows, A):
+        assert np.array_equal(chains.alternation_profile(TruthTable(n, row)), a)
+    code = np.arange(rows.size, dtype=np.int32).reshape(rows.shape) << 6 | A << 1 | rows
+    tight = np.zeros(rows.size, dtype=bool)
+    for _, lo, hi in core.variable_halves(code, n):
+        step = (hi >> 1 & 31) - (lo >> 1 & 31) - ((lo ^ hi) & 1)
+        assert (step >= 0).all(), n
+        tight[(hi >> 6)[step == 0]] = True
+    assert (A[:, 0] == 0).all() and tight.reshape(rows.shape)[:, 1:].all(), n
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_profiles_satisfy_the_recurrence_exactly(n):
+    # above BLOCK_BITS = 10 bits the high blocks' low level 0 is more than
+    # the point 0^n, so a missed round-up there shows
+    rng = np.random.default_rng(n)
+    rows = [rng.integers(0, 2, 1 << n, dtype=np.uint8) for _ in range(2)]
+    rows += [(families.named_basics(name, n).values) for name in ("parity", "and")]
+    rows += [np.zeros(1 << n, dtype=np.uint8), np.ones(1 << n, dtype=np.uint8)]
+    if n == 7:
+        rows.append(families.gap_family(3)[0].values)
+    assert_profiles_exact(np.stack(rows))
+
+
+def test_profiles_of_every_small_table_match_the_brute_force():
+    for n in range(4):
+        tables = [TruthTable.from_packed_int(n, p) for p in range(1 << (1 << n))]
+        alts = chains.alternation_profile(np.stack([t.values for t in tables]))[:, -1]
+        assert alts.tolist() == [oracles.brute_alternation(t) for t in tables]
+        assert [int(chains.alternation_profile(t)[-1]) for t in tables] == alts.tolist()
 
 
 def traced_bytes(f, *args):
