@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boolfn import algebra, chains, cli, measures, verify
-from boolfn.core import TruthTable, parse, restrict, serialize
+from boolfn import algebra, chains, cli, families, measures, verify
+from boolfn.core import TruthTable, depends_on_all, parse, restrict, serialize
 from boolfn.verify import Population, run_check_suite
+from test_core import rows_ignoring_one_variable
 from test_record import count_calls, matrix_sweep
 
 STACKED = (
@@ -248,6 +249,69 @@ def test_chunk_columns_match_oracles(data):
     # the search runs on both known rows, and only on rows with s < C
     assert set(map(serialize, searched)) >= set(BS_SEARCHED)
     assert all(oracles.brute_sensitivity(t) < oracles.brute_certificate(t) for t in searched)
+
+
+def kernel_stacks(monkeypatch, name: str) -> list:
+    """The stacks each later call of ``measures.<name>`` gets, in order."""
+    seen, original = [], getattr(measures, name)
+    monkeypatch.setattr(measures, name, lambda stack, **kw: seen.append(stack.copy()) or original(stack, **kw))
+    return seen
+
+
+def test_dt_rounds_run_only_on_the_rows_below_degree_n(monkeypatch):
+    # deg <= DT <= n, so a row of degree n has DT = n. C(16, 8) = 12870 of the
+    # tables at n = 4 have degree below 4; 4:0018 has deg 3 and DT 4. With the
+    # tables of degree 4 twice, under an eighth of the rows are open, so the
+    # rounds run on a stack of the open rows, its planes in two parts.
+    tables = np.concatenate(list(Population.exhaustive(4).stacks()))
+    deg = measures.Chunk(tables).deg
+    stack = np.concatenate([tables, tables[deg == 4]])
+    seen = kernel_stacks(monkeypatch, "decision_tree_depth")
+    dt = measures.Chunk(stack).dt
+    assert (deg < 4).sum() == 12870 and len(seen) == 2 and np.array_equal(np.concatenate(seen), tables[deg < 4])
+    assert np.array_equal(dt, measures.decision_tree_depth(stack)) and (deg[0x0018], dt[0x0018]) == (3, 4)
+    sample = np.random.default_rng(25).choice(np.flatnonzero(deg < 4), 60, replace=False)
+    for i in [0x0018, *sample.tolist()]:
+        assert dt[i] == oracles.brute_decision_tree_depth(TruthTable._row(stack[i])), i
+
+
+def test_dt_of_rows_mostly_open_or_all_of_degree_n(monkeypatch):
+    # over an eighth of the rows open: the rounds run on the chunk's own stack
+    # and planes, which the C sweep shares; every row of degree n: no rounds, no planes
+    planes = count_calls(monkeypatch, [(measures, "constancy_planes")])
+    seen = kernel_stacks(monkeypatch, "decision_tree_depth")
+    gap = [(families.gap_family(k)[0].values[None], [k]) for k in (2, 3)]  # deg = DT = k < n = 2**k - 1
+    constants = [(np.stack([np.zeros(1 << n, np.uint8), np.ones(1 << n, np.uint8)]), [0, 0]) for n in range(1, 7)]
+    basics = [families.named_basics(name, 5).values for name in ("parity", "and", "or")]
+    mixed = [(np.stack([*basics, np.zeros(32, np.uint8)]), [5, 5, 5, 0])]  # one row of four open
+    for stack, want in gap + constants + mixed:
+        planes["constancy_planes"] = 0
+        chunk = measures.Chunk(stack)
+        assert chunk.dt.tolist() == want and np.array_equal(seen.pop(), stack) and not seen
+        assert chunk.cert.tolist() == want and planes == {"constancy_planes": 1}  # C = DT on all of these
+    planes["constancy_planes"] = 0
+    full = np.stack([families.named_basics(name, 5).values for name in ("parity", "and", "majority")])
+    assert measures.Chunk(full).dt.tolist() == [5, 5, 5] and planes == {"constancy_planes": 0} and not seen
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_depends_all_runs_its_kernel_only_below_degree_n(monkeypatch, n):
+    # Rows of degree n depend on every variable. Constants and rows that
+    # ignore a variable are below it (no row is, at n = 0): with eight times
+    # as many rows of degree n, the kernel runs on a stack of the open rows;
+    # alone, they are all open, and it runs on the chunk's stack.
+    gen = np.random.default_rng(n)
+    ignoring = np.concatenate([rows_ignoring_one_variable(gen, n, 0), np.ones((1, 1 << n), np.uint8)])
+    drawn = gen.integers(0, 2, (32 * len(ignoring), 1 << n), dtype=np.uint8)
+    full = drawn[measures.Chunk(drawn).deg == n][: 8 * len(ignoring)]
+    assert len(full) == 8 * len(ignoring)
+    seen = kernel_stacks(monkeypatch, "depends_on_all")
+    for stack in (np.concatenate([ignoring, full]), ignoring):
+        chunk = measures.Chunk(stack)
+        got = chunk.depends_all
+        assert got.dtype == bool and np.array_equal(got, depends_on_all(stack))
+        runs_on = stack[chunk.deg < n] if len(stack) > len(ignoring) else stack
+        assert np.array_equal(seen.pop(), runs_on) if n else not seen
 
 
 def test_degree_four_tables_pass_the_sparsity_checks():
