@@ -272,15 +272,6 @@ def constancy_planes(f: Tables) -> np.ndarray:
     return planes
 
 
-def _plane_parts(stack: np.ndarray) -> list[tuple[slice, np.ndarray]]:
-    """A stack's constancy planes, in parts of consecutive rows, each with
-    its slice of the rows: at most ``8 * CHUNK_CELLS`` subcube cells (or one
-    table), so the DT rounds and the C sweep run on about ``CHUNK_CELLS`` bytes."""
-    step = max(1, 8 * CHUNK_CELLS // 3 ** table_values(stack)[0])
-    parts = [slice(i, i + step) for i in range(0, len(stack), step)]
-    return [(rows, constancy_planes(stack[rows])) for rows in parts]
-
-
 def per_point_certificate(f: Tables, *, planes: Optional[np.ndarray] = None) -> np.ndarray:
     """C(f, x) for every point x (of every row, for a stack), read from its
     constancy planes ``planes`` (:func:`constancy_planes`).
@@ -414,9 +405,9 @@ class Chunk:
     ``profile``, ``coeffs``, ``spectrum``, the witness chain orders
     ``witness``) come from one kernel run on the stack, and
     ``per_point_cert`` from one run per part of the constancy ``planes``.
-    A row of degree n reads DT = n and ``depends_all`` True (deg <= DT <= n,
-    and its coefficient of x_1...x_n is nonzero); the DT rounds and
-    ``core.depends_on_all`` run on the other rows, as :meth:`_settled` says.
+    A row of degree n has DT = n and depends on every input (deg <= DT <= n,
+    and its coefficient of x_1...x_n is nonzero), so a chunk of such rows runs
+    no DT round, nor ``core.depends_on_all`` once ``deg`` is read (:meth:`_settled`).
     The per-row measures are exact integers (``algebra.exact_terms``):
     ``degrees``, one scan of ``coeffs``, holds the degree over Z and over
     each Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
@@ -479,26 +470,25 @@ class Chunk:
     coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack).coeffs)
     spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack).scaled)
     witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
-    per_point_cert = cached_property(lambda c: c._by_plane_parts(per_point_certificate, c.stack))
-    planes = cached_property(lambda c: _plane_parts(c.stack))
+    per_point_cert = cached_property(lambda c: c._by_plane_parts(per_point_certificate))
 
-    def _by_plane_parts(self, measure: Callable[..., np.ndarray], stack: np.ndarray) -> np.ndarray:
-        """``measure(rows, planes=part)`` of each part of the planes of
-        ``stack`` (``planes``, for the chunk's own stack), joined."""
-        parts = self.planes if stack is self.stack else _plane_parts(stack)
-        return np.concatenate([measure(stack[rows], planes=part) for rows, part in parts])
+    @cached_property
+    def planes(self) -> list[tuple[slice, np.ndarray]]:
+        """The constancy planes of the stack (:func:`constancy_planes`), in
+        parts of consecutive rows, each with its slice of the rows: at most
+        ``8 * CHUNK_CELLS`` subcube cells (one table, above that), so the DT
+        rounds and the C sweep run on planes of about ``CHUNK_CELLS`` bytes."""
+        step = max(1, 8 * CHUNK_CELLS // 3**self.n)
+        parts = [slice(i, i + step) for i in range(0, len(self), step)]
+        return [(rows, constancy_planes(self.stack[rows])) for rows in parts]
 
-    def _settled(self, full, kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``full`` on the rows of degree n, and ``kernel`` on the other, open
-        rows: of a stack of their own if they are at most an eighth of the
-        rows (it costs a gather and, for DT, its own planes), else of the chunk's."""
-        open_rows = self.deg < self.n
-        if 8 * np.count_nonzero(open_rows) > len(self):
-            return kernel(self.stack)
-        column = np.full(len(self), full)
-        if open_rows.any():
-            column[open_rows] = kernel(self.stack[open_rows])
-        return column
+    def _by_plane_parts(self, measure: Callable[..., np.ndarray]) -> np.ndarray:
+        """``measure(rows, planes=part)`` of each part of ``planes``, joined."""
+        return np.concatenate([measure(self.stack[rows], planes=part) for rows, part in self.planes])
+
+    def _settled(self, full, kernel: Callable[[], np.ndarray]) -> np.ndarray:
+        """``full`` on every row if all have degree n, else ``kernel()``."""
+        return kernel() if (self.deg < self.n).any() else np.full(len(self), full)
 
     # From the per-point sensitivity: s, I and the mean squared sensitivity.
     s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
@@ -512,7 +502,7 @@ class Chunk:
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
     cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
     dt = _exact_column(
-        lambda c: c._settled(c.n, partial(c._by_plane_parts, partial(decision_tree_depth, cap=c.dt_cap)))
+        lambda c: c._settled(c.n, lambda: c._by_plane_parts(partial(decision_tree_depth, cap=c.dt_cap)))
     )
 
     @cached_property
@@ -536,7 +526,10 @@ class Chunk:
     # From the Moebius coefficients: the degrees over Z and each Z_m, one scan.
     degrees = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n, c.weights))
     deg = cached_property(lambda c: c.degrees[:, 0])
-    depends_all = cached_property(lambda c: c._settled(True, depends_on_all))
+    # settled once the degrees are read: at n = 20 their Moebius pass costs more than the kernel
+    depends_all = cached_property(
+        lambda c: c._settled(True, lambda: depends_on_all(c.stack)) if "degrees" in vars(c) else depends_on_all(c.stack)
+    )
 
     def degm(self, m: int) -> np.ndarray:
         return self.degrees[:, 1 + algebra.MODULI.index(m)]

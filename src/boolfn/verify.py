@@ -345,8 +345,8 @@ CHECKS: dict[str, Check] = {
                  lambda c: c.I_num <= c.s << c.n),
         _declare("influence-le-deg", "assert", "influence at most degree", "I deg",
                  lambda c: c.I_num <= c.deg << c.n),
-        # Like s-le-bs, this holds by construction on the rows a bound settles
-        # (DT = n where deg = n); the oracle tests check the DT kernel on them.
+        # Like s-le-bs, this holds by construction where a bound settles DT
+        # (DT = n on a chunk of degree-n rows); the oracle tests check the DT kernel.
         _declare("deg-le-dt", "assert", "degree at most decision-tree depth", "deg DT",
                  lambda c: c.deg <= c.dt, DT_CAPPED),
         # every certificate hits each disjoint sensitive block, so C >= bs >= s

@@ -258,60 +258,65 @@ def kernel_stacks(monkeypatch, name: str) -> list:
     return seen
 
 
-def test_dt_rounds_run_only_on_the_rows_below_degree_n(monkeypatch):
+def test_dt_rounds_run_only_on_chunks_with_a_row_below_degree_n(monkeypatch):
     # deg <= DT <= n, so a row of degree n has DT = n. C(16, 8) = 12870 of the
-    # tables at n = 4 have degree below 4; 4:0018 has deg 3 and DT 4. With the
-    # tables of degree 4 twice, under an eighth of the rows are open, so the
-    # rounds run on a stack of the open rows, its planes in two parts.
+    # tables at n = 4 have degree below 4; 4:0018 has deg 3 and DT 4. A chunk
+    # with such a row runs the rounds on its whole stack, one part of its
+    # planes at a time; a chunk of degree-4 rows builds no planes and runs none.
     tables = np.concatenate(list(Population.exhaustive(4).stacks()))
     deg = measures.Chunk(tables).deg
-    stack = np.concatenate([tables, tables[deg == 4]])
-    seen = kernel_stacks(monkeypatch, "decision_tree_depth")
-    dt = measures.Chunk(stack).dt
-    assert (deg < 4).sum() == 12870 and len(seen) == 2 and np.array_equal(np.concatenate(seen), tables[deg < 4])
-    assert np.array_equal(dt, measures.decision_tree_depth(stack)) and (deg[0x0018], dt[0x0018]) == (3, 4)
-    sample = np.random.default_rng(25).choice(np.flatnonzero(deg < 4), 60, replace=False)
-    for i in [0x0018, *sample.tolist()]:
-        assert dt[i] == oracles.brute_decision_tree_depth(TruthTable._row(stack[i])), i
-
-
-def test_dt_of_rows_mostly_open_or_all_of_degree_n(monkeypatch):
-    # over an eighth of the rows open: the rounds run on the chunk's own stack
-    # and planes, which the C sweep shares; every row of degree n: no rounds, no planes
     planes = count_calls(monkeypatch, [(measures, "constancy_planes")])
     seen = kernel_stacks(monkeypatch, "decision_tree_depth")
-    gap = [(families.gap_family(k)[0].values[None], [k]) for k in (2, 3)]  # deg = DT = k < n = 2**k - 1
+    dt = measures.Chunk(tables).dt
+    assert (deg < 4).sum() == 12870 and np.array_equal(np.concatenate(seen), tables)
+    assert len(seen) == planes["constancy_planes"] > 1 and (deg[0x0018], dt[0x0018]) == (3, 4)
+    sample = np.random.default_rng(25).choice(np.flatnonzero(deg < 4), 60, replace=False)
+    for i in [0x0018, *sample.tolist()]:
+        assert dt[i] == oracles.brute_decision_tree_depth(TruthTable._row(tables[i])), i
+    seen.clear()
+    planes["constancy_planes"] = 0
+    assert (measures.Chunk(tables[deg == 4]).dt == 4).all() and not seen and planes == {"constancy_planes": 0}
+
+
+def test_dt_of_chunks_with_an_open_row_shares_the_planes_with_c(monkeypatch):
+    # gap_family(k) has deg = DT = k < n = 2**k - 1, constants have deg = DT = 0,
+    # and one open row of four runs the rounds on all four; the C sweep reuses
+    # the planes they read
+    planes = count_calls(monkeypatch, [(measures, "constancy_planes")])
+    seen = kernel_stacks(monkeypatch, "decision_tree_depth")
+    gap = [(families.gap_family(k)[0].values[None], [k]) for k in (2, 3)]
     constants = [(np.stack([np.zeros(1 << n, np.uint8), np.ones(1 << n, np.uint8)]), [0, 0]) for n in range(1, 7)]
     basics = [families.named_basics(name, 5).values for name in ("parity", "and", "or")]
-    mixed = [(np.stack([*basics, np.zeros(32, np.uint8)]), [5, 5, 5, 0])]  # one row of four open
+    mixed = [(np.stack([*basics, np.zeros(32, np.uint8)]), [5, 5, 5, 0])]
     for stack, want in gap + constants + mixed:
         planes["constancy_planes"] = 0
         chunk = measures.Chunk(stack)
         assert chunk.dt.tolist() == want and np.array_equal(seen.pop(), stack) and not seen
         assert chunk.cert.tolist() == want and planes == {"constancy_planes": 1}  # C = DT on all of these
-    planes["constancy_planes"] = 0
-    full = np.stack([families.named_basics(name, 5).values for name in ("parity", "and", "majority")])
-    assert measures.Chunk(full).dt.tolist() == [5, 5, 5] and planes == {"constancy_planes": 0} and not seen
 
 
 @pytest.mark.parametrize("n", range(11))
-def test_depends_all_runs_its_kernel_only_below_degree_n(monkeypatch, n):
+def test_depends_all_runs_its_kernel_only_on_chunks_with_a_row_below_degree_n(monkeypatch, n):
     # Rows of degree n depend on every variable. Constants and rows that
-    # ignore a variable are below it (no row is, at n = 0): with eight times
-    # as many rows of degree n, the kernel runs on a stack of the open rows;
-    # alone, they are all open, and it runs on the chunk's stack.
+    # ignore a variable are below it (no row is, at n = 0): mixed with rows
+    # of degree n, the kernel runs on the whole stack; rows of degree n alone
+    # read True with no kernel run, once their degrees are read, and before
+    # that the kernel runs and no Moebius pass does.
     gen = np.random.default_rng(n)
     ignoring = np.concatenate([rows_ignoring_one_variable(gen, n, 0), np.ones((1, 1 << n), np.uint8)])
     drawn = gen.integers(0, 2, (32 * len(ignoring), 1 << n), dtype=np.uint8)
     full = drawn[measures.Chunk(drawn).deg == n][: 8 * len(ignoring)]
     assert len(full) == 8 * len(ignoring)
     seen = kernel_stacks(monkeypatch, "depends_on_all")
-    for stack in (np.concatenate([ignoring, full]), ignoring):
+    for stack in (np.concatenate([full[:4], ignoring, full[4:]]), full):
         chunk = measures.Chunk(stack)
+        chunk.deg
         got = chunk.depends_all
         assert got.dtype == bool and np.array_equal(got, depends_on_all(stack))
-        runs_on = stack[chunk.deg < n] if len(stack) > len(ignoring) else stack
-        assert np.array_equal(seen.pop(), runs_on) if n else not seen
+        assert np.array_equal(seen.pop(), stack) if n and stack is not full else not seen
+    assert got.all()
+    unread = measures.Chunk(full)
+    assert unread.depends_all.all() and np.array_equal(seen.pop(), full) and "coeffs" not in vars(unread)
 
 
 def test_degree_four_tables_pass_the_sparsity_checks():

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 # The most lines src/boolfn/*.py may hold. A change that grows src/ raises
 # it in the same diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 3122
+SRC_LINE_BUDGET = 3115
 
 
 def test_traced_names_resolve():
