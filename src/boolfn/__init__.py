@@ -49,7 +49,6 @@ from .measures import (
 from .verify import (
     CHECKS,
     Check,
-    CheckResult,
     Population,
     SweepReport,
     run_check_suite,

@@ -24,7 +24,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -398,7 +397,7 @@ def _widen(wide: np.ndarray, narrow: np.ndarray) -> None:
 def _low_digits(n: int, size: int) -> int:
     """How many of n digits :func:`digit_sweep` runs on transposed blocks,
     for a result of ``size`` cells."""
-    return 0 if size < 3**8 else min(n, int(math.log(CHUNK_CELLS, 9)))
+    return 0 if size < 3**8 else min(n, max(l for l in range(8) if 9**l <= CHUNK_CELLS))
 
 
 def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray]]:

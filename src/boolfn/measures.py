@@ -81,7 +81,6 @@ __all__ = [
     "records",
     "sensitivity",
     "stack_size",
-    "subcube_table",
 ]
 
 BS_CAP_DEFAULT = 12
@@ -92,7 +91,7 @@ DT_CAP_DEFAULT = 15
 # table at n = 16; building a part's planes, its C sweep and its DT rounds
 # each take a few more arrays of that size or less.
 SUBCUBE_MAX_ARITY = 16
-FREE = 2  # a subcube digit leaving its variable free; a cell where f varies
+FREE = 2  # a subcube digit leaving its variable free
 # A DT step ANDs the marks of a digit's two halves in blocks of at most this
 # many cells, so its temporary stays small next to a large table's marks.
 DT_BLOCK_CELLS = 1 << 19
@@ -209,11 +208,32 @@ def _split_on_digit(halves: np.ndarray) -> np.ndarray:
     return np.concatenate([halves, halves[:, :1] & halves[:, 1:]], axis=1)
 
 
-def _value_planes(f: Tables) -> np.ndarray:
-    """f's value planes: ``(ceil(N/4), 3**n)`` uint8, whose byte r carries
-    rows 4r to 4r + 3 of the stack, bit i set where row 4r + i is constant
-    1 on the subcube and bit 4 + i where it is constant 0. Padding lanes
-    hold a constant-0 row."""
+def _lanes(planes: np.ndarray, rows: int) -> np.ndarray:
+    """The ``(rows, cells)`` rows of planes packed eight rows to a byte:
+    row 8r + i is bit i of byte r."""
+    bits = np.empty((rows, planes.shape[-1]), np.uint8)
+    for i in range(min(8, rows)):
+        lane = bits[i::8]
+        np.right_shift(planes[: len(lane)], i, out=lane)
+        lane &= 1
+    return bits
+
+
+def constancy_planes(f: Tables) -> np.ndarray:
+    """Where f is constant, eight rows to a byte: ``(ceil(N/8), 3**n)``
+    uint8, bit i of byte r, cell c set iff row 8r + i of the stack is
+    constant on subcube c (one byte row for a table).
+
+    Cell c of the flat 3**n array has base-3 digits c_1 ... c_n, with c_1
+    the most significant, as x_1 is the top bit of a point. Digit 0 or 1
+    fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
+    cube. The planes are the OR of each row's two bits in f's value planes,
+    four rows to a byte, bit i set where row 4r + i is constant 1 on the
+    subcube and bit 4 + i where it is constant 0 (padding lanes hold a
+    constant-0 row), then two such bytes in one. The value planes are one
+    sweep (:func:`core.digit_sweep`) of one pass per variable, which splits
+    each cell on x_j into its two halves and the cell where x_j is free.
+    """
     n, values = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
@@ -221,49 +241,7 @@ def _value_planes(f: Tables) -> np.ndarray:
     ones = np.packbits(rows, axis=0, bitorder="little")
     quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(rows) // 4)]
     quads |= (quads ^ 15) << 4
-    return digit_sweep(_split_on_digit, n, quads, base=3)
-
-
-def _lanes(planes: np.ndarray, rows: int, width: int = 8, mask: int = 1) -> np.ndarray:
-    """The ``(rows, cells)`` rows of planes packed ``width`` rows to a byte:
-    row width * r + i is byte r shifted down by i, its bits in ``mask``."""
-    bits = np.empty((rows, planes.shape[-1]), np.uint8)
-    for i in range(min(width, rows)):
-        lane = bits[i::width]
-        np.right_shift(planes[: len(lane)], i, out=lane)
-        lane &= mask
-    return bits
-
-
-def subcube_table(f: Tables) -> np.ndarray:
-    """f's constant value on every subcube, or ``FREE`` where f varies (for
-    every row, for a stack: ``(N, 3**n)``).
-
-    Cell c of the flat 3**n array has base-3 digits c_1 ... c_n, with c_1
-    the most significant, as x_1 is the top bit of a point. Digit 0 or 1
-    fixes x_j and ``FREE`` leaves it free, so the last cell is the whole
-    cube. The table is read off f's value planes, four rows to a byte, each
-    with a bit for constant 1 and one for constant 0: one sweep
-    (:func:`core.digit_sweep`) of one pass per variable, which splits each
-    cell on x_j into its two halves and the cell where x_j is free.
-    """
-    n, values = table_values(f)
-    quads, rows = _value_planes(f), values.size >> n
-    cube = _lanes(quads, rows, 4, 0x11)  # 1 where constant 1, 16 where constant 0
-    cube %= 14  # 16 -> 2, so FREE - cube is the value, or FREE where f varies
-    np.subtract(FREE, cube, out=cube)
-    cube = cube.reshape(*values.shape[:-1], -1)
-    cube.setflags(write=False)
-    return cube
-
-
-def constancy_planes(f: Tables) -> np.ndarray:
-    """Where f is constant, eight rows to a byte: ``(ceil(N/8), 3**n)``
-    uint8, bit i of byte r, cell c set iff row 8r + i of the stack is
-    constant on subcube c (one byte row for a table): the OR of each row's
-    two bits in its value planes, four rows to a byte, then two such bytes
-    in one."""
-    quads = _value_planes(f)
+    quads = digit_sweep(_split_on_digit, n, quads, base=3)
     quads |= quads >> 4
     quads &= 15
     planes = np.ascontiguousarray(quads[::2])

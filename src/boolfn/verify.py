@@ -49,13 +49,11 @@ __all__ = [
     "REGISTRY_VERSION",
     "Aggregate",
     "Check",
-    "CheckResult",
     "Population",
     "Skip",
     "SweepReport",
     "resolve_checks",
     "run_check_suite",
-    "run_single_check",
 ]
 
 REGISTRY_VERSION = "1"
@@ -279,24 +277,6 @@ def _values(record: measures.MeasureContext, names: Sequence[str]) -> dict:
     return {name: record.value(name) for name in names}
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one check on one function; failures carry the witness."""
-
-    check: str
-    fn_id: str
-    status: str
-    observed: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "fn": self.fn_id,
-            "status": self.status,
-            "observed": {k: str(v) for k, v in self.observed.items()},
-        }
-
-
 def _declare(
     name: str, kind: str, description: str, observed: str, holds: Callable, *skips: Skip
 ) -> Check:
@@ -416,13 +396,6 @@ def resolve_checks(checks: Sequence[str] | str = "all") -> list[Check]:
         if name not in CHECKS:
             raise ValueError(f"unknown check name {name!r}")
     return [CHECKS[name] for name in dict.fromkeys(checks)]
-
-
-def run_single_check(check: Check, table: TruthTable, **caps) -> CheckResult:
-    """Run one check on one function (counterexample reproduction path)."""
-    record = measures.measure_report(table, **caps)
-    status, observed = check.run(record)
-    return CheckResult(check=check.name, fn_id=record.fn_id(), status=status, observed=observed)
 
 
 @dataclass

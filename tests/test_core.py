@@ -263,6 +263,15 @@ def test_depends_on_all_of_large_tables_matches_the_one_layout_loop(n):
     assert_depends_on_all_matches(rows_ignoring_one_variable(np.random.default_rng(n), n, 0), n)
 
 
+def test_low_digits_is_the_largest_power_of_9_in_a_chunk(monkeypatch):
+    # the transposed blocks take the largest l with 9**l <= CHUNK_CELLS
+    # digits, also when CHUNK_CELLS is exactly a power of 9
+    for l in range(1, 7):
+        for cells, want in ((9**l - 1, l - 1), (9**l, l), (9**l + 1, l)):
+            monkeypatch.setattr(core, "CHUNK_CELLS", cells)
+            assert core._low_digits(8, 3**8) == want, cells
+
+
 def test_serialize_examples():
     assert serialize(families.named_basics("and", 2)) == "2:8"
     assert serialize(TruthTable.constant(2, 1)) == "2:F"

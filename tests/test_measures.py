@@ -265,7 +265,7 @@ def test_subcube_ceiling():
     defaults = (measures.BS_CAP_DEFAULT, measures.CERT_CAP_DEFAULT, measures.DT_CAP_DEFAULT)
     assert ceiling >= max(defaults)
     with pytest.raises(CapExceededError):
-        measures.subcube_table(TruthTable.constant(ceiling + 1, 0))
+        measures.constancy_planes(TruthTable.constant(ceiling + 1, 0))
     for caps in ({"bs_cap": ceiling + 1}, {"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
         with pytest.raises(CapExceededError):
             measure_report(TruthTable.constant(2, 0), **caps)
@@ -408,23 +408,25 @@ def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def subcube_kernels(f) -> tuple:
-    """The subcube table, the DT and every C(f, x) of a table or a stack,
-    the last two read from its constancy planes."""
+    """Where a table or a stack is constant, as bools shaped like it, its DT
+    and every C(f, x), all read from its constancy planes."""
     planes = measures.constancy_planes(f)
+    n, values = core.table_values(f)
+    constant = measures._lanes(planes, values.size >> n).view(bool).reshape(*values.shape[:-1], -1)
     dt = decision_tree_depth(f, planes=planes)
-    return measures.subcube_table(f), dt, measures.per_point_certificate(f, planes=planes)
+    return constant, dt, measures.per_point_certificate(f, planes=planes)
 
 
-def assert_subcube_kernels(tables: list, cubes: np.ndarray, dt: np.ndarray, certs: np.ndarray) -> None:
+def assert_subcube_kernels(tables: list, constant: np.ndarray, dt: np.ndarray, certs: np.ndarray) -> None:
     """The kernels on the stack of ``tables`` and on each table alone give
     these arrays: the stack's bytes and dtypes, and each table's rows of
     them, its DT as an int."""
     stack = np.stack([t.values for t in tables])
-    for got, want in zip(subcube_kernels(stack), (cubes, dt, certs)):
+    for got, want in zip(subcube_kernels(stack), (constant, dt, certs)):
         assert_same_array(got, want)
     for i, table in enumerate(tables):
-        one_cubes, one_dt, one_certs = subcube_kernels(table)
-        assert_same_array(one_cubes, cubes[i])
+        one_constant, one_dt, one_certs = subcube_kernels(table)
+        assert_same_array(one_constant, constant[i])
         assert type(one_dt) is int and one_dt == dt[i]
         assert_same_array(one_certs, certs[i])
 
@@ -443,7 +445,7 @@ def test_subcube_kernels_match_oracles():
         dt = np.array([oracles.brute_decision_tree_depth(t) for t in tables], dtype=np.int64)
         certs = [[oracles.brute_certificate_at(t, x) for x in range(1 << n)] for t in tables]
         certs = np.array(certs, dtype=np.uint8)
-        assert_subcube_kernels(tables, cubes, dt, certs)
+        assert_subcube_kernels(tables, cubes != FREE, dt, certs)
 
 
 def mixed_tables(rng: random.Random, n: int) -> list:
@@ -468,7 +470,7 @@ def test_subcube_kernels_match_the_one_layout_loops():
         cubes = reference_subcube_table(np.stack([t.values for t in tables]), n)
         dt = reference_decision_tree_depth(cubes, n)
         assert dt[:4].tolist() == [0, 1, n, 2] and dt[4] <= n - 2
-        assert_subcube_kernels(tables, cubes, dt, reference_per_point_certificate(cubes, n))
+        assert_subcube_kernels(tables, cubes != FREE, dt, reference_per_point_certificate(cubes, n))
 
 
 def test_decision_tree_rounds_stop_early_or_exit_at_n(monkeypatch):
@@ -512,14 +514,14 @@ def test_packed_lanes_match_the_one_layout_loops(n):
     rng = random.Random(1900 + n)
     pool = lane_rows(rng, n)
     cubes = reference_subcube_table(pool, n)
-    want = cubes, reference_decision_tree_depth(cubes, n), reference_per_point_certificate(cubes, n)
+    want = cubes != FREE, reference_decision_tree_depth(cubes, n), reference_per_point_certificate(cubes, n)
     for count in (1, 7, 8, 9, 17):
         rows = rng.sample(range(len(pool)), count)
         for got, expected in zip(subcube_kernels(pool[rows]), want):
             assert_same_array(got, expected[rows])
     (row,) = rng.sample(range(len(pool)), 1)
-    one_cubes, one_dt, one_certs = subcube_kernels(TruthTable(n, pool[row]))
-    assert_same_array(one_cubes, cubes[row])
+    one_constant, one_dt, one_certs = subcube_kernels(TruthTable(n, pool[row]))
+    assert_same_array(one_constant, want[0][row])
     assert type(one_dt) is int and one_dt == want[1][row]
     assert_same_array(one_certs, want[2][row])
 
@@ -546,13 +548,13 @@ def test_chunk_parts_that_split_a_byte_lane(monkeypatch, step):
 def test_padding_lanes_never_change_a_real_row():
     # 9 rows fill one byte of the constancy planes and one lane of the next,
     # and two value-plane bytes and one lane of a third. The value planes'
-    # padding lanes read as constant-0 rows; whatever the constancy planes'
-    # padding lanes hold, each real row's DT and C are the same.
+    # padding lanes hold constant-0 rows, so lanes 9 to 11 of the constancy
+    # planes read constant; whatever the padding lanes hold, each real row's
+    # DT and C are the same.
     n, count = 7, 9
     stack = lane_rows(random.Random(9), n)[:count]
-    quads = measures._value_planes(stack)
-    assert (measures._lanes(quads, 12, 4, 0x11)[count:] == 16).all()  # f = 0 bit only
     planes = measures.constancy_planes(stack)
+    assert (measures._lanes(planes, 12)[count:] == 1).all()
     dt = decision_tree_depth(stack, planes=planes)
     certs = measures.per_point_certificate(stack, planes=planes)
     padded = np.concatenate([stack, np.zeros((16 - count, 1 << n), np.uint8)])

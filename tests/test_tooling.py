@@ -1,6 +1,6 @@
 """The benchmark's tracer names functions of boolfn, so a rename must show
-here; the package keeps no module-level caches; and src/ keeps within its
-line budget."""
+here; the package keeps no module-level caches; every export has a caller;
+and src/ keeps within its line budget."""
 
 import ast
 import importlib
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 # The most lines src/boolfn/*.py may hold. A change that grows src/ raises
 # it in the same diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 3115
+SRC_LINE_BUDGET = 3064
 
 
 def test_traced_names_resolve():
@@ -56,14 +56,20 @@ def test_no_module_level_caches():
     assert cached == {"chains._level_plan"}
 
 
+def _assigned(path: Path, target: str):
+    """The literal a module assigns to ``target`` at top level, or ()."""
+    for statement in ast.parse(path.read_text()).body:
+        if isinstance(statement, ast.Assign) and target in {getattr(t, "id", None) for t in statement.targets}:
+            return ast.literal_eval(statement.value)
+    return ()
+
+
 def _unused_imports(path: Path) -> list[str]:
     """The names a module's top-level imports bind that it neither reads
     nor lists in ``__all__``."""
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for statement in tree.body:
-        if isinstance(statement, ast.Assign) and "__all__" in {getattr(t, "id", None) for t in statement.targets}:
-            used.update(ast.literal_eval(statement.value))
+    used.update(_assigned(path, "__all__"))
     unused = []
     for statement in tree.body:
         if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", None) != "__future__":
@@ -76,6 +82,35 @@ def test_no_unused_imports():
     # __init__ imports to re-export, so it is left out
     paths = sorted((ROOT / "src" / "boolfn").glob("*.py"))
     assert [name for path in paths if path.stem != "__init__" for name in _unused_imports(path)] == []
+
+
+def _reads(path: Path) -> set[str]:
+    """The names a module reads, bare or as an attribute."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+    return reads
+
+
+def test_every_export_has_a_caller():
+    # An export is read in src/boolfn (its re-export in __init__ aside), by
+    # the benchmark's one-pass driver, or hooked by its tracer.
+    paths = sorted((ROOT / "src" / "boolfn").glob("*.py"))
+    read = set().union(*(_reads(path) for path in paths if path.stem != "__init__"))
+    read |= _reads(ROOT / "perfbench" / "onepass.py")
+    traced = {
+        f"{module}.{dotted.split('.')[0]}" for module, names in _assigned(TRACING, "TRACED").items() for dotted in names
+    }
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path in paths
+        for name in _assigned(path, "__all__")
+        if name not in read and f"{path.stem}.{name}" not in traced
+    ]
+    assert uncalled == []
 
 
 class _Owners(ast.NodeVisitor):

@@ -23,7 +23,6 @@ from boolfn.verify import (
     Check,
     Population,
     run_check_suite,
-    run_single_check,
 )
 from test_record import matrix_sweep
 
@@ -342,9 +341,10 @@ def test_counterexample_round_trip():
     assert aggregates  # the projection functions fail it
     # re-run each failure from its serialized witness alone
     for fn_id in aggregates:
-        again = run_single_check(bogus, parse(fn_id))
-        assert again.status == "fail"
-        assert again.fn_id == fn_id
+        record = measure_report(parse(fn_id))
+        status, _ = bogus.run(record)
+        assert status == "fail"
+        assert record.fn_id() == fn_id
 
 
 def test_failure_payload_reproduces():
@@ -356,11 +356,11 @@ def test_failure_payload_reproduces():
         description="always fails",
         holds=lambda c: False,
     )
-    result = run_single_check(bogus, families.named_basics("and", 2))
-    payload = result.to_json_dict()
-    assert payload["status"] == "fail" and payload["fn"] == "2:8"
-    rerun = run_single_check(bogus, parse(payload["fn"]))
-    assert rerun.status == "fail"
+    record = measure_report(families.named_basics("and", 2))
+    status, _ = bogus.run(record)
+    assert status == "fail" and record.fn_id() == "2:8"
+    rerun, _ = bogus.run(measure_report(parse(record.fn_id())))
+    assert rerun == "fail"
 
 
 def test_registry_contents():
