@@ -15,8 +15,8 @@ block copies with the cells transposed.
 
 Every measure is a column of a :class:`Chunk` of same-arity tables,
 computed once for all its rows; only block sensitivity searches row by row.
-A chunk settles what a proven bound fixes before it runs a kernel: bs on
-the rows where s = C, and DT and full dependence on those of degree n.
+A chunk settles what a proven bound fixes before it runs a kernel: bs where
+s = C, and DT, full dependence and the deg-product checks (:meth:`Chunk.settle`).
 Every value a report carries is named once, in ``VALUES``, with its
 whole-chunk column of Python values, which the check registry and the
 measure matrix read. The record of one function, :class:`MeasureContext`,
@@ -383,9 +383,9 @@ class Chunk:
     ``profile``, ``coeffs``, ``spectrum``, the witness chain orders
     ``witness``) come from one kernel run on the stack, and
     ``per_point_cert`` from one run per part of the constancy ``planes``.
-    A row of degree n has DT = n and depends on every input (deg <= DT <= n,
-    and its coefficient of x_1...x_n is nonzero), so a chunk of such rows runs
-    no DT round, nor ``core.depends_on_all`` once ``deg`` is read (:meth:`_settled`).
+    A chunk whose rows a proven bound settles runs no kernel (:meth:`settle`):
+    deg = n gives DT = n and full dependence (deg <= DT <= n, and x_1...x_n has
+    a nonzero coefficient), and deg <= deg2 * deg_m the deg-product checks.
     The per-row measures are exact integers (``algebra.exact_terms``):
     ``degrees``, one scan of ``coeffs``, holds the degree over Z and over
     each Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
@@ -464,9 +464,9 @@ class Chunk:
         """``measure(rows, planes=part)`` of each part of ``planes``, joined."""
         return np.concatenate([measure(self.stack[rows], planes=part) for rows, part in self.planes])
 
-    def _settled(self, full, kernel: Callable[[], np.ndarray]) -> np.ndarray:
-        """``full`` on every row if all have degree n, else ``kernel()``."""
-        return kernel() if (self.deg < self.n).any() else np.full(len(self), full)
+    def settle(self, sure: np.ndarray, value, kernel: Callable[[], np.ndarray]) -> np.ndarray:
+        """``value`` on every row if ``sure`` holds on all, else ``kernel()``."""
+        return np.full(len(self), value) if np.all(sure) else kernel()
 
     # From the per-point sensitivity: s, I and the mean squared sensitivity.
     s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
@@ -480,7 +480,7 @@ class Chunk:
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
     cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
     dt = _exact_column(
-        lambda c: c._settled(c.n, lambda: c._by_plane_parts(partial(decision_tree_depth, cap=c.dt_cap)))
+        lambda c: c.settle(c.deg == c.n, c.n, lambda: c._by_plane_parts(partial(decision_tree_depth, cap=c.dt_cap)))
     )
 
     @cached_property
@@ -506,7 +506,7 @@ class Chunk:
     deg = cached_property(lambda c: c.degrees[:, 0])
     # settled once the degrees are read: at n = 20 their Moebius pass costs more than the kernel
     depends_all = cached_property(
-        lambda c: c._settled(True, lambda: depends_on_all(c.stack)) if "degrees" in vars(c) else depends_on_all(c.stack)
+        lambda c: c.settle("degrees" in vars(c) and c.deg == c.n, True, lambda: depends_on_all(c.stack))
     )
 
     def degm(self, m: int) -> np.ndarray:

@@ -246,7 +246,8 @@ class Check:
         if none); and where the formula holds, or the ratio's (num, den),
         as whole columns. Each skip is read only while rows are open, and
         the formula only when some row is not skipped (``None`` if none), so
-        a capped column is never computed."""
+        a capped column is never computed. A formula may settle its rows
+        before it reads a costly column (``measures.Chunk.settle``)."""
         first = np.full(len(chunk), len(self.skips))
         for i, skip in enumerate(self.skips):
             if (open_ := first == len(self.skips)).any():
@@ -297,11 +298,6 @@ def _decomposes(c):
     return ok
 
 
-def _ceil_log2_1p(dc: int) -> int:
-    """ceil(log2(1 + dc)), the circuit negation count the decrease gives."""
-    return math.ceil(math.log2(1 + dc)) if dc else 0
-
-
 def _log2_power(x: int) -> float:
     """(log2 x)^c, the sparsity exponent's bound at x, 0 for x <= 1."""
     return math.log2(x) ** measures.SPARSITY_EXPONENT if x > 1 else 0.0
@@ -338,9 +334,10 @@ CHECKS: dict[str, Check] = {
                  lambda c: c.alt <= (1 << (c.dt + 1)) - 1, DT_CAPPED),
         _declare("dc-le-exp-dt", "assert", "dc <= 2^DT - 1", "dc DT",
                  lambda c: c.dc <= (1 << c.dt) - 1, DT_CAPPED),
+        # negs = ceil(log2(1 + dc)) in integers: 2**(negs - 1) <= dc < 2**negs, or 0 <= dc < 1
         _declare("negs-from-decrease", "assert", "negation counts consistent with decrease",
                  "dc negs negs_formula",
-                 lambda c: c.negs == measures.per_value(_ceil_log2_1p, c.dc)),
+                 lambda c: (c.dc < (1 << c.negs)) & (c.dc >= (1 << c.negs) >> 1)),
         _declare("log-sparsity-le-2deg", "assert", "log2 sparsity at most twice degree", "sparsity deg",
                  lambda c: c.sparsity <= 1 << (2 * c.deg)),
         _declare("deg2-le-log-sparsity", "assert", "deg2 at most log2 sparsity when deg2 > 1",
@@ -367,9 +364,12 @@ CHECKS: dict[str, Check] = {
                  lambda c: c.witness_alt == c.alt),
         _declare("monotone-decomposition", "assert", "alt-many monotone parts reconstruct the function",
                  "parts alt negated", _decomposes),
+        # a row with deg <= deg2 * deg_m holds whatever alt is (alt >= 1 where deg > 0): no DP runs
         *(
             _declare(f"deg-product-bound-m{m}", "assert", f"deg <= alt * deg2 * deg_{m}",
-                     f"deg alt deg2 deg_{m}", lambda c, m=m: c.deg <= c.alt * c.degm(2) * c.degm(m))
+                     f"deg alt deg2 deg_{m}",
+                     lambda c, m=m: c.settle(c.deg <= c.degm(2) * c.degm(m), True,
+                                             lambda: c.deg <= c.alt * c.degm(2) * c.degm(m)))
             for m in range(2, 7)
         ),
         _declare("bs-ratio", "ratio", "observed bs / (s * alt^2)", "bs s alt",

@@ -143,7 +143,7 @@ def dict_per_value(fn, column):
     return np.array([results[v] for v in entries])
 
 
-@pytest.mark.parametrize("fn", [int.bit_length, verify._ceil_log2_1p, verify._log2_power, lambda v: v >= 3])
+@pytest.mark.parametrize("fn", [int.bit_length, verify._log2_power, lambda v: v >= 3])
 def test_per_value_matches_the_dict_of_distinct_values(monkeypatch, fn):
     columns = [
         np.array([3, 0, 7, 3, 3, 12, 0, 1], dtype=np.int64),
@@ -317,6 +317,59 @@ def test_depends_all_runs_its_kernel_only_on_chunks_with_a_row_below_degree_n(mo
     assert got.all()
     unread = measures.Chunk(full)
     assert unread.depends_all.all() and np.array_equal(seen.pop(), full) and "coeffs" not in vars(unread)
+
+
+@pytest.mark.parametrize(
+    "population", [Population.sample(8, 512, 1), Population.exhaustive(4)], ids=["sample8", "exhaustive4"]
+)
+def test_the_alternation_dp_runs_only_on_chunks_with_a_row_the_degrees_leave_open(monkeypatch, population):
+    # A nonconstant f has alt >= 1 and a constant one deg = 0, so a row with
+    # deg <= deg2 * deg_m passes deg-product-bound-m<m> whatever alt is. Every
+    # random n = 8 row is settled; at n = 4 the 22 parities of two or more
+    # variables (deg2 = 1 < deg) are open for m = 2, in 8 of the 16 chunks, and
+    # m = 3 opens none. A chunk with an open row runs the DP once for both checks.
+    open_rows = []
+    for stack in population.stacks():
+        c = measures.Chunk(stack)
+        open_rows.append([(c.deg > c.degm(2) * c.degm(m)).sum() for m in (2, 3)])
+    open_rows = np.array(open_rows)
+    want = {"alternation_profile": int(open_rows.any(axis=1).sum())}
+    assert want == {"alternation_profile": 0 if population.n == 8 else 8}
+    assert open_rows.sum(axis=0).tolist() == ([0, 0] if population.n == 8 else [22, 0])
+    names = ["deg-product-bound-m2", "deg-product-bound-m3"]
+    calls = count_calls(monkeypatch, [(chains, "alternation_profile")])
+    report = run_check_suite(population, checks=names)
+    assert calls == want
+    monkeypatch.setattr(measures.Chunk, "settle", lambda chunk, sure, value, kernel: kernel())  # all exact
+    assert run_check_suite(population, checks=names).to_json() == report.to_json()
+    assert calls == {"alternation_profile": want["alternation_profile"] + len(open_rows)}
+
+
+def deg_product_stacks() -> list:
+    """Every table of n <= 4, seeded stacks at n = 5..8, and an n = 4 stack of
+    rows settled for every m with one open row for m = 2: x_1 xor x_2, whose
+    deg is 2 and deg2 1."""
+    stacks = [stack for n in range(5) for stack in Population.exhaustive(n).stacks()]
+    c = measures.Chunk(stacks[-1])  # the tables 0xF000 to 0xFFFF
+    stacks += [next(Population.sample(n, 200, n).stacks()) for n in range(5, 9)]
+    settled = np.all([c.deg <= c.degm(2) * c.degm(m) for m in range(2, 7)], axis=0)
+    rows = c.stack[np.random.default_rng(28).choice(np.flatnonzero(settled), 40, replace=False)]
+    x = np.arange(16)
+    xor = ((x >> 3 ^ x >> 2) & 1).astype(np.uint8)
+    return stacks + [np.concatenate([rows[:20], xor[None], rows[20:]])]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_settled_deg_product_outcomes_equal_the_exact_formula(m):
+    check, opened = verify.CHECKS[f"deg-product-bound-m{m}"], []
+    for stack in deg_product_stacks():
+        c = measures.Chunk(stack)
+        first, holds = check.outcomes(c)
+        product = c.degm(2) * c.degm(m)
+        opened.append((c.deg > product).any())
+        assert ("profile" in vars(c)) == opened[-1]  # the DP runs only on a chunk with an open row
+        assert (first == 0).all() and np.array_equal(holds, c.deg <= c.alt * product)
+    assert opened[-1] == (m == 2) and not any(opened[-5:-1])
 
 
 def test_degree_four_tables_pass_the_sparsity_checks():

@@ -387,6 +387,18 @@ def test_registry_contents():
     assert CHECKS["deg-sparsity-exponent"].kind == "report"
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_negs_from_decrease_holds_at_the_least_k_with_2_to_the_k_above_dc(dtype):
+    # negs = ceil(log2(1 + dc)) in integers: true at that least k, false one
+    # above it and, where that is 0 or more, one below it
+    holds = CHECKS["negs-from-decrease"].holds
+    dc = np.arange((1 << 16) + 1).astype(dtype)
+    least = np.array([next(k for k in itertools.count() if 2**k >= 1 + d) for d in dc.tolist()], dtype)
+    assert holds(SimpleNamespace(dc=dc, negs=least)).all()
+    assert not holds(SimpleNamespace(dc=dc, negs=least + 1)).any()
+    assert not holds(SimpleNamespace(dc=dc[least > 0], negs=least[least > 0] - 1)).any()
+
+
 def test_report_check_does_not_fail_suite():
     # tiny-n counterexamples to the sparsity-exponent implication must not
     # flip the exit status: it is a report, not an assertion
