@@ -56,15 +56,6 @@ def _index_of_subset(vars_: Iterator[int], n: int) -> int:
     return t
 
 
-def _one_table(a: np.ndarray) -> np.ndarray:
-    """``a`` if it holds one table's entries. A result built from a stack
-    serves only its rows (``coeffs[i]``, ``scaled[i]``); reading it whole
-    would mix the members, so it is an error."""
-    if a.ndim != 1:
-        raise ValueError(f"expected one table's entries, got a stack of shape {a.shape}")
-    return a
-
-
 def _moebius_step(cells: np.ndarray) -> np.ndarray:
     """hi - lo into hi along one digit. After a sweep of this step, c_S =
     sum over T <= S of (-1)**|S - T| f(T); after p passes, a sum of 2**p
@@ -93,32 +84,34 @@ def _exact_dtype(n: int):
 
 @dataclass(frozen=True)
 class MultilinearPoly:
-    """Exact coefficients of the unique multilinear representation.
+    """Exact coefficients of one table's unique multilinear representation.
 
     ``coeffs[t]`` is the coefficient of the monomial over the variables in
-    ``subset_of_index(t, n)``. From a stack of tables, ``coeffs`` is the
-    stack of coefficient rows and ``MultilinearPoly(n, coeffs[i])`` is
-    member i's polynomial; the other methods raise on a stack.
+    ``subset_of_index(t, n)``; a stack's coefficients are a plain array.
     """
 
     n: int
     coeffs: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.coeffs.shape != (1 << self.n,):
+            raise ValueError(f"one table's coefficients have shape ({1 << self.n},), not {self.coeffs.shape}")
+
     def coefficient(self, vars_) -> int:
-        return int(_one_table(self.coeffs)[_index_of_subset(iter(vars_), self.n)])
+        return int(self.coeffs[_index_of_subset(iter(vars_), self.n)])
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(_one_table(self.coeffs))[0]:
+        for t in np.nonzero(self.coeffs)[0]:
             yield subset_of_index(int(t), self.n), int(self.coeffs[t])
 
     def to_json_dict(self) -> dict:
-        nz = np.nonzero(_one_table(self.coeffs))[0]
+        nz = np.nonzero(self.coeffs)[0]
         return {str(int(t)): int(self.coeffs[t]) for t in nz}
 
 
-def multilinear_coefficients(f: Tables) -> MultilinearPoly:
-    """Moebius transform of the table (or stack) over Z; one pass serves Z
-    and every Z_m.
+def multilinear_coefficients(f: Tables) -> MultilinearPoly | np.ndarray:
+    """Moebius transform over Z of one table, or the read-only ``(N, 2**n)``
+    coefficient array of a stack; one pass serves Z and every Z_m.
 
     The zeta matrix is unipotent, so the canonical multilinear coefficients
     reduced mod m are the unique total-agreement representation over Z_m.
@@ -126,7 +119,7 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly:
     n, values = table_values(f)
     coeffs = digit_sweep(_moebius_step, n, values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=15)
     coeffs.setflags(write=False)
-    return MultilinearPoly(n, coeffs)
+    return MultilinearPoly(n, coeffs) if values.ndim == 1 else coeffs
 
 
 def degree(f: TruthTable, m: Optional[int] = None) -> int:
@@ -198,42 +191,45 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """Integer-scaled spectrum of 1 - 2f: ``scaled[t]`` equals 2**n * fhat(S).
+    """Integer-scaled spectrum of one table's 1 - 2f: ``scaled[t]`` equals
+    2**n * fhat(S).
 
     Index convention matches :class:`MultilinearPoly`; the true coefficient
-    of the character on subset S is ``scaled[t] / 2**n``. From a stack of
-    tables, ``scaled`` is the stack of spectra and ``FourierSpectrum(n,
-    scaled[i])`` is member i's spectrum; the methods raise on a stack.
+    of the character on subset S is ``scaled[t] / 2**n``.
     """
 
     n: int
     scaled: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.scaled.shape != (1 << self.n,):
+            raise ValueError(f"one table's spectrum has shape ({1 << self.n},), not {self.scaled.shape}")
+
     def coefficient(self, vars_) -> Fraction:
-        return Fraction(int(_one_table(self.scaled)[_index_of_subset(iter(vars_), self.n)]), 1 << self.n)
+        return Fraction(int(self.scaled[_index_of_subset(iter(vars_), self.n)]), 1 << self.n)
 
     def support(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(_one_table(self.scaled))[0]:
+        for t in np.nonzero(self.scaled)[0]:
             yield subset_of_index(int(t), self.n), int(self.scaled[t])
 
     def sparsity(self) -> int:
-        return int(np.count_nonzero(_one_table(self.scaled)))
+        return int(np.count_nonzero(self.scaled))
 
     def csv_rows(self) -> Iterator[list]:
         """CSV export: header then one (subset-mask, scaled-coefficient) row
         per nonzero entry; the true coefficient is scaled / 2**n."""
         yield ["subset-mask", "scaled-coefficient"]
-        for t in np.nonzero(_one_table(self.scaled))[0]:
+        for t in np.nonzero(self.scaled)[0]:
             yield [int(t), int(self.scaled[t])]
 
 
-def fourier_transform(f: Tables) -> FourierSpectrum:
-    """Exact integer Walsh transform of the +/-1 value vector 1 - 2f (of
-    every row, for a stack)."""
+def fourier_transform(f: Tables) -> FourierSpectrum | np.ndarray:
+    """Exact integer Walsh transform of the +/-1 value vector 1 - 2f of one
+    table, or the read-only ``(N, 2**n)`` spectrum array of a stack."""
     n, values = table_values(f)
     scaled = digit_sweep(_walsh_step, n, 1 - 2 * values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=14)
     scaled.setflags(write=False)
-    return FourierSpectrum(n, scaled)
+    return FourierSpectrum(n, scaled) if values.ndim == 1 else scaled
 
 
 def sparsity(f: TruthTable) -> int:
@@ -307,11 +303,11 @@ def spectral_sums(f: TruthTable) -> SpectralSums:
 
 
 def spectral_sums_of(spec: FourierSpectrum) -> SpectralSums:
-    nums, denom = spectral_numerators(_one_table(spec.scaled), spec.n), 1 << spec.n
+    nums, denom = spectral_numerators(spec.scaled, spec.n), 1 << spec.n
     l1, weighted, weighted2 = (int(nums[k]) for k in ("l1", "weighted", "weighted2"))
     return SpectralSums(Fraction(l1, denom), Fraction(weighted, denom), Fraction(weighted2, denom**2))
 
 
 def influence_from_spectrum(spec: FourierSpectrum) -> Fraction:
     """Influence via the spectral identity sum |S| fhat(S)^2."""
-    return Fraction(int(spectral_numerators(_one_table(spec.scaled), spec.n)["spectral"]), 1 << (2 * spec.n))
+    return Fraction(int(spectral_numerators(spec.scaled, spec.n)["spectral"]), 1 << (2 * spec.n))

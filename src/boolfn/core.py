@@ -214,8 +214,9 @@ Tables = Union[TruthTable, np.ndarray]
 def table_values(f: Tables) -> tuple[int, np.ndarray]:
     """Arity and values of a table, or of an ``(N, 2**n)`` stack of tables.
 
-    The kernels that run once per function work along the last axis, so
-    they take either; a table is the stack of one without its leading axis.
+    The kernels that run once per function work along the last axis and
+    take either: one table gets its own value (an int, a bool, a result
+    object or a 1-D array), and a stack arrays whose row i is table i's.
     """
     if isinstance(f, TruthTable):
         return f.n, f.values

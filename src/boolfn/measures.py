@@ -445,8 +445,8 @@ class Chunk:
     # The per-point columns: one kernel run each on the stack.
     per_point_s = cached_property(lambda c: per_point_sensitivity(c.stack))
     profile = cached_property(lambda c: chains.alternation_profile(c.stack))
-    coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack).coeffs)
-    spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack).scaled)
+    coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack))
+    spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack))
     witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
     per_point_cert = cached_property(lambda c: c._by_plane_parts(per_point_certificate))
 

@@ -116,7 +116,7 @@ def and_of_first(n, j):
 def test_top_down_degrees_match_the_full_pass(m):
     column = MODULI.index(m)
     stack = np.stack([TruthTable.from_packed_int(3, p).values for p in range(256)])
-    coeffs = multilinear_coefficients(stack).coeffs
+    coeffs = multilinear_coefficients(stack)
     assert np.array_equal(algebra.degrees(coeffs, 3)[:, column], full_pass_degrees(coeffs, 3, m))
     rng = random.Random(8 if m is None else m)
     special = [
@@ -130,7 +130,7 @@ def test_top_down_degrees_match_the_full_pass(m):
         for _ in range(3):
             mixed = [random_table(rng, 8).values for _ in range(rng.randrange(0, 40))] + rows
             rng.shuffle(mixed)
-            coeffs = multilinear_coefficients(np.stack(mixed)).coeffs
+            coeffs = multilinear_coefficients(np.stack(mixed))
             got = algebra.degrees(coeffs, 8)[:, column]
             assert got.tolist() == full_pass_degrees(coeffs, 8, m).tolist()
             for row, deg in zip(coeffs, got):
@@ -157,7 +157,7 @@ def brute_degrees(t):
 def test_degrees_of_every_small_table_match_the_oracle():
     for n in range(4):
         tables = [TruthTable.from_packed_int(n, p) for p in range(1 << (1 << n))]
-        got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])).coeffs, n)
+        got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])), n)
         assert got.tolist() == [brute_degrees(t) for t in tables]
 
 
@@ -165,7 +165,7 @@ def test_degrees_of_every_small_table_match_the_oracle():
 def test_degrees_of_seeded_tables_match_the_oracle(n):
     rng = random.Random(n)
     tables = [random_table(rng, n) for _ in range(12)] + [TruthTable(n, and_of_first(n, j)) for j in (1, n)]
-    got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])).coeffs, n)
+    got = algebra.degrees(multilinear_coefficients(np.stack([t.values for t in tables])), n)
     assert got.tolist() == [brute_degrees(t) for t in tables]
     assert [[degree(t, m) for m in MODULI] for t in tables] == got.tolist()
 
@@ -184,7 +184,7 @@ def test_low_degree_and_vanishing_top_rows_match_the_full_pass(n):
     # open rows share one full pass
     stacks = [row[None] for row in rows] + [np.stack(rows)]
     for stack in stacks:
-        coeffs = multilinear_coefficients(stack).coeffs
+        coeffs = multilinear_coefficients(stack)
         want = np.stack([full_pass_degrees(coeffs, n, m) for m in MODULI], axis=-1)
         assert algebra.degrees(coeffs, n).tolist() == want.tolist()
 
@@ -236,7 +236,7 @@ def test_fourier_examples():
 @pytest.mark.parametrize("n", [0, 1])
 def test_fourier_at_arity_0_and_1(n):
     tables = [TruthTable.from_packed_int(n, p) for p in range(1 << (1 << n))]
-    stack = fourier_transform(np.stack([t.values for t in tables])).scaled
+    stack = fourier_transform(np.stack([t.values for t in tables]))
     assert not stack.flags.writeable
     for row, t in zip(stack, tables):
         spec = fourier_transform(t)
@@ -370,16 +370,16 @@ def mixed_rows(rng: random.Random, n: int, count: int = 0) -> np.ndarray:
 def assert_transforms_match(stack: np.ndarray, n: int, wide: bool = False) -> None:
     """Moebius and Walsh of the stack and of each row alone equal the
     reference loops by value, in int32 (int64 if ``wide``)."""
-    for transform, reference in (
-        (lambda f: multilinear_coefficients(f).coeffs, oracles.moebius_int64),
-        (lambda f: fourier_transform(f).scaled, oracles.walsh_int64),
+    for transform, field, reference in (
+        (multilinear_coefficients, "coeffs", oracles.moebius_int64),
+        (fourier_transform, "scaled", oracles.walsh_int64),
     ):
         want = reference(stack, n)
         got = transform(stack)
         assert got.dtype == (np.int64 if wide else np.int32) and not got.flags.writeable
         assert np.array_equal(got, want)
         for row in (0, 2, 4, len(stack) - 1):
-            assert np.array_equal(transform(TruthTable(n, stack[row])), want[row])
+            assert np.array_equal(getattr(transform(TruthTable(n, stack[row])), field), want[row])
 
 
 def test_transforms_match_the_one_layout_loops():
@@ -411,7 +411,7 @@ def test_transforms_take_int64_above_the_exact_arity(monkeypatch):
 
 
 def extreme_stacks():
-    """(n, transform, reference, stack) for the entries that reach the edge
+    """(n, transform, field, reference, stack) for the entries that reach the edge
     of the transforms' int16 passes, each stack with a random row between
     its two extremes. A constant table's Walsh entry at the empty set is
     +/-2**p after p passes: 2**14 at pass 14, the last in int16. Parity's
@@ -420,12 +420,12 @@ def extreme_stacks():
     rng = np.random.default_rng(16)
     for n in (*range(13, 18), 20):
         const = np.zeros(1 << n, dtype=np.uint8)
-        yield n, lambda f: fourier_transform(f).scaled, oracles.walsh_int64, np.stack(
+        yield n, fourier_transform, "scaled", oracles.walsh_int64, np.stack(
             [const, rng.integers(0, 2, 1 << n, dtype=np.uint8), const + 1]
         )
     for n in range(14, 18):
         parity = popcounts(n) & 1
-        yield n, lambda f: multilinear_coefficients(f).coeffs, oracles.moebius_int64, np.stack(
+        yield n, multilinear_coefficients, "coeffs", oracles.moebius_int64, np.stack(
             [parity, rng.integers(0, 2, 1 << n, dtype=np.uint8), parity ^ 1]
         )
 
@@ -435,12 +435,12 @@ def test_int16_passes_hold_the_extreme_entries(monkeypatch, cells):
     # at 3000 cells the widening runs in blocks of 3000 cells, several of
     # them with a partial one on top, after three low digits
     monkeypatch.setattr(core, "CHUNK_CELLS", cells)
-    for n, transform, reference, stack in extreme_stacks():
+    for n, transform, field, reference, stack in extreme_stacks():
         want = reference(stack, n)
         got = transform(stack)
         assert got.dtype == np.int32 and np.array_equal(got, want), n
         for row, wanted in zip(stack, want):
-            assert np.array_equal(transform(TruthTable(n, row)), wanted), n
+            assert np.array_equal(getattr(transform(TruthTable(n, row)), field), wanted), n
 
 
 def reference_numerators(scaled: np.ndarray, n: int) -> dict:
@@ -475,7 +475,7 @@ def test_blocked_spectral_numerators_match_the_whole_array_formula(monkeypatch, 
     monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
     rng = random.Random(cells)
     for n in range(13):
-        scaled = fourier_transform(mixed_rows(rng, n, 8)).scaled
+        scaled = fourier_transform(mixed_rows(rng, n, 8))
         assert_numerators_match(scaled, n)
         assert_numerators_match(scaled[2], n)
 
@@ -491,7 +491,7 @@ def test_blocked_spectral_numerators_above_the_int64_arity(monkeypatch):
     monkeypatch.setattr(algebra, "CHUNK_CELLS", 100)
     rng = random.Random(24)
     for n in (6, 7, 8, 10):
-        assert_numerators_match(fourier_transform(mixed_rows(rng, n, 8)).scaled, n)
+        assert_numerators_match(fourier_transform(mixed_rows(rng, n, 8)), n)
 
 
 def test_spectral_numerators_peak_is_bounded_by_a_block():
@@ -525,7 +525,7 @@ def test_multilinear_coefficients_peak_per_point():
 def test_spectral_numerators_of_int32_and_int64_spectra_agree():
     rng = random.Random(32)
     for n in (0, 1, 5, 9, 16):
-        scaled = fourier_transform(mixed_rows(rng, n)).scaled
+        scaled = fourier_transform(mixed_rows(rng, n))
         assert scaled.dtype == np.int32
         narrow = algebra.spectral_numerators(scaled, n)
         wide = algebra.spectral_numerators(scaled.astype(np.int64), n)

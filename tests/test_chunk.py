@@ -42,8 +42,8 @@ def test_stacked_kernels_match_single_table_and_oracles(data):
     stack = np.stack([t.values for t in tables])
     A = chains.alternation_profile(stack)
     D = chains.decrease(A, stack, stack[:, :1])
-    coeffs = algebra.multilinear_coefficients(stack).coeffs
-    scaled = algebra.fourier_transform(stack).scaled
+    coeffs = algebra.multilinear_coefficients(stack)
+    scaled = algebra.fourier_transform(stack)
     s = measures.per_point_sensitivity(stack)
     assert not any(result.flags.writeable for result in (A, coeffs, scaled, s))
     for i, t in enumerate(tables):
@@ -64,20 +64,50 @@ def test_stacked_kernels_match_single_table_and_oracles(data):
 def test_stacked_results_serve_only_their_rows():
     tables = [TruthTable.from_packed_int(3, p) for p in (0x80, 0x96)]
     stack = np.stack([t.values for t in tables])
-    poly = algebra.multilinear_coefficients(stack)
-    spec = algebra.fourier_transform(stack)
-    whole = [
-        poly.to_json_dict, lambda: list(poly.items()), lambda: poly.coefficient([1]),
-        spec.sparsity, lambda: list(spec.support()), lambda: list(spec.csv_rows()),
-        lambda: spec.coefficient([1]), lambda: algebra.spectral_sums_of(spec),
-        lambda: algebra.influence_from_spectrum(spec),
-    ]
-    for read in whole:
-        with pytest.raises(ValueError, match="stack"):
-            read()
+    coeffs = algebra.multilinear_coefficients(stack)
+    scaled = algebra.fourier_transform(stack)
+    assert isinstance(coeffs, np.ndarray) and isinstance(scaled, np.ndarray)
+    for entries in (stack, stack[0, :4]):  # a stack, and one row of the wrong length
+        for result in (algebra.MultilinearPoly, algebra.FourierSpectrum):
+            with pytest.raises(ValueError, match="one table"):
+                result(3, entries)
     for i, t in enumerate(tables):
-        assert algebra.degrees(poly.coeffs[i], 3)[0] == algebra.degree(t)
-        assert algebra.FourierSpectrum(3, spec.scaled[i]).sparsity() == algebra.sparsity(t)
+        assert np.array_equal(coeffs[i], algebra.multilinear_coefficients(t).coeffs)
+        assert np.array_equal(scaled[i], algebra.fourier_transform(t).scaled)
+        assert algebra.degrees(coeffs[i], 3)[0] == algebra.degree(t)
+        assert algebra.FourierSpectrum(3, scaled[i]).sparsity() == algebra.sparsity(t)
+
+
+# Every kernel that takes a stack, as a function of a table and the table's profile.
+KERNELS = {
+    "per_point_sensitivity": lambda f, _: measures.per_point_sensitivity(f),
+    "per_point_certificate": lambda f, _: measures.per_point_certificate(f),
+    "decision_tree_depth": lambda f, _: measures.decision_tree_depth(f),
+    "alternation_profile": lambda f, _: chains.alternation_profile(f),
+    "witness_orders": chains.witness_orders,
+    "depends_on_all": lambda f, _: depends_on_all(f),
+    "multilinear_coefficients": lambda f, _: algebra.multilinear_coefficients(f),
+    "fourier_transform": lambda f, _: algebra.fourier_transform(f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_one_table_gets_its_value_and_a_stack_gets_arrays(name):
+    kernel, rng = KERNELS[name], np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 5, 6, 12):
+        random_row = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+        for t in (TruthTable.constant(n, 0), TruthTable.constant(n, 1), TruthTable(n, random_row)):
+            profile = chains.alternation_profile(t)
+            one, stacked = kernel(t, profile), kernel(t.values[None], profile[None])
+            assert isinstance(stacked, np.ndarray) and len(stacked) == 1, (name, n)
+            if isinstance(one, algebra.MultilinearPoly):
+                one = one.coeffs
+            elif isinstance(one, algebra.FourierSpectrum):
+                one = one.scaled
+            assert isinstance(one, (int, np.ndarray)) and np.ndim(one) <= 1, (name, n, type(one))
+            assert np.array_equal(one, stacked[0]), (name, n)
+            if isinstance(one, np.ndarray):
+                assert one.dtype == stacked.dtype, (name, n)
 
 
 POPULATIONS = {

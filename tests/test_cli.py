@@ -459,8 +459,9 @@ def test_a_full_stdout_gives_exit_three():
 # `boolfn verify --jobs 2` with two CPUs, on a sweep long enough that its
 # one worker is still running when the test signals.
 LONG_SWEEP = """
-import os, sys
+import os, signal, sys
 os.cpu_count = lambda: 2
+signal.signal(signal.SIGINT, signal.default_int_handler)  # even if the suite was started with SIGINT ignored
 from boolfn import cli
 sys.exit(cli.main(["verify", "--sample", "8,4000000,42", "--checks", "deg-product-bound-m2", "--jobs", "2"]))
 """
