@@ -323,12 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the check suite over populations")
     p_verify.add_argument("--exhaustive", type=int, action="append", metavar="N")
-    p_verify.add_argument(
-        "--sample", action="append", metavar="N,COUNT,SEED", help="seeded random population"
-    )
-    p_verify.add_argument(
-        "--families", action="store_true", help="also sweep the standard family instances"
-    )
+    p_verify.add_argument("--sample", action="append", metavar="N,COUNT,SEED", help="seeded random population")
+    p_verify.add_argument("--families", action="store_true", help="also sweep the standard family instances")
     p_verify.add_argument("--checks", default="all", help="comma-separated check names or 'all'")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker parallelism bound")
     p_verify.add_argument("--fail-limit", type=int, default=verify.DEFAULT_FAIL_LIMIT)
@@ -347,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # holds no results: each parse_args gives a fresh namespace
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a full disk shows here, not at exit

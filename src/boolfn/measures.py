@@ -8,10 +8,11 @@ Decision-tree depth and certificate complexity are read from f's constancy
 planes (:func:`constancy_planes`), one bit per row and subcube, eight rows
 to a byte, and block sensitivity reads C: C(f, x) for every x, with s(f),
 bounds its search. A table's 3**n bytes of planes bound the bs, C and DT
-caps by ``SUBCUBE_MAX_ARITY``. The value planes, each DT round and
-per-point sensitivity are each one sweep of one pass per variable
-(:func:`core.digit_sweep`), whose passes on the last few variables run on
-block copies with the cells transposed.
+caps by ``SUBCUBE_MAX_ARITY``. Building the planes, the C sweep and the DT
+rounds each run in blocks of rows bounded by ``CHUNK_CELLS``, on any stack.
+The value planes, each DT round and per-point sensitivity are each one
+sweep of one pass per variable (:func:`core.digit_sweep`), whose passes on
+the last few variables run on block copies with the cells transposed.
 
 Every measure is a column of a :class:`Chunk` of same-arity tables,
 computed once for all its rows; only block sensitivity searches row by row.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -87,9 +88,9 @@ BS_CAP_DEFAULT = 12
 CERT_CAP_DEFAULT = 12
 DT_CAP_DEFAULT = 15
 # No bs, C or DT cap may exceed this arity. A chunk keeps the constancy
-# planes of its N tables, ceil(N / 8) * 3**n bytes per part: 43 MB for one
-# table at n = 16; building a part's planes, its C sweep and its DT rounds
-# each take a few more arrays of that size or less.
+# planes of its N tables, ceil(N / 8) * 3**n bytes: 43 MB for one table at
+# n = 16, at most 4.8 MB below; building them and a block of the C sweep or
+# of the DT rounds each take a few more arrays of that size or less.
 SUBCUBE_MAX_ARITY = 16
 FREE = 2  # a subcube digit leaving its variable free
 # A DT step ANDs the marks of a digit's two halves in blocks of at most this
@@ -208,13 +209,12 @@ def _split_on_digit(halves: np.ndarray) -> np.ndarray:
     return np.concatenate([halves, halves[:, :1] & halves[:, 1:]], axis=1)
 
 
-def _lanes(planes: np.ndarray, rows: int) -> np.ndarray:
-    """The ``(rows, cells)`` rows of planes packed eight rows to a byte:
-    row 8r + i is bit i of byte r."""
-    bits = np.empty((rows, planes.shape[-1]), np.uint8)
-    for i in range(min(8, rows)):
+def _lanes(planes: np.ndarray, rows: range) -> np.ndarray:
+    """Rows ``rows`` of the planes, a byte per row and cell: row r is bit r % 8 of byte r // 8."""
+    bits = np.empty((len(rows), planes.shape[-1]), np.uint8)
+    for i, r in enumerate(rows[:8]):
         lane = bits[i::8]
-        np.right_shift(planes[: len(lane)], i, out=lane)
+        np.right_shift(planes[r // 8 : r // 8 + len(lane)], r % 8, out=lane)
         lane &= 1
     return bits
 
@@ -232,20 +232,24 @@ def constancy_planes(f: Tables) -> np.ndarray:
     subcube and bit 4 + i where it is constant 0 (padding lanes hold a
     constant-0 row), then two such bytes in one. The value planes are one
     sweep (:func:`core.digit_sweep`) of one pass per variable, which splits
-    each cell on x_j into its two halves and the cell where x_j is free.
+    each cell on x_j into its two halves and the cell where x_j is free,
+    on blocks of rows of at most ``2 * CHUNK_CELLS`` bytes of planes.
     """
     n, values = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
-    rows = values.reshape(-1, 1 << n)
-    ones = np.packbits(rows, axis=0, bitorder="little")
-    quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(rows) // 4)]
-    quads |= (quads ^ 15) << 4
-    quads = digit_sweep(_split_on_digit, n, quads, base=3)
-    quads |= quads >> 4
-    quads &= 15
-    planes = np.ascontiguousarray(quads[::2])
-    planes[: len(quads) // 2] |= quads[1::2] << 4
+    rows, parts = values.reshape(-1, 1 << n), []
+    step = 8 * max(1, 2 * CHUNK_CELLS // 3**n)
+    for block in (rows[i : i + step] for i in range(0, len(rows), step)):
+        ones = np.packbits(block, axis=0, bitorder="little")
+        quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(block) // 4)]
+        quads |= (quads ^ 15) << 4
+        quads = digit_sweep(_split_on_digit, n, quads, base=3)
+        quads |= quads >> 4
+        quads &= 15
+        parts.append(np.ascontiguousarray(quads[::2]))
+        parts[-1][: len(quads) // 2] |= quads[1::2] << 4
+    planes = parts[0] if len(parts) == 1 else np.concatenate(parts)
     planes.setflags(write=False)
     return planes
 
@@ -259,18 +263,24 @@ def per_point_certificate(f: Tables, *, planes: Optional[np.ndarray] = None) -> 
     others. The sweep over x_j gives each cell fixing x_j the better of its
     own count plus one and the count of its cell with x_j free, then drops
     the free cells; after n sweeps the 2**n cells left hold C(f, x) for
-    every x.
+    every x. Rows go in blocks of at most ``8 * CHUNK_CELLS`` cells (or one
+    row), which may start inside a byte of the planes.
     """
     n, values = table_values(f)
-    rows = values.size >> n
-    size = _lanes(constancy_planes(f) if planes is None else planes, rows)
-    size ^= 1
-    size *= n + 1
-    for j in range(n):
-        cells = size.reshape(rows, 2**j, 3, -1)
-        size = cells[..., :FREE, :] + 1
-        np.minimum(size, cells[..., FREE:, :], out=size)
-    return size.reshape(values.shape)
+    planes = constancy_planes(f) if planes is None else planes
+    certs = np.empty((values.size >> n, 1 << n), np.uint8)
+    step = max(1, 8 * CHUNK_CELLS // 3**n)
+    for start in range(0, len(certs), step):
+        rows = range(start, min(len(certs), start + step))
+        size = _lanes(planes, rows)
+        size ^= 1
+        size *= n + 1
+        for j in range(n):
+            cells = size.reshape(len(rows), 2**j, 3, -1)
+            size = cells[..., :FREE, :] + 1
+            np.minimum(size, cells[..., FREE:, :], out=size)
+        certs[start : rows.stop] = size.reshape(len(rows), -1)
+    return certs.reshape(values.shape)
 
 
 def certificate_complexity(
@@ -329,21 +339,24 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, *, planes: Optiona
     :func:`core.digit_sweep` of bitwise steps on the marks of eight rows to
     a byte. The depth is the first round that marks the whole cube; a cube
     still open after round n - 1 has depth n, as every f has DT <= n, so
-    round n is never run.
+    round n is never run. Each block of byte rows of the planes, at most
+    ``CHUNK_CELLS`` bytes (or one byte row), runs its own rounds.
     """
     n, values = table_values(f)
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
-    rows = values.size >> n
-    decided = (constancy_planes(f) if planes is None else planes).copy()
-    depth = np.zeros(rows, dtype=np.int64)
-    for d in range(n):
-        open_rows = np.unpackbits(decided[:, -1], count=rows, bitorder="little") ^ 1
-        if not open_rows.any():
-            break
-        depth += open_rows
-        if d < n - 1:
-            digit_sweep(_decide_on_digit, n, decided, radix=3, jacobi=True)
+    planes = constancy_planes(f) if planes is None else planes
+    depth = np.zeros(values.size >> n, dtype=np.int64)
+    step = max(1, CHUNK_CELLS // 3**n)
+    for start in range(0, len(planes), step):
+        decided, block = planes[start : start + step].copy(), depth[8 * start : 8 * (start + step)]
+        for d in range(n):
+            open_rows = np.unpackbits(decided[:, -1], count=len(block), bitorder="little") ^ 1
+            if not open_rows.any():
+                break
+            block += open_rows
+            if d < n - 1:
+                digit_sweep(_decide_on_digit, n, decided, radix=3, jacobi=True)
     return depth if values.ndim > 1 else int(depth[0])
 
 
@@ -382,7 +395,8 @@ class Chunk:
     for all rows, and kept. The per-point columns (``per_point_s``,
     ``profile``, ``coeffs``, ``spectrum``, the witness chain orders
     ``witness``) come from one kernel run on the stack, and
-    ``per_point_cert`` from one run per part of the constancy ``planes``.
+    ``per_point_cert`` and ``dt`` from one run each on its constancy
+    ``planes``, one array, each kernel in blocks of its own bound.
     A chunk whose rows a proven bound settles runs no kernel (:meth:`settle`):
     deg = n gives DT = n and full dependence (deg <= DT <= n, and x_1...x_n has
     a nonzero coefficient), and deg <= deg2 * deg_m the deg-product checks.
@@ -448,21 +462,8 @@ class Chunk:
     coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack))
     spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack))
     witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
-    per_point_cert = cached_property(lambda c: c._by_plane_parts(per_point_certificate))
-
-    @cached_property
-    def planes(self) -> list[tuple[slice, np.ndarray]]:
-        """The constancy planes of the stack (:func:`constancy_planes`), in
-        parts of consecutive rows, each with its slice of the rows: at most
-        ``8 * CHUNK_CELLS`` subcube cells (one table, above that), so the DT
-        rounds and the C sweep run on planes of about ``CHUNK_CELLS`` bytes."""
-        step = max(1, 8 * CHUNK_CELLS // 3**self.n)
-        parts = [slice(i, i + step) for i in range(0, len(self), step)]
-        return [(rows, constancy_planes(self.stack[rows])) for rows in parts]
-
-    def _by_plane_parts(self, measure: Callable[..., np.ndarray]) -> np.ndarray:
-        """``measure(rows, planes=part)`` of each part of ``planes``, joined."""
-        return np.concatenate([measure(self.stack[rows], planes=part) for rows, part in self.planes])
+    planes = cached_property(lambda c: constancy_planes(c.stack))
+    per_point_cert = cached_property(lambda c: per_point_certificate(c.stack, planes=c.planes))
 
     def settle(self, sure: np.ndarray, value, kernel: Callable[[], np.ndarray]) -> np.ndarray:
         """``value`` on every row if ``sure`` holds on all, else ``kernel()``."""
@@ -480,7 +481,7 @@ class Chunk:
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
     cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
     dt = _exact_column(
-        lambda c: c.settle(c.deg == c.n, c.n, lambda: c._by_plane_parts(partial(decision_tree_depth, cap=c.dt_cap)))
+        lambda c: c.settle(c.deg == c.n, c.n, lambda: decision_tree_depth(c.stack, cap=c.dt_cap, planes=c.planes))
     )
 
     @cached_property

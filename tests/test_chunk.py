@@ -291,15 +291,15 @@ def kernel_stacks(monkeypatch, name: str) -> list:
 def test_dt_rounds_run_only_on_chunks_with_a_row_below_degree_n(monkeypatch):
     # deg <= DT <= n, so a row of degree n has DT = n. C(16, 8) = 12870 of the
     # tables at n = 4 have degree below 4; 4:0018 has deg 3 and DT 4. A chunk
-    # with such a row runs the rounds on its whole stack, one part of its
-    # planes at a time; a chunk of degree-4 rows builds no planes and runs none.
+    # with such a row builds the planes of its whole stack once and runs the
+    # rounds on them; a chunk of degree-4 rows builds no planes and runs none.
     tables = np.concatenate(list(Population.exhaustive(4).stacks()))
     deg = measures.Chunk(tables).deg
     planes = count_calls(monkeypatch, [(measures, "constancy_planes")])
     seen = kernel_stacks(monkeypatch, "decision_tree_depth")
     dt = measures.Chunk(tables).dt
     assert (deg < 4).sum() == 12870 and np.array_equal(np.concatenate(seen), tables)
-    assert len(seen) == planes["constancy_planes"] > 1 and (deg[0x0018], dt[0x0018]) == (3, 4)
+    assert len(seen) == planes["constancy_planes"] == 1 and (deg[0x0018], dt[0x0018]) == (3, 4)
     sample = np.random.default_rng(25).choice(np.flatnonzero(deg < 4), 60, replace=False)
     for i in [0x0018, *sample.tolist()]:
         assert dt[i] == oracles.brute_decision_tree_depth(TruthTable._row(tables[i])), i

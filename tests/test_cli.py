@@ -392,6 +392,16 @@ def test_verify_deterministic_output():
     assert a == b
 
 
+def test_in_process_calls_share_no_flags():
+    # main parses with one parser, built at import: the population flags of
+    # one call never carry into the next call's report
+    code, sampled, _ = run_cli(["verify", "--sample", "4,40,5"])
+    assert code == 0 and json.loads(sampled)["population"]["kind"] == "sample"
+    code, out, _ = run_cli(["verify", "--exhaustive", "3"])
+    assert code == 0 and json.loads(out)["population"] == {"kind": "exhaustive", "n": 3}
+    assert run_cli(["verify", "--sample", "4,40,5"]) == (0, sampled, "")
+
+
 def test_verify_json_parses_on_success_paths():
     code, out, _ = run_cli(["verify", "--exhaustive", "1", "--format", "json"])
     json.loads(out)

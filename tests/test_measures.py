@@ -412,7 +412,7 @@ def subcube_kernels(f) -> tuple:
     and every C(f, x), all read from its constancy planes."""
     planes = measures.constancy_planes(f)
     n, values = core.table_values(f)
-    constant = measures._lanes(planes, values.size >> n).view(bool).reshape(*values.shape[:-1], -1)
+    constant = measures._lanes(planes, range(values.size >> n)).view(bool).reshape(*values.shape[:-1], -1)
     dt = decision_tree_depth(f, planes=planes)
     return constant, dt, measures.per_point_certificate(f, planes=planes)
 
@@ -526,23 +526,69 @@ def test_packed_lanes_match_the_one_layout_loops(n):
     assert_same_array(one_certs, want[2][row])
 
 
-@pytest.mark.parametrize("step", [1, 3, 5, 9])
-def test_chunk_parts_that_split_a_byte_lane(monkeypatch, step):
-    # CHUNK_CELLS set so that a part holds `step` rows: the parts' bounds fall
-    # inside the bytes that the chunk's rows would fill, and each part packs
-    # its own lanes. The DT steps run in blocks of a few hundred cells.
+def kernel_blocks(monkeypatch) -> dict:
+    """The blocks of each later kernel run, in order: the value-plane rows of
+    each block of the planes build ("planes"), the rows each block of the C
+    sweep unpacks ("C") and the plane byte rows of each block of DT rounds
+    ("DT")."""
+    blocks, decided = {"planes": [], "C": [], "DT": []}, []
+    lanes, sweep = measures._lanes, measures.digit_sweep
+
+    def seen_lanes(planes, rows):
+        blocks["C"].append(rows)
+        return lanes(planes, rows)
+
+    def seen_sweep(step, n, a, **kw):
+        if step is measures._split_on_digit:
+            blocks["planes"].append(len(a))
+        elif not (decided and decided[-1] is a):  # a block's first DT round
+            decided.append(a)
+            blocks["DT"].append(len(a))
+        return sweep(step, n, a, **kw)
+
+    monkeypatch.setattr(measures, "_lanes", seen_lanes)
+    monkeypatch.setattr(measures, "digit_sweep", seen_sweep)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "cells, plane_rows, dt_bytes, c_rows",
+    [
+        (3**7 + 300, [16, 13], [1, 1, 1, 1], [9, 9, 9, 2]),
+        (3**7 + 1400, [24, 5], [1, 1, 1, 1], [13, 13, 3]),
+        (2 * 3**7 + 500, [29], [2, 2], [17, 12]),
+        (3 * 3**7 + 1000, [29], [3, 1], [27, 2]),
+    ],
+    ids=["dt1-c9", "dt1-c13", "dt2-c17", "dt3-c27"],
+)
+def test_kernel_blocks_that_split_a_byte_lane(monkeypatch, cells, plane_rows, dt_bytes, c_rows):
+    # CHUNK_CELLS set so that the planes of 29 rows (4 byte rows, the last
+    # with 5 rows) are built in one or two blocks, a DT block holds 1 to 3 of
+    # their byte rows and a C block 9, 13, 17 or 27 rows, so the C blocks
+    # start inside a byte and the last block of each kernel is partial. The
+    # DT steps run in blocks of a few hundred cells. A chunk and a library
+    # call on the stack run the same blocks.
     n = 7
-    pool = lane_rows(random.Random(step), n)
+    rng = random.Random(cells)
+    pool = np.concatenate([lane_rows(rng, n), [random_table(rng, n).values for _ in range(12)]])
     cubes = reference_subcube_table(pool, n)
-    certs = reference_per_point_certificate(cubes, n)
-    monkeypatch.setattr(measures, "CHUNK_CELLS", (step * 3**n + 7) // 8)
+    certs, dt = reference_per_point_certificate(cubes, n), reference_decision_tree_depth(cubes, n)
+    monkeypatch.setattr(measures, "CHUNK_CELLS", cells)
     monkeypatch.setattr(measures, "DT_BLOCK_CELLS", 300)
+    blocks = kernel_blocks(monkeypatch)
+    starts = np.cumsum([0, *c_rows[:-1]]).tolist()
+    planes = [-(-rows // 4) for rows in plane_rows]
+    c = [range(start, start + rows) for start, rows in zip(starts, c_rows)]
     chunk = measures.Chunk(pool)
-    rows, _ = chunk.planes[0]
-    assert rows.stop - rows.start == step
     assert_same_array(chunk.per_point_cert, certs)
-    assert chunk.dt.tolist() == reference_decision_tree_depth(cubes, n).tolist()
-    assert chunk.cert.tolist() == certs.max(axis=1).tolist()
+    assert chunk.dt.tolist() == dt.tolist() and chunk.cert.tolist() == certs.max(axis=1).tolist()
+    assert blocks == {"planes": planes, "C": c, "DT": dt_bytes}
+    assert chunk.planes.shape == (4, 3**n)
+    assert_same_array(measures._lanes(chunk.planes, range(len(pool))), (cubes != FREE).view(np.uint8))
+    for kernel, want, kind in ((measures.per_point_certificate, certs, "C"), (decision_tree_depth, dt, "DT")):
+        blocks.update(planes=[], C=[], DT=[])
+        assert_same_array(kernel(pool), want)
+        assert blocks == {"planes": planes, "C": [], "DT": [], kind: c if kind == "C" else dt_bytes}
 
 
 def test_padding_lanes_never_change_a_real_row():
@@ -554,7 +600,7 @@ def test_padding_lanes_never_change_a_real_row():
     n, count = 7, 9
     stack = lane_rows(random.Random(9), n)[:count]
     planes = measures.constancy_planes(stack)
-    assert (measures._lanes(planes, 12)[count:] == 1).all()
+    assert (measures._lanes(planes, range(12))[count:] == 1).all()
     dt = decision_tree_depth(stack, planes=planes)
     certs = measures.per_point_certificate(stack, planes=planes)
     padded = np.concatenate([stack, np.zeros((16 - count, 1 << n), np.uint8)])
@@ -567,13 +613,20 @@ def test_padding_lanes_never_change_a_real_row():
         assert_same_array(measures.per_point_certificate(stack, planes=lanes), certs)
 
 
-@pytest.mark.parametrize("n, rows, byte_tables_peak", [(14, 1, 15_993_126), (8, 256, 2_040_245)])
+@pytest.mark.parametrize(
+    "n, rows, byte_tables_peak",
+    [(14, 1, 15_993_126), (8, 256, 2_040_245), (12, 16, 9_462_495), (13, 8, 15_476_341)],
+)
 def test_subcube_columns_peak_no_higher_than_on_byte_tables(n, rows, byte_tables_peak):
     """C and DT of a lone n = 14 table and of a 256-row n = 8 chunk peak at
     most where they did when a chunk kept ``(N, 3**n)`` byte subcube tables:
     the bounds are those peaks, as this test measured them then, after the
-    rest of this file (run alone, 16_065_905 and 2_051_885 bytes)."""
+    rest of this file (run alone, 16_065_905 and 2_051_885 bytes). The full
+    n = 12 and n = 13 chunks peak at most where they did when a chunk built
+    its planes in parts of at most 2**19 cells, one table each at these
+    arities: the bounds are those peaks, measured the same way."""
     stack = np.random.default_rng(n).integers(0, 2, (rows, 1 << n), dtype=np.uint8)
     chunk = measures.Chunk(stack)
     _, peak = traced_bytes(lambda: (chunk.cert, chunk.dt))
     assert peak <= byte_tables_peak, f"{peak} bytes at the peak"
+    assert chunk.planes.shape == (-(-rows // 8), 3**n)
