@@ -67,7 +67,7 @@ DENSE_CAP_ENV = "BOOLFN_DENSE_CAP"
 # int8, exact up to 6 digits (Walsh entries reach 2**l): so CHUNK_CELLS < 9**7.
 CHUNK_CELLS = 1 << 16
 
-_TEXT_RE = re.compile(r"^(\d+):([0-9A-Fa-f]+)$")
+_TEXT_RE = re.compile(r"^([0-9]+):([0-9A-Fa-f]+)$")
 
 
 class FormatError(ValueError):
@@ -346,8 +346,8 @@ def digit_sweep(
     cells, run first, in ``a``'s own dtype, on transposed copies with cells
     ``(low, rows, high)``, made in blocks of high cells of at most
     ``CHUNK_CELLS`` cells (or one high cell) each; a block's own copy is its
-    ``before``. A result below 3**8 cells has no low digits, a larger one
-    the largest l with 9**l <= ``CHUNK_CELLS`` (5), or n if fewer. The cells
+    ``before``. At any stack size they are the last l digits, l the largest
+    with 9**l <= ``CHUNK_CELLS`` (5), or all n if fewer. The cells
     then move back, widened, and the high digits run on the natural layout.
     If the entries stay within int16 for ``int16_passes`` passes (``base``
     equal to ``radix``, ``dtype`` wider), the lowest high digits up to that
@@ -363,19 +363,17 @@ def digit_sweep(
 
     base, dtype = base or radix, dtype or a.dtype
     lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
-    low = _low_digits(n, rows * base**n)
+    low = _low_digits(n)
     mid = max(0, min(n, int16_passes) - low)
     before = a.copy() if jacobi and low < n else None
     cells = a.reshape(rows, -1, radix**low)
     if mid:
         wide = np.empty(a.size, dtype)
         a = wide.view(np.int16)[: a.size].reshape(cells.shape)
-        if not low:
-            a[...] = cells
-    elif low:
+    else:
         in_place = base == radix and dtype == a.dtype
         a = cells if in_place else np.empty((rows, cells.shape[1], base**low), dtype)
-    for part, block in _low_blocks(cells, base**low) if low else ():
+    for part, block in _low_blocks(cells, base**low):
         block = passes(block, block.copy() if jacobi else None, low, block[0].size)
         a[:, part] = block.reshape(base**low, rows, -1).transpose(1, 2, 0)
     if mid:
@@ -395,10 +393,9 @@ def _widen(wide: np.ndarray, narrow: np.ndarray) -> None:
     wide[: len(first)] = first
 
 
-def _low_digits(n: int, size: int) -> int:
-    """How many of n digits :func:`digit_sweep` runs on transposed blocks,
-    for a result of ``size`` cells."""
-    return 0 if size < 3**8 else min(n, max(l for l in range(8) if 9**l <= CHUNK_CELLS))
+def _low_digits(n: int) -> int:
+    """How many of n digits :func:`digit_sweep` runs on transposed blocks."""
+    return min(n, max(l for l in range(8) if 9**l <= CHUNK_CELLS))
 
 
 def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray]]:
@@ -418,11 +415,11 @@ def variable_halves(rows: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray,
     4-d views with the rows first, so a reduction over axes 1 to 3 gives
     one flag per row.
 
-    Like :func:`digit_sweep`, it reads the last variables on transposed
-    blocks, each block once for all of them, and the first variables on the
-    natural layout; a variable is given once per block."""
-    low = _low_digits(n, rows.size)
-    for _, block in _low_blocks(rows.reshape(len(rows), -1, 1 << low), 1 << low) if low else ():
+    Like :func:`digit_sweep`, it reads the last five variables (all n if
+    fewer) on transposed blocks, each block once for all of them, and the
+    rest on the natural layout; a variable is given once per block."""
+    low = _low_digits(n)
+    for _, block in _low_blocks(rows.reshape(len(rows), -1, 1 << low), 1 << low):
         for j in range(low):
             halves = block.reshape(1 << j, 2, 1 << (low - j - 1), len(rows), -1).transpose(3, 0, 1, 2, 4)
             yield n - low + j, halves[:, :, 0], halves[:, :, 1]

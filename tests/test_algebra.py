@@ -378,7 +378,7 @@ def assert_transforms_match(stack: np.ndarray, n: int, wide: bool = False) -> No
         got = transform(stack)
         assert got.dtype == (np.int64 if wide else np.int32) and not got.flags.writeable
         assert np.array_equal(got, want)
-        for row in (0, 2, 4, len(stack) - 1):
+        for row in {0, 2, 4, len(stack) - 1} & set(range(len(stack))):
             assert np.array_equal(getattr(transform(TruthTable(n, stack[row])), field), want[row])
 
 
@@ -386,11 +386,14 @@ def test_transforms_match_the_one_layout_loops():
     # n = 0..12 spans fewer, as many and more bits than the sweep's five
     # low ones; each stack holds 1.5 * CHUNK_CELLS cells, so above n = 5 its
     # low passes run in blocks, two of them at n = 12 (24 rows of 128 high
-    # cells, in blocks of 85).
+    # cells, in blocks of 85). Stacks of one and three rows take the same
+    # low digits, and from n = 6 up the int16 passes after them.
     rng = random.Random(13)
     for n in range(13):
         stack = mixed_rows(rng, n, 3 * measures.CHUNK_CELLS // 2 >> n)
         assert_transforms_match(stack, n)
+        assert_transforms_match(stack[-1:], n)
+        assert_transforms_match(stack[3:6], n)  # dictator, parity, random
 
 
 @pytest.mark.parametrize("n", [16, 20])

@@ -596,6 +596,7 @@ def test_an_interrupt_gives_exit_130_and_one_error_line():
         ["family", "parity"],
         ["family", "compose", "--power", "2"],
         ["chain", "eval", "--family", "fk", "--k", "3", "--chain", "/nonexistent"],
+        ["analyze", "--fn", "\u0663:AC"],  # an Arabic-Indic digit three is not an arity
         ["analyze", "--fn", "2:8", "--spectrum-out", "/nonexistent/dir/x.csv"],
         ["analyze", "--fn", "2:8", "--poly-out", "/nonexistent/dir/x.json"],
         ["verify", "--exhaustive", "1", "--matrix-out", "/nonexistent/dir/x.csv"],

@@ -252,10 +252,17 @@ def assert_depends_on_all_matches(stack: np.ndarray, n: int) -> None:
 
 def test_depends_on_all_matches_the_one_layout_loop():
     # n = 0..12 on stacks of 1.5 * CHUNK_CELLS cells, so the comparisons on
-    # the last five variables run in transposed blocks, two at n = 12
+    # the last five variables run in transposed blocks, two at n = 12. Short
+    # stacks take the same blocks: 208 rows at n = 4, and 3 rows at n = 9 (a
+    # sweep-n9 chunk) of parity, a row that ignores x_9 and a random row.
     gen = np.random.default_rng(17)
     for n in range(13):
         assert_depends_on_all_matches(rows_ignoring_one_variable(gen, n, 3 * core.CHUNK_CELLS // 2 >> n), n)
+    assert_depends_on_all_matches(rows_ignoring_one_variable(gen, 4, 208), 4)
+    stack = rows_ignoring_one_variable(gen, 9, 0)[[1, 10, 11]]
+    got = depends_on_all(stack)
+    assert got.tolist() == reference_depends_on_all(stack, 9).tolist() == [True, False, True]
+    assert [depends_on_all(TruthTable(9, row)) for row in stack] == got.tolist()
 
 
 @pytest.mark.parametrize("n", range(16, 21))
@@ -265,11 +272,14 @@ def test_depends_on_all_of_large_tables_matches_the_one_layout_loop(n):
 
 def test_low_digits_is_the_largest_power_of_9_in_a_chunk(monkeypatch):
     # the transposed blocks take the largest l with 9**l <= CHUNK_CELLS
-    # digits, also when CHUNK_CELLS is exactly a power of 9
+    # digits, or all n if fewer, at any stack size: five at the default
+    for n in range(25):
+        assert core._low_digits(n) == min(n, 5), n
+    # also when CHUNK_CELLS is exactly a power of 9
     for l in range(1, 7):
         for cells, want in ((9**l - 1, l - 1), (9**l, l), (9**l + 1, l)):
             monkeypatch.setattr(core, "CHUNK_CELLS", cells)
-            assert core._low_digits(8, 3**8) == want, cells
+            assert core._low_digits(8) == want, cells
 
 
 def test_serialize_examples():
@@ -283,6 +293,7 @@ def test_serialize_examples():
         ("1:4", "padding bits set in '1:4'"),
         ("0:2", "padding bits set in '0:2'"),
         ("nonsense", "malformed table text: 'nonsense'"),
+        ("\u0663:AC", "malformed table text: '\u0663:AC'"),  # the arity is ASCII digits only
     ):
         with pytest.raises(FormatError) as err:
             parse(text)

@@ -342,17 +342,20 @@ def assert_sensitivity_matches(stack: np.ndarray, n: int) -> None:
     got = per_point_sensitivity(stack)
     assert got.dtype == np.uint8 and not got.flags.writeable
     assert np.array_equal(got, want)
-    for row in (0, 2, 4, len(stack) - 1):
+    for row in {0, 2, 4, len(stack) - 1} & set(range(len(stack))):
         assert np.array_equal(per_point_sensitivity(TruthTable(n, stack[row])), want[row])
 
 
 def test_per_point_sensitivity_matches_the_one_layout_loop():
     # n = 0..12 spans fewer, as many and more bits than the sweep's five
     # low ones, on stacks of 1.5 * CHUNK_CELLS cells, so above n = 5 the low
-    # passes run in blocks (two at n = 12).
+    # passes run in blocks (two at n = 12). Short stacks take the same low
+    # passes: 3 rows at n = 9 (a sweep-n9 chunk) and 208 rows at n = 4.
     rng = random.Random(14)
     for n in range(13):
         assert_sensitivity_matches(mixed_stack(rng, n, 3 * measures.CHUNK_CELLS // 2 >> n), n)
+    assert_sensitivity_matches(mixed_stack(rng, 9)[[2, 5, 6]], 9)  # parity and two random rows
+    assert_sensitivity_matches(mixed_stack(rng, 4, 208), 4)
 
 
 @pytest.mark.parametrize("n", [16, 20])
