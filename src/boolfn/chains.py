@@ -116,7 +116,7 @@ _level_plan = lru_cache(maxsize=None)(_plan)
 def _low_first(blocks: np.ndarray) -> np.ndarray:
     """``(rows, tables, 2**k)`` blocks as ``(2**k, columns)``; one column as a vector."""
     a = np.ascontiguousarray(blocks.transpose(2, 0, 1))
-    return a.reshape(len(a), -1) if a.size > len(a) else a.ravel()
+    return a.ravel() if a.size == len(a) else a.reshape(len(a), a.size // len(a))
 
 
 def alternation_profile(f: Tables) -> np.ndarray:
@@ -148,7 +148,7 @@ def alternation_profile(f: Tables) -> np.ndarray:
             m = np.maximum(a[t], a[p].max(axis=0)) if len(p) else a[t]
             m += (m ^ g[t]) & 1
             a[t] = m
-        A[T] = a.reshape(1 << k, -1, v.shape[1]).transpose(1, 2, 0)
+        A[T] = a.reshape(1 << k, len(at), v.shape[1]).transpose(1, 2, 0)
     A = np.ascontiguousarray(A.transpose(1, 0, 2), dtype=np.int32).reshape(shape)
     A.setflags(write=False)
     return A

@@ -44,6 +44,7 @@ __all__ = [
     "dense_cap",
     "depends_on_all",
     "digit_sweep",
+    "halves_hold",
     "is_monotone",
     "materialize",
     "packed_rows",
@@ -55,7 +56,6 @@ __all__ = [
     "serialize_rows",
     "table_values",
     "unpack_rows",
-    "variable_halves",
 ]
 
 DEFAULT_DENSE_CAP = 24
@@ -363,6 +363,8 @@ def digit_sweep(
 
     base, dtype = base or radix, dtype or a.dtype
     lead, rows = a.shape[:-1], len(a) if a.ndim > 1 else 1
+    if not rows:  # an empty stack
+        return a.astype(dtype, copy=False).reshape(*lead, base**n)
     low = _low_digits(n)
     mid = max(0, min(n, int16_passes) - low)
     before = a.copy() if jacobi and low < n else None
@@ -403,48 +405,46 @@ def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarra
     copies of consecutive high cells, each with its slice of them: as many
     as keep a block at most ``CHUNK_CELLS`` cells of ``size`` (one, if none
     fits)."""
-    width = max(1, CHUNK_CELLS // (len(cells) * size))
+    width = max(1, CHUNK_CELLS // ((len(cells) or 1) * size))
     for start in range(0, cells.shape[1], width):
         part = slice(start, start + width)
         yield part, np.ascontiguousarray(cells[:, part].transpose(2, 0, 1))
 
 
-def variable_halves(rows: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(j, lo, hi)`` for each variable x_(j+1) of the ``(N, 2**n)`` rows:
-    the cells with x_(j+1) = 0 and those with x_(j+1) = 1, as matching
-    4-d views with the rows first, so a reduction over axes 1 to 3 gives
-    one flag per row.
-
-    Like :func:`digit_sweep`, it reads the last five variables (all n if
-    fewer) on transposed blocks, each block once for all of them, and the
-    rest on the natural layout; a variable is given once per block."""
+def halves_hold(rows: np.ndarray, n: int, holds: Callable) -> np.ndarray:
+    """Whether ``holds`` holds across each variable, for each row of the
+    ``(N, 2**n)`` stack ``rows``: an ``(n, N)`` bool array, whose entry
+    ``[j, r]`` is True iff the elementwise ``holds(lo, hi)`` is True at
+    every pair of cells of row r that differ only in x_(j+1), ``lo`` the
+    cell with x_(j+1) = 0 and ``hi`` the one with x_(j+1) = 1."""
+    out = np.ones((n, len(rows)), dtype=bool)
     low = _low_digits(n)
-    for _, block in _low_blocks(rows.reshape(len(rows), -1, 1 << low), 1 << low):
+    for _, block in _low_blocks(rows.reshape(len(rows), 1 << (n - low), 1 << low), 1 << low):
+        # the low cells first, a whole (rows, high) plane per step, so numpy's loops are long
+        cells = block.reshape(1 << low, -1)
+        hold = np.empty((low, cells.shape[1]), dtype=bool)
         for j in range(low):
-            halves = block.reshape(1 << j, 2, 1 << (low - j - 1), len(rows), -1).transpose(3, 0, 1, 2, 4)
-            yield n - low + j, halves[:, :, 0], halves[:, :, 1]
+            halves = cells.reshape(1 << j, 2, -1)
+            np.logical_and.reduce(holds(halves[:, 0], halves[:, 1]).reshape(1 << (low - 1), -1), out=hold[j])
+        out[n - low :] &= hold.reshape(low, *block.shape[1:]).all(axis=-1)
     for j in range(n - low):
-        halves = rows.reshape(len(rows), 1 << j, 2, -1, 1)
-        yield j, halves[:, :, 0], halves[:, :, 1]
+        halves = rows.reshape(len(rows), 1 << j, 2, 1 << (n - j - 1))
+        out[j] = holds(halves[:, :, 0], halves[:, :, 1]).all(axis=(1, 2))
+    return out
 
 
 def depends_on_all(f: Tables):
     """True iff every variable has some input where flipping it flips f; for
-    an ``(N, 2**n)`` stack of tables, that flag of every row, from the
-    halves of :func:`variable_halves`."""
+    an ``(N, 2**n)`` stack of tables, that flag of every row."""
     n, v = table_values(f)
-    rows = v.reshape(-1, 1 << n)
-    flips = np.zeros((n, len(rows)), dtype=bool)
-    for j, lo, hi in variable_halves(rows, n):
-        flips[j] |= (lo != hi).any(axis=(1, 2, 3))
-    out = flips.all(axis=0).reshape(v.shape[:-1])
+    out = ~halves_hold(v.reshape(-1, 1 << n), n, np.equal).any(axis=0)
+    out = out.reshape(v.shape[:-1])
     return bool(out) if out.ndim == 0 else out
 
 
 def is_monotone(f: TruthTable) -> bool:
-    """Direct pairwise check: no single-bit increase ever decreases f."""
-    halves = (f.values.reshape(1 << (j - 1), 2, -1) for j in range(1, f.n + 1))
-    return not any(np.any(h[:, 0] > h[:, 1]) for h in halves)
+    """True iff no single-bit increase of the input ever decreases f."""
+    return bool(halves_hold(f.values[None], f.n, np.less_equal).all())
 
 
 def serialize(f: TruthTable) -> str:

@@ -240,7 +240,8 @@ def constancy_planes(f: Tables) -> np.ndarray:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
     rows, parts = values.reshape(-1, 1 << n), []
     step = 8 * max(1, 2 * CHUNK_CELLS // 3**n)
-    for block in (rows[i : i + step] for i in range(0, len(rows), step)):
+    # an empty stack is one empty block
+    for block in (rows[i : i + step] for i in range(0, len(rows) or 1, step)):
         ones = np.packbits(block, axis=0, bitorder="little")
         quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(block) // 4)]
         quads |= (quads ^ 15) << 4

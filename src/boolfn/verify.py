@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from . import measures
-from .core import TruthTable, dense_cap, packed_rows, parse, serialize, unpack_rows, variable_halves
+from .core import TruthTable, dense_cap, halves_hold, packed_rows, parse, serialize, unpack_rows
 
 __all__ = [
     "CHECKS",
@@ -292,10 +292,7 @@ def _decomposes(c):
     profile, so the parts are monotone iff A is non-decreasing along every
     axis, and their XOR is A mod 2, which must be f xor f(0^n)."""
     A, v = c.profile, c.stack
-    ok = (A % 2 == v ^ v[:, :1]).all(axis=-1)
-    for _, lo, hi in variable_halves(A, c.n):
-        ok &= (lo <= hi).all(axis=(1, 2, 3))
-    return ok
+    return (A % 2 == v ^ v[:, :1]).all(axis=-1) & halves_hold(A, c.n, np.less_equal).all(axis=0)
 
 
 def _log2_power(x: int) -> float:

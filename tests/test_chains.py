@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boolfn import chains, core, families, measures
+from boolfn import chains, families, measures
 from boolfn.chains import (
     Chain,
     alternation_along,
@@ -91,7 +91,7 @@ def assert_profiles_exact(rows: np.ndarray) -> None:
     """The profiles of a stack, and of each row alone, satisfy the DP's
     defining recurrence exactly: A(0) = 0, and A(x) = max over the set bits
     i of x of A(x ^ e_i) + [f(x ^ e_i) != f(x)]. Each cell packs its flat
-    index, A and f, so the halves of core.variable_halves pair every x with
+    index, A and f, so the halves along each variable pair every x with
     each predecessor; the max is attained where some step is tight."""
     n = rows.shape[-1].bit_length() - 1
     A = chains.alternation_profile(rows)
@@ -100,7 +100,9 @@ def assert_profiles_exact(rows: np.ndarray) -> None:
         assert np.array_equal(chains.alternation_profile(TruthTable(n, row)), a)
     code = np.arange(rows.size, dtype=np.int32).reshape(rows.shape) << 6 | A << 1 | rows
     tight = np.zeros(rows.size, dtype=bool)
-    for _, lo, hi in core.variable_halves(code, n):
+    for j in range(n):
+        halves = code.reshape(len(code), 1 << j, 2, -1)
+        lo, hi = halves[:, :, 0], halves[:, :, 1]
         step = (hi >> 1 & 31) - (lo >> 1 & 31) - ((lo ^ hi) & 1)
         assert (step >= 0).all(), n
         tight[(hi >> 6)[step == 0]] = True

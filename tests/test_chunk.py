@@ -33,6 +33,20 @@ def by_subset(row: np.ndarray, n: int) -> dict:
     return {algebra.subset_of_index(i, n): int(c) for i, c in enumerate(row)}
 
 
+@pytest.mark.parametrize("n", [0, 3, 7])
+def test_an_empty_stack_gives_empty_results(n):
+    # each kernel gives what a one-row stack gives, less its row, and each
+    # VALUES column of an empty chunk is empty
+    kernels = [getattr(module, name) for module, name in STACKED] + [
+        depends_on_all, measures.constancy_planes, measures.per_point_certificate, measures.decision_tree_depth
+    ]
+    for kernel in kernels:
+        one, empty = kernel(np.zeros((1, 1 << n), np.uint8)), kernel(np.zeros((0, 1 << n), np.uint8))
+        assert (empty.dtype, empty.shape) == (one.dtype, (0, *one.shape[1:])), kernel.__name__
+    chunk = measures.Chunk(np.zeros((0, 1 << n), np.uint8))
+    assert all(chunk.values(name) == [] for name in measures.VALUES)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_stacked_kernels_match_single_table_and_oracles(data):

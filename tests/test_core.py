@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolfn import core, families
+from boolfn import core, families, measures, verify
 from boolfn.core import (
     ArityMismatchError,
     CapExceededError,
@@ -259,6 +259,9 @@ def test_depends_on_all_matches_the_one_layout_loop():
     for n in range(13):
         assert_depends_on_all_matches(rows_ignoring_one_variable(gen, n, 3 * core.CHUNK_CELLS // 2 >> n), n)
     assert_depends_on_all_matches(rows_ignoring_one_variable(gen, 4, 208), 4)
+    # full and short chunks from n = 6 up, whose blocks hold few high cells
+    for n, count in ((6, 1024), (6, 100), (8, 256)):
+        assert_depends_on_all_matches(rows_ignoring_one_variable(gen, n, count), n)
     stack = rows_ignoring_one_variable(gen, 9, 0)[[1, 10, 11]]
     got = depends_on_all(stack)
     assert got.tolist() == reference_depends_on_all(stack, 9).tolist() == [True, False, True]
@@ -268,6 +271,25 @@ def test_depends_on_all_matches_the_one_layout_loop():
 @pytest.mark.parametrize("n", range(16, 21))
 def test_depends_on_all_of_large_tables_matches_the_one_layout_loop(n):
     assert_depends_on_all_matches(rows_ignoring_one_variable(np.random.default_rng(n), n, 0), n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_planted_violation_fails_along_its_own_variable(n):
+    # popcounts(n) is non-decreasing along every variable. Adding 2 at
+    # 1^n xor e_j, whose only upward neighbour is 1^n, along x_j, breaks
+    # that along x_j alone, at a transposed low digit or a natural high one.
+    for j in range(n):
+        point = (1 << n) - 1 ^ 1 << (n - 1 - j)
+        planted = core.popcounts(n).astype(np.int32)
+        planted[point] += 2
+        got = core.halves_hold(planted[None], n, np.less_equal)
+        assert got.shape == (n, 1) and got[:, 0].tolist() == [i != j for i in range(n)], j
+        assert not core.is_monotone(TruthTable(n, np.arange(1 << n) == point))
+        # parity's profile is popcounts(n), and the planted one keeps its parity
+        for profile, status in ((core.popcounts(n), "pass"), (planted, "fail")):
+            chunk = measures.Chunk(core.popcounts(n)[None] & 1)
+            chunk.profile = profile[None].astype(np.int32)
+            assert verify.CHECKS["monotone-decomposition"].run(chunk.record(0))[0] == status, j
 
 
 def test_low_digits_is_the_largest_power_of_9_in_a_chunk(monkeypatch):
