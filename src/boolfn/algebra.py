@@ -9,8 +9,9 @@ and rationals appear only at reporting time.
 
 The Moebius and Walsh transforms take one table or an ``(N, 2**n)`` stack
 of same-arity tables and transform every row in one :func:`core.digit_sweep`
-of butterflies. After p passes a Walsh entry of +/-1 values is within 2**p
-and a Moebius entry of 0/1 values within 2**(p - 1), so the passes run in
+of butterflies on the 0/1 values, read as int8 with no copy; the spectrum
+of 1 - 2f is then 2**n [S = {}] - 2 W. After p passes a Walsh entry W is
+within 2**p and a Moebius entry within 2**(p - 1), so the passes run in
 int8 on the last five variables' blocks, in int16 up to pass 14 (Walsh) or
 15 (Moebius), and then in ``_exact_dtype(n)``.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "FourierSpectrum",
     "MultilinearPoly",
     "SpectralSums",
+    "column_blocks",
     "degree",
     "degrees",
     "fourier_transform",
@@ -66,7 +68,7 @@ def _moebius_step(cells: np.ndarray) -> np.ndarray:
 
 def _walsh_step(cells: np.ndarray) -> np.ndarray:
     """(lo + hi, (lo + hi) - 2 * hi) along one digit, in place with no
-    temporary. After pass p no entry of +/-1 values is above 2**p in size,
+    temporary. After pass p no entry of 0/1 values is above 2**p in size,
     nor is any intermediate: lo + hi is the new lo, and 2 * hi is twice an
     entry of pass p - 1. So int16 holds passes 1 to 14 exactly."""
     lo, hi = cells[:, 0], cells[:, 1]
@@ -117,7 +119,7 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly | np.ndarray:
     reduced mod m are the unique total-agreement representation over Z_m.
     """
     n, values = table_values(f)
-    coeffs = digit_sweep(_moebius_step, n, values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=15)
+    coeffs = digit_sweep(_moebius_step, n, values.view(np.int8), dtype=_exact_dtype(n), int16_passes=15)
     coeffs.setflags(write=False)
     return MultilinearPoly(n, coeffs) if values.ndim == 1 else coeffs
 
@@ -129,6 +131,13 @@ def degree(f: TruthTable, m: Optional[int] = None) -> int:
         raise ValueError("modulus must be >= 2")
     coeffs = multilinear_coefficients(f).coeffs
     return int(degrees(coeffs if m is None else coeffs % m, f.n)[0])
+
+
+def column_blocks(rows: int, columns: int) -> Iterator[slice]:
+    """Consecutive slices of ``columns`` columns, each of at most
+    ``CHUNK_CELLS`` cells over ``rows`` rows (one column, if none fits)."""
+    width = max(1, CHUNK_CELLS // max(1, rows))
+    return (slice(start, start + width) for start in range(0, columns, width))
 
 
 def _levels_from_top(n: int) -> Iterator[np.ndarray]:
@@ -165,7 +174,8 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
     for all six as a bit mask (:func:`_nonzero_bits`), until a row has all
     six. Before the scan would read 1/32 of all the coefficients, the open
     rows take a full pass instead: per degree still open, the largest of
-    ``weights`` (``popcounts(n)`` unless given) where its bit is set.
+    ``weights`` (``popcounts(n)`` unless given) where its bit is set, in
+    blocks of the open rows' columns (:func:`column_blocks`).
     """
     rows = coeffs.reshape(-1, 1 << n)
     deg = np.zeros((len(rows), len(_BITS)), np.uint8)
@@ -173,11 +183,14 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
     levels = _levels_from_top(n)
     for w in range(n, 0, -1):
         budget -= todo.size * comb(n, w)
-        if budget < 0:  # the open rows' masks transposed, so each max is over rows of them
-            bits = _nonzero_bits(np.ascontiguousarray((rows if todo.size == len(rows) else rows[todo]).T))
-            weights = (popcounts(n) if weights is None else weights)[:, None]
-            for b in np.flatnonzero((np.bitwise_and.reduce(found) >> _BITS & 1) == 0).tolist():
-                deg[todo, b] = ((bits >> b & 1) * weights).max(axis=0)
+        if budget < 0:  # a block's masks transposed, so each max is over rows of them
+            weights = popcounts(n) if weights is None else weights
+            open_bits = np.flatnonzero((np.bitwise_and.reduce(found) >> _BITS & 1) == 0).tolist()
+            for part in column_blocks(todo.size, 1 << n):
+                block = rows[:, part] if todo.size == len(rows) else rows[todo, part]  # no gather if all are open
+                bits = _nonzero_bits(np.ascontiguousarray(block.T))
+                for b in open_bits:
+                    deg[todo, b] = np.maximum(deg[todo, b], ((bits >> b & 1) * weights[part, None]).max(axis=0))
             break
         hit = np.bitwise_or.reduce(_nonzero_bits(rows[todo[:, None], next(levels)]), axis=-1)
         deg[todo] += ((hit & ~found)[:, None] >> _BITS & 1) * np.uint8(w)
@@ -225,9 +238,12 @@ class FourierSpectrum:
 
 def fourier_transform(f: Tables) -> FourierSpectrum | np.ndarray:
     """Exact integer Walsh transform of the +/-1 value vector 1 - 2f of one
-    table, or the read-only ``(N, 2**n)`` spectrum array of a stack."""
+    table, or the read-only ``(N, 2**n)`` spectrum array of a stack: the
+    transform W of the 0/1 values, mapped in place to 2**n [S = {}] - 2 W."""
     n, values = table_values(f)
-    scaled = digit_sweep(_walsh_step, n, 1 - 2 * values.astype(np.int8), dtype=_exact_dtype(n), int16_passes=14)
+    scaled = digit_sweep(_walsh_step, n, values.view(np.int8), dtype=_exact_dtype(n), int16_passes=14)
+    scaled *= -2
+    scaled[..., 0] += 1 << n
     scaled.setflags(write=False)
     return FourierSpectrum(n, scaled) if values.ndim == 1 else scaled
 
@@ -270,16 +286,14 @@ def spectral_numerators(
     4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S| (``spectral``,
     the influence) or 1 (``sum_sq``, 4**n by Parseval).
 
-    The columns go in blocks of at most ``CHUNK_CELLS`` cells (one column,
-    if none fits), whose sums are added up per row, so no full-size copy of
-    the spectrum or of the weights is made. The sums stay in integers, as
-    weighted2 passes 2**53 at n = 23."""
+    The columns go in blocks (:func:`column_blocks`), whose sums are added
+    up per row, so no full-size copy of the spectrum or of the weights is
+    made. The sums stay in integers, as weighted2 passes 2**53 at n = 23."""
     weights = popcounts(n) if weights is None else weights
     rows = scaled.reshape(-1, 1 << n)
-    width = max(1, CHUNK_CELLS // max(1, len(rows)))
     sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral"), 0)
-    for start in range(0, 1 << n, width):
-        block = _block_numerators(rows[:, start : start + width], weights[start : start + width], n)
+    for part in column_blocks(len(rows), 1 << n):
+        block = _block_numerators(rows[:, part], weights[part], n)
         for key in sums:
             sums[key] += block[key]
     return {key: total.reshape(scaled.shape[:-1]) for key, total in sums.items()}
@@ -288,14 +302,15 @@ def spectral_numerators(
 def _block_numerators(part: np.ndarray, weights: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """The five sums of a block of spectrum columns and their weights, from
     one ``abs`` (taken straight into the exact dtype), one square and one
-    product."""
-    w = exact_terms(weights, n)
+    product. The weights are cast to that dtype in the small buffers of the
+    in-place product and of ``einsum``, never as a block-sized copy."""
     a = np.abs(part, dtype=np.int64) if n <= INT64_EXACT_MAX_ARITY else np.abs(exact_terms(part, n))
-    sums = {"l1": a.sum(axis=-1), "weighted": a @ w}
+    dot = lambda x: np.einsum("...i,i->...", x, weights, dtype=a.dtype)
+    sums = {"l1": a.sum(axis=-1), "weighted": dot(a)}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)
-    a *= w
-    return {**sums, "weighted2": a @ w, "spectral": a.sum(axis=-1)}
+    a *= weights
+    return {**sums, "weighted2": dot(a), "spectral": a.sum(axis=-1)}
 
 
 def spectral_sums(f: TruthTable) -> SpectralSums:

@@ -123,15 +123,15 @@ def alternation_profile(f: Tables) -> np.ndarray:
     """Longest-alternation DP over the hypercube, level by Hamming weight.
 
     For every point x, ``A[x]`` is the maximum number of value changes of f
-    along any increasing path from 0^n to x; an ``(N, 2**n)`` stack of
-    tables gives the ``(N, 2**n)`` stack of their profiles. The points that
-    share their high n - k bits, k = min(n, ``BLOCK_BITS``), form a block,
-    and blocks go by the Hamming weight of their high part h. A level's
-    blocks take the max of ``A[h ^ e_p]`` over their high predecessors, one
-    gather of whole blocks each; then each low level, from 0 up, takes the
-    max over its low predecessors too and rounds up to the parity of g
-    (module docstring). O(n * 2**n) time, O(2**n) memory, and gather plans
-    of at most ``BLOCK_BITS`` bits.
+    along any increasing path from 0^n to x, as uint8 (A <= n); an
+    ``(N, 2**n)`` stack of tables gives the ``(N, 2**n)`` stack of their
+    profiles. The points that share their high n - k bits, k = min(n,
+    ``BLOCK_BITS``), form a block, and blocks go by the Hamming weight of
+    their high part h. A level's blocks take the max of ``A[h ^ e_p]`` over
+    their high predecessors, one gather of whole blocks each; then each low
+    level, from 0 up, takes the max over its low predecessors too and rounds
+    up to the parity of g (module docstring). O(n * 2**n) time, O(2**n)
+    memory, and gather plans of at most ``BLOCK_BITS`` bits.
     """
     n, v = table_values(f)
     k, shape = min(n, BLOCK_BITS), v.shape
@@ -149,7 +149,7 @@ def alternation_profile(f: Tables) -> np.ndarray:
             m += (m ^ g[t]) & 1
             a[t] = m
         A[T] = a.reshape(1 << k, len(at), v.shape[1]).transpose(1, 2, 0)
-    A = np.ascontiguousarray(A.transpose(1, 0, 2), dtype=np.int32).reshape(shape)
+    A = np.ascontiguousarray(A.transpose(1, 0, 2)).reshape(shape)
     A.setflags(write=False)
     return A
 

@@ -404,11 +404,12 @@ def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarra
     """The ``(rows, high, low)`` cells as C-contiguous ``(low, rows, width)``
     copies of consecutive high cells, each with its slice of them: as many
     as keep a block at most ``CHUNK_CELLS`` cells of ``size`` (one, if none
-    fits)."""
+    fits); copies even where the transpose is contiguous, as the sweeps
+    write them and their input may be a read-only view of a table."""
     width = max(1, CHUNK_CELLS // ((len(cells) or 1) * size))
     for start in range(0, cells.shape[1], width):
         part = slice(start, start + width)
-        yield part, np.ascontiguousarray(cells[:, part].transpose(2, 0, 1))
+        yield part, cells[:, part].transpose(2, 0, 1).copy()
 
 
 def halves_hold(rows: np.ndarray, n: int, holds: Callable) -> np.ndarray:

@@ -473,10 +473,8 @@ class Chunk:
     # From the per-point sensitivity: s, I and the mean squared sensitivity.
     s = _exact_column(lambda c: c.per_point_s.max(axis=-1))
     I_num = _exact_column(lambda c: c.per_point_s.sum(axis=-1, dtype=np.int64))
-    # per_point_s is uint8, so each s(f, x)**2 fits uint16.
-    avg_s2_num = _exact_column(
-        lambda c: np.square(c.per_point_s, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
-    )
+    # einsum casts the uint8 s(f, x) to int64 in small buffers: no full-size square
+    avg_s2_num = _exact_column(lambda c: np.einsum("...i,...i", c.per_point_s, c.per_point_s, dtype=np.int64))
 
     # From the constancy planes: C and DT, and bs, which starts at s and is
     # searched only on the rows where s < max C(f, x), as s <= bs <= C.
@@ -496,7 +494,7 @@ class Chunk:
     # From the profile: alt, dc, the circuit negation count, and the
     # alternation along each row's witness chain.
     alt = _exact_column(lambda c: c.profile[:, -1])
-    dc = _exact_column(lambda c: chains.decrease(c.profile[:, -1], c.stack[:, -1], c.stack[:, 0]))
+    dc = _exact_column(lambda c: chains.decrease(c.alt, c.stack[:, -1], c.stack[:, 0]))
     negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
     witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
 
@@ -515,7 +513,10 @@ class Chunk:
         return self.degrees[:, 1 + algebra.MODULI.index(m)]
 
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.
-    sparsity = _exact_column(lambda c: np.count_nonzero(c.spectrum, axis=-1))
+    # counted in blocks of columns: no full-size bool temporary
+    sparsity = _exact_column(
+        lambda c: sum(np.count_nonzero(c.spectrum[:, b], axis=-1) for b in algebra.column_blocks(len(c), 1 << c.n))
+    )
     sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n, c.weights))
 
 

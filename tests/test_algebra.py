@@ -202,6 +202,47 @@ def test_degrees_read_every_residue_of_a_coefficient(n):
     assert [algebra.degrees(row, n).tolist() for row in coeffs] == want
 
 
+def inner_product(n):
+    """The inner product mod 2 of a point's top n // 2 bits with its low
+    n // 2 bits (the middle bit unused at odd n): degree 2 over Z_2 from
+    n = 2 up, and 2 * (n // 2) over Z."""
+    x, k = np.arange(1 << n), n // 2
+    return popcounts(n)[x >> (n - k) & x & ((1 << k) - 1)] & 1
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_blocked_full_pass_matches_the_oracle_and_the_whole_row_formula(monkeypatch, cells):
+    # The scan's budget runs out at once below n = 5, and on parity's and the
+    # inner product's low deg_2 above, so the open rows take the full pass.
+    # Its blocks of 1, 7 or 64 cells split each row's columns, over one open
+    # row or several (1 or 2 columns at 7 cells), the last block short.
+    monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
+    rng = random.Random(cells)
+    for n in range(13):
+        tables = [families.named_basics(name, n) for name in ("parity", "and")] if n else []
+        tables += [TruthTable(n, inner_product(n))] + [random_table(rng, n) for _ in range(3)]
+        coeffs = multilinear_coefficients(np.stack([t.values for t in tables]))
+        got = algebra.degrees(coeffs, n)
+        want = np.stack([full_pass_degrees(coeffs, n, m) for m in MODULI], axis=-1)
+        assert got.tolist() == want.tolist(), n
+        assert [algebra.degrees(row, n).tolist() for row in coeffs] == want.tolist(), n
+        if n <= 6:
+            assert got.tolist() == [brute_degrees(t) for t in tables], n
+
+
+def test_degrees_full_pass_peak_is_bounded_by_blocks():
+    """Parity's deg_2 is 1, so the scan leaves it open and the full pass
+    reads every coefficient of the n = 18 row, in blocks of at most
+    CHUNK_CELLS cells: its copies, residues and masks peak at a few int64
+    blocks, whatever 2**n is, not at a transposed copy of the row."""
+    n = 18
+    coeffs = multilinear_coefficients(families.named_basics("parity", n)).coeffs
+    _, peak = traced_bytes(algebra.degrees, coeffs, n, popcounts(n))
+    # parity's coefficient on S is (-2)**(|S| - 1): odd only at |S| = 1, 0 mod 4 above |S| = 2
+    assert algebra.degrees(coeffs, n).tolist() == [n, 1, n, 2, n, n]
+    assert peak <= 3 * 8 * CHUNK_CELLS, f"{peak / (1 << n):.2f} bytes per point at the peak"
+
+
 def test_degree_takes_any_modulus():
     rng = random.Random(7)
     for n in (3, 5):
@@ -406,6 +447,24 @@ def test_transforms_of_large_tables_match_the_one_layout_loops(n):
     assert multilinear_coefficients(TruthTable(n, stack[4])).coeffs[-1] == (-2) ** (n - 1)
 
 
+def test_one_row_transforms_leave_the_table_as_it_was():
+    """Up to n = 5 a lone row is one low block, whose transposed view is
+    contiguous: the sweep still works on a copy of it, so the transforms,
+    which read the table itself, leave a writable row as it was and take a
+    read-only table."""
+    rng = random.Random(5)
+    for n in range(6):
+        for row in mixed_rows(rng, n)[:, None]:
+            was = row.copy()
+            for transform, field, reference in (
+                (multilinear_coefficients, "coeffs", oracles.moebius_int64),
+                (fourier_transform, "scaled", oracles.walsh_int64),
+            ):
+                assert np.array_equal(transform(row), reference(was, n)), n
+                assert np.array_equal(getattr(transform(TruthTable(n, was[0])), field), reference(was[0], n)), n
+                assert np.array_equal(row, was), n
+
+
 def test_transforms_take_int64_above_the_exact_arity(monkeypatch):
     monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 7)
     stack = mixed_rows(random.Random(8), 8, 300)
@@ -508,21 +567,23 @@ def test_spectral_numerators_peak_is_bounded_by_a_block():
 
 
 def test_fourier_transform_peak_per_point():
-    """The Walsh step runs in place with no half-size temporary, so the
-    peak of one n = 18 transform is its int32 result, the int8 +/-1 values
-    and the sweep's blocks: under 6 bytes per point."""
+    """The Walsh step runs in place with no half-size temporary, on the
+    table's own 0/1 values, and the map to the spectrum of 1 - 2f is in
+    place too, so the peak of one n = 18 transform is its int32 result and
+    the sweep's blocks: under 5 bytes per point."""
     n = 18
     _, peak = traced_bytes(fourier_transform, random_table(random.Random(18), n))
-    assert peak <= 6 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
+    assert peak <= 5 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 
 def test_multilinear_coefficients_peak_per_point():
     """The Moebius sweep's int16 passes run in the first half of its own
-    int32 result, so the peak of one n = 18 transform is that result, the
-    int8 values and the sweep's blocks: under 6 bytes per point."""
+    int32 result, and it reads the table's own values, so the peak of one
+    n = 18 transform is that result and the sweep's blocks: under 5 bytes
+    per point."""
     n = 18
     _, peak = traced_bytes(multilinear_coefficients, random_table(random.Random(18), n))
-    assert peak <= 6 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
+    assert peak <= 5 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 
 def test_spectral_numerators_of_int32_and_int64_spectra_agree():

@@ -46,7 +46,7 @@ def check_profiles(tables):
     """The profile of each table alone and of their stack: equal, read-only,
     and equal to the point-order DP."""
     stack = chains.alternation_profile(np.stack([t.values for t in tables]))
-    assert not stack.flags.writeable and stack.dtype == np.int32
+    assert not stack.flags.writeable and stack.dtype == np.uint8
     for row, t in zip(stack, tables):
         single = chains.alternation_profile(t)
         assert not single.flags.writeable
@@ -81,10 +81,10 @@ def test_blocked_dp_matches_point_order_at_n12(block_bits, monkeypatch):
 
 
 def test_profile_of_parity_at_n20_is_the_hamming_weight():
-    # A is kept in uint8 (A <= n) and widened to int32 once, at the exit
+    # A is built and returned in uint8 (A <= n), with no widening copy
     parity = families.named_basics("parity", 20)
     profile = chains.alternation_profile(parity)
-    assert profile.dtype == np.int32 and np.array_equal(profile, popcounts(20))
+    assert profile.dtype == np.uint8 and np.array_equal(profile, popcounts(20))
 
 
 def assert_profiles_exact(rows: np.ndarray) -> None:
@@ -95,7 +95,7 @@ def assert_profiles_exact(rows: np.ndarray) -> None:
     each predecessor; the max is attained where some step is tight."""
     n = rows.shape[-1].bit_length() - 1
     A = chains.alternation_profile(rows)
-    assert A.dtype == np.int32 and not A.flags.writeable
+    assert A.dtype == np.uint8 and not A.flags.writeable
     for row, a in zip(rows, A):
         assert np.array_equal(chains.alternation_profile(TruthTable(n, row)), a)
     code = np.arange(rows.size, dtype=np.int32).reshape(rows.shape) << 6 | A << 1 | rows
@@ -144,13 +144,13 @@ def traced_bytes(f, *args):
 
 
 def test_alternation_profile_memory_is_linear_in_the_table(monkeypatch):
-    """Peak memory is the profile and one level of blocks; what stays after
-    a call is only the kept plans of at most BLOCK_BITS bits, also when the
-    high part has more bits than that."""
+    """Peak memory is the uint8 profile and one level of blocks, under 4
+    bytes per point; what stays after a call is only the kept plans of at
+    most BLOCK_BITS bits, also when the high part has more bits than that."""
     rng = random.Random(18)
     t16, t18 = random_table(rng, 16), random_table(rng, 18)
     _, peak = traced_bytes(chains.alternation_profile, t18)
-    assert peak <= 12 << 18, f"{peak / (1 << 18):.2f} bytes per point at the peak for n = 18"
+    assert peak <= 4 << 18, f"{peak / (1 << 18):.2f} bytes per point at the peak for n = 18"
     for block_bits in (chains.BLOCK_BITS, 4):
         monkeypatch.setattr(chains, "BLOCK_BITS", block_bits)
         chains._level_plan.cache_clear()

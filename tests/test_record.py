@@ -12,6 +12,7 @@ import pytest
 from boolfn import algebra, chains, families, measures, verify
 from boolfn.core import TruthTable
 from boolfn.measures import MeasureContext, measure_report
+from test_algebra import inner_product
 from test_chains import traced_bytes
 
 
@@ -128,10 +129,18 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
 
 
 def test_record_peak_memory_per_point():
-    """A large record holds its narrow per-point columns (about 14 bytes
-    per point) and at its peak little more: the spectral sums add blocks of
-    at most CHUNK_CELLS cells, not int64 copies of the whole spectrum."""
+    """A large record holds its narrow per-point columns (11 bytes per
+    point: uint8 s, A and weights, int32 coefficients and spectrum) and at
+    its peak little more, whatever the function: the transforms read the
+    table itself, and the spectral sums, sparsity, avg_s2 and the degrees'
+    full pass, which parity's and the inner product's low deg_2 reach, add
+    blocks of at most CHUNK_CELLS cells, not copies of a whole column."""
     n = 18
-    table = TruthTable.from_packed_int(n, random.Random(18).getrandbits(1 << n))
-    _, peak = traced_bytes(lambda: measure_report(table).to_json_dict())
-    assert peak <= 20 << n, f"{peak / (1 << n):.2f} bytes per point at the peak for n = 18"
+    tables = {
+        "random": TruthTable.from_packed_int(n, random.Random(18).getrandbits(1 << n)),
+        "inner product": TruthTable(n, inner_product(n)),
+        "parity": families.named_basics("parity", n),
+    }
+    for name, table in tables.items():
+        _, peak = traced_bytes(lambda: measure_report(table).to_json_dict())
+        assert peak <= 14 << n, f"{name}: {peak / (1 << n):.2f} bytes per point at the peak for n = 18"
