@@ -25,14 +25,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import CHUNK_CELLS, Tables, TruthTable, digit_sweep, popcounts, table_values
+from .core import CHUNK_CELLS, Tables, TruthTable, blocks, digit_sweep, popcounts, table_values
 
 __all__ = [
     "MODULI",
     "FourierSpectrum",
     "MultilinearPoly",
     "SpectralSums",
-    "column_blocks",
     "degree",
     "degrees",
     "fourier_transform",
@@ -126,18 +125,17 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly | np.ndarray:
 
 def degree(f: TruthTable, m: Optional[int] = None) -> int:
     """Degree of the multilinear representation over Z, or over Z_m for
-    ``m`` >= 2: the degree over Z of the coefficients reduced mod m."""
+    ``m`` >= 2: the degree over Z of the coefficients reduced mod m, block
+    by block (:func:`core.blocks`), into uint8 or uint16 where m allows."""
     if m is not None and (m := int(m)) < 2:
         raise ValueError("modulus must be >= 2")
     coeffs = multilinear_coefficients(f).coeffs
-    return int(degrees(coeffs if m is None else coeffs % m, f.n)[0])
-
-
-def column_blocks(rows: int, columns: int) -> Iterator[slice]:
-    """Consecutive slices of ``columns`` columns, each of at most
-    ``CHUNK_CELLS`` cells over ``rows`` rows (one column, if none fits)."""
-    width = max(1, CHUNK_CELLS // max(1, rows))
-    return (slice(start, start + width) for start in range(0, columns, width))
+    if m is not None:
+        residues = np.empty(coeffs.shape, min(coeffs.dtype, np.min_scalar_type(m - 1), key=lambda t: t.itemsize))
+        for part in blocks(coeffs.size, 1, CHUNK_CELLS):
+            np.remainder(coeffs[part], m, out=residues[part], casting="unsafe")
+        coeffs = residues
+    return int(degrees(coeffs, f.n)[0])
 
 
 def _levels_from_top(n: int) -> Iterator[np.ndarray]:
@@ -175,7 +173,7 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
     six. Before the scan would read 1/32 of all the coefficients, the open
     rows take a full pass instead: per degree still open, the largest of
     ``weights`` (``popcounts(n)`` unless given) where its bit is set, in
-    blocks of the open rows' columns (:func:`column_blocks`).
+    :func:`core.blocks` of the open rows' columns, of ``CHUNK_CELLS`` cells.
     """
     rows = coeffs.reshape(-1, 1 << n)
     deg = np.zeros((len(rows), len(_BITS)), np.uint8)
@@ -186,7 +184,7 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
         if budget < 0:  # a block's masks transposed, so each max is over rows of them
             weights = popcounts(n) if weights is None else weights
             open_bits = np.flatnonzero((np.bitwise_and.reduce(found) >> _BITS & 1) == 0).tolist()
-            for part in column_blocks(todo.size, 1 << n):
+            for part in blocks(1 << n, todo.size, CHUNK_CELLS):
                 block = rows[:, part] if todo.size == len(rows) else rows[todo, part]  # no gather if all are open
                 bits = _nonzero_bits(np.ascontiguousarray(block.T))
                 for b in open_bits:
@@ -286,13 +284,14 @@ def spectral_numerators(
     4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S| (``spectral``,
     the influence) or 1 (``sum_sq``, 4**n by Parseval).
 
-    The columns go in blocks (:func:`column_blocks`), whose sums are added
-    up per row, so no full-size copy of the spectrum or of the weights is
-    made. The sums stay in integers, as weighted2 passes 2**53 at n = 23."""
+    The columns go in :func:`core.blocks` of ``CHUNK_CELLS`` cells, whose
+    sums are added up per row, so no full-size copy of the spectrum or of
+    the weights is made. The sums stay in integers, as weighted2 passes
+    2**53 at n = 23."""
     weights = popcounts(n) if weights is None else weights
     rows = scaled.reshape(-1, 1 << n)
     sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral"), 0)
-    for part in column_blocks(len(rows), 1 << n):
+    for part in blocks(1 << n, len(rows), CHUNK_CELLS):
         block = _block_numerators(rows[:, part], weights[part], n)
         for key in sums:
             sums[key] += block[key]

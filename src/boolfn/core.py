@@ -40,6 +40,7 @@ __all__ = [
     "FormatError",
     "LazyFunction",
     "TruthTable",
+    "blocks",
     "compose",
     "dense_cap",
     "depends_on_all",
@@ -344,11 +345,10 @@ def digit_sweep(
 
     The low digits, whose passes on ``a`` would have inner extents of a few
     cells, run first, in ``a``'s own dtype, on transposed copies with cells
-    ``(low, rows, high)``, made in blocks of high cells of at most
-    ``CHUNK_CELLS`` cells (or one high cell) each; a block's own copy is its
+    ``(low, rows, high)`` (:func:`_low_blocks`); a block's own copy is its
     ``before``. At any stack size they are the last l digits, l the largest
-    with 9**l <= ``CHUNK_CELLS`` (5), or all n if fewer. The cells
-    then move back, widened, and the high digits run on the natural layout.
+    with 9**l <= ``CHUNK_CELLS`` (5), or all n if fewer. The cells then
+    move back, widened, and the high digits run on the natural layout.
     If the entries stay within int16 for ``int16_passes`` passes (``base``
     equal to ``radix``, ``dtype`` wider), the lowest high digits up to that
     pass run in int16, in the first half of the result's own buffer, which
@@ -400,15 +400,20 @@ def _low_digits(n: int) -> int:
     return min(n, max(l for l in range(8) if 9**l <= CHUNK_CELLS))
 
 
+def blocks(count: int, size: int, budget: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` items of ``size`` cells each: as many
+    items to a slice as ``budget`` cells hold, and at least one."""
+    width = max(1, budget // max(1, size))
+    return (slice(start, min(start + width, count)) for start in range(0, count, width))
+
+
 def _low_blocks(cells: np.ndarray, size: int) -> Iterator[tuple[slice, np.ndarray]]:
     """The ``(rows, high, low)`` cells as C-contiguous ``(low, rows, width)``
-    copies of consecutive high cells, each with its slice of them: as many
-    as keep a block at most ``CHUNK_CELLS`` cells of ``size`` (one, if none
-    fits); copies even where the transpose is contiguous, as the sweeps
-    write them and their input may be a read-only view of a table."""
-    width = max(1, CHUNK_CELLS // ((len(cells) or 1) * size))
-    for start in range(0, cells.shape[1], width):
-        part = slice(start, start + width)
+    copies of consecutive high cells, each with its slice of them, in
+    :func:`blocks` of ``CHUNK_CELLS`` cells of ``size`` per row; copies even
+    where the transpose is contiguous, as the sweeps write them and their
+    input may be a read-only view of a table."""
+    for part in blocks(cells.shape[1], len(cells) * size, CHUNK_CELLS):
         yield part, cells[:, part].transpose(2, 0, 1).copy()
 
 

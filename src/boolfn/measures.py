@@ -9,7 +9,7 @@ planes (:func:`constancy_planes`), one bit per row and subcube, eight rows
 to a byte, and block sensitivity reads C: C(f, x) for every x, with s(f),
 bounds its search. A table's 3**n bytes of planes bound the bs, C and DT
 caps by ``SUBCUBE_MAX_ARITY``. Building the planes, the C sweep and the DT
-rounds each run in blocks of rows bounded by ``CHUNK_CELLS``, on any stack.
+rounds each cut any stack into :func:`core.blocks` of rows, in its own budget.
 The value planes, each DT round and per-point sensitivity are each one
 sweep of one pass per variable (:func:`core.digit_sweep`), whose passes on
 the last few variables run on block copies with the cells transposed.
@@ -43,6 +43,7 @@ from .core import (
     Point,
     Tables,
     TruthTable,
+    blocks,
     depends_on_all,
     digit_sweep,
     materialize,
@@ -233,15 +234,14 @@ def constancy_planes(f: Tables) -> np.ndarray:
     constant-0 row), then two such bytes in one. The value planes are one
     sweep (:func:`core.digit_sweep`) of one pass per variable, which splits
     each cell on x_j into its two halves and the cell where x_j is free,
-    on blocks of rows of at most ``2 * CHUNK_CELLS`` bytes of planes.
+    on :func:`core.blocks` of byte rows of ``2 * CHUNK_CELLS`` bytes each.
     """
     n, values = table_values(f)
     if n > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"arity {n} exceeds subcube ceiling {SUBCUBE_MAX_ARITY}")
     rows, parts = values.reshape(-1, 1 << n), []
-    step = 8 * max(1, 2 * CHUNK_CELLS // 3**n)
-    # an empty stack is one empty block
-    for block in (rows[i : i + step] for i in range(0, len(rows) or 1, step)):
+    for part in blocks(-(-len(rows) // 8) or 1, 3**n, 2 * CHUNK_CELLS):  # an empty stack is one empty block
+        block = rows[8 * part.start : 8 * part.stop]
         ones = np.packbits(block, axis=0, bitorder="little")
         quads = np.stack([ones & 15, ones >> 4], axis=1).reshape(-1, 1 << n)[: -(-len(block) // 4)]
         quads |= (quads ^ 15) << 4
@@ -264,23 +264,21 @@ def per_point_certificate(f: Tables, *, planes: Optional[np.ndarray] = None) -> 
     others. The sweep over x_j gives each cell fixing x_j the better of its
     own count plus one and the count of its cell with x_j free, then drops
     the free cells; after n sweeps the 2**n cells left hold C(f, x) for
-    every x. Rows go in blocks of at most ``8 * CHUNK_CELLS`` cells (or one
-    row), which may start inside a byte of the planes.
+    every x. Rows go in :func:`core.blocks` of ``8 * CHUNK_CELLS`` cells,
+    which may start inside a byte of the planes.
     """
     n, values = table_values(f)
     planes = constancy_planes(f) if planes is None else planes
     certs = np.empty((values.size >> n, 1 << n), np.uint8)
-    step = max(1, 8 * CHUNK_CELLS // 3**n)
-    for start in range(0, len(certs), step):
-        rows = range(start, min(len(certs), start + step))
-        size = _lanes(planes, rows)
+    for part in blocks(len(certs), 3**n, 8 * CHUNK_CELLS):
+        size = _lanes(planes, range(part.start, part.stop))
         size ^= 1
         size *= n + 1
         for j in range(n):
-            cells = size.reshape(len(rows), 2**j, 3, -1)
+            cells = size.reshape(-1, 2**j, 3, 3 ** (n - 1 - j))
             size = cells[..., :FREE, :] + 1
             np.minimum(size, cells[..., FREE:, :], out=size)
-        certs[start : rows.stop] = size.reshape(len(rows), -1)
+        certs[part] = size.reshape(-1, 1 << n)
     return certs.reshape(values.shape)
 
 
@@ -318,14 +316,13 @@ def alternation_decrease(f: BooleanFunction) -> AltDecrease:
 
 def _decide_on_digit(decided: np.ndarray, before: np.ndarray) -> np.ndarray:
     """Mark each cell leaving x_j free whose two halves on x_j were marked
-    ``before``, in blocks of at most ``DT_BLOCK_CELLS`` cells."""
+    ``before``, in 2-D :func:`core.blocks` of ``DT_BLOCK_CELLS`` cells."""
     outer, _, inner = decided.shape
-    if outer * inner <= DT_BLOCK_CELLS:
+    if outer * inner <= DT_BLOCK_CELLS:  # one block
         decided[:, FREE] |= before[:, 0] & before[:, 1]
         return decided
-    rows, width = max(1, DT_BLOCK_CELLS // inner), min(inner, DT_BLOCK_CELLS)
-    for o, i in itertools.product(range(0, outer, rows), range(0, inner, width)):
-        _decide_on_digit(decided[o : o + rows, :, i : i + width], before[o : o + rows, :, i : i + width])
+    for o, i in itertools.product(blocks(outer, inner, DT_BLOCK_CELLS), blocks(inner, 1, DT_BLOCK_CELLS)):
+        decided[o, FREE, i] |= before[o, 0, i] & before[o, 1, i]
     return decided
 
 
@@ -340,17 +337,16 @@ def decision_tree_depth(f: Tables, cap: int = DT_CAP_DEFAULT, *, planes: Optiona
     :func:`core.digit_sweep` of bitwise steps on the marks of eight rows to
     a byte. The depth is the first round that marks the whole cube; a cube
     still open after round n - 1 has depth n, as every f has DT <= n, so
-    round n is never run. Each block of byte rows of the planes, at most
-    ``CHUNK_CELLS`` bytes (or one byte row), runs its own rounds.
+    round n is never run. Each of the :func:`core.blocks` of byte rows of
+    the planes, of ``CHUNK_CELLS`` bytes, runs its own rounds.
     """
     n, values = table_values(f)
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds decision-tree cap {cap}")
     planes = constancy_planes(f) if planes is None else planes
     depth = np.zeros(values.size >> n, dtype=np.int64)
-    step = max(1, CHUNK_CELLS // 3**n)
-    for start in range(0, len(planes), step):
-        decided, block = planes[start : start + step].copy(), depth[8 * start : 8 * (start + step)]
+    for part in blocks(len(planes), 3**n, CHUNK_CELLS):
+        decided, block = planes[part].copy(), depth[8 * part.start : 8 * part.stop]
         for d in range(n):
             open_rows = np.unpackbits(decided[:, -1], count=len(block), bitorder="little") ^ 1
             if not open_rows.any():
@@ -515,7 +511,7 @@ class Chunk:
     # From the Walsh spectrum: sparsity and the spectral sums' numerators.
     # counted in blocks of columns: no full-size bool temporary
     sparsity = _exact_column(
-        lambda c: sum(np.count_nonzero(c.spectrum[:, b], axis=-1) for b in algebra.column_blocks(len(c), 1 << c.n))
+        lambda c: sum(np.count_nonzero(c.spectrum[:, b], axis=-1) for b in blocks(1 << c.n, len(c), CHUNK_CELLS))
     )
     sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n, c.weights))
 

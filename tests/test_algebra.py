@@ -252,6 +252,43 @@ def test_degree_takes_any_modulus():
                 assert degree(t, m) == oracles.brute_degree(t, m)
 
 
+MODULI_OF_DEGREE = (2, 3, 4, 5, 6, 7, 60, 61, 255, 256, 257, 65537, (1 << 31) - 1)
+
+
+@pytest.mark.parametrize("cells", [CHUNK_CELLS, 7])
+def test_degree_mod_m_matches_the_whole_array_reduction_and_the_oracle(monkeypatch, cells):
+    # at 7 cells the residues are reduced in blocks of 7 coefficients, the
+    # last one short; they are uint8 up to m = 256, uint16 up to 65536 and
+    # the coefficients' own int32 above
+    monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
+    scanned, degrees = [], algebra.degrees
+    monkeypatch.setattr(algebra, "degrees", lambda coeffs, n: scanned.append(coeffs.dtype) or degrees(coeffs, n))
+    rng = random.Random(cells)
+    for n in range(13):
+        tables = [families.named_basics(name, n) for name in ("parity", "and")] if n else []
+        tables += [TruthTable(n, inner_product(n)), random_table(rng, n)]
+        for t in tables:
+            coeffs = multilinear_coefficients(t).coeffs
+            for m in MODULI_OF_DEGREE:
+                scanned.clear()
+                got = degree(t, m)
+                assert got == int(degrees(coeffs % m, n)[0]), (n, m)
+                assert scanned == [np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.int32], m
+                if n <= 5:
+                    assert got == oracles.brute_degree(t, m), (n, m)
+
+
+@pytest.mark.parametrize("m", [2, 7, 256])
+def test_degree_mod_m_peak_per_point(m):
+    """degree(f, m) holds the int32 coefficients, their uint8 residues and,
+    where the scan takes the full pass (parity), the uint8 weights: about 6
+    bytes per point at n = 18, not a second int32 array of residues."""
+    n = 18
+    for t in (random_table(random.Random(18), n), families.named_basics("parity", n)):
+        _, peak = traced_bytes(degree, t, m)
+        assert peak / (1 << n) <= 6.5, f"{peak / (1 << n):.2f} bytes per point at the peak"
+
+
 def test_fourier_examples():
     for n in (1, 2, 4):
         p = families.named_basics("parity", n)

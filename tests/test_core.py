@@ -1,10 +1,11 @@
 """Representation, evaluation, restriction, composition, serialization."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boolfn import core, families, measures, verify
@@ -302,6 +303,86 @@ def test_low_digits_is_the_largest_power_of_9_in_a_chunk(monkeypatch):
         for cells, want in ((9**l - 1, l - 1), (9**l, l), (9**l + 1, l)):
             monkeypatch.setattr(core, "CHUNK_CELLS", cells)
             assert core._low_digits(8) == want, cells
+
+
+def spans(parts, count: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each slice, its stop clipped to ``count``."""
+    return [(part.start, min(part.stop, count)) for part in parts]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 400), st.integers(0, 5000), st.integers(1, 1 << 20))
+def test_blocks_tile_the_items_within_the_budget(count, size, budget):
+    parts = list(core.blocks(count, size, budget))
+    assert [i for part in parts for i in range(part.start, part.stop)] == list(range(count))
+    for k, part in enumerate(parts):
+        items = part.stop - part.start
+        assert items >= 1 and (items == 1 or items * size <= budget), part
+        # as many items as the budget holds: only the last slice is short
+        assert k == len(parts) - 1 or not size or (items + 1) * size > budget, part
+    assert list(core.blocks(0, size, budget)) == []
+
+
+# The block formulas each kernel wrote out before core.blocks, as (start,
+# stop) spans of its items; ``cells`` is its module's CHUNK_CELLS.
+def parent_low_blocks(rows, high, size, cells):
+    width = max(1, cells // ((rows or 1) * size))
+    return [(s, min(s + width, high)) for s in range(0, high, width)]
+
+
+def parent_column_blocks(rows, columns, cells):
+    width = max(1, cells // max(1, rows))
+    return [(s, min(s + width, columns)) for s in range(0, columns, width)]
+
+
+def parent_planes_rows(rows, n, cells):
+    step = 8 * max(1, 2 * cells // 3**n)
+    return [(i, min(i + step, rows)) for i in range(0, rows or 1, step)]
+
+
+def parent_certificate_rows(rows, n, cells):
+    step = max(1, 8 * cells // 3**n)
+    return [(s, min(rows, s + step)) for s in range(0, rows, step)]
+
+
+def parent_tree_byte_rows(byte_rows, n, cells):
+    step = max(1, cells // 3**n)
+    return [(s, min(s + step, byte_rows)) for s in range(0, byte_rows, step)]
+
+
+def parent_tree_step(outer, inner, cells):
+    rows, width = max(1, cells // inner), min(inner, cells)
+    return [
+        ((o, min(o + rows, outer)), (i, min(i + width, inner)))
+        for o, i in itertools.product(range(0, outer, rows), range(0, inner, width))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 600), st.integers(0, 16), st.integers(1, 1 << 20),
+    st.integers(0, 400), st.sampled_from([2**l for l in range(6)] + [3**l for l in range(6)]),
+)
+def test_blocks_cut_every_kernel_as_its_own_formula_did(rows, n, cells, high, size):
+    # the arguments each kernel passes to core.blocks, against its old formula
+    if rows:  # on an empty stack the old low blocks differ only in how many empty ones
+        assert spans(core.blocks(high, rows * size, cells), high) == parent_low_blocks(rows, high, size, cells)
+    columns = 1 << min(n, 12)
+    assert spans(core.blocks(columns, rows, cells), columns) == parent_column_blocks(rows, columns, cells)
+    planes = core.blocks(-(-rows // 8) or 1, 3**n, 2 * cells)
+    assert [(8 * p.start, min(8 * p.stop, rows)) for p in planes] == parent_planes_rows(rows, n, cells)
+    assert spans(core.blocks(rows, 3**n, 8 * cells), rows) == parent_certificate_rows(rows, n, cells)
+    byte_rows = -(-rows // 8)
+    assert spans(core.blocks(byte_rows, 3**n, cells), byte_rows) == parent_tree_byte_rows(byte_rows, n, cells)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.integers(1, 1 << 20), st.integers(1, 1 << 19))
+def test_blocks_cut_the_tree_step_as_its_own_formula_did(outer, inner, cells):
+    # measures._decide_on_digit's 2-D blocks of DT_BLOCK_CELLS cells
+    assume(-(-outer // max(1, cells // inner)) * -(-inner // cells) <= 5000)
+    got = itertools.product(core.blocks(outer, inner, cells), core.blocks(inner, 1, cells))
+    assert [(spans([o], outer)[0], spans([i], inner)[0]) for o, i in got] == parent_tree_step(outer, inner, cells)
 
 
 def test_serialize_examples():

@@ -113,13 +113,18 @@ def test_every_export_has_a_caller():
     assert uncalled == []
 
 
+# A floor division of one of these names turns a cell budget into a block width.
+_BUDGETS = {"CHUNK_CELLS", "DT_BLOCK_CELLS", "budget"}
+
+
 class _Owners(ast.NodeVisitor):
-    """Where a module converts hex (``.hex(...)``, ``.fromhex(...)``) and
-    shifts ``CHUNK_CELLS`` right, by the dotted name of the enclosing
-    function or class."""
+    """Where a module converts hex (``.hex(...)``, ``.fromhex(...)``),
+    shifts ``CHUNK_CELLS`` right and floor-divides an expression that names
+    a budget (``_BUDGETS``), by the dotted name of the enclosing function
+    or class."""
 
     def __init__(self, module: str) -> None:
-        self.scope, self.hex, self.shifts = [module], set(), set()
+        self.scope, self.hex, self.shifts, self.widths = [module], set(), set(), set()
 
     def _scoped(self, node) -> None:
         self.scope.append(node.name)
@@ -137,20 +142,26 @@ class _Owners(ast.NodeVisitor):
         shifted = getattr(node.left, "id", None) or getattr(node.left, "attr", None)
         if isinstance(node.op, ast.RShift) and shifted == "CHUNK_CELLS":
             self.shifts.add(".".join(self.scope))
+        named = {getattr(name, "id", None) or getattr(name, "attr", None) for name in ast.walk(node.left)}
+        if isinstance(node.op, ast.FloorDiv) and named & _BUDGETS:
+            self.widths.add(".".join(self.scope))
         self.generic_visit(node)
 
 
 def test_one_owner_for_the_text_format_and_the_stack_size():
-    # core alone writes and reads the n:HEX text, and measures.stack_size
-    # alone decides how many tables share a stack
-    hex_users, shifts = set(), set()
+    # core alone writes and reads the n:HEX text, measures.stack_size alone
+    # decides how many tables share a stack, and core.blocks alone how many
+    # items of a kernel's work fit its budget of cells
+    hex_users, shifts, widths = set(), set(), set()
     for path in sorted((ROOT / "src" / "boolfn").glob("*.py")):
         owners = _Owners(path.stem)
         owners.visit(ast.parse(path.read_text()))
         hex_users |= {name.split(".")[0] for name in owners.hex}
         shifts |= owners.shifts
+        widths |= owners.widths
     assert hex_users == {"core"}
     assert shifts == {"measures.stack_size"}
+    assert widths == {"core.blocks"}
 
 
 def test_src_line_budget():
