@@ -126,11 +126,14 @@ def multilinear_coefficients(f: Tables) -> MultilinearPoly | np.ndarray:
 def degree(f: TruthTable, m: Optional[int] = None) -> int:
     """Degree of the multilinear representation over Z, or over Z_m for
     ``m`` >= 2: the degree over Z of the coefficients reduced mod m, block
-    by block (:func:`core.blocks`), into uint8 or uint16 where m allows."""
+    by block (:func:`core.blocks`), into uint8 or uint16 where m allows.
+    Every coefficient is within 2**(n - 1) (1 at n = 0), and their dtype
+    holds 2**n, so an m above that dtype divides a coefficient only if it
+    is 0: the coefficients are then read as they are, unreduced."""
     if m is not None and (m := int(m)) < 2:
         raise ValueError("modulus must be >= 2")
     coeffs = multilinear_coefficients(f).coeffs
-    if m is not None:
+    if m is not None and m <= np.iinfo(coeffs.dtype).max:
         residues = np.empty(coeffs.shape, min(coeffs.dtype, np.min_scalar_type(m - 1), key=lambda t: t.itemsize))
         for part in blocks(coeffs.size, 1, CHUNK_CELLS):
             np.remainder(coeffs[part], m, out=residues[part], casting="unsafe")
@@ -163,7 +166,7 @@ def _nonzero_bits(c: np.ndarray) -> np.ndarray:
     return _RESIDUE_BITS.take(residue) | (c != 0)
 
 
-def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) -> np.ndarray:
+def degrees(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Of every coefficient row (along the last axis), the degree over Z and
     over each Z_m of ``MODULI``, the largest monomial whose coefficient is
     nonzero (mod m), along a new last axis in that order, as uint8.
@@ -171,8 +174,8 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
     The popcount levels are scanned from n down, each coefficient read once
     for all six as a bit mask (:func:`_nonzero_bits`), until a row has all
     six. Before the scan would read 1/32 of all the coefficients, the open
-    rows take a full pass instead: per degree still open, the largest of
-    ``weights`` (``popcounts(n)`` unless given) where its bit is set, in
+    rows take a full pass instead: per degree still open, the largest
+    popcount (``popcounts(n)``, built here) where its bit is set, in
     :func:`core.blocks` of the open rows' columns, of ``CHUNK_CELLS`` cells.
     """
     rows = coeffs.reshape(-1, 1 << n)
@@ -182,7 +185,7 @@ def degrees(coeffs: np.ndarray, n: int, weights: Optional[np.ndarray] = None) ->
     for w in range(n, 0, -1):
         budget -= todo.size * comb(n, w)
         if budget < 0:  # a block's masks transposed, so each max is over rows of them
-            weights = popcounts(n) if weights is None else weights
+            weights = popcounts(n)
             open_bits = np.flatnonzero((np.bitwise_and.reduce(found) >> _BITS & 1) == 0).tolist()
             for part in blocks(1 << n, todo.size, CHUNK_CELLS):
                 block = rows[:, part] if todo.size == len(rows) else rows[todo, part]  # no gather if all are open
@@ -274,21 +277,18 @@ class SpectralSums:
     weighted2: Fraction
 
 
-def spectral_numerators(
-    scaled: np.ndarray, n: int, weights: Optional[np.ndarray] = None
-) -> dict[str, np.ndarray]:
+def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
     """The exact numerators of the spectral sums over S, along the last axis
-    of a spectrum or a stack, with the weight vector |S|, ``weights``
-    (``popcounts(n)``, built here unless the caller holds it). Over 2**n:
-    ``l1``, sum |scaled[S]|, and ``weighted``, sum |scaled[S]| |S|. Over
-    4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S| (``spectral``,
-    the influence) or 1 (``sum_sq``, 4**n by Parseval).
+    of a spectrum or a stack, with the weight vector |S|, ``popcounts(n)``.
+    Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum |scaled[S]|
+    |S|. Over 4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S|
+    (``spectral``, the influence) or 1 (``sum_sq``, 4**n by Parseval).
 
     The columns go in :func:`core.blocks` of ``CHUNK_CELLS`` cells, whose
     sums are added up per row, so no full-size copy of the spectrum or of
     the weights is made. The sums stay in integers, as weighted2 passes
     2**53 at n = 23."""
-    weights = popcounts(n) if weights is None else weights
+    weights = popcounts(n)
     rows = scaled.reshape(-1, 1 << n)
     sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral"), 0)
     for part in blocks(1 << n, len(rows), CHUNK_CELLS):

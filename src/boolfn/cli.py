@@ -122,6 +122,10 @@ def _function_source_flags(sub) -> None:
         choices=list(_FAMILIES),
         help="generated family instead of an explicit table",
     )
+    _family_flags(sub)
+
+
+def _family_flags(sub) -> None:
     sub.add_argument("--k", type=int, help="depth parameter for --family fk")
     sub.add_argument("--t", type=int, help="address-bit count for --family addr")
     sub.add_argument("--n", type=int, help="arity for basic families")
@@ -291,12 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="emit a generated family member")
     p_family.add_argument("generator", choices=list(_FAMILIES))
-    p_family.add_argument("--k", type=int, help="depth for fk")
-    p_family.add_argument("--t", type=int, help="address bits for addr")
-    p_family.add_argument("--n", type=int, help="arity for basics")
-    p_family.add_argument("--threshold", type=int)
-    p_family.add_argument("--base", help="base token for compose (e.g. addr2)")
-    p_family.add_argument("--power", type=int, help="composition power")
+    _family_flags(p_family)
     p_family.add_argument("--lazy", action="store_true", help="emit descriptor JSON even when dense")
     p_family.set_defaults(handler=_cmd_family)
 

@@ -2,11 +2,10 @@
 
 Dense truth tables (the value at every one of the 2**n inputs) and lazy
 point-evaluation rules, plus the operations everything else builds on:
-evaluation, restriction, composition, materialization, and text
-serialization. A lazy function is evaluated point by point; one built by
-:func:`compose` also carries a table rule, so materializing it costs one
-table of each part and a few numpy gathers rather than one interpreted call
-per point.
+evaluation, composition, materialization, and text serialization. A lazy
+function is evaluated point by point; one built by :func:`compose` also
+carries a table rule, so materializing it costs one table of each part and
+a few numpy gathers rather than one interpreted call per point.
 
 Conventions used throughout the package:
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -251,24 +250,6 @@ class LazyFunction:
 BooleanFunction = Union[TruthTable, LazyFunction]
 
 
-def restrict(f: TruthTable, fixed: Mapping[int, int]) -> TruthTable:
-    """Subfunction with the variables that ``fixed`` maps (1-based) set to
-    their bits. Surviving variables are renumbered in increasing original
-    order."""
-    n = f.n
-    for j in fixed:
-        if not 1 <= j <= n:
-            raise ValueError(f"restriction index {j} out of range for arity {n}")
-    arr = f.values
-    m = n
-    # Fix highest-numbered variables first so smaller indices stay valid.
-    for j in sorted(fixed, reverse=True):
-        b = fixed[j] & 1
-        arr = arr.reshape(1 << (j - 1), 2, 1 << (m - j))[:, b, :].ravel()
-        m -= 1
-    return TruthTable(m, arr)
-
-
 def compose(f: BooleanFunction, g: BooleanFunction) -> LazyFunction:
     """Block composition: ``f`` applied to ``g`` on m contiguous n-bit blocks.
 
@@ -326,7 +307,7 @@ def materialize(f: BooleanFunction) -> TruthTable:
     _check_arity(f.arity)
     if f.tabulate is not None:
         return TruthTable(f.arity, f.tabulate())
-    return TruthTable(f.arity, [f.evaluator(i) & 1 for i in range(1 << f.arity)])
+    return TruthTable.from_evaluator(f.arity, f.evaluator)
 
 
 def digit_sweep(

@@ -10,15 +10,16 @@ usual parity/and/or/majority/threshold baselines live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
     BooleanFunction,
-    CapExceededError,
     LazyFunction,
     TruthTable,
+    _check_arity,
     compose,
     dense_cap,
     describe,
@@ -108,14 +109,7 @@ def gap_family(
         )
 
     tree = build(1, 0)
-
-    def ev(x: int) -> int:
-        rank, b = 1, 0
-        for _ in range(k):
-            b = (x >> (n - order[rank - 1])) & 1
-            rank = 2 * rank + b
-        return b
-
+    ev = partial(tree.evaluate, n=n)
     if n <= dense_cap():
         fn: BooleanFunction = TruthTable.from_evaluator(n, ev)
     else:
@@ -133,8 +127,7 @@ def address(t: int) -> TruthTable:
     if t < 1:
         raise ValueError("t must be >= 1")
     n = t + (1 << t)
-    if n > dense_cap():
-        raise CapExceededError(f"arity {n} exceeds dense cap {dense_cap()}")
+    _check_arity(n)
     idx = np.arange(1 << n, dtype=np.int64)
     addr = idx >> (1 << t)
     # Data bit y_addr is variable t+1+addr, i.e. index bit 2**t - 1 - addr.

@@ -48,7 +48,6 @@ from .core import (
     digit_sweep,
     materialize,
     point_index,
-    popcounts,
     serialize,
     serialize_rows,
     table_values,
@@ -401,9 +400,10 @@ class Chunk:
     ``degrees``, one scan of ``coeffs``, holds the degree over Z and over
     each Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
     rational measure is kept as its numerator (``I_num`` and ``avg_s2_num``
-    over 2**n, the spectral ``sums``). :meth:`values` gives a column of
-    ``VALUES`` as Python values, and :meth:`record` a view of one row. No
-    reader asks for a measure above its cap.
+    over 2**n, the spectral ``sums``). The degrees and the sums build the
+    popcounts they read; the chunk keeps none. :meth:`values` gives a
+    column of ``VALUES`` as Python values, and :meth:`record` a view of one
+    row. No reader asks for a measure above its cap.
     """
 
     def __init__(
@@ -494,11 +494,8 @@ class Chunk:
     negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
     witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
 
-    # The Hamming weight of every index, for the degrees and the spectral sums.
-    weights = cached_property(lambda c: popcounts(c.n))
-
     # From the Moebius coefficients: the degrees over Z and each Z_m, one scan.
-    degrees = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n, c.weights))
+    degrees = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n))
     deg = cached_property(lambda c: c.degrees[:, 0])
     # settled once the degrees are read: at n = 20 their Moebius pass costs more than the kernel
     depends_all = cached_property(
@@ -513,7 +510,7 @@ class Chunk:
     sparsity = _exact_column(
         lambda c: sum(np.count_nonzero(c.spectrum[:, b], axis=-1) for b in blocks(1 << c.n, len(c), CHUNK_CELLS))
     )
-    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n, c.weights))
+    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n))
 
 
 class MeasureContext:

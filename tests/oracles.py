@@ -6,10 +6,29 @@ the tests can check the fast paths against first principles.
 """
 
 from itertools import combinations, permutations, product
+from typing import Mapping
 
 import numpy as np
 
 from boolfn.core import TruthTable
+
+
+def restrict(f: TruthTable, fixed: Mapping[int, int]) -> TruthTable:
+    """Subfunction with the variables that ``fixed`` maps (1-based) set to
+    their bits. Surviving variables are renumbered in increasing original
+    order."""
+    n = f.n
+    for j in fixed:
+        if not 1 <= j <= n:
+            raise ValueError(f"restriction index {j} out of range for arity {n}")
+    arr = f.values
+    m = n
+    # Fix highest-numbered variables first so smaller indices stay valid.
+    for j in sorted(fixed, reverse=True):
+        b = fixed[j] & 1
+        arr = arr.reshape(1 << (j - 1), 2, 1 << (m - j))[:, b, :].ravel()
+        m -= 1
+    return TruthTable(m, arr)
 
 
 def bit(table: TruthTable, i: int) -> int:
@@ -132,8 +151,6 @@ def brute_decision_tree_depth(table: TruthTable) -> int:
         v = t.values
         if all(x == v[0] for x in v):
             return 0
-        from boolfn.core import restrict
-
         return 1 + min(
             max(rec(restrict(t, {j: 0})), rec(restrict(t, {j: 1})))
             for j in range(1, t.n + 1)

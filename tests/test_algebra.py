@@ -233,11 +233,12 @@ def test_blocked_full_pass_matches_the_oracle_and_the_whole_row_formula(monkeypa
 def test_degrees_full_pass_peak_is_bounded_by_blocks():
     """Parity's deg_2 is 1, so the scan leaves it open and the full pass
     reads every coefficient of the n = 18 row, in blocks of at most
-    CHUNK_CELLS cells: its copies, residues and masks peak at a few int64
-    blocks, whatever 2**n is, not at a transposed copy of the row."""
+    CHUNK_CELLS cells: its uint8 popcounts, copies, residues and masks peak
+    at a few int64 blocks, whatever 2**n is, not at a transposed copy of the
+    row."""
     n = 18
     coeffs = multilinear_coefficients(families.named_basics("parity", n)).coeffs
-    _, peak = traced_bytes(algebra.degrees, coeffs, n, popcounts(n))
+    _, peak = traced_bytes(algebra.degrees, coeffs, n)
     # parity's coefficient on S is (-2)**(|S| - 1): odd only at |S| = 1, 0 mod 4 above |S| = 2
     assert algebra.degrees(coeffs, n).tolist() == [n, 1, n, 2, n, n]
     assert peak <= 3 * 8 * CHUNK_CELLS, f"{peak / (1 << n):.2f} bytes per point at the peak"
@@ -250,6 +251,27 @@ def test_degree_takes_any_modulus():
             t = random_table(rng, n)
             for m in (7, 8, 9, 10, 12, 60, 97):
                 assert degree(t, m) == oracles.brute_degree(t, m)
+
+
+def test_degree_above_every_coefficient_is_the_degree_over_z():
+    # every coefficient is within 2**(n - 1), so no such m divides a nonzero one
+    rng = random.Random(31)
+    for n in range(9):
+        for t in (TruthTable(n, popcounts(n) & 1), TruthTable(n, popcounts(n) == n), random_table(rng, n)):
+            for m in (1 << 31, (1 << 31) + 1, 1 << 40, 1 << 64):
+                assert degree(t, m) == degree(t), (n, m)
+
+
+def test_degree_at_the_moduli_around_the_largest_coefficient():
+    # parity's coefficient on S is (-2)**(|S| - 1): its top one is 2**(n - 1) in size
+    for n in range(1, 13):
+        t = families.named_basics("parity", n)
+        coeffs = multilinear_coefficients(t).coeffs.tolist()
+        for m in sorted({1 << (n - 1), (1 << (n - 1)) + 1, (1 << n) - 1, 1 << n} - {1}):
+            want = int(algebra.degrees(np.array([c % m for c in coeffs]), n)[0])
+            assert degree(t, m) == want, (n, m)
+            if n <= 5:
+                assert want == oracles.brute_degree(t, m), (n, m)
 
 
 MODULI_OF_DEGREE = (2, 3, 4, 5, 6, 7, 60, 61, 255, 256, 257, 65537, (1 << 31) - 1)
@@ -484,6 +506,31 @@ def test_transforms_of_large_tables_match_the_one_layout_loops(n):
     assert multilinear_coefficients(TruthTable(n, stack[4])).coeffs[-1] == (-2) ** (n - 1)
 
 
+def test_kernels_at_n_against_themselves_at_n_minus_1():
+    """Split f on x_b into f0 = f|x_b=0 and f1 = f|x_b=1. Then W_f(S) is
+    W_f0(S') + W_f1(S') if b is not in S and W_f0(S') - W_f1(S') if it is;
+    c_f(S) is c_f0(S') and c_f1(S') - c_f0(S'); and s(f, x) is
+    s(f_{x_b}, x_-b) + [f(x) != f(x + e_b)]. From n = 13 to 20 the halves
+    and f cross the int16 pass limits (14 and 15), the in-place widening
+    and the transposed low digits, where no oracle runs."""
+    rng = random.Random(13)
+    for n in range(13, 21):
+        # OR's 0/1 Walsh entries reach 2**15 at pass 15, one pass past what int16 holds
+        for f in (random_table(rng, n), *(families.named_basics(name, n) for name in ("parity", "and", "or"))):
+            walsh, moebius = fourier_transform(f).scaled, multilinear_coefficients(f).coeffs
+            s = measures.per_point_sensitivity(f)
+            for b in (1, (n + 1) // 2, n):
+                split = lambda a: a.reshape(1 << (b - 1), 2, 1 << (n - b))
+                f0, f1 = (oracles.restrict(f, {b: bit}) for bit in (0, 1))
+                w0, w1 = (fourier_transform(h).scaled.reshape(1 << (b - 1), -1) for h in (f0, f1))
+                assert np.array_equal(split(walsh), np.stack([w0 + w1, w0 - w1], axis=1)), (n, b)
+                c0, c1 = (multilinear_coefficients(h).coeffs.reshape(1 << (b - 1), -1) for h in (f0, f1))
+                assert np.array_equal(split(moebius), np.stack([c0, c1 - c0], axis=1)), (n, b)
+                s0, s1 = (measures.per_point_sensitivity(h).reshape(1 << (b - 1), -1) for h in (f0, f1))
+                flips = split(f.values)[:, 0] != split(f.values)[:, 1]
+                assert np.array_equal(split(s), np.stack([s0 + flips, s1 + flips], axis=1)), (n, b)
+
+
 def test_one_row_transforms_leave_the_table_as_it_was():
     """Up to n = 5 a lone row is one low block, whose transposed view is
     contiguous: the sweep still works on a copy of it, so the transforms,
@@ -595,11 +642,11 @@ def test_blocked_spectral_numerators_above_the_int64_arity(monkeypatch):
 
 def test_spectral_numerators_peak_is_bounded_by_a_block():
     """No full-size copy of the spectrum or of the weights: the peak of
-    the sums over one n = 18 spectrum is a few blocks of CHUNK_CELLS int64
-    cells, whatever 2**n is."""
+    the sums over one n = 18 spectrum is the uint8 popcounts they build and
+    a few blocks of CHUNK_CELLS int64 cells, whatever 2**n is."""
     n = 18
-    scaled, weights = fourier_transform(random_table(random.Random(18), n)).scaled, popcounts(n)
-    _, peak = traced_bytes(algebra.spectral_numerators, scaled, n, weights)
+    scaled = fourier_transform(random_table(random.Random(18), n)).scaled
+    _, peak = traced_bytes(algebra.spectral_numerators, scaled, n)
     assert peak <= 3 * 8 * CHUNK_CELLS, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from boolfn import algebra, chains, cli, families, measures, verify
-from boolfn.core import TruthTable, depends_on_all, parse, restrict, serialize
+from boolfn.core import TruthTable, depends_on_all, parse, serialize
 from boolfn.verify import Population, run_check_suite
 from test_core import rows_ignoring_one_variable
 from test_record import count_calls, matrix_sweep
@@ -26,7 +26,7 @@ STACKED = (
 
 def below(t: TruthTable, x: int) -> TruthTable:
     """f on the subcube of points below x: every variable not set in x fixed to 0."""
-    return restrict(t, {j: 0 for j in range(1, t.n + 1) if not x >> (t.n - j) & 1})
+    return oracles.restrict(t, {j: 0 for j in range(1, t.n + 1) if not x >> (t.n - j) & 1})
 
 
 def by_subset(row: np.ndarray, n: int) -> dict:

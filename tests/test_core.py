@@ -19,11 +19,11 @@ from boolfn.core import (
     materialize,
     parse,
     parse_corpus,
-    restrict,
     serialize,
 )
 
 import oracles
+from oracles import restrict
 
 
 def random_table(rng, n):

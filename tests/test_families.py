@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,17 @@ def test_gap_family_tree_matches_function():
         table = materialize(fk)
         for x in range(1 << table.n):
             assert tree.evaluate(x, table.n) == table.evaluate(x)
+
+
+def test_gap_family_closed_forms():
+    for k in range(1, 5):
+        record = measures.measure_report(gap_family(k)[0], bs_cap=16, cert_cap=16, dt_cap=16)
+        for name in ("s", "bs", "C", "DT", "deg", *(f"deg_{m}" for m in range(2, 7))):
+            assert record.value(name) == k, (k, name)
+        assert [record.value(name) for name in ("alt", "dc", "negs")] == [(1 << k) - 1, (1 << (k - 1)) - 1, k - 1]
+        assert record.value("sparsity") == 4 ** (k - 1)
+        assert record.value("I") == Fraction(k + 1, 2)
+        assert record.value("depends_on_all") is True
 
 
 def test_gap_family_lazy_above_cap():

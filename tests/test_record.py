@@ -129,12 +129,13 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
 
 
 def test_record_peak_memory_per_point():
-    """A large record holds its narrow per-point columns (11 bytes per
-    point: uint8 s, A and weights, int32 coefficients and spectrum) and at
-    its peak little more, whatever the function: the transforms read the
-    table itself, and the spectral sums, sparsity, avg_s2 and the degrees'
-    full pass, which parity's and the inner product's low deg_2 reach, add
-    blocks of at most CHUNK_CELLS cells, not copies of a whole column."""
+    """A large record holds its narrow per-point columns (10 bytes per
+    point: uint8 s and A, int32 coefficients and spectrum) and at its peak
+    little more, whatever the function: the transforms read the table
+    itself, and the spectral sums, sparsity, avg_s2 and the degrees' full
+    pass, which parity's and the inner product's low deg_2 reach, add the
+    popcounts each builds and blocks of at most CHUNK_CELLS cells, not
+    copies of a whole column."""
     n = 18
     tables = {
         "random": TruthTable.from_packed_int(n, random.Random(18).getrandbits(1 << n)),
