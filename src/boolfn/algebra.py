@@ -127,13 +127,13 @@ def degree(f: TruthTable, m: Optional[int] = None) -> int:
     """Degree of the multilinear representation over Z, or over Z_m for
     ``m`` >= 2: the degree over Z of the coefficients reduced mod m, block
     by block (:func:`core.blocks`), into uint8 or uint16 where m allows.
-    Every coefficient is within 2**(n - 1) (1 at n = 0), and their dtype
-    holds 2**n, so an m above that dtype divides a coefficient only if it
-    is 0: the coefficients are then read as they are, unreduced."""
+    Every coefficient is within 2**(n - 1) (1 at n = 0), so an m above that
+    divides a coefficient only if it is 0: the coefficients are then read
+    as they are, unreduced."""
     if m is not None and (m := int(m)) < 2:
         raise ValueError("modulus must be >= 2")
     coeffs = multilinear_coefficients(f).coeffs
-    if m is not None and m <= np.iinfo(coeffs.dtype).max:
+    if m is not None and m <= 1 << max(f.n - 1, 0):
         residues = np.empty(coeffs.shape, min(coeffs.dtype, np.min_scalar_type(m - 1), key=lambda t: t.itemsize))
         for part in blocks(coeffs.size, 1, CHUNK_CELLS):
             np.remainder(coeffs[part], m, out=residues[part], casting="unsafe")
@@ -278,11 +278,12 @@ class SpectralSums:
 
 
 def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """The exact numerators of the spectral sums over S, along the last axis
-    of a spectrum or a stack, with the weight vector |S|, ``popcounts(n)``.
-    Over 2**n: ``l1``, sum |scaled[S]|, and ``weighted``, sum |scaled[S]|
-    |S|. Over 4**n: sum scaled[S]**2 times |S|**2 (``weighted2``), |S|
-    (``spectral``, the influence) or 1 (``sum_sq``, 4**n by Parseval).
+    """The ``sparsity`` (nonzero count) and the exact numerators of the
+    spectral sums over S, along the last axis of a spectrum or a stack, with
+    the weight vector |S|, ``popcounts(n)``. Over 2**n: ``l1``, sum
+    |scaled[S]|, and ``weighted``, sum |scaled[S]| |S|. Over 4**n: sum
+    scaled[S]**2 times |S|**2 (``weighted2``), |S| (``spectral``, the
+    influence) or 1 (``sum_sq``, 4**n by Parseval).
 
     The columns go in :func:`core.blocks` of ``CHUNK_CELLS`` cells, whose
     sums are added up per row, so no full-size copy of the spectrum or of
@@ -290,7 +291,7 @@ def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
     2**53 at n = 23."""
     weights = popcounts(n)
     rows = scaled.reshape(-1, 1 << n)
-    sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral"), 0)
+    sums = dict.fromkeys(("l1", "weighted", "sum_sq", "weighted2", "spectral", "sparsity"), 0)
     for part in blocks(1 << n, len(rows), CHUNK_CELLS):
         block = _block_numerators(rows[:, part], weights[part], n)
         for key in sums:
@@ -299,13 +300,13 @@ def spectral_numerators(scaled: np.ndarray, n: int) -> dict[str, np.ndarray]:
 
 
 def _block_numerators(part: np.ndarray, weights: np.ndarray, n: int) -> dict[str, np.ndarray]:
-    """The five sums of a block of spectrum columns and their weights, from
-    one ``abs`` (taken straight into the exact dtype), one square and one
-    product. The weights are cast to that dtype in the small buffers of the
-    in-place product and of ``einsum``, never as a block-sized copy."""
+    """The five sums and the nonzero count of a block of spectrum columns,
+    from one ``abs`` (taken straight into the exact dtype), one square and
+    one product. The weights are cast to that dtype in the small buffers of
+    the in-place product and of ``einsum``, never as a block-sized copy."""
     a = np.abs(part, dtype=np.int64) if n <= INT64_EXACT_MAX_ARITY else np.abs(exact_terms(part, n))
     dot = lambda x: np.einsum("...i,i->...", x, weights, dtype=a.dtype)
-    sums = {"l1": a.sum(axis=-1), "weighted": dot(a)}
+    sums = {"l1": a.sum(axis=-1), "weighted": dot(a), "sparsity": np.count_nonzero(part, axis=-1).astype(a.dtype)}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)
     a *= weights

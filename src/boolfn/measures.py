@@ -16,6 +16,7 @@ the last few variables run on block copies with the cells transposed.
 
 Every measure is a column of a :class:`Chunk` of same-arity tables,
 computed once for all its rows; only block sensitivity searches row by row.
+The Moebius and Walsh transforms are reduced where they are made, never kept.
 A chunk settles what a proven bound fixes before it runs a kernel: bs where
 s = C, and DT, full dependence and the deg-product checks (:meth:`Chunk.settle`).
 Every value a report carries is named once, in ``VALUES``, with its
@@ -389,19 +390,20 @@ class Chunk:
     as a :class:`TruthTable` view (:meth:`table`) only by a record, the bs
     search and the function ids. A column is computed at its first read,
     for all rows, and kept. The per-point columns (``per_point_s``,
-    ``profile``, ``coeffs``, ``spectrum``, the witness chain orders
-    ``witness``) come from one kernel run on the stack, and
-    ``per_point_cert`` and ``dt`` from one run each on its constancy
-    ``planes``, one array, each kernel in blocks of its own bound.
+    ``profile``, the witness chain orders ``witness``) come from one kernel
+    run on the stack, and ``per_point_cert`` and ``dt`` from one run each
+    on its constancy ``planes``, one array, each kernel in blocks of its
+    own bound. ``degrees`` and ``sums`` reduce their transform as it is
+    made, so a large record holds two bytes per point: the uint8 s and A.
     A chunk whose rows a proven bound settles runs no kernel (:meth:`settle`):
     deg = n gives DT = n and full dependence (deg <= DT <= n, and x_1...x_n has
     a nonzero coefficient), and deg <= deg2 * deg_m the deg-product checks.
     The per-row measures are exact integers (``algebra.exact_terms``):
-    ``degrees``, one scan of ``coeffs``, holds the degree over Z and over
-    each Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
+    ``degrees``, one Moebius scan, holds the degree over Z and over each
+    Z_m of ``algebra.MODULI`` that ``deg`` and :meth:`degm` read, and a
     rational measure is kept as its numerator (``I_num`` and ``avg_s2_num``
-    over 2**n, the spectral ``sums``). The degrees and the sums build the
-    popcounts they read; the chunk keeps none. :meth:`values` gives a
+    over 2**n, the spectral ``sums``, with the ``sparsity`` count). The
+    degrees and the sums build the popcounts they read. :meth:`values` gives a
     column of ``VALUES`` as Python values, and :meth:`record` a view of one
     row. No reader asks for a measure above its cap.
     """
@@ -456,8 +458,6 @@ class Chunk:
     # The per-point columns: one kernel run each on the stack.
     per_point_s = cached_property(lambda c: per_point_sensitivity(c.stack))
     profile = cached_property(lambda c: chains.alternation_profile(c.stack))
-    coeffs = cached_property(lambda c: algebra.multilinear_coefficients(c.stack))
-    spectrum = cached_property(lambda c: algebra.fourier_transform(c.stack))
     witness = cached_property(lambda c: chains.witness_orders(c.stack, c.profile))
     planes = cached_property(lambda c: constancy_planes(c.stack))
     per_point_cert = cached_property(lambda c: per_point_certificate(c.stack, planes=c.planes))
@@ -494,8 +494,8 @@ class Chunk:
     negs = _exact_column(lambda c: per_value(int.bit_length, c.dc))
     witness_alt = _exact_column(lambda c: chains.alternations_along(c.stack, c.witness))
 
-    # From the Moebius coefficients: the degrees over Z and each Z_m, one scan.
-    degrees = _exact_column(lambda c: algebra.degrees(c.coeffs, c.n))
+    # From the Moebius coefficients, made here and dropped: the degrees over Z and each Z_m, one scan.
+    degrees = _exact_column(lambda c: algebra.degrees(algebra.multilinear_coefficients(c.stack), c.n))
     deg = cached_property(lambda c: c.degrees[:, 0])
     # settled once the degrees are read: at n = 20 their Moebius pass costs more than the kernel
     depends_all = cached_property(
@@ -505,12 +505,9 @@ class Chunk:
     def degm(self, m: int) -> np.ndarray:
         return self.degrees[:, 1 + algebra.MODULI.index(m)]
 
-    # From the Walsh spectrum: sparsity and the spectral sums' numerators.
-    # counted in blocks of columns: no full-size bool temporary
-    sparsity = _exact_column(
-        lambda c: sum(np.count_nonzero(c.spectrum[:, b], axis=-1) for b in blocks(1 << c.n, len(c), CHUNK_CELLS))
-    )
-    sums = cached_property(lambda c: algebra.spectral_numerators(c.spectrum, c.n))
+    # From the Walsh spectrum, made here and dropped: the spectral sums' numerators and the sparsity.
+    sums = cached_property(lambda c: algebra.spectral_numerators(algebra.fourier_transform(c.stack), c.n))
+    sparsity = cached_property(lambda c: c.sums["sparsity"])
 
 
 class MeasureContext:
@@ -545,10 +542,12 @@ class MeasureContext:
         return chains.Chain(self.n, tuple(self.chunk.witness[self.row].tolist()))
 
     def poly(self) -> algebra.MultilinearPoly:
-        return algebra.MultilinearPoly(self.n, self.chunk.coeffs[self.row])
+        """The table's Moebius coefficients, from their kernel run again: the chunk keeps none."""
+        return algebra.multilinear_coefficients(self.table)
 
     def spectrum(self) -> algebra.FourierSpectrum:
-        return algebra.FourierSpectrum(self.n, self.chunk.spectrum[self.row])
+        """The table's Walsh spectrum, from its kernel run again."""
+        return algebra.fourier_transform(self.table)
 
     def to_json_dict(self) -> dict:
         """The ``boolfn analyze`` object, without the per-point table."""

@@ -280,8 +280,9 @@ MODULI_OF_DEGREE = (2, 3, 4, 5, 6, 7, 60, 61, 255, 256, 257, 65537, (1 << 31) - 
 @pytest.mark.parametrize("cells", [CHUNK_CELLS, 7])
 def test_degree_mod_m_matches_the_whole_array_reduction_and_the_oracle(monkeypatch, cells):
     # at 7 cells the residues are reduced in blocks of 7 coefficients, the
-    # last one short; they are uint8 up to m = 256, uint16 up to 65536 and
-    # the coefficients' own int32 above
+    # last one short; they are uint8 up to m = 256 and uint16 above. Above
+    # 2**(n - 1), the bound of every coefficient, none is made: the scan
+    # reads the coefficients themselves, in their own dtype
     monkeypatch.setattr(algebra, "CHUNK_CELLS", cells)
     scanned, degrees = [], algebra.degrees
     monkeypatch.setattr(algebra, "degrees", lambda coeffs, n: scanned.append(coeffs.dtype) or degrees(coeffs, n))
@@ -295,7 +296,8 @@ def test_degree_mod_m_matches_the_whole_array_reduction_and_the_oracle(monkeypat
                 scanned.clear()
                 got = degree(t, m)
                 assert got == int(degrees(coeffs % m, n)[0]), (n, m)
-                assert scanned == [np.uint8 if m <= 256 else np.uint16 if m <= 65536 else np.int32], m
+                residues = np.uint8 if m <= 256 else np.uint16
+                assert scanned == [coeffs.dtype if m > 1 << max(n - 1, 0) else residues], (n, m)
                 if n <= 5:
                     assert got == oracles.brute_degree(t, m), (n, m)
 
@@ -309,6 +311,26 @@ def test_degree_mod_m_peak_per_point(m):
     for t in (random_table(random.Random(18), n), families.named_basics("parity", n)):
         _, peak = traced_bytes(degree, t, m)
         assert peak / (1 << n) <= 6.5, f"{peak / (1 << n):.2f} bytes per point at the peak"
+
+
+def test_degree_reduces_only_within_the_largest_coefficient(monkeypatch):
+    # parity's top coefficient is (-2)**(n - 1): m = 2**(n - 1) divides it,
+    # so deg_m = n - 1 there, and it is the largest m whose residues are made
+    scanned, degrees = [], algebra.degrees
+    monkeypatch.setattr(algebra, "degrees", lambda coeffs, n: scanned.append(coeffs.dtype) or degrees(coeffs, n))
+    for n in range(1, 13):
+        t, top = families.named_basics("parity", n), 1 << (n - 1)
+        if top > 1:
+            assert (degree(t, top), scanned.pop()) == (n - 1, np.uint8 if top <= 256 else np.uint16), n
+        assert (degree(t, top + 1), scanned.pop()) == (n, np.int32), n
+
+
+def test_degree_above_the_largest_coefficient_peak_per_point():
+    """Above 2**(n - 1) no residues are made: degree(f, m) holds the int32
+    coefficients and the scan's blocks, under 5 bytes per point at n = 18."""
+    n = 18
+    _, peak = traced_bytes(degree, random_table(random.Random(18), n), (1 << 31) - 1)
+    assert peak <= 5 << n, f"{peak / (1 << n):.2f} bytes per point at the peak"
 
 
 def test_fourier_examples():
@@ -590,11 +612,12 @@ def test_int16_passes_hold_the_extreme_entries(monkeypatch, cells):
 
 
 def reference_numerators(scaled: np.ndarray, n: int) -> dict:
-    """The spectral numerators from whole-array copies of |scaled| and of
-    the weights, in the exact dtype: the reference for the blocked sums."""
+    """The spectral numerators and the nonzero count from whole-array
+    copies of |scaled| and of the weights, in the exact dtype: the
+    reference for the blocked sums."""
     weights = algebra.exact_terms(popcounts(n), n)
     a = np.abs(algebra.exact_terms(scaled.astype(np.int64), n))
-    sums = {"l1": a.sum(axis=-1), "weighted": a @ weights}
+    sums = {"l1": a.sum(axis=-1), "weighted": a @ weights, "sparsity": (a != 0).sum(axis=-1).astype(a.dtype)}
     a *= a
     sums["sum_sq"] = a.sum(axis=-1)
     a *= weights

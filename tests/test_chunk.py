@@ -252,6 +252,34 @@ def test_a_lone_table_is_a_chunk_of_its_values(monkeypatch):
     assert len(lone) == 1 and np.shares_memory(lone, small[2].values) and not lone.flags.writeable
 
 
+def held_arrays(value):
+    """Every array in a chunk attribute, inside its dicts, tuples and lists too."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from held_arrays(item)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_a_chunk_keeps_no_wide_per_point_array(n):
+    # the transforms are reduced where they are made, so once every column
+    # and every check's outcomes are read, only uint8 arrays hold a cell per point
+    stack = next(Population.sample(n, 24, n).stacks())
+    chunk = measures.Chunk(stack)
+    for name in measures.VALUES:
+        chunk.values(name)
+    for check in verify.CHECKS.values():
+        chunk.keep(check, check.outcomes)
+    wide = [
+        (name, array.dtype)
+        for name, value in vars(chunk).items()
+        for array in held_arrays(value)
+        if array.shape == stack.shape and array.dtype != np.uint8
+    ]
+    assert wide == [] and not hasattr(chunk, "coeffs") and not hasattr(chunk, "spectrum")
+
+
 def test_record_rows_are_read_only():
     record = next(measures.records([TruthTable.from_packed_int(3, 0x96)] * 2))
     chunk, i = record.chunk, record.row

@@ -5,9 +5,10 @@ file it writes, with ``tests/golden/<case>.*``. Two README examples are
 shrunk to keep the suite fast: ``--exhaustive 4 --matrix-out`` runs at
 arity 3, and the ``--sample 8,10000,42 ... --jobs 4`` sweep at 500 tables
 with 2 jobs. The cases after the README block add the text format,
-per-point output, a lazy source and an arity above 16, and the two matrix
-cases are replayed with ``--jobs 2``, their workers started at once,
-against the same goldens.
+per-point output, a lazy source, an arity above 16 and both exports of a
+random n = 12 table read from a file, and the two matrix cases are
+replayed with ``--jobs 2``, their workers started at once, against the
+same goldens.
 
 Regenerate the goldens only for an intended output change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -71,6 +72,11 @@ CASES = [
     Case("analyze-text-per-point", ("analyze", "--fn", "4:6996", "--format", "text", "--per-point")),
     Case("analyze-lazy", ("analyze", "--family", "compose", "--base", "maj3", "--power", "2")),
     Case("analyze-n17", ("analyze", "--file", "{golden}/n17.txt")),
+    Case(
+        "analyze-n12-exports",
+        ("analyze", "--file", "{golden}/n12.txt", "--spectrum-out", "{out}/spec.csv", "--poly-out", "{out}/poly.json"),
+        files=("spec.csv", "poly.json"),
+    ),
     Case("verify-text", ("verify", "--exhaustive", "2", "--sample", "4,20,7", "--format", "text")),
     Case(
         "verify-two-matrix",

@@ -99,6 +99,7 @@ def count_calls(monkeypatch, kernels) -> dict:
 
 
 def test_each_kernel_runs_once_per_record(monkeypatch):
+    # the record keeps no transform, so each export runs its own kernel once more
     calls = count_calls(monkeypatch, KERNELS)
     record = measure_report(families.address(2))
     assert len(verify.CHECKS) == 30
@@ -106,9 +107,12 @@ def test_each_kernel_runs_once_per_record(monkeypatch):
         assert check.run(record)[0] in ("pass", "skip"), check.name
     record.to_json_dict(), record.per_point()  # what analyze --per-point reads
     [record.value(name) for name in measures.VALUES]
+    once = {name: 1 for _, name in KERNELS}
+    assert calls == once
     list(record.spectrum().csv_rows())
+    assert calls == {**once, "fourier_transform": 2}
     record.poly().to_json_dict()
-    assert calls == {name: 1 for _, name in KERNELS}
+    assert calls == {**once, "fourier_transform": 2, "multilinear_coefficients": 2}
 
 
 def test_sweep_computes_only_what_its_checks_read(monkeypatch):
@@ -129,12 +133,12 @@ def test_sweep_computes_only_what_its_checks_read(monkeypatch):
 
 
 def test_record_peak_memory_per_point():
-    """A large record holds its narrow per-point columns (10 bytes per
-    point: uint8 s and A, int32 coefficients and spectrum) and at its peak
-    little more, whatever the function: the transforms read the table
-    itself, and the spectral sums, sparsity, avg_s2 and the degrees' full
-    pass, which parity's and the inner product's low deg_2 reach, add the
-    popcounts each builds and blocks of at most CHUNK_CELLS cells, not
+    """A large record holds its narrow per-point columns (2 bytes per
+    point: uint8 s and A) and at its peak one int32 transform more, whatever
+    the function: the transforms read the table itself and are dropped once
+    reduced, and the spectral sums with sparsity, avg_s2 and the degrees'
+    full pass, which parity's and the inner product's low deg_2 reach, add
+    the popcounts each builds and blocks of at most CHUNK_CELLS cells, not
     copies of a whole column."""
     n = 18
     tables = {
@@ -144,4 +148,4 @@ def test_record_peak_memory_per_point():
     }
     for name, table in tables.items():
         _, peak = traced_bytes(lambda: measure_report(table).to_json_dict())
-        assert peak <= 14 << n, f"{name}: {peak / (1 << n):.2f} bytes per point at the peak for n = 18"
+        assert peak <= 12 << n, f"{name}: {peak / (1 << n):.2f} bytes per point at the peak for n = 18"
