@@ -174,33 +174,17 @@ def _minimal_from_sens(f: TruthTable, i: int) -> list[int]:
     return np.flatnonzero(minimal).tolist()
 
 
-def block_sensitivity(
-    f: TruthTable,
-    x: Optional[Point] = None,
-    cap: int = BS_CAP_DEFAULT,
-    bounds: Optional[tuple[int, np.ndarray]] = None,
-) -> int:
+def block_sensitivity(f: TruthTable, x: Optional[Point] = None, cap: int = BS_CAP_DEFAULT) -> int:
     """Maximum number of disjoint blocks whose joint flip changes f.
 
     bs(f, x) packs the inclusion-minimal sensitive blocks at x by branch and
-    bound. The maximum over x starts at s(f) and uses bs(f, x) <= C(f, x),
-    as every certificate for x fixes a variable in each disjoint sensitive
-    block: it visits points in decreasing C(f, x), stops at the first with
-    C(f, x) <= best, and stops each packing once it reaches C(f, x).
-    ``bounds`` is (s(f), C(f, x) for every x) when the caller holds them,
-    as a :class:`Chunk` does; otherwise both are computed here.
+    bound; bs(f) is the record's (:attr:`Chunk.bs`).
     """
-    n = f.n
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds block-sensitivity cap {cap}")
+    if f.n > cap:
+        raise CapExceededError(f"arity {f.n} exceeds block-sensitivity cap {cap}")
     if x is not None:
-        return _max_disjoint(_minimal_from_sens(f, point_index(x, n)))
-    best, certs = bounds or (int(per_point_sensitivity(f).max()), per_point_certificate(f))
-    for i in np.argsort(certs, kind="stable")[::-1].tolist():
-        if certs[i] <= best:
-            break
-        best = _max_disjoint(_minimal_from_sens(f, i), best, int(certs[i]))
-    return best
+        return _max_disjoint(_minimal_from_sens(f, point_index(x, f.n)))
+    return measure_report(f, bs_cap=f.n).value("bs")
 
 
 def _split_on_digit(halves: np.ndarray) -> np.ndarray:
@@ -472,8 +456,7 @@ class Chunk:
     # einsum casts the uint8 s(f, x) to int64 in small buffers: no full-size square
     avg_s2_num = _exact_column(lambda c: np.einsum("...i,...i", c.per_point_s, c.per_point_s, dtype=np.int64))
 
-    # From the constancy planes: C and DT, and bs, which starts at s and is
-    # searched only on the rows where s < max C(f, x), as s <= bs <= C.
+    # From the constancy planes: C and DT, and bs, which C bounds.
     cert = _exact_column(lambda c: c.per_point_cert.max(axis=-1))
     dt = _exact_column(
         lambda c: c.settle(c.deg == c.n, c.n, lambda: decision_tree_depth(c.stack, cap=c.dt_cap, planes=c.planes))
@@ -481,10 +464,19 @@ class Chunk:
 
     @cached_property
     def bs(self) -> np.ndarray:
+        """bs(f): s, searched only on the rows where s < C, as s <= bs <= C.
+        bs(f, x) <= C(f, x), as a certificate for x fixes a variable in each
+        disjoint sensitive block, so the search visits points in decreasing
+        C(f, x), stops at the first with C(f, x) <= best, and stops each
+        packing of the minimal sensitive blocks at x once it reaches C(f, x)."""
         bs = self.s.copy()
-        for i in np.flatnonzero(self.s < self.cert).tolist():
-            bounds = int(self.s[i]), self.per_point_cert[i]
-            bs[i] = block_sensitivity(self.table(i), cap=self.bs_cap, bounds=bounds)
+        for row in np.flatnonzero(self.s < self.cert).tolist():
+            table, certs, best = self.table(row), self.per_point_cert[row], int(self.s[row])
+            for i in np.argsort(certs, kind="stable")[::-1].tolist():
+                if certs[i] <= best:
+                    break
+                best = _max_disjoint(_minimal_from_sens(table, i), best, int(certs[i]))
+            bs[row] = best
         return bs
 
     # From the profile: alt, dc, the circuit negation count, and the

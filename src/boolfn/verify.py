@@ -6,11 +6,11 @@ and one formula over the measure columns of a
 :class:`~boolfn.measures.Chunk`. Each check is one row of the ``CHECKS``
 table: its skip conditions, each written once with its reason, the observed
 values it keeps, by their ``measures.VALUES`` names, and the formula.
-``Check.outcomes`` is the one evaluation: per row of a chunk, the first
-skip that holds, and where the formula holds or the ratio's terms, all on
-whole columns. A sweep's :class:`Aggregate` takes those outcomes as masks:
-counts are mask sums, and only the failures it keeps and the ratio's best
-row are read as records. ``Check.run`` reads one function's row of them.
+``Check.outcomes`` is the one evaluation: per row of a chunk, one status
+code (the first skip that holds, else pass or fail), and a ratio's terms,
+all on whole columns. A sweep's :class:`Aggregate` counts the codes, and
+only the failures it keeps and the ratio's best row are read as records.
+``Check.run`` reads one function's row of them.
 One registry feeds both the test suite and the CLI, populations are
 enumerated or sampled deterministically, and aggregates merge commutatively
 so parallel runs match serial ones.
@@ -241,37 +241,40 @@ class Check:
     observed: tuple[str, ...] = ()
     skips: tuple[Skip, ...] = ()
 
-    def outcomes(self, chunk: measures.Chunk) -> tuple[np.ndarray, object]:
-        """Per row, the index of the first skip that holds (``len(skips)``
-        if none); and where the formula holds, or the ratio's (num, den),
-        as whole columns. Each skip is read only while rows are open, and
-        the formula only when some row is not skipped (``None`` if none), so
-        a capped column is never computed. A formula may settle its rows
-        before it reads a costly column (``measures.Chunk.settle``)."""
-        first = np.full(len(chunk), len(self.skips))
+    def outcomes(self, chunk: measures.Chunk) -> tuple[np.ndarray, Optional[tuple]]:
+        """Per row, a status: the index of the first skip that holds, else
+        ``len(skips)`` where the row passes (as a ratio does on every open
+        row) and ``len(skips) + 1`` where it fails; and a ratio's (num, den)
+        columns, else ``None``. Each skip is read only while rows are open,
+        and the formula only if some row is, so a capped column is never
+        computed. A formula may settle its rows before it reads a costly
+        column (``measures.Chunk.settle``)."""
+        passed = len(self.skips)
+        status = np.full(len(chunk), passed)
         for i, skip in enumerate(self.skips):
-            if (open_ := first == len(self.skips)).any():
-                first[open_ & skip.holds(chunk)] = i
-        if (first < len(self.skips)).all():
-            return first, None
+            if (open_ := status == passed).any():
+                status[open_ & skip.holds(chunk)] = i
+        if (status < passed).all():
+            return status, None
         holds = self.holds(chunk)
         if self.kind == "ratio":
-            return first, tuple(np.full(len(first), a) for a in holds)
-        return first, np.full(len(first), holds, dtype=bool)
+            return status, tuple(np.full(len(status), a) for a in holds)
+        status += (status == passed) & ~np.full(len(status), holds, dtype=bool)
+        return status, None
 
     def run(self, record: measures.MeasureContext) -> Outcome:
         """The outcome on one record: its row of the chunk's outcomes,
         which the chunk keeps for its other records."""
-        first, result = record.chunk.keep(self, self.outcomes)
-        row, skip = record.row, int(first[record.row])
-        if skip < len(self.skips):
-            reason = self.skips[skip].reason.format(record.chunk)
-            return "skip", {"reason": reason, **_values(record, self.skips[skip].observed)}
+        status, ratio = record.chunk.keep(self, self.outcomes)
+        row, code = record.row, int(status[record.row])
+        if code < len(self.skips):
+            skip = self.skips[code]
+            return "skip", {"reason": skip.reason.format(record.chunk), **_values(record, skip.observed)}
         values = _values(record, self.observed)
-        if self.kind == "ratio":
-            num, den = result
-            return "pass", {"ratio": _ratio(num.item(row), den.item(row)), **values}
-        return ("pass" if result[row] else "fail"), values
+        if ratio is not None:
+            num, den = ratio
+            values = {"ratio": _ratio(num.item(row), den.item(row)), **values}
+        return ("pass", "fail")[code - len(self.skips)], values
 
 
 def _values(record: measures.MeasureContext, names: Sequence[str]) -> dict:
@@ -450,27 +453,24 @@ class Aggregate:
     max_ratio_fn: Optional[str] = None
 
     def add_chunk(self, chunk: measures.Chunk, check: Check) -> None:
-        """Add every row of ``chunk`` from the check's column outcomes:
-        counts are mask sums, and only the kept failures and the ratio's
-        best row are read as records."""
-        first, result = check.outcomes(chunk)
-        *skipped, opened = np.bincount(first, minlength=len(check.skips) + 1).tolist()
-        self.counts["skip"] += len(chunk) - opened
+        """Add every row of ``chunk`` from the check's status column: the
+        counts are one bincount of it, and only the kept failures and the
+        ratio's best row are read as records."""
+        status, ratio = check.outcomes(chunk)
+        passed = len(check.skips)
+        *skipped, passes, fails = np.bincount(status, minlength=passed + 2).tolist()
+        self.counts["skip"] += sum(skipped)
+        self.counts["pass"] += passes
+        self.counts["fail"] += fails
         self._count_skips({skip.reason.format(chunk): k for skip, k in zip(check.skips, skipped) if k})
-        if result is None:
-            return
-        open_ = first == len(check.skips)
-        if check.kind == "ratio":
-            self.counts["pass"] += opened
-            (num, den), rows = result, np.flatnonzero(open_)
-            (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1)
-            self._offer_ratio(_ratio(num.item(best), den.item(best)), serialize(chunk.table(best)))
-            return
-        failed = np.flatnonzero(open_ & ~result)
-        self.counts["pass"] += opened - len(failed)
-        self.counts["fail"] += len(failed)
-        kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
-        self._keep_failures([_failure(r.fn_id(), _values(r, check.observed)) for r in kept])
+        if ratio is not None:
+            (num, den), rows = ratio, np.flatnonzero(status == passed)
+            (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1).tolist()
+            self._offer_ratio(_ratio(num.item(best), den.item(best)), chunk.record(best).fn_id())
+        if fails:
+            failed = np.flatnonzero(status == passed + 1)
+            kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
+            self._keep_failures([_failure(r.fn_id(), _values(r, check.observed)) for r in kept])
 
     def merge(self, other: "Aggregate") -> None:
         for status, count in other.counts.items():

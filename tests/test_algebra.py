@@ -428,6 +428,16 @@ def test_poly_export():
     assert multilinear_coefficients(and2).to_json_dict() == {"3": 1}
 
 
+def test_coefficients_reject_a_variable_out_of_range():
+    and2 = families.named_basics("and", 2)
+    poly, spectrum = multilinear_coefficients(and2), fourier_transform(and2)
+    assert poly.coefficient([1, 2]) == 1 and spectrum.coefficient([1, 2]) == Fraction(-1, 2)
+    for vars_ in ([3], [0], [1, -1]):
+        for coefficients in (poly, spectrum):
+            with pytest.raises(ValueError, match="out of range for arity 2"):
+                coefficients.coefficient(vars_)
+
+
 def python_int_sums(spec):
     """(l1, weighted, weighted2, influence, sum of squares) numerators, as
     Python ints over the spectrum's support."""

@@ -130,6 +130,16 @@ def test_profiles_of_every_small_table_match_the_brute_force():
         assert [int(chains.alternation_profile(t)[-1]) for t in tables] == alts.tolist()
 
 
+def test_max_alternation_witness_is_the_record_witness():
+    rng = random.Random(190)
+    for n in range(11):
+        f = random_table(rng, n)
+        chain, record = chains.max_alternation_witness(f), measures.alternation_decrease(f)
+        assert chain == record.witness and alternation_along(f, chain) == record.alt
+        if n <= 6:
+            assert record.alt == oracles.brute_alternation(f)
+
+
 def traced_bytes(f, *args):
     """(held, peak): the bytes that ``f(*args)`` leaves allocated, and the
     most it had allocated at once."""
@@ -239,6 +249,18 @@ def test_gap_family_chain_rejects_malformed():
         gap_family_chain(DecisionTreeShape(value=0))
 
 
+def test_gap_family_chain_names_each_malformed_node():
+    from boolfn.families import DecisionTreeShape
+
+    leaf0, leaf1 = DecisionTreeShape(value=0), DecisionTreeShape(value=1)
+    missing = DecisionTreeShape(var=1, low=leaf0)
+    with pytest.raises(ValueError, match="missing children"):
+        gap_family_chain(missing)
+    mixed = DecisionTreeShape(var=1, low=leaf0, high=DecisionTreeShape(var=2, low=leaf0, high=leaf1))
+    with pytest.raises(ValueError, match="must match"):
+        gap_family_chain(mixed)
+
+
 def test_glued_chain_parity_full():
     p2 = families.named_basics("parity", 2)
     p3 = families.named_basics("parity", 3)
@@ -264,6 +286,13 @@ def test_glued_chain_rejects_constant_inner():
     c3 = Chain(3, (1, 2, 3))
     with pytest.raises(ValueError):
         glued_composition_chain(w, c3, const)
+
+
+def test_glued_chain_rejects_an_arity_mismatch():
+    p2, p3 = families.named_basics("parity", 2), families.named_basics("parity", 3)
+    chain3 = measures.alternation_decrease(p3).witness
+    with pytest.raises(ArityMismatchError, match="g arity 2 != chain arity 3"):
+        glued_composition_chain(chain3, chain3, p2)
 
 
 def test_glued_chain_product_bound_random():

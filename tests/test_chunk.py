@@ -299,9 +299,9 @@ def test_chunk_columns_match_oracles(data):
     tables = [TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1))) for n in arities]
     tables += [parse(text) for text in BS_SEARCHED]
     searched = []
-    original = measures.block_sensitivity
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "block_sensitivity", lambda t, **kw: searched.append(t) or original(t, **kw))
+    original = measures._minimal_from_sens
+    with pytest.MonkeyPatch.context() as patch:  # the search scans the table it is given
+        patch.setattr(measures, "_minimal_from_sens", lambda t, i: searched.append(t) or original(t, i))
         chunks = list(measures.chunks(tables))
         for chunk in chunks:
             chunk.bs
@@ -436,11 +436,13 @@ def test_settled_deg_product_outcomes_equal_the_exact_formula(m):
     check, opened = verify.CHECKS[f"deg-product-bound-m{m}"], []
     for stack in deg_product_stacks():
         c = measures.Chunk(stack)
-        first, holds = check.outcomes(c)
+        status, ratio = check.outcomes(c)
         product = c.degm(2) * c.degm(m)
         opened.append((c.deg > product).any())
         assert ("profile" in vars(c)) == opened[-1]  # the DP runs only on a chunk with an open row
-        assert (first == 0).all() and np.array_equal(holds, c.deg <= c.alt * product)
+        # no skip holds: each row passes or fails by the exact formula
+        passed, failed = len(check.skips), len(check.skips) + 1
+        assert ratio is None and np.array_equal(status, np.where(c.deg <= c.alt * product, passed, failed))
     assert opened[-1] == (m == 2) and not any(opened[-5:-1])
 
 

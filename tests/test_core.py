@@ -48,6 +48,25 @@ def test_evaluate_arity_mismatch():
         parity3.evaluate(8)
 
 
+def test_points_as_bit_sequences():
+    parity3 = families.named_basics("parity", 3)
+    assert core.point_index([1, 0, 1], 3) == core.point_index((True, False, True), 3) == 5
+    assert parity3.evaluate([1, 1, 0]) == 0 and parity3.evaluate((1, 0, 0)) == 1
+    for bad in ([1, 0], [1, 0, 2], (1, 1, 1, 1), [-1, 0, 0]):
+        with pytest.raises(ArityMismatchError, match="3-bit sequence"):
+            core.point_index(bad, 3)
+
+
+def test_truth_table_equality_hash_and_repr():
+    t, same = parse("3:96"), TruthTable.from_packed_int(3, 0x96)
+    assert t == same and hash(t) == hash(same) and len({t, same, t.negate()}) == 2
+    assert t.__eq__(0x96) is NotImplemented and t != 0x96
+    assert t != TruthTable.from_packed_int(2, 0x6)  # same low bits, another arity
+    assert repr(t) == "TruthTable('3:96')"
+    assert repr(TruthTable.constant(6, 1)) == "TruthTable('6:FFFFFFFFFFFFFFFF')"
+    assert repr(TruthTable.constant(7, 0)) == "TruthTable(n=7)"
+
+
 def test_restrict_examples():
     and2 = families.named_basics("and", 2)
     assert restrict(and2, {1: 0}) == TruthTable.constant(1, 0)
@@ -96,6 +115,15 @@ def test_compose_examples():
     ident = parse("1:2")
     p3 = families.named_basics("parity", 3)
     assert materialize(compose(ident, p3)) == p3
+
+
+def test_compose_rejects_an_arity_0_side():
+    p2, const = families.named_basics("parity", 2), TruthTable.constant(0, 1)
+    lazy = families.gap_family(5)[0]
+    assert lazy.n == lazy.arity == 31
+    for f, g in ((const, p2), (p2, const), (const, const), (const, lazy)):
+        with pytest.raises(ValueError, match="arity >= 1 on both sides"):
+            compose(f, g)
 
 
 def test_compose_pointwise_random():

@@ -63,6 +63,14 @@ def test_gap_family_lazy_above_cap():
     assert f6.arity == 63
 
 
+def test_lazy_gap_family_descriptor_keeps_its_variable_order():
+    order = list(range(31, 0, -1))
+    f, tree = gap_family(5, variable_order=order)
+    assert isinstance(f, LazyFunction) and tree.var == 31
+    assert f.descriptor == {"kind": "fk", "k": 5, "arity": 31, "order": order}
+    assert "order" not in gap_family(5)[0].descriptor
+
+
 def test_gap_family_invariance_under_renaming():
     rng = random.Random(3)
     for k in (2, 3):
@@ -130,6 +138,12 @@ def test_address_cap():
         address(5)  # 5 + 32 = 37 > 24
 
 
+def test_address_validation():
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            address(t)
+
+
 def test_named_basics_examples():
     assert list(named_basics("parity", 3).values) == [0, 1, 1, 0, 1, 0, 0, 1]
     assert measures.alternation_decrease(named_basics("majority", 3)).alt == 1
@@ -177,6 +191,11 @@ def test_compose_power_bounds():
     for base, k in ((and2, 0), (and2, FK_MAX_DEPTH + 1), (parity3, 11)):  # 3**11 > 2**16
         with pytest.raises(ValueError):
             compose_power(base, k)
+
+
+def test_compose_power_rejects_an_arity_0_base():
+    with pytest.raises(ValueError, match="base arity must be >= 1"):
+        compose_power(parse("0:1"), 2)
 
 
 def test_compose_power_sensitivity_base_case():

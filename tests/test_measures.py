@@ -67,6 +67,27 @@ def test_block_sensitivity_cap():
         block_sensitivity(families.address(2), cap=5)
 
 
+def test_block_sensitivity_above_the_subcube_ceiling():
+    # bs(f) is the record's, and no record's cap may exceed SUBCUBE_MAX_ARITY;
+    # the point path reads no record
+    parity17 = families.named_basics("parity", 17)
+    with pytest.raises(CapExceededError, match="caps must not exceed 16"):
+        block_sensitivity(parity17, cap=20)
+    assert block_sensitivity(parity17, 0, cap=20) == 17
+    rng = random.Random(20)
+    for n in range(7):
+        f = random_table(rng, n)
+        for x in range(1 << n):
+            assert block_sensitivity(f, x) == oracles.brute_block_sensitivity_at(f, x)
+
+
+def test_certificate_complexity_cap():
+    addr2 = families.address(2)
+    with pytest.raises(CapExceededError, match="arity 6 exceeds certificate cap 5"):
+        certificate_complexity(addr2, cap=5)
+    assert certificate_complexity(addr2, cap=6) == oracles.brute_certificate(addr2) == 3
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_block_sensitivity_matches_oracles(data):
@@ -74,10 +95,7 @@ def test_block_sensitivity_matches_oracles(data):
     f = TruthTable.from_packed_int(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     x = data.draw(st.integers(0, (1 << n) - 1))
     bs = oracles.brute_block_sensitivity(f)
-    assert block_sensitivity(f) == bs
-    certs = measures.per_point_certificate(f, planes=measures.constancy_planes(f))
-    assert block_sensitivity(f, bounds=(sensitivity(f), certs)) == bs
-    assert measure_report(f).value("bs") == bs
+    assert block_sensitivity(f) == measure_report(f).value("bs") == bs
     assert block_sensitivity(f, x) == oracles.brute_block_sensitivity_at(f, x)
 
 

@@ -117,7 +117,7 @@ def test_each_kernel_runs_once_per_record(monkeypatch):
 
 def test_sweep_computes_only_what_its_checks_read(monkeypatch):
     unused = (
-        (measures, "block_sensitivity"),
+        (measures, "_minimal_from_sens"),
         (measures, "decision_tree_depth"),
         (algebra, "fourier_transform"),
         (measures, "per_point_sensitivity"),

@@ -424,6 +424,13 @@ def test_ratio_check_reports_max():
     assert agg["max_ratio_fn"] == serialize(families.named_basics("and", 3))
 
 
+def test_largest_ratio_is_exact_where_the_float_estimates_tie():
+    num, den = np.array([2**53, 2**53 + 1]), np.array([1, 1])
+    assert num[0] / den[0] == num[1] / den[1]  # the estimate picks row 0
+    assert verify._largest(num, den).tolist() == [1]
+    assert verify._largest(np.array([3, 6, 2]), np.array([2, 4, 2])).tolist() == [0, 1]
+
+
 def test_standard_family_instances_sweep():
     from boolfn.core import materialize
 
