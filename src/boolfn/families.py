@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     BooleanFunction,
+    CapExceededError,
     LazyFunction,
     TruthTable,
     _check_arity,
@@ -126,6 +127,8 @@ def address(t: int) -> TruthTable:
     rejected before any table is built."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    if t > dense_cap():  # then t + 2**t is above it too; 1 << t is never made
+        raise CapExceededError(f"arity {t} + 2**{t} exceeds dense cap {dense_cap()}")
     n = t + (1 << t)
     _check_arity(n)
     idx = np.arange(1 << n, dtype=np.int64)

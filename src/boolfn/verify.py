@@ -34,6 +34,7 @@ import random
 import re
 import signal
 import time
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -439,18 +440,21 @@ class SweepReport:
 class Aggregate:
     """Running outcome of one check over part of a population.
 
-    ``merge`` is commutative: counts add, the retained failures are the
-    first ``fail_limit`` by function id, and the maximum ratio breaks ties
-    by the smaller function id. Workers return these, pickled.
+    Each fact is one field with one update rule, and ``add_chunk`` and
+    ``merge`` apply the same rules, so ``merge`` is commutative and
+    ``finalize`` only formats: ``counts`` holds pass and fail, and skips
+    are counted only by reason; ``failures`` is always the first
+    ``fail_limit`` by function id; ``best`` is the largest ratio and its
+    function id, a tie going to the smaller id. Workers return these,
+    pickled.
     """
 
     kind: str
     fail_limit: int = DEFAULT_FAIL_LIMIT
-    counts: dict = field(default_factory=lambda: {"pass": 0, "fail": 0, "skip": 0})
+    counts: dict = field(default_factory=lambda: {"pass": 0, "fail": 0})
+    skip_reasons: Counter = field(default_factory=Counter)
     failures: list = field(default_factory=list)
-    skip_reasons: dict = field(default_factory=dict)
-    max_ratio: Optional[Fraction] = None
-    max_ratio_fn: Optional[str] = None
+    best: Optional[tuple[Fraction, str]] = None
 
     def add_chunk(self, chunk: measures.Chunk, check: Check) -> None:
         """Add every row of ``chunk`` from the check's status column: the
@@ -459,60 +463,48 @@ class Aggregate:
         status, ratio = check.outcomes(chunk)
         passed = len(check.skips)
         *skipped, passes, fails = np.bincount(status, minlength=passed + 2).tolist()
-        self.counts["skip"] += sum(skipped)
         self.counts["pass"] += passes
         self.counts["fail"] += fails
-        self._count_skips({skip.reason.format(chunk): k for skip, k in zip(check.skips, skipped) if k})
+        self.skip_reasons.update({skip.reason.format(chunk): k for skip, k in zip(check.skips, skipped) if k})
         if ratio is not None:
             (num, den), rows = ratio, np.flatnonzero(status == passed)
             (best,) = chunk.first_rows(rows[_largest(num[rows], den[rows])], 1).tolist()
-            self._offer_ratio(_ratio(num.item(best), den.item(best)), chunk.record(best).fn_id())
+            self._offer(_ratio(num.item(best), den.item(best)), chunk.record(best).fn_id())
         if fails:
             failed = np.flatnonzero(status == passed + 1)
-            kept = (chunk.record(row) for row in chunk.first_rows(failed, self.fail_limit).tolist())
-            self._keep_failures([_failure(r.fn_id(), _values(r, check.observed)) for r in kept])
+            kept = map(chunk.record, chunk.first_rows(failed, self.fail_limit).tolist())
+            self._keep([{"fn": r.fn_id(), "observed": {k: str(r.value(k)) for k in check.observed}} for r in kept])
 
     def merge(self, other: "Aggregate") -> None:
         for status, count in other.counts.items():
             self.counts[status] += count
-        self._keep_failures(other.failures)
-        self._count_skips(other.skip_reasons)
-        if other.max_ratio is not None:
-            self._offer_ratio(other.max_ratio, other.max_ratio_fn)
+        self.skip_reasons.update(other.skip_reasons)
+        self._keep(other.failures)
+        if other.best is not None:
+            self._offer(*other.best)
 
-    def _keep_failures(self, failures: list) -> None:
-        self.failures.extend(failures)
-        if len(self.failures) > 4 * self.fail_limit:
-            self.failures.sort(key=lambda item: item["fn"])
-            del self.failures[self.fail_limit :]
+    def _keep(self, failures: list) -> None:
+        self.failures = sorted(self.failures + failures, key=lambda item: item["fn"])[: self.fail_limit]
 
-    def _count_skips(self, reasons: dict) -> None:
-        for reason, count in reasons.items():
-            self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + count
-
-    def _offer_ratio(self, ratio: Fraction, fn_id: str) -> None:
+    def _offer(self, ratio: Fraction, fn_id: str) -> None:
         # The larger ratio wins; a tie goes to the smaller function id.
-        if self.max_ratio is None or (ratio, self.max_ratio_fn) > (self.max_ratio, fn_id):
-            self.max_ratio, self.max_ratio_fn = ratio, fn_id
+        if self.best is None or (ratio, self.best[1]) > (self.best[0], fn_id):
+            self.best = ratio, fn_id
 
     def finalize(self) -> dict:
-        """The report entry: JSON-ready, independent of the merge order."""
+        """The report entry: JSON-ready, equal whatever the merge order."""
         entry = {
             "kind": self.kind,
             **self.counts,
-            "failures": sorted(self.failures, key=lambda item: item["fn"])[: self.fail_limit],
-            "skip_reasons": dict(sorted(self.skip_reasons.items())),
+            "skip": sum(self.skip_reasons.values()),
+            "failures": self.failures,
+            "skip_reasons": dict(self.skip_reasons),
             "max_ratio": None,
         }
-        if self.max_ratio is not None:
-            entry["max_ratio"] = str(self.max_ratio)
-            entry["max_ratio_float"] = float(self.max_ratio)
-            entry["max_ratio_fn"] = self.max_ratio_fn
+        if self.best is not None:
+            ratio, entry["max_ratio_fn"] = self.best
+            entry.update(max_ratio=str(ratio), max_ratio_float=float(ratio))
         return entry
-
-
-def _failure(fn_id: str, observed: dict) -> dict:
-    return {"fn": fn_id, "observed": {k: str(v) for k, v in observed.items()}}
 
 
 def _largest(num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ kernel runs once per chunk; each check gives the same entry on whole columns
 as row by row; and reports, failures and ratio ties included, do not depend
 on the chunk size."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,28 @@ def test_chunk_columns_match_oracles(data):
     assert all(oracles.brute_sensitivity(t) < oracles.brute_certificate(t) for t in searched)
 
 
+def permute_variables(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each row with its variables renamed: variable j + 1 of the result is
+    variable ``order[j] + 1`` of the row."""
+    return rows.reshape(len(rows), *[2] * len(order)).transpose(0, *order + 1).reshape(rows.shape)
+
+
+@pytest.mark.parametrize("n", range(7, 21))
+def test_a_variable_permutation_keeps_every_value_but_fn(n):
+    # Renaming moves each variable across the kernels' digit and block
+    # boundaries. Row 0 ignores x_1, so it has deg < n and depends on fewer
+    # than n inputs, and the DT rounds and depends_on_all run on it.
+    gen = np.random.default_rng(n)
+    rows = gen.integers(0, 2, (3, 1 << n), dtype=np.uint8)
+    rows[0] = rows[0][np.arange(1 << n) & ~(1 << (n - 1))]
+    caps = {} if n <= 12 else {"dt_cap": 12}
+    chunk = measures.Chunk(rows, **caps)
+    renamed = measures.Chunk(permute_variables(rows, gen.permutation(n)), **caps)
+    assert chunk.depends_all.tolist() == [False, True, True] and renamed.values("fn") != chunk.values("fn")
+    for name in measures.VALUES.keys() - {"fn"}:
+        assert renamed.values(name) == chunk.values(name), name
+
+
 def kernel_stacks(monkeypatch, name: str) -> list:
     """The stacks each later call of ``measures.<name>`` gets, in order."""
     seen, original = [], getattr(measures, name)
@@ -511,6 +535,53 @@ def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
     checks = report.checks
     assert checks["bogus-columns"] == checks["bogus-rows"]
     assert checks["bogus-columns"]["fail"] > 2 and len(checks["bogus-columns"]["failures"]) == 2
+
+
+def kept(aggregate: verify.Aggregate) -> bool:
+    """Whether the aggregate's failures are its first ``fail_limit`` by id."""
+    return aggregate.failures == sorted(aggregate.failures, key=lambda f: f["fn"])[: aggregate.fail_limit]
+
+
+@functools.lru_cache
+def chunk_aggregates(fail_limit: int) -> tuple[list, dict]:
+    """Each chunk's aggregates of ``SPANNED``, at 64 cells, over a population
+    with duplicate members and ratio ties (every n = 3 table, the family
+    instances, and a second copy of some of both), and the serial sweep's
+    entries."""
+    members = [*Population.exhaustive(3).tables(), *verify.standard_family_instances()]
+    population = Population.explicit([*members, *members[::7], *members[-9:]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
+        patch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
+        patch.setattr(measures, "CHUNK_CELLS", 64)
+        parts = []
+        for chunk in measures.chunks(population.tables()):
+            parts.append({name: verify.Aggregate(verify.CHECKS[name].kind, fail_limit) for name in SPANNED})
+            for name, aggregate in parts[-1].items():
+                aggregate.add_chunk(chunk, verify.CHECKS[name])
+                assert kept(aggregate)
+        return parts, run_check_suite(population, checks=SPANNED, fail_limit=fail_limit).checks
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([0, 1, 5]), st.data())
+def test_merge_does_not_depend_on_order_or_grouping(fail_limit, data):
+    parts, serial = chunk_aggregates(fail_limit)
+    assert len(parts) > 20 and serial["bogus-columns"]["fail"] > 5
+    order = data.draw(st.permutations(range(len(parts))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(parts) - 1), max_size=6)))
+    groups = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(parts)])]
+    for name in SPANNED:
+        kind, merged = parts[0][name].kind, []
+        for group in groups:
+            merged.append(verify.Aggregate(kind, fail_limit))
+            for i in group:
+                merged[-1].merge(parts[i][name])
+            assert kept(merged[-1])
+        total = verify.Aggregate(kind, fail_limit)
+        for part in data.draw(st.permutations(merged)):
+            total.merge(part)
+        assert total.finalize() == serial[name], name
 
 
 def entry_by_records(check: verify.Check, population: Population, fail_limit: int) -> dict:

@@ -120,6 +120,12 @@ def test_dense_cap_env_override(monkeypatch):
     assert code == 0
 
 
+def test_family_addr_with_a_huge_t_is_one_cap_error():
+    code, out, err = run_cli(["family", "addr", "--t", "100000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds dense cap" in err
+
+
 def test_analyze_spectrum_and_poly_exports(tmp_path):
     spectrum = tmp_path / "spec.csv"
     poly = tmp_path / "poly.json"

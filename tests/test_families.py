@@ -144,6 +144,19 @@ def test_address_validation():
             address(t)
 
 
+def test_address_rejects_a_huge_t_before_building_its_arity(monkeypatch):
+    # 1 << 10**9 alone takes about 0.4 s and 125 MB; t above the cap is
+    # rejected first, since then t + 2**t is above it too.
+    monkeypatch.delenv("BOOLFN_DENSE_CAP", raising=False)
+    with pytest.raises(CapExceededError, match="^arity 37 exceeds dense cap 24$"):
+        address(5)
+    for t in (10**6, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"^arity {t} \\+ 2\\*\\*{t} exceeds dense cap 24$"):
+            address(t)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_named_basics_examples():
     assert list(named_basics("parity", 3).values) == [0, 1, 1, 0, 1, 0, 0, 1]
     assert measures.alternation_decrease(named_basics("majority", 3)).alt == 1

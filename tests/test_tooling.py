@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 # The most lines src/boolfn/*.py may hold. A change that grows src/ raises
 # it in the same diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 3035
+SRC_LINE_BUDGET = 3030
 
 
 def test_traced_names_resolve():
