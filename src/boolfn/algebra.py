@@ -48,15 +48,6 @@ def subset_of_index(t: int, n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if t & (1 << (n - j)))
 
 
-def _index_of_subset(vars_: Iterator[int], n: int) -> int:
-    t = 0
-    for j in vars_:
-        if not 1 <= j <= n:
-            raise ValueError(f"variable {j} out of range for arity {n}")
-        t |= 1 << (n - j)
-    return t
-
-
 def _moebius_step(cells: np.ndarray) -> np.ndarray:
     """hi - lo into hi along one digit. After a sweep of this step, c_S =
     sum over T <= S of (-1)**|S - T| f(T); after p passes, a sum of 2**p
@@ -97,13 +88,6 @@ class MultilinearPoly:
     def __post_init__(self) -> None:
         if self.coeffs.shape != (1 << self.n,):
             raise ValueError(f"one table's coefficients have shape ({1 << self.n},), not {self.coeffs.shape}")
-
-    def coefficient(self, vars_) -> int:
-        return int(self.coeffs[_index_of_subset(iter(vars_), self.n)])
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(self.coeffs)[0]:
-            yield subset_of_index(int(t), self.n), int(self.coeffs[t])
 
     def to_json_dict(self) -> dict:
         nz = np.nonzero(self.coeffs)[0]
@@ -218,13 +202,6 @@ class FourierSpectrum:
     def __post_init__(self) -> None:
         if self.scaled.shape != (1 << self.n,):
             raise ValueError(f"one table's spectrum has shape ({1 << self.n},), not {self.scaled.shape}")
-
-    def coefficient(self, vars_) -> Fraction:
-        return Fraction(int(self.scaled[_index_of_subset(iter(vars_), self.n)]), 1 << self.n)
-
-    def support(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for t in np.nonzero(self.scaled)[0]:
-            yield subset_of_index(int(t), self.n), int(self.scaled[t])
 
     def sparsity(self) -> int:
         return int(np.count_nonzero(self.scaled))

@@ -46,9 +46,10 @@ _FAMILIES = {
     "addr": (("t",), lambda p: families.address(p["t"])),
     "compose": (("base", "power"), lambda p: families.compose_power(_resolve(_token_source(p["base"])), p["power"])),
     **{
-        name: (("n",), lambda p, name=name: families.named_basics(name, p["n"], threshold=p.get("threshold")))
-        for name in ("parity", "and", "or", "majority", "threshold")
+        name: (("n",), lambda p, name=name: families.named_basics(name, p["n"]))
+        for name in ("parity", "and", "or", "majority")
     },
+    "threshold": (("n", "threshold"), lambda p: families.named_basics("threshold", p["n"], p["threshold"])),
 }
 
 

@@ -172,15 +172,8 @@ class TruthTable:
     def from_evaluator(cls, n: int, fn: Callable[[int], int]) -> "TruthTable":
         return cls(n, [fn(i) & 1 for i in range(1 << n)])
 
-    @classmethod
-    def constant(cls, n: int, bit: int) -> "TruthTable":
-        return cls(n, np.full(1 << n, bit & 1, dtype=np.uint8))
-
     def evaluate(self, x: Point) -> int:
         return int(self.values[point_index(x, self.n)])
-
-    def negate(self) -> "TruthTable":
-        return TruthTable(self.n, 1 - self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruthTable):

@@ -58,16 +58,6 @@ class DecisionTreeShape:
     def is_leaf(self) -> bool:
         return self.var is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.low.depth(), self.high.depth())
-
-    def variables(self) -> list[int]:
-        if self.is_leaf:
-            return []
-        return self.low.variables() + [self.var] + self.high.variables()
-
     def evaluate(self, x: int, n: int) -> int:
         node = self
         while not node.is_leaf:
@@ -145,7 +135,7 @@ def named_basics(name: str, n: int, threshold: Optional[int] = None) -> TruthTab
     if name == "majority" and n % 2 == 0:
         raise ValueError("majority requires odd n")
     if name == "threshold" and (threshold is None or not 0 <= threshold <= n + 1):
-        raise ValueError("threshold requires 0 <= k <= n+1")
+        raise ValueError("threshold must be between 0 and n + 1")
     pc = popcounts(n)
     rules = {"parity": lambda: pc & 1, "and": lambda: pc == n, "or": lambda: pc > 0,
              "majority": lambda: pc > n // 2, "threshold": lambda: pc >= threshold}
@@ -161,7 +151,7 @@ def compose_power(h: BooleanFunction, k: int) -> LazyFunction:
     from the table of its base, one composition step at a time.
     """
     if not 1 <= k <= FK_MAX_DEPTH:
-        raise ValueError(f"k must be between 1 and {FK_MAX_DEPTH}")
+        raise ValueError(f"power must be between 1 and {FK_MAX_DEPTH}")
     if h.arity < 1:
         raise ValueError("base arity must be >= 1")
     if h.arity**k > 1 << FK_MAX_DEPTH:

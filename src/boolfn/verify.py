@@ -152,10 +152,6 @@ class Population:
                 packed = b"".join(rng.getrandbits(size).to_bytes(width, "little") for _ in range(lo, hi))
             yield unpack_rows(self.n, packed)
 
-    def tables(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TruthTable]:
-        """Members ``start`` to ``stop``, each a row of its :meth:`stacks` stack."""
-        return (TruthTable._row(row) for stack in self.stacks(start, stop) for row in stack)
-
     def size(self) -> int:
         if self.kind == "exhaustive":
             return 1 << (1 << self.n)

@@ -10,6 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
+from boolfn.algebra import subset_of_index
 from boolfn.core import TruthTable
 
 
@@ -29,6 +30,43 @@ def restrict(f: TruthTable, fixed: Mapping[int, int]) -> TruthTable:
         arr = arr.reshape(1 << (j - 1), 2, 1 << (m - j))[:, b, :].ravel()
         m -= 1
     return TruthTable(m, arr)
+
+
+def members_of(population, start: int = 0, stop=None):
+    """Members ``start`` to ``stop`` of a population, one table per row of
+    its stacks."""
+    return (TruthTable(row.size.bit_length() - 1, row) for stack in population.stacks(start, stop) for row in stack)
+
+
+def constant_table(n: int, bit: int) -> TruthTable:
+    return TruthTable(n, np.full(1 << n, bit, dtype=np.uint8))
+
+
+def by_subset(entries: np.ndarray, n: int) -> dict:
+    """A coefficient or spectrum array's entries, keyed by the variable
+    subset each index names."""
+    return {subset_of_index(t, n): int(c) for t, c in enumerate(entries)}
+
+
+def random_decision_tree(rng, n: int, depth: int) -> TruthTable:
+    """The table of a random decision tree over x_1..x_n of depth at most
+    ``depth`` that queries no variable twice on a path, so DT <= depth.
+    Above the bottom level a node is a leaf with probability 1/8, else it
+    queries a variable its path has left free; a leaf's bit is random."""
+    values = np.empty(1 << n, dtype=np.uint8)
+
+    def grow(points: np.ndarray, free: list, d: int) -> None:
+        if d == 0 or rng.random() < 0.125:
+            values[points] = rng.getrandbits(1)
+            return
+        j = rng.choice(free)
+        high = (points >> (n - j)) & 1 == 1
+        rest = [v for v in free if v != j]
+        grow(points[~high], rest, d - 1)
+        grow(points[high], rest, d - 1)
+
+    grow(np.arange(1 << n), list(range(1, n + 1)), depth)
+    return TruthTable(n, values)
 
 
 def bit(table: TruthTable, i: int) -> int:

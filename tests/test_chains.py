@@ -76,7 +76,7 @@ def test_blocked_dp_matches_point_order_at_n12(block_bits, monkeypatch):
     rng = random.Random(12)
     tables = [random_table(rng, 12) for _ in range(3)]
     tables += [families.named_basics(name, 12) for name in ("parity", "and", "or")]
-    tables.append(TruthTable.constant(12, 1))
+    tables.append(oracles.constant_table(12, 1))
     check_profiles(tables)
 
 
@@ -204,7 +204,7 @@ def test_alternation_along_examples():
     assert points == ["000000", "001000", "101000", "101010", "111010", "111011", "111111"]
     assert alternation_along(addr2, paper_chain) == 5
 
-    const = TruthTable.constant(3, 1)
+    const = oracles.constant_table(3, 1)
     assert alternation_along(const, Chain(3, (1, 2, 3))) == 0
 
 
@@ -281,7 +281,7 @@ def test_glued_chain_addr_self_composition():
 
 def test_glued_chain_rejects_constant_inner():
     p2 = families.named_basics("parity", 2)
-    const = TruthTable.constant(3, 0)
+    const = oracles.constant_table(3, 0)
     w = measures.alternation_decrease(p2).witness
     c3 = Chain(3, (1, 2, 3))
     with pytest.raises(ValueError):
@@ -351,13 +351,13 @@ def test_monotone_decomposition_examples():
     p3 = families.named_basics("parity", 3)
     parts, negated = monotone_decomposition(p3)
     assert len(parts) == 3 and not negated
-    acc = TruthTable.constant(3, 0).values.copy()
+    acc = oracles.constant_table(3, 0).values.copy()
     for part in parts:
         assert is_monotone(part)
         acc = acc ^ part.values
     assert list(acc) == list(p3.values)
 
-    parts, negated = monotone_decomposition(TruthTable.constant(2, 1))
+    parts, negated = monotone_decomposition(oracles.constant_table(2, 1))
     assert parts == [] and negated
 
 

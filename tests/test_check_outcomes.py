@@ -17,6 +17,8 @@ from pathlib import Path
 
 from boolfn import measures, verify
 
+import oracles
+
 DATA = Path(__file__).with_name("check_outcomes.json")
 
 POPULATIONS = [
@@ -32,7 +34,7 @@ def outcomes() -> dict[str, list[tuple[str, str, str]]]:
     order; the key is the status, or for a skip the status and its reason."""
     out: dict[str, list[tuple[str, str, str]]] = {name: [] for name in verify.CHECKS}
     for label, population, caps in POPULATIONS:
-        for record in measures.records(population.tables(), **caps):
+        for record in measures.records(oracles.members_of(population), **caps):
             for check in verify.CHECKS.values():
                 status, observed = check.run(record)
                 key = f"skip: {observed['reason']}" if status == "skip" else status

@@ -5,6 +5,7 @@ as row by row; and reports, failures and ratio ties included, do not depend
 on the chunk size."""
 
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -29,10 +30,6 @@ STACKED = (
 def below(t: TruthTable, x: int) -> TruthTable:
     """f on the subcube of points below x: every variable not set in x fixed to 0."""
     return oracles.restrict(t, {j: 0 for j in range(1, t.n + 1) if not x >> (t.n - j) & 1})
-
-
-def by_subset(row: np.ndarray, n: int) -> dict:
-    return {algebra.subset_of_index(i, n): int(c) for i, c in enumerate(row)}
 
 
 @pytest.mark.parametrize("n", [0, 3, 7])
@@ -68,8 +65,8 @@ def test_stacked_kernels_match_single_table_and_oracles(data):
         assert np.array_equal(scaled[i], algebra.fourier_transform(t).scaled)
         assert np.array_equal(s[i], measures.per_point_sensitivity(t))
         assert (A[i, -1], D[i, -1]) == (oracles.brute_alternation(t), oracles.brute_decrease(t))
-        assert by_subset(coeffs[i], n) == oracles.brute_mobius(t)
-        assert by_subset(scaled[i], n) == oracles.brute_fourier_scaled(t)
+        assert oracles.by_subset(coeffs[i], n) == oracles.brute_mobius(t)
+        assert oracles.by_subset(scaled[i], n) == oracles.brute_fourier_scaled(t)
         assert s[i].tolist() == [oracles.brute_sensitivity_at(t, x) for x in range(1 << n)]
         if n <= 4:  # every point: the longest paths to x stay below x
             for x in range(1 << n):
@@ -112,7 +109,7 @@ def test_one_table_gets_its_value_and_a_stack_gets_arrays(name):
     kernel, rng = KERNELS[name], np.random.default_rng(29)
     for n in (1, 2, 3, 4, 5, 6, 12):
         random_row = rng.integers(0, 2, 1 << n, dtype=np.uint8)
-        for t in (TruthTable.constant(n, 0), TruthTable.constant(n, 1), TruthTable(n, random_row)):
+        for t in (oracles.constant_table(n, 0), oracles.constant_table(n, 1), TruthTable(n, random_row)):
             profile = chains.alternation_profile(t)
             one, stacked = kernel(t, profile), kernel(t.values[None], profile[None])
             assert isinstance(stacked, np.ndarray) and len(stacked) == 1, (name, n)
@@ -155,7 +152,7 @@ def test_fn_column_is_serialize_row_by_row(n):
 
 def test_one_chunk_scans_its_coefficients_once_for_every_degree(monkeypatch):
     calls = count_calls(monkeypatch, [(algebra, "degrees")])
-    tables = [*Population.sample(4, 40, 4).tables(), TruthTable.constant(4, 1), parse("4:8000")]
+    tables = [*oracles.members_of(Population.sample(4, 40, 4)), oracles.constant_table(4, 1), parse("4:8000")]
     chunk = measures.Chunk(np.stack([t.values for t in tables]))
     names = ["deg", "deg2", *(f"deg_{m}" for m in algebra.MODULI)]
     got = [chunk.values(name) for name in names]
@@ -171,7 +168,7 @@ def ids_first(rows, ids, k):
 
 @pytest.mark.parametrize("n", range(10))
 def test_first_rows_are_the_smallest_ids_in_row_order(n):
-    tables = list(Population.sample(n, 12, n).tables())
+    tables = list(oracles.members_of(Population.sample(n, 12, n)))
     chunk = measures.Chunk(np.stack([t.values for t in tables + tables[:5] + tables[:2]]))  # repeats tie
     ids = chunk.values("fn")
     rows = np.random.default_rng(n).permutation(len(chunk))
@@ -197,10 +194,10 @@ def test_per_value_matches_the_dict_of_distinct_values(monkeypatch, fn):
         np.array([], dtype=np.int64),
         np.array([], dtype=object),
     ]
-    chunk = next(measures.chunks(Population.sample(4, 300, 9).tables()))
+    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 300, 9))))
     columns += [chunk.dc, chunk.sparsity]
     monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)  # the columns of n > 24: Python ints
-    chunk = next(measures.chunks(Population.sample(4, 300, 9).tables()))
+    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 300, 9))))
     assert chunk.dc.dtype == object
     columns += [chunk.dc, chunk.sparsity]
     for column in columns:
@@ -472,7 +469,7 @@ def test_settled_deg_product_outcomes_equal_the_exact_formula(m):
 
 def test_degree_four_tables_pass_the_sparsity_checks():
     # 1 << (2 * deg) is 256 at deg = 4, which a uint8 popcount column would wrap to 0
-    tables = [t for t in Population.sample(4, 600, 21).tables() if algebra.degree(t) == 4]
+    tables = [t for t in oracles.members_of(Population.sample(4, 600, 21)) if algebra.degree(t) == 4]
     names = ["log-sparsity-le-2deg", "deg2-le-log-sparsity", "deg-exp-deg2-lower"]
     report = run_check_suite(Population.explicit(tables), checks=names)
     assert len(tables) > 200
@@ -483,11 +480,50 @@ def test_degree_four_tables_pass_the_sparsity_checks():
     assert chunk.deg.dtype == np.int64 and chunk.sparsity.dtype == np.int64
 
 
+def certificate_by_value(chunk: measures.Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """C0 and C1 of each row: the largest C(f, x) over f(x) = 0 and over
+    f(x) = 1, or 0 where f never takes that value."""
+    cert, ones = chunk.per_point_cert.astype(np.int64), chunk.stack.astype(bool)
+    return np.where(ones, 0, cert).max(axis=-1), np.where(ones, cert, 0).max(axis=-1)
+
+
+def assert_upper_bounds(chunk: measures.Chunk) -> None:
+    """The theorems that bound C, DT and deg from above, on every row. int64
+    is exact here: at n <= 12 no product is above 2 * 12**3."""
+    s, bs, C, DT, deg = (np.asarray(getattr(chunk, name), dtype=np.int64) for name in ("s", "bs", "cert", "dt", "deg"))
+    C0, C1 = certificate_by_value(chunk)
+    assert np.all(C <= s * bs)  # Nisan 1991
+    assert np.all(DT <= C0 * C1)  # Blum & Impagliazzo; Hartmanis & Hemachandra 1987; Tardos 1989
+    assert np.all(DT <= C1 * bs)  # Beals, Buhrman, Cleve, Mosca & de Wolf 2001
+    assert np.all(deg <= s * s)  # Huang 2019
+    assert np.all(DT <= 2 * deg**3)  # Midrijanis 2004
+
+
+def test_upper_bound_theorems_hold_on_every_function_of_4_variables():
+    for stack in Population.exhaustive(4).stacks():
+        assert_upper_bounds(measures.Chunk(stack))
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_a_planted_decision_tree_bounds_every_measure(n):
+    # DT <= 4 by construction, so s, bs, C and deg are at most 4 as well
+    rng = random.Random(n)
+    at_bound = 0
+    for chunk in measures.chunks(oracles.random_decision_tree(rng, n, 4) for _ in range(32)):
+        for name in ("s", "bs", "cert", "deg", "dt"):
+            assert np.asarray(getattr(chunk, name)).max() <= 4, name
+        assert_upper_bounds(chunk)
+        at_bound += int(np.count_nonzero(np.asarray(chunk.dt) == 4))
+    # the bound binds on many rows, so a DT one too high breaks it
+    assert at_bound >= 8
+
+
 def test_columns_above_the_int64_arity_are_python_ints(monkeypatch):
-    population = Population.explicit([*Population.sample(4, 60, 3).tables(), *verify.standard_family_instances()])
+    tables = [*oracles.members_of(Population.sample(4, 60, 3)), *verify.standard_family_instances()]
+    population = Population.explicit(tables)
     as_int64 = run_check_suite(population).to_json()
     monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)
-    chunk = next(measures.chunks(Population.sample(4, 5, 3).tables()))
+    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 5, 3))))
     assert chunk.s.dtype == object and type(chunk.I_num[0]) is int and type(chunk.sums["weighted2"][0]) is int
     assert run_check_suite(population).to_json() == as_int64
 
@@ -506,7 +542,7 @@ def chunks_holding(population, monkeypatch) -> dict:
     hold a failure or a row tying for the maximum ratio."""
     monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
     seen = {name: [] for name in SPANNED}
-    for index, chunk in enumerate(measures.chunks(population.tables())):
+    for index, chunk in enumerate(measures.chunks(oracles.members_of(population))):
         for record in chunk.records():
             for name in SPANNED:
                 status, observed = verify.CHECKS[name].run(record)
@@ -523,7 +559,7 @@ def chunks_holding(population, monkeypatch) -> dict:
 def test_failures_and_ties_across_chunks_give_the_same_bytes(monkeypatch, jobs):
     monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
     monkeypatch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
-    population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
+    population = Population.explicit([*oracles.members_of(Population.exhaustive(3)), *verify.standard_family_instances()])
     default = measures.CHUNK_CELLS
     assert all(len(held) >= 2 for held in chunks_holding(population, monkeypatch).values())
     reports = set()
@@ -548,14 +584,14 @@ def chunk_aggregates(fail_limit: int) -> tuple[list, dict]:
     with duplicate members and ratio ties (every n = 3 table, the family
     instances, and a second copy of some of both), and the serial sweep's
     entries."""
-    members = [*Population.exhaustive(3).tables(), *verify.standard_family_instances()]
+    members = [*oracles.members_of(Population.exhaustive(3)), *verify.standard_family_instances()]
     population = Population.explicit([*members, *members[::7], *members[-9:]])
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
         patch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
         patch.setattr(measures, "CHUNK_CELLS", 64)
         parts = []
-        for chunk in measures.chunks(population.tables()):
+        for chunk in measures.chunks(oracles.members_of(population)):
             parts.append({name: verify.Aggregate(verify.CHECKS[name].kind, fail_limit) for name in SPANNED})
             for name, aggregate in parts[-1].items():
                 aggregate.add_chunk(chunk, verify.CHECKS[name])
@@ -589,7 +625,7 @@ def entry_by_records(check: verify.Check, population: Population, fail_limit: in
     counts, the first ``fail_limit`` failures by id, the skip reasons, and
     the largest ratio, a tie going to the smallest id."""
     counts, failures, reasons, ratios = {"pass": 0, "fail": 0, "skip": 0}, [], {}, []
-    for record in measures.records(population.tables()):
+    for record in measures.records(oracles.members_of(population)):
         status, observed = check.run(record)
         counts[status] += 1
         if status == "fail":
@@ -614,7 +650,7 @@ def entry_by_records(check: verify.Check, population: Population, fail_limit: in
 
 def test_every_check_gives_the_same_entry_on_columns_and_row_by_row(monkeypatch):
     monkeypatch.setitem(verify.CHECKS, BOGUS_COLUMNS.name, BOGUS_COLUMNS)
-    population = Population.explicit([*Population.exhaustive(3).tables(), *verify.standard_family_instances()])
+    population = Population.explicit([*oracles.members_of(Population.exhaustive(3)), *verify.standard_family_instances()])
     checks = run_check_suite(population, fail_limit=2).checks
     assert checks[BOGUS_COLUMNS.name]["fail"] > 2
     for name, entry in checks.items():

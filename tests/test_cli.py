@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from boolfn import chains, cli, measures, verify
 from boolfn.core import parse, serialize
+
+import oracles
 from test_record import count_calls
 
 
@@ -91,8 +93,8 @@ def test_analyze_corpus_emits_one_json_per_line(tmp_path):
 
 
 def test_corpus_lines_of_one_arity_share_a_chunk(tmp_path, monkeypatch):
-    tables = [*verify.Population.sample(4, 40, 2).tables(), *verify.standard_family_instances()]
-    tables += verify.Population.exhaustive(2).tables()
+    tables = [*oracles.members_of(verify.Population.sample(4, 40, 2)), *verify.standard_family_instances()]
+    tables += oracles.members_of(verify.Population.exhaustive(2))
     corpus = tmp_path / "mixed.txt"
     corpus.write_text("# mixed arities\n" + "".join(f"{serialize(t)}\n" for t in tables))
     caps = {"bs_cap": 5, "cert_cap": 6, "dt_cap": 4}
@@ -126,6 +128,19 @@ def test_family_addr_with_a_huge_t_is_one_cap_error():
     assert err.startswith("error: ") and err.count("\n") == 1 and "exceeds dense cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["compose", "--base", "and4", "--power", "100000"], "power must be between 1 and 16"),
+        (["threshold", "--n", "3"], "family threshold requires --threshold"),
+        (["threshold", "--n", "3", "--threshold", "9"], "threshold must be between 0 and n + 1"),
+    ],
+    ids=["power", "threshold-missing", "threshold-range"],
+)
+def test_a_bad_family_parameter_names_its_own_flag(argv, error):
+    assert run_cli(["family", *argv]) == (2, "", f"error: {error}\n")
+
+
 def test_analyze_spectrum_and_poly_exports(tmp_path):
     spectrum = tmp_path / "spec.csv"
     poly = tmp_path / "poly.json"
@@ -140,7 +155,7 @@ def test_analyze_spectrum_and_poly_exports(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ["2:8", serialize(next(verify.Population.sample(12, 1, 3).tables()))], ids=["n2", "n12"]
+    "text", ["2:8", serialize(next(oracles.members_of(verify.Population.sample(12, 1, 3))))], ids=["n2", "n12"]
 )
 def test_analyze_file_of_one_table_exports_what_fn_exports(tmp_path, text):
     corpus = tmp_path / "one.txt"

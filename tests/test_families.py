@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from boolfn import algebra, families, measures
+from boolfn.chains import gap_family_chain
 from boolfn.core import CapExceededError, LazyFunction, materialize, parse
 from boolfn.families import FK_MAX_DEPTH, address, compose_power, gap_family, named_basics
 
@@ -14,8 +15,7 @@ from boolfn.families import FK_MAX_DEPTH, address, compose_power, gap_family, na
 def test_gap_family_k1_is_identity():
     f1, tree = gap_family(1)
     assert f1 == parse("1:2")  # identity on x_1
-    assert tree.depth() == 1
-    assert tree.variables() == [1]
+    assert gap_family_chain(tree).order == (1,)
 
 
 def test_gap_family_k3_measures():
@@ -25,8 +25,8 @@ def test_gap_family_k3_measures():
     assert measures.alternation_decrease(table).alt == 7
     assert measures.decision_tree_depth(table) == 3
     assert algebra.degree(table) == 3
-    assert tree.depth() == 3
-    assert sorted(tree.variables()) == list(range(1, 8))
+    # the in-order walk of a depth-3 tree numbered breadth-first
+    assert gap_family_chain(tree).order == (4, 2, 5, 1, 6, 3, 7)
 
 
 def test_gap_family_k4_sparsity():

@@ -33,7 +33,7 @@ def random_table(rng, n):
 def test_sensitivity_examples():
     assert sensitivity(families.named_basics("parity", 3)) == 3
     assert sensitivity(families.address(2)) == 3
-    assert sensitivity(TruthTable.constant(4, 0)) == 0
+    assert sensitivity(oracles.constant_table(4, 0)) == 0
     maj3 = families.named_basics("majority", 3)
     assert sensitivity(maj3, "110") == oracles.brute_sensitivity_at(maj3, 0b110)
 
@@ -194,7 +194,7 @@ def test_influence_examples():
     maj3 = families.named_basics("majority", 3)
     assert oracles.brute_influence(maj3) == Fraction(3, 2)
     assert influence(maj3) == Fraction(3, 2)
-    assert influence(TruthTable.constant(5, 1)) == 0
+    assert influence(oracles.constant_table(5, 1)) == 0
 
 
 def test_alternation_examples():
@@ -236,7 +236,7 @@ def test_monotone_iff_alt_low():
 
 
 def test_decision_tree_examples():
-    assert decision_tree_depth(TruthTable.constant(3, 1)) == 0
+    assert decision_tree_depth(oracles.constant_table(3, 1)) == 0
     for n in (1, 2, 3, 4):
         assert decision_tree_depth(families.named_basics("parity", n)) == n
     for k in (1, 2, 3):
@@ -283,10 +283,10 @@ def test_subcube_ceiling():
     defaults = (measures.BS_CAP_DEFAULT, measures.CERT_CAP_DEFAULT, measures.DT_CAP_DEFAULT)
     assert ceiling >= max(defaults)
     with pytest.raises(CapExceededError):
-        measures.constancy_planes(TruthTable.constant(ceiling + 1, 0))
+        measures.constancy_planes(oracles.constant_table(ceiling + 1, 0))
     for caps in ({"bs_cap": ceiling + 1}, {"cert_cap": ceiling + 1}, {"dt_cap": ceiling + 1}):
         with pytest.raises(CapExceededError):
-            measure_report(TruthTable.constant(2, 0), **caps)
+            measure_report(oracles.constant_table(2, 0), **caps)
 
 
 def test_decision_tree_matches_oracle():
@@ -504,7 +504,7 @@ def test_decision_tree_rounds_stop_early_or_exit_at_n(monkeypatch):
     sweep = measures.digit_sweep
     monkeypatch.setattr(measures, "digit_sweep", lambda *a, **kw: rounds.append(a[0]) or sweep(*a, **kw))
     x = np.arange(1 << n)
-    early = [TruthTable.constant(n, 1), TruthTable(n, x & 1), TruthTable(n, (x >> 1) & x & 1)]
+    early = [oracles.constant_table(n, 1), TruthTable(n, x & 1), TruthTable(n, (x >> 1) & x & 1)]
     parity = families.named_basics("parity", n)
     for tables, want, want_rounds in ((early, [0, 1, 2], 2), (early + [parity], [0, 1, 2, n], n - 1)):
         stack = np.stack([t.values for t in tables])

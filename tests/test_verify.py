@@ -24,29 +24,31 @@ from boolfn.verify import (
     Population,
     run_check_suite,
 )
+
+import oracles
 from test_record import matrix_sweep
 
 
 def test_enumerate_counts():
-    assert len(list(Population.exhaustive(1).tables())) == 4
-    tables = list(Population.exhaustive(2).tables())
+    assert len(list(oracles.members_of(Population.exhaustive(1)))) == 4
+    tables = list(oracles.members_of(Population.exhaustive(2)))
     assert len(tables) == 16
     assert serialize(tables[0]) == "2:0"
     assert serialize(tables[-1]) == "2:F"
     with pytest.raises(ValueError):
-        Population.exhaustive(5).tables()
+        oracles.members_of(Population.exhaustive(5))
 
 
 def test_sample_determinism():
-    a = [serialize(t) for t in Population.sample(5, 1000, 42).tables()]
-    b = [serialize(t) for t in Population.sample(5, 1000, 42).tables()]
+    a = [serialize(t) for t in oracles.members_of(Population.sample(5, 1000, 42))]
+    b = [serialize(t) for t in oracles.members_of(Population.sample(5, 1000, 42))]
     assert a == b
-    c = [serialize(t) for t in Population.sample(5, 1000, 43).tables()]
+    c = [serialize(t) for t in oracles.members_of(Population.sample(5, 1000, 43))]
     assert a != c
-    tables = list(Population.sample(8, 10, 7).tables())
+    tables = list(oracles.members_of(Population.sample(8, 10, 7)))
     assert len(tables) == 10 and all(t.n == 8 for t in tables)
     with pytest.raises(ValueError):
-        Population.sample(25, 1, 0).tables()
+        oracles.members_of(Population.sample(25, 1, 0))
 
 
 def test_unknown_check_rejected():
@@ -307,7 +309,7 @@ def joined(monkeypatch) -> list:
 @pytest.mark.usefixtures("workers_at_once")
 @pytest.mark.parametrize("at", [0, -1], ids=["caller-share", "last-share"])
 def test_worker_errors_reach_the_caller(joined, at):
-    members = [serialize(t) for t in Population.sample(4, 200, 2).tables()]
+    members = [serialize(t) for t in oracles.members_of(Population.sample(4, 200, 2))]
     members[at] = "3:ZZ"
     population = Population(kind="explicit", members=tuple(members))
     with pytest.raises(core.FormatError) as serial:
@@ -333,7 +335,7 @@ def test_counterexample_round_trip():
     )
     pop = Population.exhaustive(2)
     aggregates = {}
-    for table in pop.tables():
+    for table in oracles.members_of(pop):
         record = measure_report(table)
         status, observed = bogus.run(record)
         if status == "fail":
@@ -479,7 +481,7 @@ def record_decoded(monkeypatch) -> list[str]:
 
 
 def test_worker_parses_only_its_own_range(monkeypatch):
-    texts = tuple(serialize(t) for t in Population.sample(8, 4000, 5).tables())
+    texts = tuple(serialize(t) for t in oracles.members_of(Population.sample(8, 4000, 5)))
     decoded = record_decoded(monkeypatch)
     part, reached = verify._run_chunk(Population(kind="explicit", members=texts), ("alt-dc-relation",), 2000, 4000, CAPS, 5)
     assert reached == 4000
@@ -489,11 +491,11 @@ def test_worker_parses_only_its_own_range(monkeypatch):
 
 @pytest.mark.parametrize("population", [Population.exhaustive(3), Population.sample(4, 100, 3)], ids=["exhaustive", "sample"])
 def test_ranges_build_only_their_members(monkeypatch, population):
-    whole = [serialize(t) for t in population.tables()]
+    whole = [serialize(t) for t in oracles.members_of(population)]
     built = record_decoded(monkeypatch)
-    assert [serialize(t) for t in population.tables(60, 90)] == whole[60:90]
+    assert [serialize(t) for t in oracles.members_of(population, 60, 90)] == whole[60:90]
     assert len(built) == 30 and built == whole[60:90]
-    assert [serialize(t) for t in population.tables(90, 10**6)] == whole[90:]
+    assert [serialize(t) for t in oracles.members_of(population, 90, 10**6)] == whole[90:]
 
 
 def assert_stacks_of(got, tables) -> None:
@@ -517,12 +519,12 @@ FORMS = {
     "leading-zero": lambda t: "0" + serialize(t),
 }
 MIXED_ARITIES = [
-    *Population.exhaustive(0).tables(),
+    *oracles.members_of(Population.exhaustive(0)),
     *verify.standard_family_instances(),
-    *Population.sample(9, 3, 4).tables(),
-    *Population.sample(3, 70, 4).tables(),
-    *Population.exhaustive(1).tables(),
-    *itertools.chain(*zip(Population.sample(0, 9, 5).tables(), Population.sample(1, 9, 5).tables())),
+    *oracles.members_of(Population.sample(9, 3, 4)),
+    *oracles.members_of(Population.sample(3, 70, 4)),
+    *oracles.members_of(Population.exhaustive(1)),
+    *itertools.chain(*zip(oracles.members_of(Population.sample(0, 9, 5)), oracles.members_of(Population.sample(1, 9, 5)))),
 ]
 
 
@@ -540,7 +542,8 @@ def test_explicit_stacks_match_parse(monkeypatch, form, cells):
     assert_stacks_of(list(population.stacks()), [parse(text) for text in texts])
     for start, stop in ((0, 1), (5, 45), (44, 200), (107, 10**6)):
         assert_stacks_of(list(population.stacks(start, stop)), [parse(text) for text in texts[start:stop]])
-    assert [t.values.tolist() for t in population.tables(5, 45)] == [parse(x).values.tolist() for x in texts[5:45]]
+    got = [t.values.tolist() for t in oracles.members_of(population, 5, 45)]
+    assert got == [parse(x).values.tolist() for x in texts[5:45]]
 
 
 @pytest.mark.parametrize("cells", [measures.CHUNK_CELLS, 64])
@@ -592,7 +595,7 @@ BAD_MEMBERS = [
 def test_bad_explicit_members_raise_what_parse_raises(bad):
     with pytest.raises(ValueError) as parsed:
         parse(bad)
-    good = tuple(serialize(t) for t in Population.sample(4, 6, 1).tables())
+    good = tuple(serialize(t) for t in oracles.members_of(Population.sample(4, 6, 1)))
     for members in ((bad,), (*good, bad, *good), (*good[:3], bad, "4:Z", *good)):
         population = Population(kind="explicit", members=members)
         with pytest.raises(type(parsed.value)) as decoded:
@@ -611,7 +614,7 @@ def test_a_member_parsed_alone_costs_at_most_its_stack(monkeypatch, at):
     # at 64 cells a stack holds 4 members of arity 4: at most the padded
     # member's stack is parsed, and every other member decoded
     monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
-    texts = [serialize(t) for t in Population.sample(4, 41, 6).tables()]
+    texts = [serialize(t) for t in oracles.members_of(Population.sample(4, 41, 6))]
     texts[at] = f"  {texts[at]} "
     decoded, parsed = record_decoded(monkeypatch), []
     monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or parse(text))
@@ -633,7 +636,7 @@ def test_an_empty_explicit_population_gives_zero_counts():
 
 def test_members_above_a_lowered_dense_cap_raise_cap_exceeded(monkeypatch):
     monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
-    members = (*(serialize(t) for t in Population.sample(4, 3, 1).tables()), "5:" + "0" * 8)
+    members = (*(serialize(t) for t in oracles.members_of(Population.sample(4, 3, 1))), "5:" + "0" * 8)
     with pytest.raises(core.CapExceededError, match="arity 5 exceeds dense cap 4"):
         list(Population(kind="explicit", members=members).stacks())
 
@@ -643,7 +646,7 @@ def test_a_canonical_member_above_a_lowered_dense_cap_raises_cap_exceeded(monkey
     # the arity 5 member starts a stack: alone, or after a full stack of 4
     monkeypatch.setenv(core.DENSE_CAP_ENV, "4")
     monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
-    members = (*(serialize(t) for t in Population.sample(4, before, 1).tables()), "5:" + "0" * 8)
+    members = (*(serialize(t) for t in oracles.members_of(Population.sample(4, before, 1))), "5:" + "0" * 8)
     with pytest.raises(core.CapExceededError, match="arity 5 exceeds dense cap 4"):
         list(Population(kind="explicit", members=members).stacks())
 
