@@ -61,7 +61,8 @@ class Chain:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(1, self.arity + 1)):
+        # an int, not a bool or a float equal to one, as points() shifts by it
+        if not all(type(j) is int for j in self.order) or sorted(self.order) != list(range(1, self.arity + 1)):
             raise ValueError("chain order must be a permutation of 1..n")
 
     def points(self) -> Iterator[int]:
@@ -78,7 +79,7 @@ class Chain:
     @classmethod
     def from_json(cls, data, arity: Optional[int] = None) -> "Chain":
         """The chain of a parsed JSON list of integers (no bools, floats or strings)."""
-        if not isinstance(data, list) or not all(type(j) is int for j in data):
+        if not isinstance(data, list):
             raise ValueError("chain JSON must be an array of 1-based variable indices")
         return cls(arity if arity is not None else len(data), tuple(data))
 

@@ -19,20 +19,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from typing import Optional
 
 from . import chains, families, measures, verify
-from .core import (
-    BooleanFunction,
-    LazyFunction,
-    describe,
-    materialize,
-    parse,
-    parse_corpus,
-    serialize,
-    serialize_rows,
-)
-
-_FAMILY_TOKEN = re.compile(
-    r"^(?P<name>fk|addr|parity|and|or|maj(?:ority)?)(?P<num>\d+)$"
-)
+from .core import BooleanFunction, LazyFunction, corpus_texts, describe, parse, serialize, serialize_rows
 
 
 class UsageError(Exception):
@@ -51,6 +38,10 @@ _FAMILIES = {
     },
     "threshold": (("n", "threshold"), lambda p: families.named_basics("threshold", p["n"], p["threshold"])),
 }
+# A compact token: a one-parameter family, or maj for majority, and that parameter.
+_FAMILY_TOKEN = re.compile(
+    r"^(?P<name>%s|maj)(?P<num>\d+)$" % "|".join(name for name, (required, _) in _FAMILIES.items() if len(required) == 1)
+)
 
 
 def _read(path: str) -> str:
@@ -76,7 +67,7 @@ def _token_source(token: str) -> dict:
         return {"fn": token}
     m = _FAMILY_TOKEN.match(token)
     if m:
-        name = "majority" if m.group("name").startswith("maj") else m.group("name")
+        name = "majority" if m.group("name") == "maj" else m.group("name")
         return {"family": name, _FAMILIES[name][0][0]: int(m.group("num"))}
     return {"file": token}
 
@@ -89,30 +80,34 @@ def _family(name: str, params: dict) -> BooleanFunction:
     return build(params)
 
 
-def _resolve_all(source: dict) -> list[BooleanFunction]:
-    """Every function named by exactly one of the fn / file / family flags.
-
-    ``source`` maps flag names to values (parsed arguments or a token's
-    flags); a corpus file may name several tables.
-    """
-    if sum(source.get(flag) is not None for flag in ("fn", "file", "family")) != 1:
+def _source_flag(source: dict) -> str:
+    """Which one of the fn / file / family flags ``source`` gives: it maps
+    flag names to values (parsed arguments or a token's flags)."""
+    given = [flag for flag in ("fn", "file", "family") if source.get(flag) is not None]
+    if len(given) != 1:
         raise UsageError("provide exactly one of --fn, --file, --family")
-    if source.get("fn") is not None:
-        return [parse(source["fn"])]
-    if source.get("family") is not None:
-        return [_family(source["family"], source)]
-    tables = list(parse_corpus(_read(source["file"]).split("\n")))
-    if not tables:
-        raise UsageError(f"file {source['file']!r} holds no tables")
-    return tables
+    return given[0]
+
+
+def _corpus(path: str) -> list[str]:
+    """The table texts of a corpus file, which must hold one at least."""
+    texts = corpus_texts(_read(path))
+    if not texts:
+        raise UsageError(f"file {path!r} holds no tables")
+    return texts
 
 
 def _resolve(source: dict) -> BooleanFunction:
     """The one function a source names; a corpus file must hold exactly one."""
-    functions = _resolve_all(source)
-    if len(functions) != 1:
+    flag = _source_flag(source)
+    if flag == "fn":
+        return parse(source["fn"])
+    if flag == "family":
+        return _family(source["family"], source)
+    tables = [parse(text) for text in _corpus(source["file"])]  # a bad line is named first
+    if len(tables) != 1:
         raise UsageError(f"file {source['file']!r} must contain exactly one table")
-    return functions[0]
+    return tables[0]
 
 
 def _function_source_flags(sub) -> None:
@@ -142,14 +137,19 @@ def _emit(text: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    functions = _resolve_all(vars(args))
     caps = {"bs_cap": args.bs_cap, "cert_cap": args.cert_cap, "dt_cap": args.dt_cap}
     exports = [flag for flag, path in (("--spectrum-out", args.spectrum_out), ("--poly-out", args.poly_out)) if path]
-    if exports and len(functions) > 1:
-        raise UsageError(f"{' and '.join(exports)}: file {args.file!r} holds {len(functions)} tables, not one")
+    if _source_flag(vars(args)) == "file":
+        # a chunk per stack of explicit members, as in a sweep: every line is decoded before the
+        # export count and the caps are checked, and the texts go with the population, unmeasured
+        stacks = list(verify.Population(kind="explicit", members=_corpus(args.file)).stacks())
+        if exports and (count := sum(map(len, stacks))) > 1:
+            raise UsageError(f"{' and '.join(exports)}: file {args.file!r} holds {count} tables, not one")
+        records = (record for stack in stacks for record in measures.Chunk(stack, **caps).records())
+    else:  # a lone function is a chunk of one
+        records = [measures.measure_report(_resolve(vars(args)), **caps)]
     lines = []
-    # lines of one arity in a corpus share a chunk; a lone function is a chunk of one
-    for record in measures.records(map(materialize, functions), **caps):
+    for record in records:
         out = record.to_json_dict()
         if args.per_point:
             out["per_point"] = record.per_point()

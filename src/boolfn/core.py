@@ -18,7 +18,8 @@ Conventions used throughout the package:
   input index into exactly ``ceil(2**n / 4)`` hex digits. This module owns
   it: :func:`serialize_rows` writes a stack of tables and
   :func:`packed_rows` reads canonical texts of one arity, and
-  :func:`serialize` and :func:`parse` are their one-table cases.
+  :func:`serialize` and :func:`parse` are their one-table cases. A corpus
+  file holds one text a line; :func:`corpus_texts` reads them from it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "TruthTable",
     "blocks",
     "compose",
+    "corpus_texts",
     "dense_cap",
     "depends_on_all",
     "digit_sweep",
@@ -49,7 +51,6 @@ __all__ = [
     "materialize",
     "packed_rows",
     "parse",
-    "parse_corpus",
     "point_index",
     "popcounts",
     "serialize",
@@ -139,11 +140,12 @@ class TruthTable:
 
     def __init__(self, n: int, values) -> None:
         _check_arity(n)
-        arr = np.array(values, dtype=np.uint8, copy=True).ravel()
+        arr = np.asarray(values).ravel()
         if arr.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} values for arity {n}, got {arr.size}")
-        if arr.size and arr.max() > 1:
+        if not np.array_equal(arr, arr.astype(bool)):  # 0.5, -1 and 2 are not bits in any dtype
             raise ValueError("table entries must be bits")
+        arr = arr.astype(np.uint8)  # a copy
         arr.setflags(write=False)
         self.n = n
         self.values = arr
@@ -496,9 +498,8 @@ def parse(text: str) -> TruthTable:
     return TruthTable._row(unpack_rows(n, packed)[0])
 
 
-def parse_corpus(lines: Iterable[str]) -> Iterator[TruthTable]:
-    """Parse a corpus: one table per line, blank lines and # comments skipped."""
-    for line in lines:
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield parse(body)
+def corpus_texts(text: str) -> list[str]:
+    """The table texts of a corpus, one a line, stripped, in order: blank
+    lines and # comments skipped. Each is read by :func:`parse` or, a stack
+    at a time, by :func:`packed_rows`."""
+    return [body for line in text.split("\n") if (body := line.split("#", 1)[0].strip())]

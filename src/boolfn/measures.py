@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -71,7 +71,6 @@ __all__ = [
     "block_sensitivity",
     "certificate_complexity",
     "check_caps",
-    "chunks",
     "constancy_planes",
     "decision_tree_depth",
     "influence",
@@ -80,7 +79,6 @@ __all__ = [
     "per_point_certificate",
     "per_point_sensitivity",
     "per_value",
-    "records",
     "sensitivity",
     "stack_size",
 ]
@@ -348,7 +346,9 @@ def negation_complexity(f: BooleanFunction) -> tuple[int, int]:
 
 
 def check_caps(bs_cap: int, cert_cap: int, dt_cap: int) -> None:
-    """Reject a bs, C or DT cap whose subcube table would be too large."""
+    """Reject a negative bs, C or DT cap, or one whose subcube table would be too large."""
+    if min(bs_cap, cert_cap, dt_cap) < 0:
+        raise ValueError("bs, C and DT caps must not be negative")
     if max(bs_cap, cert_cap, dt_cap) > SUBCUBE_MAX_ARITY:
         raise CapExceededError(f"bs, C and DT caps must not exceed {SUBCUBE_MAX_ARITY}")
 
@@ -603,28 +603,6 @@ def stack_size(n: int) -> int:
     """The most tables of arity n to one stack: those whose cells fit in
     ``CHUNK_CELLS`` (read at each call), and at least one."""
     return max(1, CHUNK_CELLS >> n)
-
-
-def chunks(tables: Iterable[TruthTable], **caps) -> Iterator[Chunk]:
-    """The tables, in order, as chunks with the measure caps ``caps``.
-
-    Consecutive tables of one arity n share a :class:`Chunk` of at most
-    ``stack_size(n)`` tables, so every column is computed once per chunk
-    rather than once per table. Each chunk stacks its tables' values once,
-    and a chunk of one table is a view of its values, with no copy; a
-    population decodes its stacks with no tables
-    (``verify.Population.stacks``).
-    """
-    for n, same in itertools.groupby(tables, key=lambda t: t.n):
-        while batch := list(itertools.islice(same, stack_size(n))):
-            stack = batch[0].values[None] if len(batch) == 1 else np.stack([t.values for t in batch])
-            yield Chunk(stack, **caps)
-
-
-def records(tables: Iterable[TruthTable], **caps) -> Iterator[MeasureContext]:
-    """One record per table, in order, each a row of its :func:`chunks` chunk."""
-    for chunk in chunks(tables, **caps):
-        yield from chunk.records()
 
 
 def _cell(value):

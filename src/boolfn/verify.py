@@ -20,7 +20,8 @@ one per process, and each process decodes only its own, straight into
 read-only stacks of up to ``measures.CHUNK_CELLS`` cells
 (:meth:`Population.stacks`), one :class:`~boolfn.measures.Chunk` each, so
 every measure is computed once per chunk and no member is built as a table
-of its own or measured twice, the measure matrix included.
+of its own or measured twice, the measure matrix included. ``boolfn analyze
+--file`` reads its corpus lines as explicit members, stacked the same way.
 """
 
 from __future__ import annotations

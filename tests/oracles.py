@@ -5,11 +5,12 @@ library's shortcuts (no DP, no minimal-block reduction, no memoization), so
 the tests can check the fast paths against first principles.
 """
 
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 from typing import Mapping
 
 import numpy as np
 
+from boolfn import measures
 from boolfn.algebra import subset_of_index
 from boolfn.core import TruthTable
 
@@ -36,6 +37,15 @@ def members_of(population, start: int = 0, stop=None):
     """Members ``start`` to ``stop`` of a population, one table per row of
     its stacks."""
     return (TruthTable(row.size.bit_length() - 1, row) for stack in population.stacks(start, stop) for row in stack)
+
+
+def stacks_of(tables):
+    """The tables, in order, as the stacks of the chunks they share:
+    consecutive tables of one arity n, at most ``measures.stack_size(n)`` to
+    a stack. The reference that ``Population.stacks`` decodes text to."""
+    for n, same in groupby(tables, key=lambda t: t.n):
+        while batch := list(islice(same, measures.stack_size(n))):
+            yield np.stack([t.values for t in batch])
 
 
 def constant_table(n: int, bit: int) -> TruthTable:

@@ -175,6 +175,11 @@ def test_chain_validation_and_points():
         Chain(3, (1, 1, 2))
     with pytest.raises(ValueError):
         Chain(3, (1, 2))
+    # an order equal to a permutation is still not one of floats or bools,
+    # whichever constructor is given it
+    for order in ((1.0, 2), (True, 2), ("a", 1)):
+        with pytest.raises(ValueError, match="chain order must be a permutation"):
+            Chain(2, order)
 
 
 def test_chain_json_round_trip():
@@ -185,8 +190,9 @@ def test_chain_json_round_trip():
 @pytest.mark.parametrize("data", [7, "21", [2.9, 1], [True, 2], [1.5, 2], {}, None], ids=repr)
 def test_chain_json_is_a_list_of_integers(data):
     # a string, a float or a bool is not read as an index, not even one that
-    # would truncate to a valid order
-    with pytest.raises(ValueError, match="chain JSON must be an array"):
+    # would truncate to a valid order; Chain rejects a list of them
+    message = "chain order must be a permutation" if isinstance(data, list) else "chain JSON must be an array"
+    with pytest.raises(ValueError, match=message):
         Chain.from_json(data, 2)
 
 

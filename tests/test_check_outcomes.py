@@ -17,8 +17,6 @@ from pathlib import Path
 
 from boolfn import measures, verify
 
-import oracles
-
 DATA = Path(__file__).with_name("check_outcomes.json")
 
 POPULATIONS = [
@@ -34,7 +32,7 @@ def outcomes() -> dict[str, list[tuple[str, str, str]]]:
     order; the key is the status, or for a skip the status and its reason."""
     out: dict[str, list[tuple[str, str, str]]] = {name: [] for name in verify.CHECKS}
     for label, population, caps in POPULATIONS:
-        for record in measures.records(oracles.members_of(population), **caps):
+        for record in (r for stack in population.stacks() for r in measures.Chunk(stack, **caps).records()):
             for check in verify.CHECKS.values():
                 status, observed = check.run(record)
                 key = f"skip: {observed['reason']}" if status == "skip" else status

@@ -194,10 +194,10 @@ def test_per_value_matches_the_dict_of_distinct_values(monkeypatch, fn):
         np.array([], dtype=np.int64),
         np.array([], dtype=object),
     ]
-    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 300, 9))))
+    chunk = measures.Chunk(next(Population.sample(4, 300, 9).stacks()))
     columns += [chunk.dc, chunk.sparsity]
     monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)  # the columns of n > 24: Python ints
-    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 300, 9))))
+    chunk = measures.Chunk(next(Population.sample(4, 300, 9).stacks()))
     assert chunk.dc.dtype == object
     columns += [chunk.dc, chunk.sparsity]
     for column in columns:
@@ -231,24 +231,17 @@ def test_matrix_out_runs_each_kernel_once_per_chunk(monkeypatch, tmp_path):
 def test_chunks_split_at_arity_changes_and_the_cell_budget(monkeypatch):
     monkeypatch.setattr(measures, "CHUNK_CELLS", 8)  # two tables at n = 2, one at n = 3
     tables = [TruthTable.from_packed_int(n, i) for i, n in enumerate((2, 2, 2, 3, 3, 2))]
-    records = list(measures.records(tables))
-    assert [r.table for r in records] == tables
-    chunks = dict.fromkeys(r.chunk for r in records)
+    chunks = list(map(measures.Chunk, Population.explicit(tables).stacks()))
+    assert [r.table for c in chunks for r in c.records()] == tables
     assert [len(c) for c in chunks] == [2, 1, 1, 1, 1]
 
 
-def test_a_lone_table_is_a_chunk_of_its_values(monkeypatch):
-    """A run of one table is a read-only view of its values, not a copy;
-    a longer run is stacked."""
-    big = TruthTable.from_packed_int(17, 3 << 70000)  # one table per chunk
-    (chunk,) = measures.chunks([big])
+def test_a_lone_table_is_a_chunk_of_its_values():
+    """A lone function's record is a row of a read-only view of its values, not a copy."""
+    big = TruthTable.from_packed_int(17, 3 << 70000)
+    chunk = measures.measure_report(big).chunk
     assert chunk.stack.shape == (1, 1 << 17) and not chunk.stack.flags.writeable
     assert np.shares_memory(chunk.stack, big.values)
-    monkeypatch.setattr(measures, "CHUNK_CELLS", 512)  # two tables at n = 8
-    small = [TruthTable.from_packed_int(8, p) for p in (1, 2, 3)]
-    pair, lone = (c.stack for c in measures.chunks(small))
-    assert len(pair) == 2 and not np.shares_memory(pair, small[0].values)
-    assert len(lone) == 1 and np.shares_memory(lone, small[2].values) and not lone.flags.writeable
 
 
 def held_arrays(value):
@@ -280,7 +273,8 @@ def test_a_chunk_keeps_no_wide_per_point_array(n):
 
 
 def test_record_rows_are_read_only():
-    record = next(measures.records([TruthTable.from_packed_int(3, 0x96)] * 2))
+    pair = Population.explicit([TruthTable.from_packed_int(3, 0x96)] * 2)
+    record = measures.Chunk(next(pair.stacks())).record(0)
     chunk, i = record.chunk, record.row
     for row in (chunk.per_point_s[i], chunk.profile[i], record.poly().coeffs, record.spectrum().scaled):
         assert not row.flags.writeable
@@ -301,7 +295,7 @@ def test_chunk_columns_match_oracles(data):
     original = measures._minimal_from_sens
     with pytest.MonkeyPatch.context() as patch:  # the search scans the table it is given
         patch.setattr(measures, "_minimal_from_sens", lambda t, i: searched.append(t) or original(t, i))
-        chunks = list(measures.chunks(tables))
+        chunks = list(map(measures.Chunk, Population.explicit(tables).stacks()))
         for chunk in chunks:
             chunk.bs
     for chunk in chunks:
@@ -476,7 +470,7 @@ def test_degree_four_tables_pass_the_sparsity_checks():
     for name in names:
         agg = report.checks[name]
         assert agg["fail"] == 0 and agg["pass"] > 0, (name, agg)
-    chunk = next(measures.chunks(tables))
+    chunk = measures.Chunk(next(Population.explicit(tables).stacks()))
     assert chunk.deg.dtype == np.int64 and chunk.sparsity.dtype == np.int64
 
 
@@ -509,7 +503,8 @@ def test_a_planted_decision_tree_bounds_every_measure(n):
     # DT <= 4 by construction, so s, bs, C and deg are at most 4 as well
     rng = random.Random(n)
     at_bound = 0
-    for chunk in measures.chunks(oracles.random_decision_tree(rng, n, 4) for _ in range(32)):
+    planted = Population.explicit(oracles.random_decision_tree(rng, n, 4) for _ in range(32))
+    for chunk in map(measures.Chunk, planted.stacks()):
         for name in ("s", "bs", "cert", "deg", "dt"):
             assert np.asarray(getattr(chunk, name)).max() <= 4, name
         assert_upper_bounds(chunk)
@@ -523,7 +518,7 @@ def test_columns_above_the_int64_arity_are_python_ints(monkeypatch):
     population = Population.explicit(tables)
     as_int64 = run_check_suite(population).to_json()
     monkeypatch.setattr(algebra, "INT64_EXACT_MAX_ARITY", 2)
-    chunk = next(measures.chunks(oracles.members_of(Population.sample(4, 5, 3))))
+    chunk = measures.Chunk(next(Population.sample(4, 5, 3).stacks()))
     assert chunk.s.dtype == object and type(chunk.I_num[0]) is int and type(chunk.sums["weighted2"][0]) is int
     assert run_check_suite(population).to_json() == as_int64
 
@@ -542,7 +537,7 @@ def chunks_holding(population, monkeypatch) -> dict:
     hold a failure or a row tying for the maximum ratio."""
     monkeypatch.setattr(measures, "CHUNK_CELLS", 64)
     seen = {name: [] for name in SPANNED}
-    for index, chunk in enumerate(measures.chunks(oracles.members_of(population))):
+    for index, chunk in enumerate(map(measures.Chunk, population.stacks())):
         for record in chunk.records():
             for name in SPANNED:
                 status, observed = verify.CHECKS[name].run(record)
@@ -591,7 +586,7 @@ def chunk_aggregates(fail_limit: int) -> tuple[list, dict]:
         patch.setitem(verify.CHECKS, BOGUS_ROWS.name, BOGUS_ROWS)
         patch.setattr(measures, "CHUNK_CELLS", 64)
         parts = []
-        for chunk in measures.chunks(oracles.members_of(population)):
+        for chunk in map(measures.Chunk, population.stacks()):
             parts.append({name: verify.Aggregate(verify.CHECKS[name].kind, fail_limit) for name in SPANNED})
             for name, aggregate in parts[-1].items():
                 aggregate.add_chunk(chunk, verify.CHECKS[name])
@@ -625,7 +620,7 @@ def entry_by_records(check: verify.Check, population: Population, fail_limit: in
     counts, the first ``fail_limit`` failures by id, the skip reasons, and
     the largest ratio, a tie going to the smallest id."""
     counts, failures, reasons, ratios = {"pass": 0, "fail": 0, "skip": 0}, [], {}, []
-    for record in measures.records(oracles.members_of(population)):
+    for record in (r for stack in population.stacks() for r in measures.Chunk(stack).records()):
         status, observed = check.run(record)
         counts[status] += 1
         if status == "fail":

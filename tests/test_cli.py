@@ -175,7 +175,7 @@ def test_analyze_file_of_one_table_exports_what_fn_exports(tmp_path, text):
 def test_analyze_file_of_several_tables_refuses_an_export(tmp_path, monkeypatch, flags):
     corpus = tmp_path / "two.txt"
     corpus.write_text("2:8\n3:96\n")
-    for name in ("records", "MeasureContext"):  # no record is computed
+    for name in ("Chunk", "MeasureContext"):  # no chunk or record is made
         monkeypatch.setattr(measures, name, lambda *a, **k: pytest.fail("a record was computed"))
     paths = [tmp_path / f"out{i}" for i in range(len(flags))]
     argv = ["analyze", "--file", str(corpus), *itertools.chain(*zip(flags, map(str, paths)))]
@@ -627,6 +627,8 @@ def test_an_interrupt_gives_exit_130_and_one_error_line():
         ["verify", "--exhaustive", "1", "--cert-cap", "99"],
         ["analyze", "--fn", "2:8", "--bs-cap", "99"],
         ["verify", "--exhaustive", "1", "--bs-cap", "99"],
+        ["analyze", "--fn", "3:FF", "--bs-cap", "-1"],
+        ["verify", "--exhaustive", "2", "--bs-cap", "-5"],
         ["family", "compose", "--base", "and2", "--power", "1000000"],
         ["family", "compose", "--base", "addr2", "--power", "7"],
         ["analyze", "--family", "parity", "--n", "40"],

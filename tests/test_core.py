@@ -15,10 +15,10 @@ from boolfn.core import (
     FormatError,
     TruthTable,
     compose,
+    corpus_texts,
     depends_on_all,
     materialize,
     parse,
-    parse_corpus,
     serialize,
 )
 
@@ -453,12 +453,10 @@ def test_text_form_matches_the_packed_int():
             assert g == f == int_parse(form) and not g.values.flags.writeable
 
 
-def test_parse_corpus():
-    lines = ["# header", "2:8", "", "2:F  # trailing comment"]
-    tables = list(parse_corpus(lines))
-    assert len(tables) == 2
-    assert serialize(tables[0]) == "2:8"
-    assert serialize(tables[1]) == "2:F"
+def test_corpus_texts():
+    text = "# header\n2:8\n\n  2:f  # trailing comment\r\n1:1\x0c1:2\n"
+    assert corpus_texts(text) == ["2:8", "2:f", "1:1\x0c1:2"]  # a line ends at a line feed only
+    assert [serialize(parse(t)) for t in corpus_texts(text)[:2]] == ["2:8", "2:F"]
 
 
 def test_truth_table_validation():
@@ -466,6 +464,11 @@ def test_truth_table_validation():
         TruthTable(2, [0, 1, 1])
     with pytest.raises(ValueError):
         TruthTable(1, [0, 2])
+    # a value that is not 0 or 1 in its own dtype is not truncated or wrapped to a bit
+    for values in ([0.5, 1.0], [-1, 0], [256, 1], [np.nan, 0]):
+        with pytest.raises(ValueError, match="table entries must be bits"):
+            TruthTable(1, values)
+    assert TruthTable(1, [True, False]) == TruthTable(1, [1.0, 0.0]) == TruthTable(1, np.array([1, 0], np.int64))
     with pytest.raises(CapExceededError):
         TruthTable(30, [])
     with pytest.raises(ValueError, match="nonnegative"):

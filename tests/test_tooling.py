@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 # The most lines src/boolfn/*.py may hold. A change that grows src/ raises
 # it in the same diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 2987
+SRC_LINE_BUDGET = 2968
 
 
 def test_traced_names_resolve():
@@ -159,12 +159,14 @@ _BUDGETS = {"CHUNK_CELLS", "DT_BLOCK_CELLS", "budget"}
 
 class _Owners(ast.NodeVisitor):
     """Where a module converts hex (``.hex(...)``, ``.fromhex(...)``),
-    shifts ``CHUNK_CELLS`` right and floor-divides an expression that names
+    splits off a ``#`` comment of a corpus line, shifts ``CHUNK_CELLS``
+    right, reads ``stack_size`` and floor-divides an expression that names
     a budget (``_BUDGETS``), by the dotted name of the enclosing function
     or class."""
 
     def __init__(self, module: str) -> None:
-        self.scope, self.hex, self.shifts, self.widths = [module], set(), set(), set()
+        self.scope, self.hex, self.comments, self.shifts, self.widths = [module], set(), set(), set(), set()
+        self.stack_sizes = set()
 
     def _scoped(self, node) -> None:
         self.scope.append(node.name)
@@ -176,6 +178,17 @@ class _Owners(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         if getattr(node.func, "attr", None) in ("hex", "fromhex"):
             self.hex.add(".".join(self.scope))
+        if any(isinstance(arg, ast.Constant) and arg.value == "#" for arg in node.args):
+            self.comments.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == "stack_size":
+            self.stack_sizes.add(".".join(self.scope))
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "stack_size":
+            self.stack_sizes.add(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
@@ -189,18 +202,24 @@ class _Owners(ast.NodeVisitor):
 
 
 def test_one_owner_for_the_text_format_and_the_stack_size():
-    # core alone writes and reads the n:HEX text, measures.stack_size alone
-    # decides how many tables share a stack, and core.blocks alone how many
-    # items of a kernel's work fit its budget of cells
-    hex_users, shifts, widths = set(), set(), set()
+    # core alone writes and reads the n:HEX text and the lines of a corpus,
+    # measures.stack_size alone decides how many tables share a stack, and
+    # only verify's population stacks read it, so a corpus is stacked as a
+    # sweep's members are; core.blocks alone decides how many items of a
+    # kernel's work fit its budget of cells
+    hex_users, comments, shifts, stack_sizes, widths = set(), set(), set(), set(), set()
     for path in sorted((ROOT / "src" / "boolfn").glob("*.py")):
         owners = _Owners(path.stem)
         owners.visit(ast.parse(path.read_text()))
         hex_users |= {name.split(".")[0] for name in owners.hex}
+        comments |= {name.split(".")[0] for name in owners.comments}
         shifts |= owners.shifts
+        stack_sizes |= {name.split(".")[0] for name in owners.stack_sizes}
         widths |= owners.widths
     assert hex_users == {"core"}
+    assert comments == {"core"}
     assert shifts == {"measures.stack_size"}
+    assert stack_sizes == {"verify"}
     assert widths == {"core.blocks"}
 
 

@@ -499,9 +499,9 @@ def test_ranges_build_only_their_members(monkeypatch, population):
 
 
 def assert_stacks_of(got, tables) -> None:
-    """``got`` are the stacks ``measures.chunks`` makes of ``tables``, each
+    """``got`` are the stacks ``oracles.stacks_of`` makes of ``tables``, each
     read-only, C-contiguous uint8, and so is each of its rows."""
-    want = [chunk.stack for chunk in measures.chunks(tables)]
+    want = list(oracles.stacks_of(tables))
     assert [stack.shape for stack in got] == [stack.shape for stack in want]
     for stack, expected in zip(got, want):
         assert np.array_equal(stack, expected)
